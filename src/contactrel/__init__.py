@@ -38,6 +38,7 @@ from .errors import (
 from .geometry import (
     MetricField,
     christoffel,
+    contract,
     expression_metric,
     inverse_metric,
     lower_index,
@@ -124,7 +125,7 @@ __all__ = [
     "ParseError", "ValidationError",
     # geometry
     "MetricField", "inverse_metric", "lowered_metric", "metric_derivatives",
-    "christoffel", "lower_index", "raise_index", "minkowski", "weak_field",
+    "contract", "christoffel", "lower_index", "raise_index", "minkowski", "weak_field",
     "point_mass_potential", "uniform_gradient_potential", "expression_metric",
     # dynamics
     "ContactHamiltonianSystem", "ExtendedState", "ExtendedTangent", "FourVelocity",

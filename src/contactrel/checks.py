@@ -207,13 +207,13 @@ def check_divergence(n_states: int = 100, seed: int = 77, perturb: bool = False)
         y = np.concatenate([q[0], p[0], [phi[0]]])
         trace = 0.0
         for j in range(9):
-            h = 1e-3 * (1.0 + abs(y[j]))
-            acc = 0.0
-            for coeff, shift in ((1.0, -2.0), (-8.0, -1.0), (8.0, 1.0), (-1.0, 2.0)):
+
+            def component(x, j=j):
                 ys = y.copy()
-                ys[j] += shift * h
-                acc += coeff * _field_vector(sys, ys)[j]
-            trace += acc / (12.0 * h)
+                ys[j] = x
+                return _field_vector(sys, ys)[j]
+
+            trace += geometry._fd4_of(component, y[j], 1e-3 * (1.0 + abs(y[j])))
         s = ExtendedState(q=y[0:4], p=y[4:8], phi=float(y[8]))
         analytic = dynamics.divergence(sys, s)
         if perturb:
@@ -318,7 +318,7 @@ def check_decay_cancellation() -> CheckResult:
     dq = float(np.max(np.abs(tr_c.q - tr_d.q)))
 
     # momentum norm of the decaying run must follow m(tau) = exp(-alpha tau)
-    g = dynamics._metric_arrays(sys_decay, tr_d.q, tr_d.phi)
+    g = geometry._eval_raw(sys_decay.metric, tr_d.q, tr_d.phi)
     gpp = np.einsum("nab,na,nb->n", g, tr_d.p, tr_d.p)
     pnorm = np.sqrt(-gpp)
     target = np.exp(-alpha * tr_d.lam)

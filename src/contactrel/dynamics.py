@@ -24,7 +24,6 @@ import numpy as np
 from . import geometry
 from .errors import (
     MasslessProjection,
-    NonFiniteMetric,
     NotTimelike,
     ShellSolveFailed,
     TransversalityFailure,
@@ -75,7 +74,6 @@ class MassModel:
     m0: float = 0.0
     slope: float = 0.0
     phi_ref: float = 0.0
-    alpha: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("constant", "affine_phi", "zero"):
@@ -102,7 +100,6 @@ class MassModel:
             m0=float(m0),
             slope=float(alpha) / float(c) ** 2,
             phi_ref=float(phi0),
-            alpha=float(alpha),
         )
 
     def value(self, phi):
@@ -183,45 +180,34 @@ class FourVelocity:
 
 # --- batched internals -------------------------------------------------------
 # q: (n, 4), p: (n, 4), phi: (n,).  These skip the full signature validation
-# for speed; they only check finiteness of the metric evaluation.
-
-
-def _metric_arrays(sys: ContactHamiltonianSystem, q, phi):
-    g = sys.metric.func(q, phi)
-    if not np.all(np.isfinite(g)):
-        raise NonFiniteMetric(f"metric '{sys.metric.name}' produced non-finite entries")
-    return g
-
-
-def _gpp(g, p):
-    return np.einsum("...ab,...a,...b->...", g, p, p)
+# for speed; they only check finiteness of the metric evaluation.  Metric
+# derivatives enter only through geometry.contract.
 
 
 def _h_and_shell(sys, q, p, phi):
-    g = _metric_arrays(sys, q, phi)
+    g = geometry._eval_raw(sys.metric, q, phi)
     m = np.asarray(sys.mass.value(phi), dtype=float)
-    shell = _gpp(g, p) + (m * sys.c) ** 2
+    shell = geometry._gpp(g, p) + (m * sys.c) ** 2
     return 0.5 * shell, shell
 
 
-def _dH_dphi_arrays(sys, q, p, phi):
-    _, dphi_g = geometry.metric_derivatives(sys.metric, q, phi)
+def _dH_dphi_from(sys, phi, dphi_gpp):
+    """dH/dphi from d_phi(g^{ab} p_a p_b)."""
     m = np.asarray(sys.mass.value(phi), dtype=float)
     dm = np.asarray(sys.mass.deriv(phi), dtype=float)
-    return 0.5 * _gpp(dphi_g, p) + m * sys.c**2 * dm
+    return 0.5 * dphi_gpp + m * sys.c**2 * dm
+
+
+def _dH_dphi_arrays(sys, q, p, phi):
+    _, _, dphi_gpp = geometry.contract(sys.metric, q, p, phi)
+    return _dH_dphi_from(sys, phi, dphi_gpp)
 
 
 def _field_arrays(sys, q, p, phi):
     """Batched evolution field: returns (dq, dp, dphi, dHdphi)."""
-    g = _metric_arrays(sys, q, phi)
-    dq_g, dphi_g = geometry.metric_derivatives(sys.metric, q, phi)
-    m = np.asarray(sys.mass.value(phi), dtype=float)
-    dm = np.asarray(sys.mass.deriv(phi), dtype=float)
-
-    dq = np.einsum("...ab,...b->...a", g, p)
-    dHdphi = 0.5 * _gpp(dphi_g, p) + m * sys.c**2 * dm
-    # -1/2 (d g^{ab}/d q^mu) p_a p_b
-    dp = -0.5 * np.einsum("...abm,...a,...b->...m", dq_g, p, p)
+    dq, dq_gpp, dphi_gpp = geometry.contract(sys.metric, q, p, phi)
+    dHdphi = _dH_dphi_from(sys, phi, dphi_gpp)
+    dp = -0.5 * dq_gpp
     dp -= p * dHdphi[..., None]
     dphi = np.einsum("...a,...a->...", p, dq)  # p . dq, annihilated by eta exactly
     return dq, dp, dphi, dHdphi
@@ -256,8 +242,8 @@ def project_to_shell(sys: ContactHamiltonianSystem, s: ExtendedState) -> Extende
     points up to round-off.
     """
     q, p, phi = _as_batch(s)
-    g = _metric_arrays(sys, q, phi)
-    gpp = float(_gpp(g, p)[0])
+    g = geometry._eval_raw(sys.metric, q, phi)
+    gpp = float(geometry._gpp(g, p)[0])
     if not gpp < 0.0:
         raise NotTimelike(f"g p p = {gpp:.6e} is not negative; cannot rescale to shell")
     m = float(sys.mass.value(s.phi))
@@ -292,15 +278,9 @@ def _hamiltonian_at(sys, q, p, phi) -> float:
 
 def _fd_grad_H(sys, s: ExtendedState, rel_step: float = 1e-3):
     """4th-order central differences of H in all 9 extended coordinates."""
-    coeff = (1.0, -8.0, 8.0, -1.0)
-    shifts = (-2.0, -1.0, 1.0, 2.0)
 
     def fd(setter, x0):
-        h = rel_step * (1.0 + abs(x0))
-        acc = 0.0
-        for c_, s_ in zip(coeff, shifts):
-            acc += c_ * setter(x0 + s_ * h)
-        return acc / (12.0 * h)
+        return geometry._fd4_of(setter, x0, rel_step * (1.0 + abs(x0)))
 
     dHdq = np.empty(4)
     dHdp = np.empty(4)
@@ -358,14 +338,12 @@ def reduced_field_phi(sys: ContactHamiltonianSystem, s: ExtendedState) -> tuple[
         raise TransversalityFailure(
             f"m(phi)^2 c^2 = {m2c2:.3e} < {TRANSVERSALITY_TOL}; phi is not a valid parameter"
         )
-    q, p, phi = _as_batch(s)
-    g = _metric_arrays(sys, q, phi)
-    dq_g, dphi_g = geometry.metric_derivatives(sys.metric, q, phi)
+    gp, dq_gpp, dphi_gpp = geometry.contract(sys.metric, *_as_batch(s))
     dm = float(sys.mass.deriv(s.phi))
 
-    dqdphi = -np.einsum("ab,b->a", g[0], s.p) / m2c2
-    dpdphi = 0.5 * np.einsum("abm,a,b->m", dq_g[0], s.p, s.p) / m2c2
-    dpdphi += 0.5 * s.p * float(_gpp(dphi_g, p)[0]) / m2c2
+    dqdphi = -gp[0] / m2c2
+    dpdphi = 0.5 * dq_gpp[0] / m2c2
+    dpdphi += 0.5 * s.p * float(dphi_gpp[0]) / m2c2
     dpdphi += s.p * dm / m
     return dqdphi, dpdphi
 
@@ -382,14 +360,12 @@ def proper_time_field(sys: ContactHamiltonianSystem, s: ExtendedState) -> tuple[
         raise TransversalityFailure(
             "proper time is undefined for (near-)massless states"
         )
-    q, p, phi = _as_batch(s)
-    g = _metric_arrays(sys, q, phi)
-    dq_g, dphi_g = geometry.metric_derivatives(sys.metric, q, phi)
+    gp, dq_gpp, dphi_gpp = geometry.contract(sys.metric, *_as_batch(s))
     dm = float(sys.mass.deriv(s.phi))
 
-    dqdtau = np.einsum("ab,b->a", g[0], s.p) / m
-    dpdtau = -0.5 * np.einsum("abm,a,b->m", dq_g[0], s.p, s.p) / m
-    dpdtau -= 0.5 * s.p * float(_gpp(dphi_g, p)[0]) / m
+    dqdtau = gp[0] / m
+    dpdtau = -0.5 * dq_gpp[0] / m
+    dpdtau -= 0.5 * s.p * float(dphi_gpp[0]) / m
     dpdtau -= sys.c**2 * dm * s.p
     return dqdtau, dpdtau
 
@@ -400,7 +376,7 @@ def four_velocity(sys: ContactHamiltonianSystem, s: ExtendedState) -> FourVeloci
     if not m > 0.0:
         raise MasslessProjection("four-velocity needs m(phi) > 0")
     q, p, phi = _as_batch(s)
-    g = _metric_arrays(sys, q, phi)
+    g = geometry._eval_raw(sys.metric, q, phi)
     return FourVelocity(u=np.einsum("ab,b->a", g[0], s.p) / m)
 
 
@@ -455,7 +431,7 @@ def solve_p0_on_shell(sys: ContactHamiltonianSystem, q, phi, p_spatial) -> np.nd
     q = np.atleast_2d(np.asarray(q, dtype=float))
     p_spatial = np.atleast_2d(np.asarray(p_spatial, dtype=float))
     phi_arr = np.broadcast_to(np.asarray(phi, dtype=float), q.shape[:-1])
-    g = _metric_arrays(sys, q, phi_arr)
+    g = geometry._eval_raw(sys.metric, q, phi_arr)
     m = np.asarray(sys.mass.value(phi_arr), dtype=float)
 
     a = g[..., 0, 0]

@@ -13,6 +13,11 @@ Conventions
 
 Analytic derivatives are optional; missing ones fall back to 4th-order central
 finite differences with steps that scale with the coordinate magnitude.
+
+The flow needs the metric only through the quadratic form g^{ab} p_a p_b, so
+:func:`contract` returns just ``g . p`` and the gradient of that scalar, never
+a rank-3 tensor.  :func:`metric_derivatives` and :func:`christoffel` build the
+full tensors for the geodesic reference and for inspection.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ __all__ = [
     "inverse_metric",
     "lowered_metric",
     "metric_derivatives",
+    "contract",
     "christoffel",
     "lower_index",
     "raise_index",
@@ -39,7 +45,8 @@ __all__ = [
     "expression_metric",
 ]
 
-_ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
+_ETA_DIAG = np.array([-1.0, 1.0, 1.0, 1.0])
+_ETA = np.diag(_ETA_DIAG)
 
 # Validation thresholds for inverse_metric.
 SYMMETRY_TOL = 1e-14
@@ -60,6 +67,12 @@ class MetricField:
         When None, 4th-order central differences of ``func`` are used.
     d_phi : callable or None
         ``d_phi(q, phi) -> (..., 4, 4)``.  When None, finite differences.
+    contract : callable or None
+        ``contract(q, p, phi) -> (g . p (..., 4), d_mu(g^{ab} p_a p_b) (..., 4),
+        d_phi(g^{ab} p_a p_b) (...))``, the three contractions the flow needs.
+        It raises NonFiniteMetric / NonFiniteDerivative when its own metric or
+        derivative entries are non-finite.  When None, :func:`contract` builds
+        them from ``func``, ``d_q`` and ``d_phi``.
     fd_step_q, fd_step_phi : float
         Base finite-difference steps; the actual step for coordinate x is
         ``step * (1 + |x|)``.
@@ -70,6 +83,7 @@ class MetricField:
     func: Callable[[np.ndarray, np.ndarray], np.ndarray]
     d_q: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     d_phi: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    contract: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
     fd_step_q: float = 1e-5
     fd_step_phi: float = 1e-5
     name: str = "custom"
@@ -78,11 +92,22 @@ class MetricField:
         return self.func(np.asarray(q, dtype=float), phi)
 
 
-def _eval_raw(metric: MetricField, q: np.ndarray, phi) -> np.ndarray:
-    g = metric.func(q, phi)
+def _finite_metric(name: str, g):
     if not np.all(np.isfinite(g)):
-        raise NonFiniteMetric(f"metric '{metric.name}' produced non-finite entries")
+        raise NonFiniteMetric(f"metric '{name}' produced non-finite entries")
     return g
+
+
+def _finite_derivative(name: str, d) -> np.ndarray:
+    d = np.asarray(d, dtype=float)
+    if not np.all(np.isfinite(d)):
+        raise NonFiniteDerivative(f"metric '{name}' derivatives are non-finite")
+    return d
+
+
+def _eval_raw(metric: MetricField, q: np.ndarray, phi) -> np.ndarray:
+    """g^{mu nu} at (q, phi), checked for finiteness only."""
+    return _finite_metric(metric.name, metric.func(q, phi))
 
 
 def inverse_metric(metric: MetricField, q: np.ndarray, phi) -> np.ndarray:
@@ -123,26 +148,30 @@ def _fd4(f_m2, f_m1, f_p1, f_p2, h):
     return (f_m2 - 8.0 * f_m1 + 8.0 * f_p1 - f_p2) / (12.0 * h)
 
 
-def _fd_dq(metric: MetricField, q: np.ndarray, phi) -> np.ndarray:
+def _fd4_of(f, x, h):
+    """_fd4 of f at x - 2h, x - h, x + h, x + 2h; h broadcasts over f's value."""
+    vals = [f(x + s * h) for s in (-2.0, -1.0, 1.0, 2.0)]
+    hh = np.reshape(h, np.shape(h) + (1,) * (np.ndim(vals[0]) - np.ndim(h)))
+    return _fd4(vals[0], vals[1], vals[2], vals[3], hh)
+
+
+def _fd_dq(f, q: np.ndarray, step: float) -> np.ndarray:
+    """d f(q) / d q^mu for every mu, derivative index last."""
     cols = []
     for mu in range(4):
-        h = metric.fd_step_q * (1.0 + np.abs(q[..., mu]))
-        shifted = []
-        for s in (-2.0, -1.0, 1.0, 2.0):
+
+        def f_mu(x, mu=mu):
             qs = q.copy()
-            qs[..., mu] = qs[..., mu] + s * h
-            shifted.append(_eval_raw(metric, qs, phi))
-        hh = h[..., None, None] if np.ndim(h) else h
-        cols.append(_fd4(shifted[0], shifted[1], shifted[2], shifted[3], hh))
+            qs[..., mu] = x
+            return f(qs)
+
+        cols.append(_fd4_of(f_mu, q[..., mu], step * (1.0 + np.abs(q[..., mu]))))
     return np.stack(cols, axis=-1)
 
 
-def _fd_dphi(metric: MetricField, q: np.ndarray, phi) -> np.ndarray:
+def _fd_dphi(f, phi, step: float) -> np.ndarray:
     phi = np.asarray(phi, dtype=float)
-    h = metric.fd_step_phi * (1.0 + np.abs(phi))
-    vals = [_eval_raw(metric, q, phi + s * h) for s in (-2.0, -1.0, 1.0, 2.0)]
-    hh = h[..., None, None] if np.ndim(h) else h
-    return _fd4(vals[0], vals[1], vals[2], vals[3], hh)
+    return _fd4_of(f, phi, step * (1.0 + np.abs(phi)))
 
 
 def metric_derivatives(metric: MetricField, q: np.ndarray, phi) -> tuple[np.ndarray, np.ndarray]:
@@ -153,8 +182,14 @@ def metric_derivatives(metric: MetricField, q: np.ndarray, phi) -> tuple[np.ndar
     provides them, 4th-order central differences otherwise.
     """
     q = np.asarray(q, dtype=float)
-    dq = metric.d_q(q, phi) if metric.d_q is not None else _fd_dq(metric, q, phi)
-    dphi = metric.d_phi(q, phi) if metric.d_phi is not None else _fd_dphi(metric, q, phi)
+    if metric.d_q is not None:
+        dq = metric.d_q(q, phi)
+    else:
+        dq = _fd_dq(lambda qs: _eval_raw(metric, qs, phi), q, metric.fd_step_q)
+    if metric.d_phi is not None:
+        dphi = metric.d_phi(q, phi)
+    else:
+        dphi = _fd_dphi(lambda ps: _eval_raw(metric, q, ps), phi, metric.fd_step_phi)
     dq = np.asarray(dq, dtype=float)
     dphi = np.asarray(dphi, dtype=float)
     if not (np.all(np.isfinite(dq)) and np.all(np.isfinite(dphi))):
@@ -164,6 +199,41 @@ def metric_derivatives(metric: MetricField, q: np.ndarray, phi) -> tuple[np.ndar
     dq = 0.5 * (dq + np.swapaxes(dq, -2, -3))
     dphi = 0.5 * (dphi + np.swapaxes(dphi, -1, -2))
     return dq, dphi
+
+
+def _gpp(g, p):
+    """g^{ab} p_a p_b over the batch."""
+    return np.einsum("...ab,...a,...b->...", g, p, p)
+
+
+def contract(metric: MetricField, q: np.ndarray, p: np.ndarray, phi):
+    """The metric contractions the contact flow needs, at a batch of states.
+
+    Returns ``(g . p, d_mu(g^{ab} p_a p_b), d_phi(g^{ab} p_a p_b))`` with
+    shapes (..., 4), (..., 4) and (...).  Uses the field's ``contract``
+    callback when it has one.  Otherwise each derivative comes from the
+    analytic ``d_q`` / ``d_phi`` callback contracted with p, or from the
+    4th-order stencil applied to the scalar g^{ab} p_a p_b (the same
+    evaluations of ``func`` as :func:`metric_derivatives`, no rank-3 tensor).
+    Raises NonFiniteMetric or NonFiniteDerivative like metric_derivatives.
+    """
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if metric.contract is not None:
+        return metric.contract(q, p, phi)
+    gp = np.einsum("...ab,...b->...a", _eval_raw(metric, q, phi), p)
+    if metric.d_q is not None:
+        dq_g = _finite_derivative(metric.name, metric.d_q(q, phi))
+        d_q = np.einsum("...abm,...a,...b->...m", dq_g, p, p)
+    else:
+        d_q = _finite_derivative(metric.name, _fd_dq(
+            lambda qs: _gpp(_eval_raw(metric, qs, phi), p), q, metric.fd_step_q))
+    if metric.d_phi is not None:
+        d_phi = _gpp(_finite_derivative(metric.name, metric.d_phi(q, phi)), p)
+    else:
+        d_phi = _finite_derivative(metric.name, _fd_dphi(
+            lambda ps: _gpp(_eval_raw(metric, q, ps), p), phi, metric.fd_step_phi))
+    return gp, d_q, d_phi
 
 
 def christoffel(metric: MetricField, q: np.ndarray, phi) -> np.ndarray:
@@ -223,7 +293,10 @@ def minkowski() -> MetricField:
     def d_phi(q, phi):
         return np.zeros(q.shape[:-1] + (4, 4))
 
-    return MetricField(func=func, d_q=d_q, d_phi=d_phi, name="minkowski")
+    def contract(q, p, phi):
+        return _ETA_DIAG * p, np.zeros(p.shape), np.zeros(p.shape[:-1])
+
+    return MetricField(func=func, d_q=d_q, d_phi=d_phi, contract=contract, name="minkowski")
 
 
 def point_mass_potential(gm: float, softening: float = 0.0):
@@ -272,6 +345,7 @@ def weak_field(
     (..., 3) -> (...); ``gradient`` maps (..., 3) -> (..., 3) and enables
     analytic q-derivatives (otherwise finite differences are used).
     The potential has no phi dependence, so d_phi is identically zero.
+    With ``gradient`` the field also supplies the ``contract`` callback.
     """
     c2 = float(c) ** 2
 
@@ -284,7 +358,7 @@ def weak_field(
             g[..., i, i] = 1.0 - u
         return g
 
-    d_q = None
+    d_q = contract = None
     if gradient is not None:
 
         def d_q(q, phi):
@@ -297,10 +371,21 @@ def weak_field(
                     out[..., j, j, i] = -du[..., i - 1]
             return out
 
+        def contract(q, p, phi):
+            # g^{ab} p_a p_b = (1 - u) eta^{ab} p_a p_b
+            x = q[..., 1:]
+            u = _finite_metric(name, 2.0 * potential(x) / c2)
+            du = _finite_derivative(name, 2.0 * gradient(x) / c2)
+            eta_p = _ETA_DIAG * p
+            eta_pp = np.einsum("...a,...a->...", eta_p, p)
+            d_gpp = np.zeros(p.shape)
+            d_gpp[..., 1:] = -du * eta_pp[..., None]
+            return (1.0 - u)[..., None] * eta_p, d_gpp, np.zeros(p.shape[:-1])
+
     def d_phi(q, phi):
         return np.zeros(q.shape[:-1] + (4, 4))
 
-    return MetricField(func=func, d_q=d_q, d_phi=d_phi, name=name)
+    return MetricField(func=func, d_q=d_q, d_phi=d_phi, contract=contract, name=name)
 
 
 _EXPR_NAMESPACE = {

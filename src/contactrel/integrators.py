@@ -27,7 +27,6 @@ from .dynamics import (
     FourVelocity,
     _field_arrays,
     _h_and_shell,
-    _metric_arrays,
 )
 from .errors import (
     InsufficientSamples,
@@ -402,7 +401,7 @@ def integrate(sys: ContactHamiltonianSystem, s0: ExtendedState, cfg: IntegratorC
         return dy
 
     def project(y):
-        g = _metric_arrays(sys, y[None, 0:4], y[8:9])[0]
+        g = geometry._eval_raw(sys.metric, y[None, 0:4], y[8:9])[0]
         gpp = float(y[4:8] @ g @ y[4:8])
         if not gpp < 0.0:
             raise NotTimelike("momentum left the timelike cone; cannot project")
@@ -602,7 +601,7 @@ def geodesic_reference(
 
     n = len(lams)
     q_arr, u_arr = ys[:, 0:4], ys[:, 4:8]
-    gl = np.linalg.inv(_metric_arrays(sys, q_arr, np.full(n, phi0)))
+    gl = np.linalg.inv(geometry._eval_raw(sys.metric, q_arr, np.full(n, phi0)))
     uu = np.einsum("nab,na,nb->n", gl, u_arr, u_arr)
     shell = uu + sys.c**2
     deriv = np.zeros((n, 10))
