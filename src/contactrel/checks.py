@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics, geometry
+from . import dynamics, geometry, scenario
 from .dynamics import ContactHamiltonianSystem, ExtendedState, MassModel
 from .errors import NotMonotone
 from .integrators import (
@@ -468,14 +468,16 @@ def check_photon_behavior() -> CheckResult:
 
 @functools.lru_cache(maxsize=8)
 def _gas_run(preset: str, span: float | None = None, reports: int | None = None):
+    """Run an ensemble preset; by default exactly as ``contactrel ensemble`` does."""
     cfg = preset_scenario(preset)
     sys = build_system(cfg)
     spec = build_density_spec(cfg)
     e0 = sample_ensemble(sys, spec, cfg.initial["n"], cfg.initial["seed"])
-    span = cfg.stop[0]["value"] if span is None else span
+    span = min(s["value"] for s in cfg.stop) if span is None else span
     reports = cfg.outputs["reports"] if reports is None else reports
     functional = EntropyFunctional.shannon_boltzmann()
-    e_end, rows, _ = ensemble_series(e0, span, reports, functional)
+    icfg = scenario.build_integrator_config(cfg)
+    e_end, rows, _ = ensemble_series(e0, span, reports, functional, icfg)
     return e0, e_end, rows, span
 
 

@@ -6,17 +6,21 @@ carry proper time tau as an extra quadrature variable (d tau/d lambda =
 -(d phi/d lambda) / (m c^2)); tau is excluded from the adaptive error norm,
 which covers only the 9 extended coordinates.
 
-Steppers are a classic fixed-step RK4 and an embedded Dormand-Prince 5(4)
-pair with FSAL.  Stop conditions are located on the cubic Hermite interpolant
-of each accepted step and refined by bisection, so the final sample sits on
-the stop surface to root-finding precision.
+One stepping loop, ``_run_loop``, serves a single state (d,) and a marker
+block (n, d) alike: :func:`integrate`, :func:`geodesic_reference` and
+:func:`advance_batch` differ only in their right-hand side, their first step
+and what they keep of the accepted samples.  Its steppers are an embedded
+Dormand-Prince 5(4) pair with FSAL, whose error norm is the worst row's RMS,
+and a classic RK4 that splits a lambda span into ceil(span/fixed_step) equal
+steps.  Stop conditions are located on the cubic Hermite interpolant of each
+accepted step and refined by bisection, so the final sample sits on the stop
+surface to root-finding precision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -197,19 +201,21 @@ def _rk4_step(rhs, lam, y, h, k1):
 
 
 def _error_norm(err, y0, y1, cfg, ncore):
-    sc = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y0[:ncore]), np.abs(y1[:ncore]))
-    return float(np.sqrt(np.mean((err[:ncore] / sc) ** 2)))
+    """Worst per-row RMS of err over the first ncore columns, scaled by tolerance."""
+    sc = cfg.abs_tol + cfg.rel_tol * np.maximum(
+        np.abs(y0[..., :ncore]), np.abs(y1[..., :ncore])
+    )
+    return float(np.max(np.sqrt(np.mean((err[..., :ncore] / sc) ** 2, axis=-1))))
 
 
 def _initial_step(rhs, lam0, y0, f0, cfg, ncore, lam_span):
     """Step-size seed following the usual embedded-pair heuristic."""
-    sc = cfg.abs_tol + cfg.rel_tol * np.abs(y0[:ncore])
-    d0 = float(np.sqrt(np.mean((y0[:ncore] / sc) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0[:ncore] / sc) ** 2)))
+    d0 = _error_norm(y0, y0, y0, cfg, ncore)
+    d1 = _error_norm(f0, y0, y0, cfg, ncore)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, lam_span) if lam_span > 0 else h0
     f1 = rhs(lam0 + h0, y0 + h0 * f0)
-    d2 = float(np.sqrt(np.mean(((f1[:ncore] - f0[:ncore]) / sc) ** 2))) / h0
+    d2 = _error_norm(f1 - f0, y0, y0, cfg, ncore) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -218,30 +224,40 @@ def _initial_step(rhs, lam0, y0, f0, cfg, ncore, lam_span):
     return min(h, lam_span) if lam_span > 0 else h
 
 
-# --- generic single-system stepping loop --------------------------------------
+# --- the stepping loop ------------------------------------------------------------
 
 
-def _run_loop(rhs, y0, cfg, lam_end, events, ncore, project=None):
-    """Advance y0 from lam = 0 until lam_end or an event fires.
+def _run_loop(rhs, y0, cfg, span, events, ncore, sample, h0=None, project=None):
+    """Advance y0, a (d,) state or an (n, d) marker block, from lam = 0.
 
-    ``events`` is a list of (label, fn) with fn(lam, y) -> float; an event
-    fires when its value crosses zero between accepted samples.  ``project``
-    optionally maps y -> y after every cfg.shell_projection accepted steps.
-    Returns (lams, ys, fs, termination, stats).
+    The run ends at lam = span (either sign; None when there is no lambda
+    stop) or when an event fires.  ``events`` is a list of (label, fn) with
+    fn(lam, y) -> float; an event fires when its value crosses zero between
+    accepted samples.  ``sample(lam, y, f)`` receives the start and every
+    accepted sample, with f = rhs(lam, y).  All rows share one step sequence
+    and the error norm is the worst row's.  rk45 starts from ``h0`` (default
+    :func:`_initial_step`); rk4 takes ceil(|span|/fixed_step) equal steps,
+    or steps of fixed_step when span is None.  ``project`` optionally maps
+    y -> y after every cfg.shell_projection accepted steps.
+    Returns (termination, stats).
     """
     lam = 0.0
     y = np.array(y0, dtype=float)
     f = rhs(lam, y)
-    lams, ys, fs = [lam], [y.copy()], [f.copy()]
+    sample(lam, y, f)
     ev_prev = [fn(lam, y) for _, fn in events]
+    direction = -1.0 if span is not None and span < 0 else 1.0
     termination = None
     accepted = rejected = 0
 
     if cfg.method == "rk4":
         h = float(cfg.fixed_step)
+        if span is not None:
+            h = abs(span) / max(1, math.ceil(abs(span) / h))
+    elif h0 is None:
+        h = _initial_step(rhs, lam, y, f, cfg, ncore, -1.0 if span is None else span)
     else:
-        span = lam_end - lam if lam_end is not None else -1.0
-        h = _initial_step(rhs, lam, y, f, cfg, ncore, span)
+        h = h0
 
     while termination is None:
         if accepted >= cfg.max_steps:
@@ -249,13 +265,13 @@ def _run_loop(rhs, y0, cfg, lam_end, events, ncore, project=None):
                 f"exceeded {cfg.max_steps} accepted steps before any stop condition"
             )
         h_try = h
-        if lam_end is not None:
-            h_try = min(h_try, lam_end - lam)
+        if span is not None:
+            h_try = min(h_try, direction * (span - lam))
         if cfg.method == "rk45":
             h_try = min(h_try, cfg.max_step)
             # attempt until the error controller accepts
             while True:
-                y_new, f_new, err = _dp_step(rhs, lam, y, h_try, f)
+                y_new, f_new, err = _dp_step(rhs, lam, y, direction * h_try, f)
                 norm = _error_norm(err, y, y_new, cfg, ncore)
                 if norm <= 1.0:
                     break
@@ -268,9 +284,10 @@ def _run_loop(rhs, y0, cfg, lam_end, events, ncore, project=None):
             factor = 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm ** -0.2))
             h = min(cfg.max_step, h_try * factor)
         else:
-            y_new = _rk4_step(rhs, lam, y, h_try, f)
-            f_new = rhs(lam + h_try, y_new)
-        lam_new = lam + h_try
+            y_new = _rk4_step(rhs, lam, y, direction * h_try, f)
+            f_new = rhs(lam + direction * h_try, y_new)
+        hs = direction * h_try
+        lam_new = lam + hs
         accepted += 1
 
         # locate the earliest zero crossing of any event on this step
@@ -287,8 +304,8 @@ def _run_loop(rhs, y0, cfg, lam_end, events, ncore, project=None):
             ga = e0
             for _ in range(90):
                 mid = 0.5 * (a + b)
-                ym = _hermite_eval(y, y_new, f, f_new, h_try, mid)
-                gm = fn(lam + mid * h_try, ym)
+                ym = _hermite_eval(y, y_new, f, f_new, hs, mid)
+                gm = fn(lam + mid * hs, ym)
                 if gm == 0.0:
                     a = b = mid
                     break
@@ -299,20 +316,17 @@ def _run_loop(rhs, y0, cfg, lam_end, events, ncore, project=None):
                 if b - a < 1e-16:
                     break
             t_star = b
-            lam_star = lam + t_star * h_try
-            if lam_star <= lam:
+            lam_star = lam + t_star * hs
+            if direction * (lam_star - lam) <= 0.0:
                 lam_star = np.nextafter(lam, lam_new)
-                t_star = (lam_star - lam) / h_try
-            if hit is None or lam_star < hit[0]:
+                t_star = (lam_star - lam) / hs
+            if hit is None or direction * lam_star < direction * hit[0]:
                 hit = (lam_star, t_star, label)
 
         if hit is not None:
             lam_star, t_star, label = hit
-            y_star = _hermite_eval(y, y_new, f, f_new, h_try, t_star)
-            f_star = rhs(lam_star, y_star)
-            lams.append(lam_star)
-            ys.append(y_star)
-            fs.append(f_star)
+            y_star = _hermite_eval(y, y_new, f, f_new, hs, t_star)
+            sample(lam_star, y_star, rhs(lam_star, y_star))
             termination = {"reason": label, "parameter_value": float(lam_star)}
             break
 
@@ -326,15 +340,23 @@ def _run_loop(rhs, y0, cfg, lam_end, events, ncore, project=None):
 
         lam, y, f = lam_new, y_new, f_new
         ev_prev = ev_new
-        lams.append(lam)
-        ys.append(y.copy())
-        fs.append(f.copy())
+        sample(lam, y, f)
 
-        if lam_end is not None and lam >= lam_end - 1e-14 * max(1.0, abs(lam_end)):
+        if span is not None and direction * lam >= direction * span - 1e-14 * max(1.0, abs(span)):
             termination = {"reason": "lambda_reached", "parameter_value": float(lam)}
 
-    stats = {"steps_accepted": accepted, "steps_rejected": rejected}
-    return np.array(lams), np.array(ys), np.array(fs), termination, stats
+    return termination, {"steps_accepted": accepted, "steps_rejected": rejected}
+
+
+def _run_recorded(rhs, y0, cfg, span, events, ncore, project=None):
+    """_run_loop keeping every sample; returns (lams, ys, fs, termination, stats)."""
+    samples = []
+    termination, stats = _run_loop(
+        rhs, y0, cfg, span, events, ncore,
+        lambda lam, y, f: samples.append((lam, y, f)), project=project,
+    )
+    lams, ys, fs = (np.array(col) for col in zip(*samples))
+    return lams, ys, fs, termination, stats
 
 
 # --- contact-flow integration --------------------------------------------------
@@ -410,7 +432,7 @@ def integrate(sys: ContactHamiltonianSystem, s0: ExtendedState, cfg: IntegratorC
         out[4:8] *= math.sqrt((m * sys.c) ** 2 / (-gpp))
         return out
 
-    lams, ys, fs, termination, stats = _run_loop(
+    lams, ys, fs, termination, stats = _run_recorded(
         rhs, y0, cfg, lam_end, events, ncore=9, project=project if massive else None
     )
 
@@ -472,45 +494,43 @@ def _resample(traj: Trajectory, col: int, new_parameter: str, num: int | None):
     out_lin = np.empty((num, 2))  # linear interp of (ham, shell)
     lin_src = np.column_stack([traj.ham, traj.shell])
 
-    for k, target in enumerate(grid):
-        if k == 0 or k == num - 1:
-            i = 0 if k == 0 else n - 1
-            out_vals[k] = vals[i]
-            out_der[k] = derivs[i]
-            out_lam[k] = traj.lam[i]
-            out_lin[k] = lin_src[i]
-            continue
-        i = int(np.searchsorted(asc, target * direction, side="right")) - 1
-        i = min(max(i, 0), n - 2)
-        h = h_all[i]
-        y0, y1 = vals[i], vals[i + 1]
-        f0, f1 = derivs[i], derivs[i + 1]
-        a, b = 0.0, 1.0
-        ga = s[i] - target
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            gm = _hermite_eval(y0[col], y1[col], f0[col], f1[col], h, mid) - target
-            if gm == 0.0:
-                a = b = mid
-                break
-            if (ga < 0) != (gm < 0):
-                b = mid
-            else:
-                a, ga = mid, gm
-            if b - a < 1e-16:
-                break
-        t = 0.5 * (a + b)
-        out_vals[k] = _hermite_eval(y0, y1, f0, f1, h, t)
-        out_vals[k, col] = target  # put the grid value exactly
-        dy_dlam = _hermite_slope(y0, y1, f0, f1, h, t)
-        out_der[k] = dy_dlam / dy_dlam[col]
-        out_der[k, col] = 1.0
-        out_lam[k] = traj.lam[i] + t * h
-        out_lin[k] = (1 - t) * lin_src[i] + t * lin_src[i + 1]
+    # interior grid points: bisect all of them at once on their Hermite steps
+    target = grid[1:-1]
+    i = np.searchsorted(asc, target * direction, side="right") - 1
+    i = np.clip(i, 0, n - 2)
+    h = h_all[i]
+    y0, y1, f0, f1 = vals[i], vals[i + 1], derivs[i], derivs[i + 1]
+    a = np.zeros(len(target))
+    b = np.ones(len(target))
+    ga = s[i] - target
+    live = np.ones(len(target), dtype=bool)
+    for _ in range(80):
+        if not live.any():
+            break
+        mid = 0.5 * (a + b)
+        gm = _hermite_eval(y0[:, col], y1[:, col], f0[:, col], f1[:, col], h, mid) - target
+        zero = gm == 0.0  # an exact root sets a = b = mid
+        flip = (ga < 0) != (gm < 0)
+        b = np.where(live & (flip | zero), mid, b)
+        a = np.where(live & (~flip | zero), mid, a)
+        ga = np.where(live & ~flip, gm, ga)
+        live &= ~(b - a < 1e-16)
+    t = 0.5 * (a + b)
+    tc, hc = t[:, None], h[:, None]
+    out_vals[1:-1] = _hermite_eval(y0, y1, f0, f1, hc, tc)
+    out_vals[1:-1, col] = target  # put the grid value exactly
+    dy_dlam = _hermite_slope(y0, y1, f0, f1, hc, tc)
+    out_der[1:-1] = dy_dlam / dy_dlam[:, col:col + 1]
+    out_der[1:-1, col] = 1.0
+    out_lam[1:-1] = traj.lam[i] + t * h
+    out_lin[1:-1] = (1 - tc) * lin_src[i] + tc * lin_src[i + 1]
 
-    # endpoints: rescale the stored lambda-derivatives to the new parameter
-    for k, i in ((0, 0), (num - 1, n - 1)):
-        d = derivs[i] / derivs[i][col]
+    # endpoints: the stored samples (the first wins when num == 1), with the
+    # lambda-derivatives rescaled to the new parameter
+    for k, j in ((num - 1, n - 1), (0, 0)):
+        out_vals[k], out_lam[k], out_lin[k] = vals[j], traj.lam[j], lin_src[j]
+    for k, j in ((0, 0), (num - 1, n - 1)):
+        d = derivs[j] / derivs[j][col]
         d[col] = 1.0
         out_der[k] = d
 
@@ -576,15 +596,7 @@ def geodesic_reference(
     if abs(norm0 + sys.c**2) > 1e-6 * sys.c**2:
         raise ValueError(f"u0 is not normalized: g u u = {norm0:.6e}, expected {-sys.c**2}")
 
-    lam_end = None
-    events = []
-    for stop in cfg.stop:
-        if stop.kind == "lambda_reached":
-            lam_end = stop.value if lam_end is None else min(lam_end, stop.value)
-        else:
-            events.append(
-                ("coordinate_bound", lambda lam, y, a=stop.axis, v=stop.value: y[a] - v)
-            )
+    lam_end, events = _make_events(cfg, sys, massive=False)
 
     def rhs(lam, y):
         q, uvec = y[0:4], y[4:8]
@@ -595,9 +607,7 @@ def geodesic_reference(
         return dy
 
     y0 = np.concatenate([q0, u])
-    lams, ys, fs, termination, stats = _run_loop(
-        rhs, y0, cfg, lam_end, events, ncore=8, project=None
-    )
+    lams, ys, fs, termination, stats = _run_recorded(rhs, y0, cfg, lam_end, events, ncore=8)
 
     n = len(lams)
     q_arr, u_arr = ys[:, 0:4], ys[:, 4:8]
@@ -633,73 +643,29 @@ def advance_batch(
 ) -> tuple[np.ndarray, int]:
     """Advance a marker block (n, 10) = [q, p, phi, ln f] by dlam in lambda.
 
-    All markers share the step sequence.  With method "rk45" the error norm
-    is the worst per-marker RMS over the 9 extended coordinates (ln f is a
-    quadrature variable like tau); "rk4" uses fixed_step.  Supports either
-    sign of dlam.  Returns (new block, accepted steps).
+    The block goes through the same stepping loop as :func:`integrate`: all
+    markers share the step sequence, and with method "rk45" the error norm is
+    the worst per-marker RMS over the 9 extended coordinates (ln f is a
+    quadrature variable like tau); the first step is min(|dlam|/8, max_step).
+    "rk4" takes ceil(|dlam|/fixed_step) equal steps.  Supports either sign of
+    dlam.  Returns (new block, accepted steps).
     """
     if dlam == 0.0:
         return y.copy(), 0
 
-    def rhs(block):
+    def rhs(lam, block):
         dq, dp, dphi, dhdphi = _field_arrays(sys, block[:, 0:4], block[:, 4:8], block[:, 8])
         out = np.empty_like(block)
         out[:, 0:4], out[:, 4:8], out[:, 8] = dq, dp, dphi
         out[:, 9] = 4.0 * dhdphi
         return out
 
-    sign = 1.0 if dlam > 0 else -1.0
-    remaining = abs(dlam)
-    y = np.array(y, dtype=float)
+    latest = {}
 
-    if cfg.method == "rk4":
-        if not (cfg.fixed_step and cfg.fixed_step > 0):
-            raise ValueError("rk4 requires a positive fixed_step")
-        nsteps = max(1, math.ceil(remaining / cfg.fixed_step))
-        h = sign * abs(dlam) / nsteps
-        for _ in range(nsteps):
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * h * k1)
-            k3 = rhs(y + 0.5 * h * k2)
-            k4 = rhs(y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return y, nsteps
+    def keep(lam, block, f):
+        latest["y"] = block
 
-    def norm_of(err, y0, y1):
-        sc = cfg.abs_tol + cfg.rel_tol * np.maximum(
-            np.abs(y0[:, :9]), np.abs(y1[:, :9])
-        )
-        per_marker = np.sqrt(np.mean((err[:, :9] / sc) ** 2, axis=1))
-        return float(np.max(per_marker))
-
-    h = min(remaining / 8.0, cfg.max_step)
-    f = rhs(y)
-    accepted = 0
-    while remaining > 1e-14 * abs(dlam):
-        if accepted >= cfg.max_steps:
-            raise MaxStepsExceeded(f"ensemble advance exceeded {cfg.max_steps} steps")
-        h = min(h, remaining)
-        while True:
-            hs = sign * h
-            k = np.empty((7,) + y.shape)
-            k[0] = f
-            for i in range(1, 6):
-                yi = y + hs * np.tensordot(np.asarray(_DP_A[i]), k[:i], axes=1)
-                k[i] = rhs(yi)
-            y5 = y + hs * np.tensordot(np.asarray(_DP_A[6]), k[:6], axes=1)
-            k[6] = rhs(y5)
-            err = hs * np.tensordot(_DP_E, k, axes=1)
-            norm = norm_of(err, y, y5)
-            if norm <= 1.0:
-                break
-            h *= max(0.2, 0.9 * norm ** -0.2)
-            if h < cfg.min_step:
-                raise StepSizeUnderflow(
-                    f"ensemble step size {h:.3e} fell below min_step"
-                )
-        y, f = y5, k[6]
-        remaining -= h
-        accepted += 1
-        factor = 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm ** -0.2))
-        h = min(cfg.max_step, h * factor)
-    return y, accepted
+    _, stats = _run_loop(
+        rhs, y, cfg, dlam, (), ncore=9, sample=keep, h0=min(abs(dlam) / 8.0, cfg.max_step)
+    )
+    return latest["y"], stats["steps_accepted"]

@@ -37,6 +37,7 @@ from contactrel import (
     state_from_velocity,
     weak_field,
 )
+from contactrel.integrators import _hermite_eval, _hermite_slope
 
 ALPHA = 0.1
 
@@ -246,6 +247,61 @@ def test_reparametrize_by_tau_massless_rejected():
         reparametrize_by_tau(traj)
 
 
+def _pointwise_resample(traj, col, num):
+    """Reference: bisect one interior grid point at a time (the scalar loop)."""
+    vals = np.column_stack([traj.q, traj.p, traj.phi, traj.tau])
+    s = vals[:, col]
+    direction = 1.0 if s[-1] > s[0] else -1.0
+    out_vals, out_der, out_lam = [], [], []
+    for target in np.linspace(s[0], s[-1], num)[1:-1]:
+        i = int(np.searchsorted(s * direction, target * direction, side="right")) - 1
+        i = min(max(i, 0), len(s) - 2)
+        h = traj.lam[i + 1] - traj.lam[i]
+        y0, y1, f0, f1 = vals[i], vals[i + 1], traj.deriv[i], traj.deriv[i + 1]
+        a, b, ga = 0.0, 1.0, s[i] - target
+        for _ in range(80):
+            mid = 0.5 * (a + b)
+            gm = _hermite_eval(y0[col], y1[col], f0[col], f1[col], h, mid) - target
+            if gm == 0.0:
+                a = b = mid
+                break
+            if (ga < 0) != (gm < 0):
+                b = mid
+            else:
+                a, ga = mid, gm
+            if b - a < 1e-16:
+                break
+        t = 0.5 * (a + b)
+        y = _hermite_eval(y0, y1, f0, f1, h, t)
+        y[col] = target
+        d = _hermite_slope(y0, y1, f0, f1, h, t)
+        d = d / d[col]
+        d[col] = 1.0
+        out_vals.append(y)
+        out_der.append(d)
+        out_lam.append(traj.lam[i] + t * h)
+    return np.array(out_vals), np.array(out_der), np.array(out_lam)
+
+
+@pytest.mark.parametrize("num", [3, 41, 200])
+def test_resample_matches_pointwise_bisection(num):
+    # the vectorised bisection does the scalar loop's arithmetic, so the
+    # interior samples agree to the last bit
+    sys = ContactHamiltonianSystem(
+        metric=weak_field(*point_mass_potential(0.05)),
+        mass=MassModel.exp_decay(1.0, ALPHA), c=1.0,
+    )
+    s0 = state_from_velocity(sys, [0, 1, 0, 0], 0.0, [0.0, 0.2, 0.0])
+    traj = integrate(sys, s0, IntegratorConfig(max_step=0.15, stop=_stop("lambda_reached", 5.0)))
+    for resample, col in ((reparametrize_by_tau, 9), (reparametrize_by_phi, 8)):
+        out = resample(traj, num=num)
+        vals, der, lam = _pointwise_resample(traj, col, num)
+        got = np.column_stack([out.q, out.p, out.phi, out.tau])[1:-1]
+        assert np.array_equal(got, vals)
+        assert np.array_equal(out.deriv[1:-1], der)
+        assert np.array_equal(out.metadata["lambda_of_parameter"][1:-1], lam)
+
+
 def test_trajectory_state_accessor():
     traj = integrate(
         _decay_sys(), _rest_state(),
@@ -297,6 +353,32 @@ def test_advance_batch_rk4_mode():
     assert steps == 20
     ref = _closed_form(1.0)
     assert out[0, 8] == pytest.approx(ref["phi"], abs=1e-9)
+
+
+def test_rk4_equal_steps_shared_by_integrate_and_advance_batch():
+    # span 1.0 with fixed_step 0.3 becomes ceil(1/0.3) = 4 equal steps of 0.25
+    # on both paths, which then agree to the last bit
+    sys = _decay_sys()
+    cfg = IntegratorConfig(method="rk4", fixed_step=0.3, stop=_stop("lambda_reached", 1.0))
+    traj = integrate(sys, _rest_state(), cfg)
+    assert traj.metadata["steps_accepted"] == 4
+    assert np.array_equal(np.diff(traj.lam), [0.25] * 4)
+    y0 = np.zeros((1, 10))
+    y0[0, 4] = -1.0
+    out, steps = advance_batch(sys, y0, 1.0, cfg)
+    assert steps == 4
+    assert np.array_equal(out[0, 0:4], traj.q[-1])
+    assert np.array_equal(out[0, 4:8], traj.p[-1])
+    assert out[0, 8] == traj.phi[-1]
+
+
+def test_advance_batch_max_steps_exceeded():
+    y0 = np.zeros((4, 10))
+    y0[:, 4] = [-1.0, -1.1, -1.2, -1.3]
+    with pytest.raises(MaxStepsExceeded):
+        advance_batch(
+            _decay_sys(), y0, 10.0, IntegratorConfig(max_steps=3, max_step=0.1)
+        )
 
 
 # --- geodesic reference -------------------------------------------------------------------

@@ -332,3 +332,17 @@ def test_cli_reports_parse_errors_as_exit_two(tmp_path, capsys):
     bad.write_text("{nope")
     assert main(["run", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_verify_gas_preset_reuses_battery_run(tmp_path, monkeypatch):
+    # --all-presets checks ensemble presets on the battery's cached runs, so
+    # it must not integrate them a second time through execute_ensemble.
+    from contactrel import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ensemble preset integrated twice")
+
+    monkeypatch.setattr(cli, "execute_ensemble", refuse)
+    result = cli._verify_one_preset("photon-gas", str(tmp_path))
+    assert result.name == "preset:photon-gas"
+    assert result.passed, result.detail
