@@ -15,23 +15,23 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import dynamics, geometry, scenario
+from . import dynamics, geometry
 from .dynamics import ContactHamiltonianSystem, ExtendedState, MassModel
 from .errors import NotMonotone
 from .integrators import (
     IntegratorConfig,
     StopCondition,
+    _rk4_step,
     geodesic_reference,
     integrate,
     reparametrize_by_phi,
     reparametrize_by_tau,
 )
-from .kinetic import EntropyFunctional, ensemble_series, sample_ensemble
-from .scenario import build_density_spec, build_system, load_scenario, preset_scenario
+from .scenario import load_scenario, preset_scenario, run_ensemble
 
 __all__ = ["CheckResult", "run_all", "CHECKS"]
 
@@ -283,13 +283,12 @@ def check_newtonian_limit() -> CheckResult:
     dt_dlam = traj.deriv[:, 0] / c
     h = float(np.diff(traj.lam)[0])
     # dv/dlam by 4th-order central differences on the uniform lambda grid
-    pot, grad = geometry.point_mass_potential(gm)
-    worst = 0.0
-    for i in range(2, len(traj) - 2):
-        dv = (v[i - 2] - 8 * v[i - 1] + 8 * v[i + 1] - v[i + 2]) / (12.0 * h)
-        accel = dv / dt_dlam[i]
-        target = -grad(traj.q[i, 1:])
-        worst = max(worst, float(np.max(np.abs(accel - target)) / np.max(np.abs(target))))
+    dv = geometry._fd4(v[:-4], v[1:-3], v[3:-1], v[4:], h)
+    accel = dv / dt_dlam[2:-2, None]
+    _, grad = geometry.point_mass_potential(gm)
+    target = -grad(traj.q[2:-2, 1:])
+    worst = float(np.max(np.max(np.abs(accel - target), axis=1)
+                         / np.max(np.abs(target), axis=1)))
     return CheckResult(
         name="newtonian-limit",
         passed=worst < 1e-4,
@@ -410,11 +409,7 @@ def check_reduction_equivalence() -> CheckResult:
             h = (grid[k] - grid[k - 1]) / substeps
             phi = grid[k - 1]
             for _ in range(substeps):
-                k1 = rhs(phi, z)
-                k2 = rhs(phi + 0.5 * h, z + 0.5 * h * k1)
-                k3 = rhs(phi + 0.5 * h, z + 0.5 * h * k2)
-                k4 = rhs(phi + h, z + h * k3)
-                z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                z = _rk4_step(rhs, phi, z, h, rhs(phi, z))
                 phi += h
         diff = max(
             float(np.max(np.abs(z[0:4] - by_phi.q[k]))),
@@ -467,22 +462,13 @@ def check_photon_behavior() -> CheckResult:
 
 
 @functools.lru_cache(maxsize=8)
-def _gas_run(preset: str, span: float | None = None, reports: int | None = None):
-    """Run an ensemble preset; by default exactly as ``contactrel ensemble`` does."""
-    cfg = preset_scenario(preset)
-    sys = build_system(cfg)
-    spec = build_density_spec(cfg)
-    e0 = sample_ensemble(sys, spec, cfg.initial["n"], cfg.initial["seed"])
-    span = min(s["value"] for s in cfg.stop) if span is None else span
-    reports = cfg.outputs["reports"] if reports is None else reports
-    functional = EntropyFunctional.shannon_boltzmann()
-    icfg = scenario.build_integrator_config(cfg)
-    e_end, rows, _ = ensemble_series(e0, span, reports, functional, icfg)
-    return e0, e_end, rows, span
+def _gas_run(preset: str):
+    """An ensemble preset run exactly as ``contactrel ensemble`` runs it."""
+    return run_ensemble(preset_scenario(preset))
 
 
 def check_entropy_decay() -> CheckResult:
-    e0, e_end, rows, span = _gas_run("decay-gas")
+    e0, _, rows, _ = _gas_run("decay-gas")
     n = e0.n
     alpha = 0.1
     lam, weight, entropy_col, rate_col = rows.T
@@ -530,7 +516,7 @@ def check_entropy_decay() -> CheckResult:
 
 
 def _constant_mass_gas_rows() -> np.ndarray:
-    cfg = load_scenario({
+    return run_ensemble(load_scenario({
         "name": "constant-gas",
         "metric": {"kind": "minkowski"},
         "mass": {"kind": "constant", "m0": 1.0},
@@ -540,15 +526,15 @@ def _constant_mass_gas_rows() -> np.ndarray:
                                  "sigma": [0.2, 0.2, 0.2]}},
         "stop": [{"kind": "lambda_reached", "value": 2.0}],
         "outputs": {"reports": 5},
-    })
-    sys = build_system(cfg)
-    e0 = sample_ensemble(sys, build_density_spec(cfg), cfg.initial["n"], cfg.initial["seed"])
-    _, rows, _ = ensemble_series(e0, 2.0, 5, EntropyFunctional.shannon_boltzmann())
-    return rows
+    }))[2]
 
 
 def check_measure_conservation() -> CheckResult:
-    e0, e_end, rows, span = _gas_run("decay-gas", span=10.0, reports=20)
+    cfg, span = preset_scenario("decay-gas"), 10.0
+    e0, e_end, rows, _ = run_ensemble(replace(
+        cfg, stop=[{"kind": "lambda_reached", "value": span}],
+        outputs={**cfg.outputs, "reports": 20},
+    ))
     weight_drift = float(np.max(np.abs(rows[:, 1] - rows[0, 1]))) / rows[0, 1]
     # pointwise transport: f(lam)/f(0) = (1 + alpha lam)^4 for every marker
     alpha = 0.1

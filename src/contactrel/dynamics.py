@@ -54,6 +54,8 @@ __all__ = [
 
 # m(phi)^2 c^2 below this is treated as massless for reduction purposes.
 TRANSVERSALITY_TOL = 1e-12
+# Base step of _fd_grad_H: coordinate x steps by _H_FD_STEP * (1 + |x|).
+_H_FD_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -276,11 +278,11 @@ def _hamiltonian_at(sys, q, p, phi) -> float:
     return float(h[0])
 
 
-def _fd_grad_H(sys, s: ExtendedState, rel_step: float = 1e-3):
+def _fd_grad_H(sys, s: ExtendedState):
     """4th-order central differences of H in all 9 extended coordinates."""
 
     def fd(setter, x0):
-        return geometry._fd4_of(setter, x0, rel_step * (1.0 + abs(x0)))
+        return geometry._fd4_of(setter, x0, _H_FD_STEP * (1.0 + abs(x0)))
 
     dHdq = np.empty(4)
     dHdp = np.empty(4)

@@ -12,7 +12,7 @@ Conventions
   ``d_q[..., a, b, mu] = d g^{ab} / d q^mu`` and ``d_phi[..., a, b]``.
 
 Analytic derivatives are optional; missing ones fall back to 4th-order central
-finite differences with steps that scale with the coordinate magnitude.
+finite differences with step ``FD_STEP * (1 + |x|)`` for coordinate x.
 
 The flow needs the metric only through the quadratic form g^{ab} p_a p_b, so
 :func:`contract` returns just ``g . p`` and the gradient of that scalar, never
@@ -51,6 +51,8 @@ _ETA = np.diag(_ETA_DIAG)
 # Validation thresholds for inverse_metric.
 SYMMETRY_TOL = 1e-14
 CONDITION_LIMIT = 1e12
+# Base step of the finite-difference fallback; coordinate x steps by FD_STEP * (1 + |x|).
+FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,8 @@ class MetricField:
         the module docstring.
     d_q : callable or None
         ``d_q(q, phi) -> (..., 4, 4, 4)`` with the q-derivative index last.
-        When None, 4th-order central differences of ``func`` are used.
+        When None, 4th-order central differences of ``func`` with the step
+        ``FD_STEP * (1 + |q^mu|)`` are used.
     d_phi : callable or None
         ``d_phi(q, phi) -> (..., 4, 4)``.  When None, finite differences.
     contract : callable or None
@@ -73,9 +76,6 @@ class MetricField:
         It raises NonFiniteMetric / NonFiniteDerivative when its own metric or
         derivative entries are non-finite.  When None, :func:`contract` builds
         them from ``func``, ``d_q`` and ``d_phi``.
-    fd_step_q, fd_step_phi : float
-        Base finite-difference steps; the actual step for coordinate x is
-        ``step * (1 + |x|)``.
     name : str
         Human-readable tag used in reports and serialized scenarios.
     """
@@ -84,8 +84,6 @@ class MetricField:
     d_q: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     d_phi: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     contract: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
-    fd_step_q: float = 1e-5
-    fd_step_phi: float = 1e-5
     name: str = "custom"
 
     def __call__(self, q: np.ndarray, phi) -> np.ndarray:
@@ -155,7 +153,7 @@ def _fd4_of(f, x, h):
     return _fd4(vals[0], vals[1], vals[2], vals[3], hh)
 
 
-def _fd_dq(f, q: np.ndarray, step: float) -> np.ndarray:
+def _fd_dq(f, q: np.ndarray) -> np.ndarray:
     """d f(q) / d q^mu for every mu, derivative index last."""
     cols = []
     for mu in range(4):
@@ -165,13 +163,13 @@ def _fd_dq(f, q: np.ndarray, step: float) -> np.ndarray:
             qs[..., mu] = x
             return f(qs)
 
-        cols.append(_fd4_of(f_mu, q[..., mu], step * (1.0 + np.abs(q[..., mu]))))
+        cols.append(_fd4_of(f_mu, q[..., mu], FD_STEP * (1.0 + np.abs(q[..., mu]))))
     return np.stack(cols, axis=-1)
 
 
-def _fd_dphi(f, phi, step: float) -> np.ndarray:
+def _fd_dphi(f, phi) -> np.ndarray:
     phi = np.asarray(phi, dtype=float)
-    return _fd4_of(f, phi, step * (1.0 + np.abs(phi)))
+    return _fd4_of(f, phi, FD_STEP * (1.0 + np.abs(phi)))
 
 
 def metric_derivatives(metric: MetricField, q: np.ndarray, phi) -> tuple[np.ndarray, np.ndarray]:
@@ -185,11 +183,11 @@ def metric_derivatives(metric: MetricField, q: np.ndarray, phi) -> tuple[np.ndar
     if metric.d_q is not None:
         dq = metric.d_q(q, phi)
     else:
-        dq = _fd_dq(lambda qs: _eval_raw(metric, qs, phi), q, metric.fd_step_q)
+        dq = _fd_dq(lambda qs: _eval_raw(metric, qs, phi), q)
     if metric.d_phi is not None:
         dphi = metric.d_phi(q, phi)
     else:
-        dphi = _fd_dphi(lambda ps: _eval_raw(metric, q, ps), phi, metric.fd_step_phi)
+        dphi = _fd_dphi(lambda ps: _eval_raw(metric, q, ps), phi)
     dq = np.asarray(dq, dtype=float)
     dphi = np.asarray(dphi, dtype=float)
     if not (np.all(np.isfinite(dq)) and np.all(np.isfinite(dphi))):
@@ -227,12 +225,12 @@ def contract(metric: MetricField, q: np.ndarray, p: np.ndarray, phi):
         d_q = np.einsum("...abm,...a,...b->...m", dq_g, p, p)
     else:
         d_q = _finite_derivative(metric.name, _fd_dq(
-            lambda qs: _gpp(_eval_raw(metric, qs, phi), p), q, metric.fd_step_q))
+            lambda qs: _gpp(_eval_raw(metric, qs, phi), p), q))
     if metric.d_phi is not None:
         d_phi = _gpp(_finite_derivative(metric.name, metric.d_phi(q, phi)), p)
     else:
         d_phi = _finite_derivative(metric.name, _fd_dphi(
-            lambda ps: _gpp(_eval_raw(metric, q, ps), p), phi, metric.fd_step_phi))
+            lambda ps: _gpp(_eval_raw(metric, q, ps), p), phi))
     return gp, d_q, d_phi
 
 
@@ -402,12 +400,7 @@ _EXPR_NAMESPACE = {
 }
 
 
-def expression_metric(
-    diag: Sequence[str],
-    fd_step_q: float = 1e-5,
-    fd_step_phi: float = 1e-5,
-    name: str = "expression",
-) -> MetricField:
+def expression_metric(diag: Sequence[str], name: str = "expression") -> MetricField:
     """Diagonal inverse metric whose entries are numpy expressions.
 
     ``diag`` holds four strings over the variables x0..x3 and phi, e.g.
@@ -433,6 +426,4 @@ def expression_metric(
             g[..., i, i] = np.broadcast_to(val, batch)
         return g
 
-    return MetricField(
-        func=func, fd_step_q=fd_step_q, fd_step_phi=fd_step_phi, name=name
-    )
+    return MetricField(func=func, name=name)

@@ -31,13 +31,13 @@ from .dynamics import (
     FourVelocity,
     _field_arrays,
     _h_and_shell,
+    project_to_shell,
 )
 from .errors import (
     InsufficientSamples,
     MasslessProjection,
     MaxStepsExceeded,
     NotMonotone,
-    NotTimelike,
     StepSizeUnderflow,
     TransversalityFailure,
 )
@@ -423,14 +423,8 @@ def integrate(sys: ContactHamiltonianSystem, s0: ExtendedState, cfg: IntegratorC
         return dy
 
     def project(y):
-        g = geometry._eval_raw(sys.metric, y[None, 0:4], y[8:9])[0]
-        gpp = float(y[4:8] @ g @ y[4:8])
-        if not gpp < 0.0:
-            raise NotTimelike("momentum left the timelike cone; cannot project")
-        m = float(sys.mass.value(y[8]))
-        out = y.copy()
-        out[4:8] *= math.sqrt((m * sys.c) ** 2 / (-gpp))
-        return out
+        s = project_to_shell(sys, ExtendedState(q=y[0:4], p=y[4:8], phi=y[8]))
+        return np.concatenate([y[0:4], s.p, y[8:]])
 
     lams, ys, fs, termination, stats = _run_recorded(
         rhs, y0, cfg, lam_end, events, ncore=9, project=project if massive else None
@@ -483,7 +477,9 @@ def _resample(traj: Trajectory, col: int, new_parameter: str, num: int | None):
     else:
         raise NotMonotone(f"{new_parameter} is not strictly monotone along the trajectory")
 
-    num = num or n
+    num = n if num is None else num
+    if num < 2:
+        raise ValueError(f"a resampled grid needs at least 2 points, got {num}")
     grid = np.linspace(s[0], s[-1], num)
     asc = s * direction
     h_all = np.diff(traj.lam)
@@ -525,11 +521,10 @@ def _resample(traj: Trajectory, col: int, new_parameter: str, num: int | None):
     out_lam[1:-1] = traj.lam[i] + t * h
     out_lin[1:-1] = (1 - tc) * lin_src[i] + tc * lin_src[i + 1]
 
-    # endpoints: the stored samples (the first wins when num == 1), with the
-    # lambda-derivatives rescaled to the new parameter
-    for k, j in ((num - 1, n - 1), (0, 0)):
-        out_vals[k], out_lam[k], out_lin[k] = vals[j], traj.lam[j], lin_src[j]
+    # endpoints: the stored samples, with the lambda-derivatives rescaled to
+    # the new parameter
     for k, j in ((0, 0), (num - 1, n - 1)):
+        out_vals[k], out_lam[k], out_lin[k] = vals[j], traj.lam[j], lin_src[j]
         d = derivs[j] / derivs[j][col]
         d[col] = 1.0
         out_der[k] = d

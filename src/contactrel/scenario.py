@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dynamics, geometry
+from . import dynamics, geometry, kinetic
 from .dynamics import ContactHamiltonianSystem, ExtendedState, MassModel
 from .errors import ParseError, ValidationError
 from .integrators import IntegratorConfig, StopCondition
@@ -30,6 +30,7 @@ __all__ = [
     "build_initial_state",
     "build_density_spec",
     "build_integrator_config",
+    "run_ensemble",
     "preset_scenario",
     "preset_names",
     "PRESETS",
@@ -483,7 +484,25 @@ def build_integrator_config(cfg: ScenarioConfig) -> IntegratorConfig:
     )
 
 
+def run_ensemble(cfg: ScenarioConfig, on_report=None):
+    """Sample an ensemble scenario and propagate it over its lambda span.
+
+    Returns (initial ensemble, final ensemble, series rows, accepted steps).
+    """
+    e0 = kinetic.sample_ensemble(build_system(cfg), build_density_spec(cfg),
+                                 cfg.initial["n"], cfg.initial["seed"])
+    span = min(s["value"] for s in cfg.stop)
+    e_end, rows, steps = kinetic.ensemble_series(
+        e0, span, cfg.outputs["reports"], kinetic.EntropyFunctional.shannon_boltzmann(),
+        build_integrator_config(cfg), on_report,
+    )
+    return e0, e_end, rows, steps
+
+
 # --- presets ----------------------------------------------------------------------
+# Each preset is a scenario document plus the closed-form claim its run must
+# meet: check(cfg, run) -> (measured, tolerance, passed, detail), where run is
+# the Trajectory of a single preset and the series rows of an ensemble preset.
 
 
 def _preset_special_relativity_free() -> dict:
@@ -497,6 +516,15 @@ def _preset_special_relativity_free() -> dict:
         "stop": [{"kind": "lambda_reached", "value": 10.0}],
         "outputs": {"path": "special_relativity_free"},
     }
+
+
+def _check_special_relativity_free(cfg, traj):
+    # on shell H = 0, and dq1/dlam = p1 along the straight ray
+    h_max = float(np.max(np.abs(traj.ham)))
+    ray = cfg.initial["q0"][1] + cfg.initial["p_spatial"][0] * traj.lam
+    straight = float(np.max(np.abs(traj.q[:, 1] - ray)))
+    measured = max(h_max, straight)
+    return measured, 1e-10, measured < 1e-10, f"|H|max={h_max:.2e}, ray diff={straight:.2e}"
 
 
 def _preset_newtonian_orbit() -> dict:
@@ -515,6 +543,13 @@ def _preset_newtonian_orbit() -> dict:
     }
 
 
+def _check_newtonian_orbit(cfg, traj):
+    r0 = float(np.linalg.norm(cfg.initial["q0"][1:]))
+    r = np.sqrt(np.sum(traj.q[:, 1:] ** 2, axis=1))
+    measured = float(np.max(np.abs(r - r0)))
+    return measured, 1e-3, measured < 1e-3, "radial drift over one orbital period"
+
+
 def _preset_photon_null() -> dict:
     return {
         "name": "photon-null",
@@ -528,6 +563,14 @@ def _preset_photon_null() -> dict:
     }
 
 
+def _check_photon_null(cfg, traj):
+    phi_drift = float(np.max(np.abs(traj.phi - traj.phi[0])))
+    measured = max(phi_drift, float(np.max(np.abs(traj.shell))))
+    tau_nan = bool(np.all(np.isnan(traj.tau)))
+    return (measured, 1e-12, measured < 1e-12 and tau_nan,
+            f"phi drift + null shell residual; tau_nan={tau_nan}")
+
+
 def _preset_decay_flat() -> dict:
     return {
         "name": "decay-flat",
@@ -539,6 +582,15 @@ def _preset_decay_flat() -> dict:
         "stop": [{"kind": "lambda_reached", "value": 10.0}],
         "outputs": {"path": "decay_flat", "reparametrize_tau": True},
     }
+
+
+def _check_decay_flat(cfg, traj):
+    # phi route vs direct decay law: m(phi(end)) exp(alpha tau(end)) = m(phi0)
+    mass = build_system(cfg).mass
+    m_end = mass.value(float(traj.phi[-1]))
+    law = m_end * np.exp(cfg.mass["alpha"] * float(traj.tau[-1])) / mass.m0
+    measured = abs(law - 1.0)
+    return measured, 1e-8, measured < 1e-8, "mass decay law vs accumulated proper time"
 
 
 def _preset_decay_gas() -> dict:
@@ -555,6 +607,17 @@ def _preset_decay_gas() -> dict:
     }
 
 
+def _check_decay_gas(cfg, rows):
+    # flat space: every marker has m = m0 / (1 + alpha m0 lam), so the entropy
+    # rate is -4 alpha m0 / (1 + alpha m0 lam)
+    alpha, m0 = cfg.mass["alpha"], build_system(cfg).mass.m0
+    target = -4.0 * alpha * m0 / (1.0 + alpha * m0 * rows[-1, 0])
+    measured = abs(rows[-1, 3] - target) / abs(target)
+    passed = bool(np.all(np.diff(rows[:, 2]) < 0.0)) and measured < 1e-6
+    return (measured, 1e-6, passed,
+            f"entropy strictly decreasing; final rate vs {-4.0 * alpha * m0:g}<m/m0>")
+
+
 def _preset_absorbing_gas() -> dict:
     return {
         "name": "absorbing-gas",
@@ -567,6 +630,11 @@ def _preset_absorbing_gas() -> dict:
         "stop": [{"kind": "lambda_reached", "value": 5.0}],
         "outputs": {"path": "absorbing_gas", "reports": 50, "snapshot_stride": 10},
     }
+
+
+def _check_absorbing_gas(cfg, rows):
+    measured = float(np.min(np.diff(rows[:, 2])))
+    return measured, 0.0, measured > 0.0, "smallest entropy increment (must be > 0)"
 
 
 def _preset_photon_gas() -> dict:
@@ -583,34 +651,41 @@ def _preset_photon_gas() -> dict:
     }
 
 
+def _check_photon_gas(cfg, rows):
+    s_drift = float(np.max(np.abs(rows[:, 2] - rows[0, 2])))
+    w_drift = float(np.max(np.abs(rows[:, 1] - rows[0, 1]))) / rows[0, 1]
+    return (max(s_drift, w_drift), 1e-8, s_drift < 1e-12 and w_drift < 1e-8,
+            f"entropy drift {s_drift:.2e} (tol 1e-12), weight drift {w_drift:.2e}")
+
+
 PRESETS = {
     "special-relativity-free": (
         "Free massive particle in flat spacetime (straight worldline).",
-        _preset_special_relativity_free,
+        _preset_special_relativity_free, _check_special_relativity_free,
     ),
     "newtonian-orbit": (
         "Weak-field circular orbit, GM=1, r=1, v/c=1e-3 (one period).",
-        _preset_newtonian_orbit,
+        _preset_newtonian_orbit, _check_newtonian_orbit,
     ),
     "photon-null": (
         "Massless particle on the null shell: phi frozen, straight ray.",
-        _preset_photon_null,
+        _preset_photon_null, _check_photon_null,
     ),
     "decay-flat": (
         "Resting particle with exponentially decaying mass (alpha=0.1).",
-        _preset_decay_flat,
+        _preset_decay_flat, _check_decay_flat,
     ),
     "decay-gas": (
         "10k-marker decaying-mass gas; entropy decreases at rate ~ -0.4.",
-        _preset_decay_gas,
+        _preset_decay_gas, _check_decay_gas,
     ),
     "absorbing-gas": (
         "Gas with growing mass (alpha=-0.1); entropy increases.",
-        _preset_absorbing_gas,
+        _preset_absorbing_gas, _check_absorbing_gas,
     ),
     "photon-gas": (
         "Massless gas in flat spacetime; densities and entropy frozen.",
-        _preset_photon_gas,
+        _preset_photon_gas, _check_photon_gas,
     ),
 }
 

@@ -11,6 +11,7 @@ from contactrel import (
     NonFiniteMetric,
     christoffel,
     expression_metric,
+    geometry,
     inverse_metric,
     lower_index,
     lowered_metric,
@@ -75,6 +76,24 @@ def test_point_mass_gradient_matches_potential():
             xm[i] -= h
             fd = (pot(xp) - pot(xm)) / (2 * h)
             assert g[i] == pytest.approx(fd, rel=1e-8, abs=1e-10)
+
+
+def test_fd4_on_shifted_slices_matches_pointwise_stencil():
+    # check_newtonian_limit differentiates a sampled series with one _fd4 call
+    # over shifted slices and a batched gradient; both must equal the
+    # per-sample loops bit for bit
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=(40, 3))
+    x = rng.uniform(0.5, 2.0, size=(40, 3))
+    h = 0.02
+    fast = geometry._fd4(v[:-4], v[1:-3], v[3:-1], v[4:], h)
+    _, grad = point_mass_potential(1.0)
+    batched = grad(x)
+    for i in range(2, len(v) - 2):
+        ref = (v[i - 2] - 8 * v[i - 1] + 8 * v[i + 1] - v[i + 2]) / (12.0 * h)
+        assert np.array_equal(fast[i - 2], ref)
+    for i in range(len(x)):
+        assert np.array_equal(batched[i], grad(x[i]))
 
 
 def test_uniform_gradient_potential():

@@ -236,6 +236,21 @@ def test_reparametrize_by_tau_uniform_motion():
     assert np.max(np.abs(by_tau.q[:, 1] - 0.6 * gamma * by_tau.lam)) < 1e-9
 
 
+@pytest.mark.parametrize("num", [0, 1])
+def test_resample_rejects_grids_below_two_points(num):
+    # a 1-point grid would pair the first sample's values with the last
+    # sample's derivative row
+    traj = integrate(
+        _decay_sys(), _rest_state(),
+        IntegratorConfig(stop=_stop("lambda_reached", 10.0)),
+    )
+    for resample in (reparametrize_by_phi, reparametrize_by_tau):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            resample(traj, num=num)
+    assert len(reparametrize_by_tau(traj, num=None)) == len(traj)
+    assert len(reparametrize_by_tau(traj, num=2)) == 2
+
+
 def test_reparametrize_by_tau_massless_rejected():
     sys = ContactHamiltonianSystem(metric=minkowski(), mass=MassModel.zero(), c=1.0)
     p = solve_p0_on_shell(sys, np.zeros(4), 0.0, [1.0, 0.0, 0.0])

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from contactrel import (
     preset_scenario,
     serialize_scenario,
 )
-from contactrel.cli import main
+from contactrel.cli import execute_single, main
+from contactrel.scenario import PRESETS, run_ensemble
 
 
 def _minimal(**overrides) -> dict:
@@ -172,6 +175,58 @@ def test_serialization_round_trips_every_preset():
     for name in preset_names():
         cfg = preset_scenario(name)
         assert load_scenario(serialize_scenario(cfg)) == cfg
+
+
+# ---------------------------------------------------------------------------
+# preset checks
+
+
+def _preset_run(cfg, tmp_path, n=500):
+    """The run a preset's check reads; ensembles are cut to n markers."""
+    if cfg.kind == "single":
+        return execute_single(cfg, str(tmp_path))[0]
+    return run_ensemble(replace(cfg, initial={**cfg.initial, "n": n}))[2]
+
+
+def _shift(arr, index, delta):
+    arr[index] += delta
+
+
+# Each edit moves the preset's measured value just past its tolerance.
+_PAST_TOLERANCE = {
+    "special-relativity-free": lambda t: _shift(t.q, (-1, 1), 2e-10),
+    "newtonian-orbit": lambda t: _shift(t.q, (-1, 1), 2e-3),
+    "photon-null": lambda t: _shift(t.phi, -1, 2e-12),
+    "decay-flat": lambda t: _shift(t.tau, -1, 2e-7),  # law moves by alpha * 2e-7
+    "decay-gas": lambda r: _shift(r, (-1, 3), 2e-6 * abs(r[-1, 3])),
+    "absorbing-gas": lambda r: _shift(r, (-1, 2), r[-2, 2] - r[-1, 2]),
+    "photon-gas": lambda r: _shift(r, (-1, 2), 2e-12),
+}
+
+
+@pytest.mark.parametrize("name", list(PRESETS))
+def test_preset_check_passes_its_run_and_fails_past_tolerance(name, tmp_path):
+    cfg = preset_scenario(name)
+    check = PRESETS[name][2]
+    run = _preset_run(cfg, tmp_path)
+    measured, tol, passed, detail = check(cfg, run)
+    assert passed, detail
+
+    bad = copy.deepcopy(run)
+    _PAST_TOLERANCE[name](bad)
+    measured_bad, tol_bad, passed_bad, _ = check(cfg, bad)
+    assert tol_bad == tol
+    assert not passed_bad
+    assert measured_bad != measured
+
+
+@pytest.mark.parametrize("name", ["decay-flat", "decay-gas"])
+def test_decay_preset_checks_read_alpha_from_the_config(name, tmp_path):
+    # a literal alpha = 0.1 would miss the decay-flat law by about 0.15
+    cfg = preset_scenario(name)
+    cfg = replace(cfg, mass={**cfg.mass, "alpha": 0.2})
+    measured, tol, passed, detail = PRESETS[name][2](cfg, _preset_run(cfg, tmp_path))
+    assert passed, (measured, tol, detail)
 
 
 # ---------------------------------------------------------------------------
