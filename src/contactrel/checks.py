@@ -6,6 +6,14 @@ in order; the CLI ``verify`` command and the acceptance test suite both drive
 these functions, so there is a single source of truth for what "working"
 means.
 
+The contact-identity and divergence checks evaluate their random states in
+(n, .) blocks through the batched field (``dynamics._contact_residual_arrays``
+and ``_divergence_trace``), not one state at a time.  A block holds at most
+``_IDENTITY_BLOCK`` = 250 rows so that the largest temporary, the wavy
+metric's (n, 4, 4, 4) derivative tensor, stays under glibc's default mmap
+threshold; a bigger one raises that threshold when freed and costs the later
+gas runs several MB of peak RSS (see the constant's comment).
+
 ``perturb_divergence=True`` rescales the analytic divergence by 1% inside the
 divergence check; it exists so that the battery can be shown to catch a
 deliberately wrong value (the check must then fail).
@@ -96,6 +104,20 @@ def _identity_metrics() -> list[geometry.MetricField]:
     ]
 
 
+# Rows per block of the identity checks.  The wavy metric's analytic d_q is
+# an (n, 4, 4, 4) float64 tensor: 250 rows make it 128 000 B, under glibc's
+# default 128 KiB mmap threshold.  A larger tensor is served by mmap, and
+# freeing it raises glibc's dynamic threshold, so the later 10^4-marker gas
+# runs land on the brk heap and the peak RSS of verify --all-presets grows by
+# about 4 MB.  Smaller blocks measured the same as 250.
+_IDENTITY_BLOCK = 250
+
+
+def _blocks(n):
+    """Slices that cover range(n) in blocks of at most _IDENTITY_BLOCK rows."""
+    return [slice(lo, lo + _IDENTITY_BLOCK) for lo in range(0, n, _IDENTITY_BLOCK)]
+
+
 def _random_states(rng, n):
     q = rng.uniform(-2.0, 2.0, size=(n, 4))
     p = np.column_stack(
@@ -143,11 +165,10 @@ def check_contact_identities(states_per_metric: int = 1000, seed: int = 2024) ->
     for metric in _identity_metrics():
         sys = ContactHamiltonianSystem(metric=metric, mass=mass, c=1.0)
         q, p, phi = _random_states(rng, states_per_metric)
-        for i in range(states_per_metric):
-            s = ExtendedState(q=q[i], p=p[i], phi=float(phi[i]))
-            r1, r2 = dynamics.contact_identity_residuals(sys, s)
-            worst_r1 = max(worst_r1, r1)
-            worst_r2 = max(worst_r2, r2)
+        for rows in _blocks(states_per_metric):
+            r1, r2 = dynamics._contact_residual_arrays(sys, q[rows], p[rows], phi[rows])
+            worst_r1 = max(worst_r1, float(np.max(r1)))
+            worst_r2 = max(worst_r2, float(np.max(r2)))
     passed = worst_r1 < 1e-12 and worst_r2 < 1e-8
     return CheckResult(
         name="contact-identities",
@@ -189,36 +210,52 @@ def check_energy_conservation() -> CheckResult:
 # --- criterion 3: divergence --------------------------------------------------
 
 
-def _field_vector(sys, y):
-    s = ExtendedState(q=y[0:4], p=y[4:8], phi=float(y[8]))
-    f = dynamics.evolution_field(sys, s)
-    return np.concatenate([f.dq, f.dp, [f.dphi]])
+def _divergence_trace(sys, y):
+    """Trace of the field's Jacobian at each row of y = (q, p, phi) (n, 9).
+
+    Sums the 4th-order stencil of component j in coordinate j over the nine
+    extended coordinates; coordinate x steps by _H_FD_STEP * (1 + |x|).
+    """
+
+    def field(ys):
+        dq, dp, dphi, _ = dynamics._field_arrays(sys, ys[:, 0:4], ys[:, 4:8], ys[:, 8])
+        return np.column_stack([dq, dp, dphi])
+
+    trace = np.zeros(len(y))
+    for j in range(9):
+
+        def component(x, j=j):
+            ys = y.copy()
+            ys[:, j] = x
+            return field(ys)[:, j]
+
+        h = dynamics._H_FD_STEP * (1.0 + np.abs(y[:, j]))
+        trace += geometry._fd4_of(component, y[:, j], h)
+    return trace
 
 
 def check_divergence(n_states: int = 100, seed: int = 77, perturb: bool = False) -> CheckResult:
     rng = np.random.default_rng(seed)
     mass = MassModel.exp_decay(1.0, 0.1, phi0=0.0, c=1.0)
     metrics = _identity_metrics()
-    worst = 0.0
+    # One draw per state, state i for metric i % 3: the draw order fixes
+    # which states the check sees.
+    y = np.empty((n_states, 9))
     for i in range(n_states):
-        metric = metrics[i % len(metrics)]
-        sys = ContactHamiltonianSystem(metric=metric, mass=mass, c=1.0)
         q, p, phi = _random_states(rng, 1)
-        y = np.concatenate([q[0], p[0], [phi[0]]])
-        trace = 0.0
-        for j in range(9):
-
-            def component(x, j=j):
-                ys = y.copy()
-                ys[j] = x
-                return _field_vector(sys, ys)[j]
-
-            trace += geometry._fd4_of(component, y[j], 1e-3 * (1.0 + abs(y[j])))
-        s = ExtendedState(q=y[0:4], p=y[4:8], phi=float(y[8]))
-        analytic = dynamics.divergence(sys, s)
-        if perturb:
-            analytic *= 1.01
-        worst = max(worst, abs(trace - analytic) / max(1.0, abs(analytic)))
+        y[i] = np.concatenate([q[0], p[0], phi])
+    worst = 0.0
+    for k, metric in enumerate(metrics):
+        sys = ContactHamiltonianSystem(metric=metric, mass=mass, c=1.0)
+        y_k = y[k::len(metrics)]
+        for rows in _blocks(len(y_k)):
+            yb = y_k[rows]
+            trace = _divergence_trace(sys, yb)
+            analytic = -4.0 * dynamics._dH_dphi_arrays(sys, yb[:, 0:4], yb[:, 4:8], yb[:, 8])
+            if perturb:
+                analytic *= 1.01
+            mismatch = np.abs(trace - analytic) / np.maximum(1.0, np.abs(analytic))
+            worst = max(worst, float(np.max(mismatch)))
     return CheckResult(
         name="divergence-identity",
         passed=worst < 1e-6,

@@ -12,6 +12,15 @@ not phase-space volume: div X_H = -4 dH/dphi.
 
 Index conventions follow geometry.py; p_0 = -E/c is negative for
 future-directed momenta in signature (-,+,+,+).
+
+The public functions take one ExtendedState.  evolution_field, dH_dphi and
+contact_identity_residuals are the n = 1 case of private batched functions
+over q (n, 4), p (n, 4), phi (n,) blocks (``_field_arrays``,
+``_dH_dphi_arrays``, ``_contact_residual_arrays``), which the integrators,
+the kinetic layer and the verification battery call directly.  Batched
+callers bound their block size themselves: the battery uses blocks of 250
+rows so that an analytic (n, 4, 4, 4) metric derivative stays under glibc's
+default 128 KiB mmap threshold.
 """
 
 from __future__ import annotations
@@ -54,7 +63,8 @@ __all__ = [
 
 # m(phi)^2 c^2 below this is treated as massless for reduction purposes.
 TRANSVERSALITY_TOL = 1e-12
-# Base step of _fd_grad_H: coordinate x steps by _H_FD_STEP * (1 + |x|).
+# Base step of the stencils over extended coordinates (_fd_grad_H and the
+# battery's divergence trace): coordinate x steps by _H_FD_STEP * (1 + |x|).
 _H_FD_STEP = 1e-3
 
 
@@ -215,6 +225,49 @@ def _field_arrays(sys, q, p, phi):
     return dq, dp, dphi, dHdphi
 
 
+def _fd_grad_H(sys, q, p, phi):
+    """4th-order central differences of H in all 9 extended coordinates.
+
+    Batched like _field_arrays; coordinate x of each row steps by
+    _H_FD_STEP * (1 + |x|).  Returns dH/dq (n, 4), dH/dp (n, 4), dH/dphi (n,).
+    """
+
+    def fd(h_of, x):
+        return geometry._fd4_of(h_of, x, _H_FD_STEP * (1.0 + np.abs(x)))
+
+    dHdq = np.empty(q.shape)
+    dHdp = np.empty(p.shape)
+    for mu in range(4):
+
+        def h_of_q(x, mu=mu):
+            qs = q.copy()
+            qs[:, mu] = x
+            return _h_and_shell(sys, qs, p, phi)[0]
+
+        def h_of_p(x, mu=mu):
+            ps = p.copy()
+            ps[:, mu] = x
+            return _h_and_shell(sys, q, ps, phi)[0]
+
+        dHdq[:, mu] = fd(h_of_q, q[:, mu])
+        dHdp[:, mu] = fd(h_of_p, p[:, mu])
+    dHdphi_fd = fd(lambda x: _h_and_shell(sys, q, p, x)[0], phi)
+    return dHdq, dHdp, dHdphi_fd
+
+
+def _contact_residual_arrays(sys, q, p, phi):
+    """Batched contact_identity_residuals: returns r1 (n,) and r2 (n,)."""
+    dq, dp, dphi, dHdphi = _field_arrays(sys, q, p, phi)
+    r1 = np.abs(dphi - np.einsum("...a,...a->...", p, dq))
+
+    dHdq, dHdp, dHdphi_fd = _fd_grad_H(sys, q, p, phi)
+    res_q = np.abs(-dp - dHdq - dHdphi_fd[:, None] * p)   # dq^mu coefficients
+    res_p = np.abs(dq - dHdp)                              # dp_mu coefficients
+    res_phi = np.abs(dHdphi - dHdphi_fd)                   # dphi coefficient
+    r2 = np.maximum(np.maximum(res_q.max(axis=1), res_p.max(axis=1)), res_phi)
+    return r1, r2
+
+
 def _as_batch(s: ExtendedState):
     return s.q[None, :], s.p[None, :], np.asarray([s.phi])
 
@@ -273,34 +326,6 @@ def divergence(sys: ContactHamiltonianSystem, s: ExtendedState) -> float:
     return -4.0 * dH_dphi(sys, s)
 
 
-def _hamiltonian_at(sys, q, p, phi) -> float:
-    h, _ = _h_and_shell(sys, q[None, :], p[None, :], np.asarray([phi]))
-    return float(h[0])
-
-
-def _fd_grad_H(sys, s: ExtendedState):
-    """4th-order central differences of H in all 9 extended coordinates."""
-
-    def fd(setter, x0):
-        return geometry._fd4_of(setter, x0, _H_FD_STEP * (1.0 + abs(x0)))
-
-    dHdq = np.empty(4)
-    dHdp = np.empty(4)
-    for mu in range(4):
-        def h_of_q(x, mu=mu):
-            q = s.q.copy(); q[mu] = x
-            return _hamiltonian_at(sys, q, s.p, s.phi)
-
-        def h_of_p(x, mu=mu):
-            p = s.p.copy(); p[mu] = x
-            return _hamiltonian_at(sys, s.q, p, s.phi)
-
-        dHdq[mu] = fd(h_of_q, s.q[mu])
-        dHdp[mu] = fd(h_of_p, s.p[mu])
-    dHdphi_fd = fd(lambda x: _hamiltonian_at(sys, s.q, s.p, x), s.phi)
-    return dHdq, dHdp, dHdphi_fd
-
-
 def contact_identity_residuals(sys: ContactHamiltonianSystem, s: ExtendedState) -> tuple[float, float]:
     """Residuals of the defining contact identities at a state.
 
@@ -312,16 +337,8 @@ def contact_identity_residuals(sys: ContactHamiltonianSystem, s: ExtendedState) 
         plus the dphi component where the analytic dH/dphi is compared
         against its finite-difference estimate.
     """
-    f = evolution_field(sys, s)
-    r1 = abs(f.dphi - float(np.dot(s.p, f.dq)))
-
-    dHdq, dHdp, dHdphi_fd = _fd_grad_H(sys, s)
-    a = dH_dphi(sys, s)
-    res_q = -f.dp - dHdq - dHdphi_fd * s.p      # dq^mu coefficients
-    res_p = f.dq - dHdp                          # dp_mu coefficients
-    res_phi = a - dHdphi_fd                      # dphi coefficient
-    r2 = max(np.max(np.abs(res_q)), np.max(np.abs(res_p)), abs(res_phi))
-    return r1, float(r2)
+    r1, r2 = _contact_residual_arrays(sys, *_as_batch(s))
+    return float(r1[0]), float(r2[0])
 
 
 def reduced_field_phi(sys: ContactHamiltonianSystem, s: ExtendedState) -> tuple[np.ndarray, np.ndarray]:

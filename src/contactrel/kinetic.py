@@ -95,7 +95,8 @@ class Ensemble:
 
     Stored struct-of-arrays: q (n, 4), p (n, 4), phi (n,), w (n,), f (n,).
     Markers with non-positive density carry no measure and are dropped on
-    construction.  Weights are never modified by propagation.
+    construction; propagation raises NonPositiveDensity rather than let a
+    density underflow to zero.  Weights are never modified by propagation.
     """
 
     sys: ContactHamiltonianSystem
@@ -270,6 +271,14 @@ def _propagate_counted(
     block[:, 8] = e.phi
     block[:, 9] = np.log(e.f)
     block, accepted = advance_batch(e.sys, block, dlam, cfg)
+    f = np.exp(block[:, 9])
+    if not np.all(f > 0.0):
+        # Ensemble() would drop these markers and their weight without a word.
+        lost = int(np.count_nonzero(~(f > 0.0)))
+        raise NonPositiveDensity(
+            f"density of {lost} of {e.n} markers underflowed to zero "
+            f"by lambda = {e.lam + dlam:.17g}"
+        )
     moved = Ensemble(
         sys=e.sys,
         lam=e.lam + dlam,
@@ -277,7 +286,7 @@ def _propagate_counted(
         p=block[:, 4:8],
         phi=block[:, 8],
         w=e.w.copy(),
-        f=np.exp(block[:, 9]),
+        f=f,
     )
     return moved, accepted
 
@@ -286,7 +295,9 @@ def propagate(e: Ensemble, dlam: float, cfg: IntegratorConfig | None = None) -> 
     """Advance every marker by dlam along the flow, transporting f.
 
     Weights are untouched; densities evolve by d ln f/d lambda = 4 dH/dphi.
-    Returns a new Ensemble at lam + dlam.
+    Returns a new Ensemble at lam + dlam.  Raises NonPositiveDensity, with
+    the number of markers and the lambda, when exp(ln f) underflows to zero
+    for any marker, instead of dropping it.
     """
     return _propagate_counted(e, dlam, cfg)[0]
 

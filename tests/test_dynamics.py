@@ -6,6 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from contactrel import (
     ContactHamiltonianSystem,
@@ -33,6 +36,7 @@ from contactrel import (
     tau_from_phi,
     weak_field,
 )
+from contactrel import checks, dynamics, geometry
 
 
 def _flat(mass=None, c=1.0):
@@ -193,6 +197,88 @@ def test_contact_identities_random_states():
         r1, r2 = contact_identity_residuals(sys, s)
         assert r1 < 1e-12
         assert r2 < 1e-8
+
+
+# --- batched identity checks against their per-state references ------------------
+
+_IDENTITY_MASS = MassModel.exp_decay(1.0, 0.1)
+_IDENTITY_METRIC_IDS = [m.name for m in checks._identity_metrics()]
+
+
+def _identity_system(k):
+    metric = checks._identity_metrics()[k]
+    return ContactHamiltonianSystem(metric=metric, mass=_IDENTITY_MASS, c=1.0)
+
+
+def _pointwise_divergence_trace(sys, y):
+    # the battery's former per-state loop: one evolution_field call per
+    # stencil point, coordinate by coordinate
+    trace = np.zeros(len(y))
+    for i, row in enumerate(y):
+        for j in range(9):
+
+            def component(x, j=j):
+                ys = row.copy()
+                ys[j] = x
+                f = evolution_field(sys, ExtendedState(q=ys[0:4], p=ys[4:8], phi=ys[8]))
+                return np.concatenate([f.dq, f.dp, [f.dphi]])[j]
+
+            trace[i] += geometry._fd4_of(component, row[j], 1e-3 * (1.0 + abs(row[j])))
+    return trace
+
+
+@pytest.mark.parametrize("k", range(3), ids=_IDENTITY_METRIC_IDS)
+def test_contact_residual_arrays_match_single_state_calls(k):
+    sys = _identity_system(k)
+    q, p, phi = checks._random_states(np.random.default_rng(100 + k), 250)
+    r1, r2 = dynamics._contact_residual_arrays(sys, q, p, phi)
+    ref = np.array([
+        contact_identity_residuals(sys, ExtendedState(q=q[i], p=p[i], phi=phi[i]))
+        for i in range(250)
+    ])
+    assert np.array_equal(r1, ref[:, 0])
+    assert np.array_equal(r2, ref[:, 1])
+
+
+@pytest.mark.parametrize("k", range(3), ids=_IDENTITY_METRIC_IDS)
+def test_divergence_trace_matches_per_state_loop(k):
+    sys = _identity_system(k)
+    q, p, phi = checks._random_states(np.random.default_rng(200 + k), 40)
+    y = np.column_stack([q, p, phi])
+    assert np.array_equal(checks._divergence_trace(sys, y), _pointwise_divergence_trace(sys, y))
+
+
+@st.composite
+def _identity_blocks(draw):
+    # a block of states from the battery's _random_states domain
+    n = draw(st.integers(1, 8))
+
+    def block(shape, lo, hi):
+        return draw(hnp.arrays(np.float64, shape, elements=st.floats(lo, hi)))
+
+    q = block((n, 4), -2.0, 2.0)
+    p = np.column_stack([block((n,), -2.0, -0.5), block((n, 3), -1.0, 1.0)])
+    phi = block((n,), -1.0, 1.0)
+    return draw(st.integers(0, 2)), q, p, phi
+
+
+@settings(derandomize=True, deadline=None)
+@given(_identity_blocks())
+def test_contact_identities_hold_on_random_blocks(case):
+    k, q, p, phi = case
+    r1, r2 = dynamics._contact_residual_arrays(_identity_system(k), q, p, phi)
+    assert np.all(r1 < 1e-12)
+    assert np.all(r2 < 1e-8)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_identity_blocks())
+def test_divergence_identity_holds_on_random_blocks(case):
+    k, q, p, phi = case
+    sys = _identity_system(k)
+    trace = checks._divergence_trace(sys, np.column_stack([q, p, phi]))
+    analytic = -4.0 * dynamics._dH_dphi_arrays(sys, q, p, phi)
+    assert np.all(np.abs(trace - analytic) / np.maximum(1.0, np.abs(analytic)) < 1e-6)
 
 
 def test_reduced_field_consistency_with_lambda_flow():

@@ -288,6 +288,22 @@ def test_massless_transport_freezes_density():
     assert np.max(np.abs(e1.phi - e0.phi)) < 1e-12
 
 
+def test_propagate_raises_when_density_underflows():
+    # A mass that grows in proper time gives dH/dphi < 0, so ln f falls; the
+    # two markers that start at the smallest subnormal density underflow to
+    # f = 0 and must stop the run instead of being dropped with their weight.
+    sys = ContactHamiltonianSystem(
+        metric=minkowski(), mass=MassModel.exp_decay(1.0, -0.5), c=1.0
+    )
+    e = Ensemble(
+        sys=sys, lam=0.0, q=np.zeros((4, 4)), p=np.tile([-1.0, 0.0, 0.0, 0.0], (4, 1)),
+        phi=np.zeros(4), w=np.full(4, 0.25), f=[1.0, 5e-324, 1.0, 5e-324],
+    )
+    assert e.n == 4
+    with pytest.raises(NonPositiveDensity, match=r"2 of 4 markers .* lambda = 1$"):
+        propagate(e, 1.0)
+
+
 def test_rate_consistency_small_interval():
     e = sample_ensemble(_decay_system(0.1), _gaussian_spec(), 400, seed=29)
     analytic, fd = rate_consistency_check(e, SB, 1e-3)
