@@ -41,12 +41,10 @@ from .geometry import (
     contract,
     expression_metric,
     inverse_metric,
-    lower_index,
     lowered_metric,
     metric_derivatives,
     minkowski,
     point_mass_potential,
-    raise_index,
     uniform_gradient_potential,
     weak_field,
 )
@@ -54,19 +52,14 @@ from .dynamics import (
     ContactHamiltonianSystem,
     ExtendedState,
     ExtendedTangent,
-    FourVelocity,
     MassModel,
     contact_identity_residuals,
-    dH_dphi,
-    divergence,
     evolution_field,
     four_velocity,
-    hamiltonian,
     mass_from_tau,
     project_to_shell,
     proper_time_field,
     reduced_field_phi,
-    shell_residual,
     solve_p0_on_shell,
     state_from_velocity,
     tau_from_phi,
@@ -86,13 +79,11 @@ from .kinetic import (
     Ensemble,
     EntropyFunctional,
     GaussianMomentum,
-    Marker,
     UniformMomentum,
     ensemble_series,
     entropy,
     entropy_rate,
     propagate,
-    rate_consistency_check,
     sample_ensemble,
 )
 from .output import (
@@ -107,7 +98,6 @@ from .scenario import (
     build_integrator_config,
     build_system,
     load_scenario,
-    preset_names,
     preset_scenario,
     serialize_scenario,
 )
@@ -125,12 +115,11 @@ __all__ = [
     "ParseError", "ValidationError",
     # geometry
     "MetricField", "inverse_metric", "lowered_metric", "metric_derivatives",
-    "contract", "christoffel", "lower_index", "raise_index", "minkowski", "weak_field",
+    "contract", "christoffel", "minkowski", "weak_field",
     "point_mass_potential", "uniform_gradient_potential", "expression_metric",
     # dynamics
-    "ContactHamiltonianSystem", "ExtendedState", "ExtendedTangent", "FourVelocity",
-    "MassModel", "hamiltonian", "shell_residual", "project_to_shell",
-    "evolution_field", "dH_dphi", "divergence", "contact_identity_residuals",
+    "ContactHamiltonianSystem", "ExtendedState", "ExtendedTangent", "MassModel",
+    "project_to_shell", "evolution_field", "contact_identity_residuals",
     "reduced_field_phi", "proper_time_field", "four_velocity", "tau_from_phi",
     "mass_from_tau", "solve_p0_on_shell", "state_from_velocity",
     # integrators
@@ -138,15 +127,15 @@ __all__ = [
     "geodesic_reference", "reparametrize_by_phi", "reparametrize_by_tau",
     "advance_batch",
     # kinetic
-    "Marker", "Ensemble", "EntropyFunctional", "GaussianMomentum",
-    "UniformMomentum", "DensitySpec", "sample_ensemble", "propagate",
-    "entropy", "entropy_rate", "rate_consistency_check", "ensemble_series",
+    "Ensemble", "EntropyFunctional", "GaussianMomentum", "UniformMomentum",
+    "DensitySpec", "sample_ensemble", "propagate", "entropy", "entropy_rate",
+    "ensemble_series",
     # output
     "write_trajectory", "write_ensemble_series", "write_ensemble_snapshot",
     # scenario
     "ScenarioConfig", "load_scenario", "serialize_scenario", "build_system",
     "build_initial_state", "build_density_spec", "build_integrator_config",
-    "preset_names", "preset_scenario",
+    "preset_scenario",
     # checks
     "CheckResult", "run_all",
 ]

@@ -291,7 +291,7 @@ def check_geodesic_recovery() -> CheckResult:
     dq = float(np.max(np.abs(on_tau.q - geo_tau.q)))
     du = 0.0
     for i in range(num):
-        u_contact = dynamics.four_velocity(sys, on_tau.state(i)).u
+        u_contact = dynamics.four_velocity(sys, on_tau.state(i))
         du = max(du, float(np.max(np.abs(u_contact - geo_tau.p[i]))))
     passed = dq < 1e-6
     return CheckResult(

@@ -13,14 +13,15 @@ not phase-space volume: div X_H = -4 dH/dphi.
 Index conventions follow geometry.py; p_0 = -E/c is negative for
 future-directed momenta in signature (-,+,+,+).
 
-The public functions take one ExtendedState.  evolution_field, dH_dphi and
-contact_identity_residuals are the n = 1 case of private batched functions
-over q (n, 4), p (n, 4), phi (n,) blocks (``_field_arrays``,
-``_dH_dphi_arrays``, ``_contact_residual_arrays``), which the integrators,
-the kinetic layer and the verification battery call directly.  Batched
-callers bound their block size themselves: the battery uses blocks of 250
-rows so that an analytic (n, 4, 4, 4) metric derivative stays under glibc's
-default 128 KiB mmap threshold.
+The public functions take one ExtendedState.  H, the shell residual and
+dH/dphi have no public single-state form: the private batched functions over
+q (n, 4), p (n, 4), phi (n,) blocks (``_h_and_shell``, ``_field_arrays``,
+``_dH_dphi_arrays``, ``_contact_residual_arrays``) compute them, and the
+integrators, the kinetic layer, the scenario builder and the verification
+battery call those directly.  evolution_field and contact_identity_residuals
+are their n = 1 case.  Batched callers bound their block size themselves:
+the battery uses blocks of 250 rows so that an analytic (n, 4, 4, 4) metric
+derivative stays under glibc's default 128 KiB mmap threshold.
 """
 
 from __future__ import annotations
@@ -44,13 +45,8 @@ __all__ = [
     "ContactHamiltonianSystem",
     "ExtendedState",
     "ExtendedTangent",
-    "FourVelocity",
-    "hamiltonian",
-    "shell_residual",
     "project_to_shell",
     "evolution_field",
-    "dH_dphi",
-    "divergence",
     "contact_identity_residuals",
     "reduced_field_phi",
     "proper_time_field",
@@ -183,13 +179,6 @@ class ExtendedTangent:
     dphi: float
 
 
-@dataclass(frozen=True)
-class FourVelocity:
-    """Contravariant four-velocity u^mu with g_{mu nu} u^mu u^nu = -c^2."""
-
-    u: np.ndarray
-
-
 # --- batched internals -------------------------------------------------------
 # q: (n, 4), p: (n, 4), phi: (n,).  These skip the full signature validation
 # for speed; they only check finiteness of the metric evaluation.  Metric
@@ -258,9 +247,8 @@ def _fd_grad_H(sys, q, p, phi):
 def _contact_residual_arrays(sys, q, p, phi):
     """Batched contact_identity_residuals: returns r1 (n,) and r2 (n,)."""
     dq, dp, dphi, dHdphi = _field_arrays(sys, q, p, phi)
-    r1 = np.abs(dphi - np.einsum("...a,...a->...", p, dq))
-
     dHdq, dHdp, dHdphi_fd = _fd_grad_H(sys, q, p, phi)
+    r1 = np.abs(dphi - np.einsum("...a,...a->...", p, dHdp))  # eta(X_H) = dphi - p.dH/dp
     res_q = np.abs(-dp - dHdq - dHdphi_fd[:, None] * p)   # dq^mu coefficients
     res_p = np.abs(dq - dHdp)                              # dp_mu coefficients
     res_phi = np.abs(dHdphi - dHdphi_fd)                   # dphi coefficient
@@ -273,20 +261,6 @@ def _as_batch(s: ExtendedState):
 
 
 # --- public single-state operations ------------------------------------------
-
-
-def hamiltonian(sys: ContactHamiltonianSystem, s: ExtendedState) -> float:
-    """H = 1/2 (g^{ab} p_a p_b + m(phi)^2 c^2)."""
-    q, p, phi = _as_batch(s)
-    h, _ = _h_and_shell(sys, q, p, phi)
-    return float(h[0])
-
-
-def shell_residual(sys: ContactHamiltonianSystem, s: ExtendedState) -> float:
-    """g^{ab} p_a p_b + m(phi)^2 c^2 (= 2 H); zero exactly on shell."""
-    q, p, phi = _as_batch(s)
-    _, shell = _h_and_shell(sys, q, p, phi)
-    return float(shell[0])
 
 
 def project_to_shell(sys: ContactHamiltonianSystem, s: ExtendedState) -> ExtendedState:
@@ -315,22 +289,11 @@ def evolution_field(sys: ContactHamiltonianSystem, s: ExtendedState) -> Extended
     return ExtendedTangent(dq=dq[0], dp=dp[0], dphi=float(dphi[0]))
 
 
-def dH_dphi(sys: ContactHamiltonianSystem, s: ExtendedState) -> float:
-    """dH/dphi = 1/2 (d g^{ab}/d phi) p_a p_b + m c^2 m'."""
-    q, p, phi = _as_batch(s)
-    return float(_dH_dphi_arrays(sys, q, p, phi)[0])
-
-
-def divergence(sys: ContactHamiltonianSystem, s: ExtendedState) -> float:
-    """Phase-space divergence of X_H: exactly -4 dH/dphi."""
-    return -4.0 * dH_dphi(sys, s)
-
-
 def contact_identity_residuals(sys: ContactHamiltonianSystem, s: ExtendedState) -> tuple[float, float]:
     """Residuals of the defining contact identities at a state.
 
-    r1: |eta(X_H)| = |dphi - p . dq| for the analytic field (zero by
-        construction up to round-off).
+    r1: |eta(X_H)| = |dphi - p . dH/dp|: the analytic dphi against p
+        contracted with the finite-difference gradient of H in p.
     r2: max-norm residual of iota_X d eta = dH - (dH/dphi) eta, with the
         gradient of H estimated by finite differences.  Componentwise this
         checks  -dp_mu = dH/dq^mu + (dH/dphi) p_mu  and  dq^mu = dH/dp_mu,
@@ -389,14 +352,14 @@ def proper_time_field(sys: ContactHamiltonianSystem, s: ExtendedState) -> tuple[
     return dqdtau, dpdtau
 
 
-def four_velocity(sys: ContactHamiltonianSystem, s: ExtendedState) -> FourVelocity:
-    """u^mu = g^{mu nu} p_nu / m for a massive state."""
+def four_velocity(sys: ContactHamiltonianSystem, s: ExtendedState) -> np.ndarray:
+    """u^mu = g^{mu nu} p_nu / m for a massive state, as a (4,) array."""
     m = float(sys.mass.value(s.phi))
     if not m > 0.0:
         raise MasslessProjection("four-velocity needs m(phi) > 0")
     q, p, phi = _as_batch(s)
     g = geometry._eval_raw(sys.metric, q, phi)
-    return FourVelocity(u=np.einsum("ab,b->a", g[0], s.p) / m)
+    return np.einsum("ab,b->a", g[0], s.p) / m
 
 
 def tau_from_phi(sys: ContactHamiltonianSystem, phi0: float, phi1: float) -> float:

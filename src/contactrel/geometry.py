@@ -36,8 +36,6 @@ __all__ = [
     "metric_derivatives",
     "contract",
     "christoffel",
-    "lower_index",
-    "raise_index",
     "minkowski",
     "weak_field",
     "point_mass_potential",
@@ -257,18 +255,6 @@ def christoffel(metric: MetricField, q: np.ndarray, phi) -> np.ndarray:
     C = term1 + term2 - term3
     gamma = 0.5 * np.einsum("...ms,...sab->...mab", g, C)
     return 0.5 * (gamma + np.swapaxes(gamma, -1, -2))
-
-
-def lower_index(metric: MetricField, q: np.ndarray, phi, vec: np.ndarray) -> np.ndarray:
-    """v_mu = g_{mu nu} v^nu."""
-    gl = lowered_metric(metric, q, phi)
-    return np.einsum("...ab,...b->...a", gl, np.asarray(vec, dtype=float))
-
-
-def raise_index(metric: MetricField, q: np.ndarray, phi, cov: np.ndarray) -> np.ndarray:
-    """v^mu = g^{mu nu} v_nu."""
-    g = inverse_metric(metric, q, phi)
-    return np.einsum("...ab,...b->...a", g, np.asarray(cov, dtype=float))
 
 
 # --- constructors -----------------------------------------------------------

@@ -28,7 +28,6 @@ from . import geometry
 from .dynamics import (
     ContactHamiltonianSystem,
     ExtendedState,
-    FourVelocity,
     _field_arrays,
     _h_and_shell,
     project_to_shell,
@@ -564,14 +563,16 @@ def reparametrize_by_tau(traj: Trajectory, num: int | None = None) -> Trajectory
 def geodesic_reference(
     sys: ContactHamiltonianSystem,
     q0,
-    u0: FourVelocity | np.ndarray,
+    u0,
     cfg: IntegratorConfig,
     phi0: float = 0.0,
 ) -> Trajectory:
     """Integrate the geodesic equation du^mu/dtau = -Gamma^mu_{ab} u^a u^b.
 
     Independent reference for constant-mass motion in a phi-independent
-    metric, parametrized by proper time.  The returned trajectory stores the
+    metric, parametrized by proper time.  ``u0`` is the initial contravariant
+    four-velocity, a (4,) array with g_{mu nu} u^mu u^nu = -c^2 (as
+    dynamics.four_velocity returns it).  The returned trajectory stores the
     contravariant four-velocity in the ``p`` slot (see metadata["p_column"]).
     Stop conditions: lambda_reached (meaning tau) and coordinate_bound only.
     """
@@ -581,7 +582,7 @@ def geodesic_reference(
         if stop.kind not in ("lambda_reached", "coordinate_bound"):
             raise ValueError(f"stop kind {stop.kind!r} is not supported for geodesics")
     q0 = np.asarray(q0, dtype=float).reshape(4)
-    u = u0.u if isinstance(u0, FourVelocity) else np.asarray(u0, dtype=float).reshape(4)
+    u = np.asarray(u0, dtype=float).reshape(4)
 
     _, dphi_g = geometry.metric_derivatives(sys.metric, q0, phi0)
     if np.max(np.abs(dphi_g)) > 1e-10:

@@ -29,7 +29,6 @@ import numpy as np
 
 from .dynamics import (
     ContactHamiltonianSystem,
-    ExtendedState,
     _dH_dphi_arrays,
     solve_p0_on_shell,
 )
@@ -37,7 +36,6 @@ from .errors import EmptyEnsemble, NonPositiveDensity, UnnormalizableSpec
 from .integrators import IntegratorConfig, advance_batch
 
 __all__ = [
-    "Marker",
     "Ensemble",
     "EntropyFunctional",
     "GaussianMomentum",
@@ -47,18 +45,8 @@ __all__ = [
     "propagate",
     "entropy",
     "entropy_rate",
-    "rate_consistency_check",
     "ensemble_series",
 ]
-
-
-@dataclass(frozen=True)
-class Marker:
-    """One characteristic: a state, its fixed weight, and its density value."""
-
-    state: ExtendedState
-    w: float
-    f: float
 
 
 @dataclass(frozen=True)
@@ -82,21 +70,17 @@ class EntropyFunctional:
 
         return cls(sigma=sigma, sigma_prime=sigma_prime, name="shannon-boltzmann")
 
-    def concavity_residual(self, a: float, b: float) -> float:
-        """sigma((a+b)/2) - (sigma(a)+sigma(b))/2; non-negative iff concave here."""
-        mid = float(self.sigma(np.asarray(0.5 * (a + b))))
-        avg = 0.5 * (float(self.sigma(np.asarray(a))) + float(self.sigma(np.asarray(b))))
-        return mid - avg
-
 
 @dataclass
 class Ensemble:
     """Marker block at a common flow parameter ``lam``.
 
     Stored struct-of-arrays: q (n, 4), p (n, 4), phi (n,), w (n,), f (n,).
-    Markers with non-positive density carry no measure and are dropped on
-    construction; propagation raises NonPositiveDensity rather than let a
-    density underflow to zero.  Weights are never modified by propagation.
+    Construction raises EmptyEnsemble for zero markers and NonPositiveDensity,
+    naming the count, for any density that is not > 0 (NaN included); no
+    marker is ever dropped.  Propagation raises NonPositiveDensity rather
+    than let a density underflow to zero.  Weights are never modified by
+    propagation.
     """
 
     sys: ContactHamiltonianSystem
@@ -113,12 +97,13 @@ class Ensemble:
         self.phi = np.atleast_1d(np.asarray(self.phi, dtype=float))
         self.w = np.atleast_1d(np.asarray(self.w, dtype=float))
         self.f = np.atleast_1d(np.asarray(self.f, dtype=float))
-        keep = self.f > 0.0
-        if not np.all(keep):
-            self.q, self.p = self.q[keep], self.p[keep]
-            self.phi, self.w, self.f = self.phi[keep], self.w[keep], self.f[keep]
         if len(self.f) == 0:
-            raise EmptyEnsemble("ensemble has no markers with positive density")
+            raise EmptyEnsemble("ensemble has no markers")
+        if not np.all(self.f > 0.0):
+            bad = np.count_nonzero(~(self.f > 0.0))
+            raise NonPositiveDensity(
+                f"density of {bad} of {len(self.f)} markers is not positive"
+            )
 
     @property
     def n(self) -> int:
@@ -126,13 +111,6 @@ class Ensemble:
 
     def total_weight(self) -> float:
         return float(np.sum(self.w))
-
-    def marker(self, i: int) -> Marker:
-        return Marker(
-            state=ExtendedState(q=self.q[i], p=self.p[i], phi=float(self.phi[i])),
-            w=float(self.w[i]),
-            f=float(self.f[i]),
-        )
 
 
 @dataclass(frozen=True)
@@ -273,7 +251,7 @@ def _propagate_counted(
     block, accepted = advance_batch(e.sys, block, dlam, cfg)
     f = np.exp(block[:, 9])
     if not np.all(f > 0.0):
-        # Ensemble() would drop these markers and their weight without a word.
+        # Ensemble() would raise too, but without the lambda.
         lost = int(np.count_nonzero(~(f > 0.0)))
         raise NonPositiveDensity(
             f"density of {lost} of {e.n} markers underflowed to zero "
@@ -302,17 +280,25 @@ def propagate(e: Ensemble, dlam: float, cfg: IntegratorConfig | None = None) -> 
     return _propagate_counted(e, dlam, cfg)[0]
 
 
-def _require_positive_f(e: Ensemble):
+def _weight_per_density(e: Ensemble) -> np.ndarray:
+    """w / f, after checking that f is positive and finite and w / f finite."""
     if not np.all(e.f > 0.0):
         raise NonPositiveDensity("ensemble carries non-positive density values")
     if not np.all(np.isfinite(e.f)):
         raise NonPositiveDensity("ensemble carries non-finite density values")
+    with np.errstate(over="ignore"):
+        ratio = e.w / e.f
+    if not np.isfinite(np.max(ratio)):  # max is inf or nan if any entry is
+        bad = np.count_nonzero(~np.isfinite(ratio))
+        raise NonPositiveDensity(
+            f"w / f is not finite for {bad} of {e.n} markers"
+        )
+    return ratio
 
 
 def entropy(e: Ensemble, functional: EntropyFunctional) -> float:
     """Marker estimate S approx sum_i (w_i/f_i) sigma(f_i)."""
-    _require_positive_f(e)
-    return float(np.sum(e.w / e.f * functional.sigma(e.f)))
+    return float(np.sum(_weight_per_density(e) * functional.sigma(e.f)))
 
 
 def entropy_rate(e: Ensemble, functional: EntropyFunctional) -> float:
@@ -320,30 +306,10 @@ def entropy_rate(e: Ensemble, functional: EntropyFunctional) -> float:
 
     rate = 4 sum_i (w_i/f_i) [f_i sigma'(f_i) - sigma(f_i)] dH/dphi_i.
     """
-    _require_positive_f(e)
+    ratio = _weight_per_density(e)
     dhdphi = _dH_dphi_arrays(e.sys, e.q, e.p, e.phi)
     bracket = e.f * functional.sigma_prime(e.f) - functional.sigma(e.f)
-    return float(4.0 * np.sum(e.w / e.f * bracket * dhdphi))
-
-
-def rate_consistency_check(
-    e: Ensemble,
-    functional: EntropyFunctional,
-    dlam: float,
-    cfg: IntegratorConfig | None = None,
-) -> tuple[float, float]:
-    """Return (analytic rate, finite-difference rate over dlam).
-
-    The finite-difference rate is (S(lam + dlam) - S(lam)) / dlam with the
-    same markers transported by propagate; for small dlam the two agree to
-    O(dlam) plus integration error.
-    """
-    if dlam == 0.0:
-        raise ValueError("dlam must be nonzero")
-    analytic = entropy_rate(e, functional)
-    s0 = entropy(e, functional)
-    s1 = entropy(propagate(e, dlam, cfg), functional)
-    return analytic, (s1 - s0) / dlam
+    return float(4.0 * np.sum(ratio * bracket * dhdphi))
 
 
 def ensemble_series(

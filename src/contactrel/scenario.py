@@ -32,7 +32,6 @@ __all__ = [
     "build_integrator_config",
     "run_ensemble",
     "preset_scenario",
-    "preset_names",
     "PRESETS",
 ]
 
@@ -436,7 +435,8 @@ def build_initial_state(cfg: ScenarioConfig, sys: ContactHamiltonianSystem) -> E
     if "v" in init:
         return dynamics.state_from_velocity(sys, q0, phi0, np.asarray(init["v"]))
     state = ExtendedState(q=q0, p=np.asarray(init["p"], dtype=float), phi=phi0)
-    res = dynamics.shell_residual(sys, state)
+    _, shell = dynamics._h_and_shell(sys, *dynamics._as_batch(state))
+    res = float(shell[0])
     gpp = res - (float(sys.mass.value(phi0)) * sys.c) ** 2
     if abs(res) > 1e-8 * max(1.0, abs(gpp)) and not init["allow_off_shell"]:
         raise ValidationError(
@@ -688,10 +688,6 @@ PRESETS = {
         _preset_photon_gas, _check_photon_gas,
     ),
 }
-
-
-def preset_names() -> list[str]:
-    return list(PRESETS)
 
 
 def preset_scenario(name: str) -> ScenarioConfig:

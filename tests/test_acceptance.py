@@ -21,8 +21,9 @@ def _run(check_fn, capsys):
 
 
 def test_01_contact_identities_hold_for_random_states(capsys):
-    # Flow-field identities: phi-advance matches p.dq exactly; the generating
-    # function changes along the flow only through its explicit phi-slope.
+    # Flow-field identities: phi-advance matches p.dH/dp from a stencil of H;
+    # the generating function changes along the flow only through its
+    # explicit phi-slope.
     _run(checks.check_contact_identities, capsys)
 
 

@@ -18,11 +18,8 @@ from contactrel import (
     NotTimelike,
     ShellSolveFailed,
     contact_identity_residuals,
-    dH_dphi,
-    divergence,
     evolution_field,
     four_velocity,
-    hamiltonian,
     lowered_metric,
     mass_from_tau,
     minkowski,
@@ -30,7 +27,6 @@ from contactrel import (
     project_to_shell,
     proper_time_field,
     reduced_field_phi,
-    shell_residual,
     solve_p0_on_shell,
     state_from_velocity,
     tau_from_phi,
@@ -52,6 +48,12 @@ def _curved(mass=None, gm=0.3, c=1.0):
     )
 
 
+def _h_and_shell(sys, s):
+    """H and the shell residual at one state, through the batched path."""
+    h, shell = dynamics._h_and_shell(sys, *dynamics._as_batch(s))
+    return float(h[0]), float(shell[0])
+
+
 def _random_onshell(sys, rng):
     q = rng.uniform(-2, 2, size=4)
     phi = rng.uniform(-1, 1)
@@ -66,21 +68,12 @@ def _random_onshell(sys, rng):
 def test_hamiltonian_hand_values():
     sys = _flat()
     rest = ExtendedState(q=[0, 0, 0, 0], p=[-1, 0, 0, 0], phi=0.0)
-    assert hamiltonian(sys, rest) == 0.0
+    assert _h_and_shell(sys, rest)[0] == 0.0
     off = ExtendedState(q=[0, 0, 0, 0], p=[-2, 0, 0, 0], phi=0.0)
     # H = (g p p + m^2 c^2)/2 = (-4 + 1)/2
-    assert hamiltonian(sys, off) == pytest.approx(-1.5)
-    assert shell_residual(sys, off) == pytest.approx(-3.0)
-
-
-def test_shell_residual_is_twice_hamiltonian():
-    sys = _curved(MassModel.exp_decay(1.0, 0.2))
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        q = rng.uniform(-2, 2, size=4)
-        p = np.concatenate([[rng.uniform(-2, -0.5)], rng.uniform(-1, 1, size=3)])
-        s = ExtendedState(q=q, p=p, phi=rng.uniform(-1, 1))
-        assert shell_residual(sys, s) == pytest.approx(2.0 * hamiltonian(sys, s), rel=1e-14)
+    h, shell = _h_and_shell(sys, off)
+    assert h == pytest.approx(-1.5)
+    assert shell == pytest.approx(-3.0)
 
 
 def test_solve_p0_flat_345_triangle():
@@ -101,7 +94,7 @@ def test_solve_p0_curved_lands_on_shell():
     rng = np.random.default_rng(17)
     for _ in range(25):
         s = _random_onshell(sys, rng)
-        assert abs(hamiltonian(sys, s)) < 1e-12
+        assert abs(_h_and_shell(sys, s)[0]) < 1e-12
 
 
 def test_solve_p0_batched_matches_loop():
@@ -129,7 +122,7 @@ def test_state_from_velocity_gamma_oracle():
     # gamma = 1.25: u = (1.25, 0.75, 0, 0), p_mu = eta u
     assert s.p[0] == pytest.approx(-1.25, abs=1e-12)
     assert s.p[1] == pytest.approx(0.75, abs=1e-12)
-    assert abs(hamiltonian(sys, s)) < 1e-14
+    assert abs(_h_and_shell(sys, s)[0]) < 1e-14
 
 
 def test_state_from_velocity_rejects_superluminal():
@@ -143,7 +136,7 @@ def test_four_velocity_normalization():
     rng = np.random.default_rng(33)
     for _ in range(20):
         s = _random_onshell(sys, rng)
-        u = four_velocity(sys, s).u
+        u = four_velocity(sys, s)
         gl = lowered_metric(sys.metric, s.q, s.phi)
         assert u @ gl @ u == pytest.approx(-sys.c**2, rel=1e-12)
 
@@ -152,7 +145,7 @@ def test_project_to_shell():
     sys = _curved()
     s = ExtendedState(q=[0, 1.5, 0, 0], p=[-1.7, 0.3, -0.2, 0.1], phi=0.0)
     proj = project_to_shell(sys, s)
-    assert abs(hamiltonian(sys, proj)) < 1e-14
+    assert abs(_h_and_shell(sys, proj)[0]) < 1e-14
     # projection only rescales p
     ratio = proj.p / s.p
     assert np.max(np.abs(ratio - ratio[0])) < 1e-14
@@ -181,8 +174,7 @@ def test_rest_decay_field_hand_values():
     f = evolution_field(sys, s)
     assert np.allclose(f.dq, [1, 0, 0, 0])
     assert f.dphi == -1.0
-    assert dH_dphi(sys, s) == pytest.approx(0.1)
-    assert divergence(sys, s) == pytest.approx(-0.4)
+    assert dynamics._dH_dphi_arrays(sys, *dynamics._as_batch(s))[0] == pytest.approx(0.1)
     # dp_mu = -p_mu dH/dphi in flat space
     assert np.allclose(f.dp, [0.1, 0, 0, 0])
 
@@ -305,12 +297,6 @@ def test_proper_time_field_consistency_with_lambda_flow():
         dtau_dlam = -f.dphi / (m * sys.c**2)
         assert np.max(np.abs(dq_tau - f.dq / dtau_dlam)) < 1e-10
         assert np.max(np.abs(dp_tau - f.dp / dtau_dlam)) < 1e-10
-
-
-def test_divergence_equals_minus_four_dhdphi():
-    sys = _curved(MassModel.exp_decay(1.0, 0.3))
-    s = ExtendedState(q=[0.2, 1.1, -0.3, 0.5], p=[-1.2, 0.2, 0.1, -0.4], phi=0.3)
-    assert divergence(sys, s) == pytest.approx(-4.0 * dH_dphi(sys, s), rel=1e-15)
 
 
 # --- mass models and proper time -----------------------------------------------------

@@ -1,4 +1,4 @@
-"""Metric fields: values, derivatives, Christoffel symbols, index algebra."""
+"""Metric fields: values, derivatives, Christoffel symbols, the lowered metric."""
 
 from __future__ import annotations
 
@@ -13,12 +13,10 @@ from contactrel import (
     expression_metric,
     geometry,
     inverse_metric,
-    lower_index,
     lowered_metric,
     metric_derivatives,
     minkowski,
     point_mass_potential,
-    raise_index,
     uniform_gradient_potential,
     weak_field,
 )
@@ -152,16 +150,6 @@ def test_lowered_metric_is_inverse():
     g = inverse_metric(m, q, 0.0)
     gl = lowered_metric(m, q, 0.0)
     assert np.max(np.abs(g @ gl - np.eye(4))) < 1e-13
-
-
-def test_index_round_trip():
-    m = _point_mass_metric()
-    q = np.array([0.0, 1.0, 0.5, -0.5])
-    rng = np.random.default_rng(5)
-    p = rng.normal(size=4)
-    u = raise_index(m, q, 0.0, p)
-    back = lower_index(m, q, 0.0, u)
-    assert np.max(np.abs(back - p)) < 1e-13
 
 
 def test_expression_metric_matches_hand_built():

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from contactrel import dynamics
 from contactrel import (
     ContactHamiltonianSystem,
     DensitySpec,
@@ -22,10 +23,8 @@ from contactrel import (
     ensemble_series,
     entropy,
     entropy_rate,
-    hamiltonian,
     minkowski,
     propagate,
-    rate_consistency_check,
     sample_ensemble,
 )
 
@@ -47,6 +46,11 @@ def _gaussian_spec(sigma=0.2, mean=(0.0, 0.0, 0.0)):
 
 
 SB = EntropyFunctional.shannon_boltzmann()
+
+
+def _fd_rate(e, functional, dlam):
+    """(S(lam + dlam) - S(lam)) / dlam with the markers moved by propagate."""
+    return (entropy(propagate(e, dlam), functional) - entropy(e, functional)) / dlam
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +86,7 @@ def test_sampled_markers_sit_on_the_mass_shell():
         phi_halfwidth=0.25,
     )
     e = sample_ensemble(sys, spec, 500, seed=3)
-    h = np.array([hamiltonian(sys, e.marker(i).state) for i in range(e.n)])
+    h, _ = dynamics._h_and_shell(sys, e.q, e.p, e.phi)
     assert np.max(np.abs(h)) < 1e-10
     # future-directed: the time covector component is negative
     assert np.all(e.p[:, 0] < 0.0)
@@ -110,16 +114,6 @@ def test_pinned_coordinates_are_exact():
 def test_nonpositive_marker_count_rejected():
     with pytest.raises(EmptyEnsemble):
         sample_ensemble(_flat(), _gaussian_spec(), 0, seed=1)
-
-
-def test_marker_accessor_round_trips_rows():
-    e = sample_ensemble(_flat(), _gaussian_spec(), 8, seed=21)
-    m = e.marker(5)
-    assert np.array_equal(m.state.q, e.q[5])
-    assert np.array_equal(m.state.p, e.p[5])
-    assert m.state.phi == e.phi[5]
-    assert m.w == e.w[5]
-    assert m.f == e.f[5]
 
 
 # ---------------------------------------------------------------------------
@@ -172,15 +166,23 @@ def _manual_ensemble(f_values):
     )
 
 
-def test_markers_with_nonpositive_density_are_dropped():
-    e = _manual_ensemble([1.0, 0.0, 2.0, -3.0, 0.5])
-    assert e.n == 3
-    assert np.array_equal(e.f, [1.0, 2.0, 0.5])
+def test_markers_with_nonpositive_density_are_rejected():
+    # no marker is dropped with its weight: the count of bad ones is named
+    with pytest.raises(NonPositiveDensity, match=r"density of 2 of 5 markers"):
+        _manual_ensemble([1.0, 0.0, 2.0, -3.0, 0.5])
+    with pytest.raises(NonPositiveDensity, match=r"density of 1 of 3 markers"):
+        _manual_ensemble([1.0, np.nan, 2.0])
 
 
 def test_all_markers_dropped_raises():
-    with pytest.raises(EmptyEnsemble):
+    with pytest.raises(NonPositiveDensity, match=r"density of 2 of 2 markers"):
         _manual_ensemble([0.0, -1.0])
+
+
+def test_empty_ensemble_raises():
+    with pytest.raises(EmptyEnsemble):
+        Ensemble(sys=_flat(), lam=0.0, q=np.zeros((0, 4)), p=np.zeros((0, 4)),
+                 phi=[], w=[], f=[])
 
 
 def test_entropy_rejects_tampered_density():
@@ -188,6 +190,15 @@ def test_entropy_rejects_tampered_density():
     e.f[0] = np.inf
     with pytest.raises(NonPositiveDensity):
         entropy(e, SB)
+
+
+def test_entropy_and_rate_reject_overflowing_weight_per_density():
+    # w / f overflows for a positive subnormal f: the estimators must stop
+    # rather than return inf and nan
+    e = _manual_ensemble([1.0, 1e-310])
+    for estimator in (entropy, entropy_rate):
+        with pytest.raises(NonPositiveDensity, match=r"not finite for 1 of 2 markers"):
+            estimator(e, SB)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +227,9 @@ def test_unit_box_entropy_is_exactly_zero():
 
 
 def test_shannon_boltzmann_is_concave():
-    assert SB.concavity_residual(0.5, 1.5) > 0.0
-    assert SB.concavity_residual(0.1, 4.0) > 0.0
+    # sigma((a+b)/2) - (sigma(a)+sigma(b))/2 > 0 on both pairs
+    for a, b in ((0.5, 1.5), (0.1, 4.0)):
+        assert SB.sigma(0.5 * (a + b)) - 0.5 * (SB.sigma(a) + SB.sigma(b)) > 0.0
 
 
 def test_custom_functional_entropy_and_rate():
@@ -229,7 +241,7 @@ def test_custom_functional_entropy_and_rate():
     e = sample_ensemble(_decay_system(0.1), _gaussian_spec(), 200, seed=77)
     expected_s = float(np.sum(e.w * (1.0 - e.f)))
     assert entropy(e, quad) == pytest.approx(expected_s, rel=1e-12)
-    analytic, fd = rate_consistency_check(e, quad, 1e-3)
+    analytic, fd = entropy_rate(e, quad), _fd_rate(e, quad, 1e-3)
     # FD error is O(dlam * S''); this functional's curvature along the flow is
     # ~0.3, so the difference sits near 2e-4.
     assert analytic == pytest.approx(fd, rel=1e-3)
@@ -306,15 +318,9 @@ def test_propagate_raises_when_density_underflows():
 
 def test_rate_consistency_small_interval():
     e = sample_ensemble(_decay_system(0.1), _gaussian_spec(), 400, seed=29)
-    analytic, fd = rate_consistency_check(e, SB, 1e-3)
+    analytic, fd = entropy_rate(e, SB), _fd_rate(e, SB, 1e-3)
     assert analytic == pytest.approx(-0.4, abs=1e-12)
     assert abs(analytic - fd) < 1e-4
-
-
-def test_rate_consistency_rejects_zero_interval():
-    e = sample_ensemble(_decay_system(0.1), _gaussian_spec(), 10, seed=29)
-    with pytest.raises(ValueError):
-        rate_consistency_check(e, SB, 0.0)
 
 
 # ---------------------------------------------------------------------------

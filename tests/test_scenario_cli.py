@@ -19,7 +19,6 @@ from contactrel import (
     build_integrator_config,
     build_system,
     load_scenario,
-    preset_names,
     preset_scenario,
     serialize_scenario,
 )
@@ -172,7 +171,7 @@ def test_load_from_file_and_missing_file(tmp_path):
 
 
 def test_serialization_round_trips_every_preset():
-    for name in preset_names():
+    for name in PRESETS:
         cfg = preset_scenario(name)
         assert load_scenario(serialize_scenario(cfg)) == cfg
 
@@ -280,7 +279,7 @@ def test_build_integrator_config_translates_stops():
 def test_cli_presets_lists_every_name(capsys):
     assert main(["presets"]) == 0
     out = capsys.readouterr().out
-    for name in preset_names():
+    for name in PRESETS:
         assert name in out
 
 
