@@ -153,7 +153,7 @@ def execute_ensemble(cfg: ScenarioConfig, out_dir: str | None = None):
             snap_paths.append(p)
 
     t0 = time.perf_counter()
-    e0, e_end, rows, steps = run_ensemble(cfg, on_report)
+    e0, e_end, rows, stats = run_ensemble(cfg, on_report)
     wall = time.perf_counter() - t0
 
     series_path = output.write_ensemble_series(rows, f"{base}_series.{ext}", ext)
@@ -161,8 +161,8 @@ def execute_ensemble(cfg: ScenarioConfig, out_dir: str | None = None):
     h1, shell1 = _h_and_shell(e0.sys, e_end.q, e_end.p, e_end.phi)
     report = RunReport(
         termination="lambda_reached",
-        steps=steps,
-        steps_rejected=0,
+        steps=stats["steps_accepted"],
+        steps_rejected=stats["steps_rejected"],
         h_drift=float(np.max(np.abs(np.asarray(h1) - np.asarray(h0)))),
         shell_max=float(np.max(np.abs(shell1))),
         wall_time=wall,

@@ -174,22 +174,33 @@ _DP_A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_DP_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+
+def _combine(coeffs, ks):
+    """sum_j coeffs[j] ks[j], accumulated in tableau order; zero terms skipped."""
+    acc = coeffs[0] * ks[0]
+    for a, kj in zip(coeffs[1:], ks[1:]):
+        if a != 0.0:
+            acc += a * kj
+    return acc
 
 
 def _dp_step(rhs, lam, y, h, k1):
-    """One embedded step; returns (y5, k_end, err).  k_end = f(lam+h, y5) (FSAL)."""
-    k = np.empty((7,) + y.shape)
-    k[0] = k1
-    for i in range(1, 6):
-        yi = y + h * np.tensordot(np.asarray(_DP_A[i]), k[:i], axes=1)
-        k[i] = rhs(lam + _DP_C[i] * h, yi)
-    y5 = y + h * np.tensordot(np.asarray(_DP_A[6]), k[:6], axes=1)
-    k[6] = rhs(lam + h, y5)
-    err = h * np.tensordot(_DP_E, k, axes=1)
-    return y5, k[6], err
+    """One embedded step; returns (y5, k_end, err).  k_end = f(lam+h, y5) (FSAL).
+
+    k_end is the array rhs returned, not a view into a stage stack, so a
+    caller that keeps it across steps keeps no other stage alive.
+    """
+    k = [k1]
+    for i in range(1, 7):
+        yi = _combine(_DP_A[i], k)
+        yi *= h
+        yi += y
+        k.append(rhs(lam + _DP_C[i] * h, yi))
+    err = _combine(_DP_E, k)
+    err *= h
+    return yi, k[6], err
 
 
 def _rk4_step(rhs, lam, y, h, k1):
@@ -226,35 +237,44 @@ def _initial_step(rhs, lam0, y0, f0, cfg, ncore, lam_span):
 # --- the stepping loop ------------------------------------------------------------
 
 
-def _run_loop(rhs, y0, cfg, span, events, ncore, sample, h0=None, project=None):
+def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, h0=None, project=None,
+              reports=1, on_report=None):
     """Advance y0, a (d,) state or an (n, d) marker block, from lam = 0.
 
     The run ends at lam = span (either sign; None when there is no lambda
-    stop) or when an event fires.  ``events`` is a list of (label, fn) with
-    fn(lam, y) -> float; an event fires when its value crosses zero between
-    accepted samples.  ``sample(lam, y, f)`` receives the start and every
-    accepted sample, with f = rhs(lam, y).  All rows share one step sequence
-    and the error norm is the worst row's.  rk45 starts from ``h0`` (default
-    :func:`_initial_step`); rk4 takes ceil(|span|/fixed_step) equal steps,
-    or steps of fixed_step when span is None.  ``project`` optionally maps
-    y -> y after every cfg.shell_projection accepted steps.
-    Returns (termination, stats).
+    stop) or when an event fires.  Steps are clipped to land on lam =
+    k span / reports for k = 1..reports, and ``on_report(k, y)`` is called
+    on each landing; the step-size proposal and the FSAL stage carry over
+    from one landing to the next, so a series of reports is one step
+    sequence.  ``events`` is a list of (label, fn) with fn(lam, y) -> float;
+    an event fires when its value crosses zero between accepted samples.
+    ``sample(lam, y, f)``, if given, receives the start and every accepted
+    sample, with f = rhs(lam, y).  All rows share one step sequence and the
+    error norm is the worst row's.  rk45 starts from ``h0`` (default
+    :func:`_initial_step`); rk4 splits each report interval into
+    ceil(|interval|/fixed_step) equal steps, or takes steps of fixed_step
+    when span is None, and evaluates rhs at the end of the run only if a
+    sample or an event reads it.  ``project`` optionally maps y -> y after
+    every cfg.shell_projection accepted steps.  Returns (termination, stats).
     """
     lam = 0.0
     y = np.array(y0, dtype=float)
     f = rhs(lam, y)
-    sample(lam, y, f)
+    if sample is not None:
+        sample(lam, y, f)
     ev_prev = [fn(lam, y) for _, fn in events]
     direction = -1.0 if span is not None and span < 0 else 1.0
     termination = None
     accepted = rejected = 0
+    k = 1
+    interval = target = None if span is None else span / reports
 
     if cfg.method == "rk4":
         h = float(cfg.fixed_step)
         if span is not None:
-            h = abs(span) / max(1, math.ceil(abs(span) / h))
+            h = abs(interval) / max(1, math.ceil(abs(interval) / h))
     elif h0 is None:
-        h = _initial_step(rhs, lam, y, f, cfg, ncore, -1.0 if span is None else span)
+        h = _initial_step(rhs, lam, y, f, cfg, ncore, -1.0 if span is None else target)
     else:
         h = h0
 
@@ -264,8 +284,8 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample, h0=None, project=None):
                 f"exceeded {cfg.max_steps} accepted steps before any stop condition"
             )
         h_try = h
-        if span is not None:
-            h_try = min(h_try, direction * (span - lam))
+        if target is not None:
+            h_try = min(h_try, direction * (target - lam))
         if cfg.method == "rk45":
             h_try = min(h_try, cfg.max_step)
             # attempt until the error controller accepts
@@ -284,10 +304,16 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample, h0=None, project=None):
             h = min(cfg.max_step, h_try * factor)
         else:
             y_new = _rk4_step(rhs, lam, y, direction * h_try, f)
-            f_new = rhs(lam + direction * h_try, y_new)
+            f_new = None
         hs = direction * h_try
         lam_new = lam + hs
         accepted += 1
+        landed = target is not None and (
+            direction * lam_new >= direction * target - 1e-14 * max(1.0, abs(target))
+        )
+        # rk4's end-of-step field is read by the next step, an event or a sample
+        if f_new is None and (events or sample is not None or not (landed and k == reports)):
+            f_new = rhs(lam_new, y_new)
 
         # locate the earliest zero crossing of any event on this step
         hit = None
@@ -325,7 +351,8 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample, h0=None, project=None):
         if hit is not None:
             lam_star, t_star, label = hit
             y_star = _hermite_eval(y, y_new, f, f_new, hs, t_star)
-            sample(lam_star, y_star, rhs(lam_star, y_star))
+            if sample is not None:
+                sample(lam_star, y_star, rhs(lam_star, y_star))
             termination = {"reason": label, "parameter_value": float(lam_star)}
             break
 
@@ -339,10 +366,17 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample, h0=None, project=None):
 
         lam, y, f = lam_new, y_new, f_new
         ev_prev = ev_new
-        sample(lam, y, f)
+        if sample is not None:
+            sample(lam, y, f)
 
-        if span is not None and direction * lam >= direction * span - 1e-14 * max(1.0, abs(span)):
-            termination = {"reason": "lambda_reached", "parameter_value": float(lam)}
+        if landed:
+            if on_report is not None:
+                on_report(k, y)
+            if k == reports:
+                termination = {"reason": "lambda_reached", "parameter_value": float(lam)}
+            else:
+                k += 1
+                target = k * interval
 
     return termination, {"steps_accepted": accepted, "steps_rejected": rejected}
 
@@ -631,6 +665,33 @@ def geodesic_reference(
 # --- batched ensemble stepping -----------------------------------------------
 
 
+def _advance_block(sys, y, span, reports, cfg, on_report):
+    """:func:`advance_batch` over span as ``reports`` equal intervals in one run.
+
+    The steps land on every interval's end, where on_report(k, block)
+    receives the block (k = 1..reports); h and the FSAL stage carry over from
+    one interval to the next.  The first rk45 step is
+    min(|span / reports|/8, max_step).  Returns the loop's step counts.
+    """
+    if span == 0.0:
+        for k in range(1, reports + 1):
+            on_report(k, y.copy())
+        return {"steps_accepted": 0, "steps_rejected": 0}
+
+    def rhs(lam, block):
+        dq, dp, dphi, dhdphi = _field_arrays(sys, block[:, 0:4], block[:, 4:8], block[:, 8])
+        out = np.empty_like(block)
+        out[:, 0:4], out[:, 4:8], out[:, 8] = dq, dp, dphi
+        out[:, 9] = 4.0 * dhdphi
+        return out
+
+    _, stats = _run_loop(
+        rhs, y, cfg, span, (), ncore=9, h0=min(abs(span / reports) / 8.0, cfg.max_step),
+        reports=reports, on_report=on_report,
+    )
+    return stats
+
+
 def advance_batch(
     sys: ContactHamiltonianSystem,
     y: np.ndarray,
@@ -646,22 +707,6 @@ def advance_batch(
     "rk4" takes ceil(|dlam|/fixed_step) equal steps.  Supports either sign of
     dlam.  Returns (new block, accepted steps).
     """
-    if dlam == 0.0:
-        return y.copy(), 0
-
-    def rhs(lam, block):
-        dq, dp, dphi, dhdphi = _field_arrays(sys, block[:, 0:4], block[:, 4:8], block[:, 8])
-        out = np.empty_like(block)
-        out[:, 0:4], out[:, 4:8], out[:, 8] = dq, dp, dphi
-        out[:, 9] = 4.0 * dhdphi
-        return out
-
-    latest = {}
-
-    def keep(lam, block, f):
-        latest["y"] = block
-
-    _, stats = _run_loop(
-        rhs, y, cfg, dlam, (), ncore=9, sample=keep, h0=min(abs(dlam) / 8.0, cfg.max_step)
-    )
-    return latest["y"], stats["steps_accepted"]
+    out = []
+    stats = _advance_block(sys, y, dlam, 1, cfg, lambda k, block: out.append(block))
+    return out[0], stats["steps_accepted"]

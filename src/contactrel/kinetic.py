@@ -33,7 +33,7 @@ from .dynamics import (
     solve_p0_on_shell,
 )
 from .errors import EmptyEnsemble, NonPositiveDensity, UnnormalizableSpec
-from .integrators import IntegratorConfig, advance_batch
+from .integrators import IntegratorConfig, _advance_block
 
 __all__ = [
     "Ensemble",
@@ -237,36 +237,48 @@ def sample_ensemble(
     )
 
 
-def _propagate_counted(
-    e: Ensemble, dlam: float, cfg: IntegratorConfig | None
-) -> tuple[Ensemble, int]:
-    if not math.isfinite(dlam):
+def _march(
+    e: Ensemble,
+    dlam_total: float,
+    reports: int,
+    cfg: IntegratorConfig | None,
+    on_report: Callable[[int, Ensemble], None] | None = None,
+) -> tuple[Ensemble, dict]:
+    """Move e by dlam_total in ``reports`` equal intervals, as one step sequence.
+
+    on_report(k, ensemble) receives the ensemble after interval k.  Returns
+    the ensemble at the end and the stepping loop's step counts.
+    """
+    if not math.isfinite(dlam_total):
         raise ValueError("dlam must be finite")
-    cfg = cfg or IntegratorConfig()
+    dlam = dlam_total / reports
     block = np.empty((e.n, 10))
     block[:, 0:4] = e.q
     block[:, 4:8] = e.p
     block[:, 8] = e.phi
     block[:, 9] = np.log(e.f)
-    block, accepted = advance_batch(e.sys, block, dlam, cfg)
-    f = np.exp(block[:, 9])
-    if not np.all(f > 0.0):
-        # Ensemble() would raise too, but without the lambda.
-        lost = int(np.count_nonzero(~(f > 0.0)))
-        raise NonPositiveDensity(
-            f"density of {lost} of {e.n} markers underflowed to zero "
-            f"by lambda = {e.lam + dlam:.17g}"
+    cur = e
+
+    def land(k: int, y: np.ndarray):
+        nonlocal cur
+        lam = cur.lam + dlam
+        f = np.exp(y[:, 9])
+        if not np.all(f > 0.0):
+            # Ensemble() would raise too, but without the lambda.
+            lost = int(np.count_nonzero(~(f > 0.0)))
+            raise NonPositiveDensity(
+                f"density of {lost} of {e.n} markers underflowed to zero "
+                f"by lambda = {lam:.17g}"
+            )
+        cur = Ensemble(
+            sys=e.sys, lam=lam, q=y[:, 0:4], p=y[:, 4:8], phi=y[:, 8],
+            w=e.w.copy(), f=f,
         )
-    moved = Ensemble(
-        sys=e.sys,
-        lam=e.lam + dlam,
-        q=block[:, 0:4],
-        p=block[:, 4:8],
-        phi=block[:, 8],
-        w=e.w.copy(),
-        f=f,
-    )
-    return moved, accepted
+        if on_report is not None:
+            on_report(k, cur)
+
+    stats = _advance_block(e.sys, block, dlam_total, reports, cfg or IntegratorConfig(), land)
+    return cur, stats
 
 
 def propagate(e: Ensemble, dlam: float, cfg: IntegratorConfig | None = None) -> Ensemble:
@@ -277,7 +289,7 @@ def propagate(e: Ensemble, dlam: float, cfg: IntegratorConfig | None = None) -> 
     the number of markers and the lambda, when exp(ln f) underflows to zero
     for any marker, instead of dropping it.
     """
-    return _propagate_counted(e, dlam, cfg)[0]
+    return _march(e, dlam, 1, cfg)[0]
 
 
 def _weight_per_density(e: Ensemble) -> np.ndarray:
@@ -312,22 +324,15 @@ def entropy_rate(e: Ensemble, functional: EntropyFunctional) -> float:
     return float(4.0 * np.sum(ratio * bracket * dhdphi))
 
 
-def ensemble_series(
+def _series(
     e: Ensemble,
     dlam_total: float,
     reports: int,
     functional: EntropyFunctional,
     cfg: IntegratorConfig | None = None,
     on_report: Callable[[int, Ensemble], None] | None = None,
-) -> tuple[Ensemble, np.ndarray, int]:
-    """Advance an ensemble in ``reports`` equal intervals, logging a row each.
-
-    Returns (final ensemble, rows, total accepted steps) where rows has shape
-    (reports + 1, 4) with columns (lambda, total weight, entropy, analytic
-    entropy rate).  The optional ``on_report`` callback receives (report
-    index, ensemble) at the initial instant and after every interval, e.g. to
-    write snapshots.
-    """
+) -> tuple[Ensemble, np.ndarray, dict]:
+    """:func:`ensemble_series` with the loop's accepted and rejected step counts."""
     if reports < 1:
         raise ValueError("reports must be at least 1")
     if not math.isfinite(dlam_total) or dlam_total == 0.0:
@@ -341,10 +346,28 @@ def ensemble_series(
             on_report(k, cur)
 
     log(0, e)
-    dlam = dlam_total / reports
-    steps = 0
-    for k in range(1, reports + 1):
-        e, accepted = _propagate_counted(e, dlam, cfg)
-        steps += accepted
-        log(k, e)
-    return e, rows, steps
+    e_end, stats = _march(e, dlam_total, reports, cfg, log)
+    return e_end, rows, stats
+
+
+def ensemble_series(
+    e: Ensemble,
+    dlam_total: float,
+    reports: int,
+    functional: EntropyFunctional,
+    cfg: IntegratorConfig | None = None,
+    on_report: Callable[[int, Ensemble], None] | None = None,
+) -> tuple[Ensemble, np.ndarray, int]:
+    """Advance an ensemble in ``reports`` equal intervals, logging a row each.
+
+    The markers follow one step sequence over the whole span: its steps land
+    on every report, and the step size and the last field evaluation carry
+    over from one interval to the next, so cfg.max_steps bounds the steps of
+    the whole series.  Returns (final ensemble, rows, total accepted steps)
+    where rows has shape (reports + 1, 4) with columns (lambda, total weight,
+    entropy, analytic entropy rate).  The optional ``on_report`` callback
+    receives (report index, ensemble) at the initial instant and after every
+    interval, e.g. to write snapshots.
+    """
+    e_end, rows, stats = _series(e, dlam_total, reports, functional, cfg, on_report)
+    return e_end, rows, stats["steps_accepted"]

@@ -33,17 +33,15 @@ SNAPSHOT_COLUMNS = (
     "index", "q0", "q1", "q2", "q3", "p0", "p1", "p2", "p3", "phi", "w", "f",
 )
 
+# rows per tolist() chunk: converting a whole 10^4-row table at once costs
+# megabytes of Python floats for no speed
+_CHUNK_ROWS = 512
+
 
 def fmt(x: float) -> str:
     """Format one value with 17 significant digits; NaN becomes 'nan'."""
     if math.isnan(x):
         return "nan"
-    return f"{x:.17g}"
-
-
-def _json_value(x: float) -> str:
-    if math.isnan(x):
-        return "null"
     return f"{x:.17g}"
 
 
@@ -54,20 +52,29 @@ def _rows_from_trajectory(traj: Trajectory) -> np.ndarray:
 
 
 def _write_table(path: Path, columns, rows, fmt_style: str, stride: int = 1):
+    """Write rows with one %-template per line, in chunks of _CHUNK_ROWS rows.
+
+    "%.17g" formats each value as :func:`fmt` does; JSONL writes NaN as null.
+    Only one chunk is ever converted to Python floats at a time.
+    """
     rows = np.asarray(rows, dtype=float)[::stride]
+    names = [c.replace("%", "%%") for c in columns]
+    if fmt_style == "csv":
+        head = ",".join(columns) + "\n"
+        line = ",".join(["%.17g"] * len(columns)) + "\n"
+    elif fmt_style == "jsonl":
+        head = ""
+        line = "{" + ", ".join(f'"{c}": %.17g' for c in names) + "}\n"
+    else:
+        raise ValueError(f"unknown output format: {fmt_style!r}")
     with open(path, "w") as fh:
-        if fmt_style == "csv":
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(fmt(v) for v in row) + "\n")
-        elif fmt_style == "jsonl":
-            for row in rows:
-                body = ", ".join(
-                    f'"{c}": {_json_value(v)}' for c, v in zip(columns, row)
-                )
-                fh.write("{" + body + "}\n")
-        else:
-            raise ValueError(f"unknown output format: {fmt_style!r}")
+        fh.write(head)
+        for i in range(0, len(rows), _CHUNK_ROWS):
+            text = "".join([line % tuple(row) for row in rows[i:i + _CHUNK_ROWS].tolist()])
+            if fmt_style == "jsonl":
+                # a key cannot hold an unescaped quote, so '": nan' is a value
+                text = text.replace('": nan', '": null')
+            fh.write(text)
 
 
 def write_trajectory(traj: Trajectory, path: str | Path, fmt_style: str = "csv",

@@ -487,16 +487,17 @@ def build_integrator_config(cfg: ScenarioConfig) -> IntegratorConfig:
 def run_ensemble(cfg: ScenarioConfig, on_report=None):
     """Sample an ensemble scenario and propagate it over its lambda span.
 
-    Returns (initial ensemble, final ensemble, series rows, accepted steps).
+    Returns (initial ensemble, final ensemble, series rows, step counts),
+    where the counts are a dict with "steps_accepted" and "steps_rejected".
     """
     e0 = kinetic.sample_ensemble(build_system(cfg), build_density_spec(cfg),
                                  cfg.initial["n"], cfg.initial["seed"])
     span = min(s["value"] for s in cfg.stop)
-    e_end, rows, steps = kinetic.ensemble_series(
+    e_end, rows, stats = kinetic._series(
         e0, span, cfg.outputs["reports"], kinetic.EntropyFunctional.shannon_boltzmann(),
         build_integrator_config(cfg), on_report,
     )
-    return e0, e_end, rows, steps
+    return e0, e_end, rows, stats
 
 
 # --- presets ----------------------------------------------------------------------

@@ -37,7 +37,8 @@ from contactrel import (
     state_from_velocity,
     weak_field,
 )
-from contactrel.integrators import _hermite_eval, _hermite_slope
+from contactrel import integrators
+from contactrel.integrators import _dp_step, _hermite_eval, _hermite_slope
 
 ALPHA = 0.1
 
@@ -385,6 +386,50 @@ def test_rk4_equal_steps_shared_by_integrate_and_advance_batch():
     assert np.array_equal(out[0, 0:4], traj.q[-1])
     assert np.array_equal(out[0, 4:8], traj.p[-1])
     assert out[0, 8] == traj.phi[-1]
+
+
+def test_rk4_field_evaluations_per_step(monkeypatch):
+    # advance_batch reads no field value after its last step: 4 evaluations
+    # per step.  integrate keeps the end derivative as its last deriv row.
+    calls = []
+    field = integrators._field_arrays
+
+    def counted(*args):
+        calls.append(1)
+        return field(*args)
+
+    monkeypatch.setattr(integrators, "_field_arrays", counted)
+    sys = _decay_sys()
+    cfg = IntegratorConfig(method="rk4", fixed_step=0.25, stop=_stop("lambda_reached", 1.0))
+    y0 = np.zeros((3, 10))
+    y0[:, 4] = [-1.0, -1.2, -1.5]
+    _, steps = advance_batch(sys, y0, 1.0, cfg)
+    assert (steps, len(calls)) == (4, 16)
+
+    calls.clear()
+    traj = integrate(sys, _rest_state(), cfg)
+    assert len(calls) == 4 * 4 + 1
+    dq, dp, dphi, _ = field(sys, traj.q[-1:], traj.p[-1:], traj.phi[-1:])
+    assert np.array_equal(traj.deriv[-1, 0:9], np.concatenate([dq[0], dp[0], dphi]))
+
+
+def test_dp_step_fsal_stage_owns_its_memory():
+    # The FSAL stage is carried to the next step; as a view into a (7, n, d)
+    # stage stack it would keep all seven stages alive.
+    stages = []
+
+    def rhs(lam, y):
+        out = np.cos(y) - 0.1 * y
+        stages.append(out)
+        return out
+
+    y = np.linspace(0.0, 1.0, 30).reshape(3, 10)
+    y5, k_end, err = _dp_step(rhs, 0.0, y, 0.1, rhs(0.0, y))
+    assert k_end.base is None and k_end.shape == y.shape
+    assert k_end is stages[-1]
+    for other in (y5, err, *stages[:-1]):
+        assert not np.shares_memory(k_end, other)
+    assert np.array_equal(k_end, np.cos(y5) - 0.1 * y5)
 
 
 def test_advance_batch_max_steps_exceeded():

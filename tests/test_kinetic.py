@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,10 +21,15 @@ from contactrel import (
     NonPositiveDensity,
     UniformMomentum,
     UnnormalizableSpec,
+    advance_batch,
+    build_density_spec,
+    build_integrator_config,
+    build_system,
     ensemble_series,
     entropy,
     entropy_rate,
     minkowski,
+    preset_scenario,
     propagate,
     sample_ensemble,
 )
@@ -346,6 +352,45 @@ def test_ensemble_series_rows_and_callbacks():
     assert steps >= 10
     assert [k for k, _ in seen] == list(range(11))
     assert e_end.lam == pytest.approx(5.0)
+
+
+def _block(e):
+    return np.column_stack([e.q, e.p, e.phi, np.log(e.f)])
+
+
+def test_one_report_series_equals_advance_batch():
+    e0 = sample_ensemble(_decay_system(0.1), _gaussian_spec(), 200, seed=43)
+    cfg = IntegratorConfig(max_step=0.7)
+    e_end, rows, steps = ensemble_series(e0, 2.0, 1, SB, cfg)
+    block, ref_steps = advance_batch(e0.sys, _block(e0), 2.0, cfg)
+    assert steps == ref_steps
+    assert np.array_equal(_block(e_end)[:, 0:9], block[:, 0:9])
+    assert np.array_equal(e_end.f, np.exp(block[:, 9]))
+    assert rows[1, 0] == e_end.lam == 2.0
+
+
+def test_decay_gas_series_is_one_step_sequence():
+    # The step size and the FSAL stage carry over between reports, so the
+    # series takes fewer than two steps per report where restarting every
+    # interval at dlam/8 took three; its rows match that restarted run.
+    cfg = preset_scenario("decay-gas")
+    cfg = replace(cfg, initial={**cfg.initial, "n": 500})
+    e0 = sample_ensemble(build_system(cfg), build_density_spec(cfg), 500, cfg.initial["seed"])
+    icfg = build_integrator_config(cfg)
+    span, reports = cfg.stop[0]["value"], cfg.outputs["reports"]
+    _, rows, steps = ensemble_series(e0, span, reports, SB, icfg)
+    assert steps < 2 * reports
+
+    dlam = span / reports
+    e, ref = e0, [(e0.lam, e0.total_weight(), entropy(e0, SB), entropy_rate(e0, SB))]
+    for _ in range(reports):
+        block, _ = advance_batch(e.sys, _block(e), dlam, icfg)
+        e = Ensemble(sys=e.sys, lam=e.lam + dlam, q=block[:, 0:4], p=block[:, 4:8],
+                     phi=block[:, 8], w=e.w.copy(), f=np.exp(block[:, 9]))
+        ref.append((e.lam, e.total_weight(), entropy(e, SB), entropy_rate(e, SB)))
+    ref = np.array(ref)
+    assert np.array_equal(rows[:, 0:2], ref[:, 0:2])
+    assert np.max(np.abs(rows[:, 2:] - ref[:, 2:]) / np.abs(ref[:, 2:])) <= 1e-12
 
 
 def test_ensemble_series_validates_arguments():

@@ -22,7 +22,7 @@ from contactrel import (
     preset_scenario,
     serialize_scenario,
 )
-from contactrel.cli import execute_single, main
+from contactrel.cli import execute_ensemble, execute_single, main
 from contactrel.scenario import PRESETS, run_ensemble
 
 
@@ -346,6 +346,19 @@ def test_cli_ensemble_outputs_and_determinism(tmp_path, capsys):
     series = (dir_a / "gas_series.csv").read_text().splitlines()
     assert series[0] == "lambda,total_weight,entropy,entropy_rate_analytic"
     assert len(series) == 6  # header + reports + 1
+
+
+def test_ensemble_report_counts_rejected_steps(tmp_path):
+    # at rel_tol 1e-12 the step-size controller overshoots and retries; the
+    # report carries the counts of the one stepping loop behind the series
+    doc = _gas_doc(reports=2)
+    doc["stop"] = [{"kind": "lambda_reached", "value": 5.0}]
+    doc["integrator"] = {"rel_tol": 1e-12, "abs_tol": 1e-14}
+    cfg = load_scenario(doc)
+    stats = run_ensemble(cfg)[3]
+    rows, report = execute_ensemble(cfg, str(tmp_path))
+    assert report.steps_rejected == stats["steps_rejected"] >= 1
+    assert report.steps == stats["steps_accepted"]
 
 
 def test_cli_ensemble_csv_jsonl_parity(tmp_path, capsys):
