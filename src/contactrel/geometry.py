@@ -130,7 +130,11 @@ def inverse_metric(metric: MetricField, q: np.ndarray, phi) -> np.ndarray:
 
 def lowered_metric(metric: MetricField, q: np.ndarray, phi) -> np.ndarray:
     """g_{mu nu} by inversion of the validated inverse metric."""
-    g = inverse_metric(metric, q, phi)
+    return _lower(metric, inverse_metric(metric, q, phi))
+
+
+def _lower(metric: MetricField, g: np.ndarray) -> np.ndarray:
+    """Symmetrised inverse of an already validated inverse metric g."""
     if np.any(np.linalg.cond(g) > CONDITION_LIMIT):
         raise SingularMetric(
             f"metric '{metric.name}' is numerically singular at the requested point"
@@ -242,7 +246,7 @@ def christoffel(metric: MetricField, q: np.ndarray, phi) -> np.ndarray:
     """
     q = np.asarray(q, dtype=float)
     g = inverse_metric(metric, q, phi)
-    gl = lowered_metric(metric, q, phi)
+    gl = _lower(metric, g)
     dq, _ = metric_derivatives(metric, q, phi)
     # L[..., s, b, a] = d g_{sb} / d q^a
     L = -np.einsum("...sm,...mna,...nb->...sba", gl, dq, gl)

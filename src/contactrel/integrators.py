@@ -12,9 +12,12 @@ block (n, d) alike: :func:`integrate`, :func:`geodesic_reference` and
 and what they keep of the accepted samples.  Its steppers are an embedded
 Dormand-Prince 5(4) pair with FSAL, whose error norm is the worst row's RMS,
 and a classic RK4 that splits a lambda span into ceil(span/fixed_step) equal
-steps.  Stop conditions are located on the cubic Hermite interpolant of each
-accepted step and refined by bisection, so the final sample sits on the stop
-surface to root-finding precision.
+steps.  A Dormand-Prince series of reports reads its intermediate reports off
+the pair's 4th-order continuous extension (Hairer, Norsett & Wanner, Solving
+ODEs I, II.6), so its steps follow the tolerance, not the report count.  Stop
+conditions are located on the cubic Hermite interpolant of each accepted step
+and refined by bisection, so the final sample sits on the stop surface to
+root-finding precision.
 """
 
 from __future__ import annotations
@@ -175,6 +178,20 @@ _DP_A = (
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
 _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# continuous extension: b_j(theta) = sum_r _DP_P[j][r] theta^(r+1)
+_DP_P = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
 
 
 def _combine(coeffs, ks):
@@ -187,20 +204,39 @@ def _combine(coeffs, ks):
 
 
 def _dp_step(rhs, lam, y, h, k1):
-    """One embedded step; returns (y5, k_end, err).  k_end = f(lam+h, y5) (FSAL).
+    """One embedded step; returns (y5, stages, err).
 
-    k_end is the array rhs returned, not a view into a stage stack, so a
-    caller that keeps it across steps keeps no other stage alive.
+    stages lists the stage derivatives k_0..k_6, with k_6 = f(lam+h, y5)
+    (FSAL) and k_1 = None: stage 7, the error estimate and the dense output
+    all give k_1 weight 0, so it is dropped once stage 6's input is built.
+    Each stage is the array rhs returned, not a view into a stack, so a
+    caller that keeps k_6 across steps keeps no other stage alive.
     """
     k = [k1]
     for i in range(1, 7):
         yi = _combine(_DP_A[i], k)
+        if i == 5:
+            k[1] = None
         yi *= h
         yi += y
         k.append(rhs(lam + _DP_C[i] * h, yi))
     err = _combine(_DP_E, k)
     err *= h
-    return yi, k[6], err
+    return yi, k, err
+
+
+def _dp_dense(y, h, stages, theta):
+    """State at fraction theta of an accepted step from y of width h.
+
+    Dormand-Prince's continuous extension y + h sum_j b_j(theta) k_j, 4th
+    order in h; exactly y at theta = 0 and the step's y5 to round-off at 1.
+    """
+    powers = (theta, theta * theta, theta ** 3, theta ** 4)
+    b = [sum(c * t for c, t in zip(row, powers)) for row in _DP_P]
+    out = _combine(b, stages)
+    out *= h
+    out += y
+    return out
 
 
 def _rk4_step(rhs, lam, y, h, k1):
@@ -211,11 +247,19 @@ def _rk4_step(rhs, lam, y, h, k1):
 
 
 def _error_norm(err, y0, y1, cfg, ncore):
-    """Worst per-row RMS of err over the first ncore columns, scaled by tolerance."""
-    sc = cfg.abs_tol + cfg.rel_tol * np.maximum(
-        np.abs(y0[..., :ncore]), np.abs(y1[..., :ncore])
-    )
-    return float(np.max(np.sqrt(np.mean((err[..., :ncore] / sc) ** 2, axis=-1))))
+    """Worst per-row RMS of err over the first ncore columns, scaled by tolerance.
+
+    The scale abs_tol + rel_tol max(|y0|, |y1|) and then (err / scale)^2
+    are built in place in one array, by the operations of the plain
+    expression in the same order, so the norm is bit-identical to it.
+    """
+    sc = np.abs(y0[..., :ncore])
+    np.maximum(sc, np.abs(y1[..., :ncore]), out=sc)
+    sc *= cfg.rel_tol
+    sc += cfg.abs_tol
+    np.divide(err[..., :ncore], sc, out=sc)
+    np.square(sc, out=sc)
+    return float(np.max(np.sqrt(np.mean(sc, axis=-1))))
 
 
 def _initial_step(rhs, lam0, y0, f0, cfg, ncore, lam_span):
@@ -242,11 +286,13 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, h0=None, project=N
     """Advance y0, a (d,) state or an (n, d) marker block, from lam = 0.
 
     The run ends at lam = span (either sign; None when there is no lambda
-    stop) or when an event fires.  Steps are clipped to land on lam =
-    k span / reports for k = 1..reports, and ``on_report(k, y)`` is called
-    on each landing; the step-size proposal and the FSAL stage carry over
-    from one landing to the next, so a series of reports is one step
-    sequence.  ``events`` is a list of (label, fn) with fn(lam, y) -> float;
+    stop) or when an event fires.  ``on_report(k, y)`` receives the state at
+    lam = k span / reports for k = 1..reports, in order, and the series is
+    one step sequence: the step-size proposal and the FSAL stage carry over
+    from report to report.  rk45 lands a step only on the span end and reads
+    every earlier report off the dense output (:func:`_dp_dense`) of the
+    accepted step that passes it; rk4 lands a step on every report.
+    ``events`` is a list of (label, fn) with fn(lam, y) -> float;
     an event fires when its value crosses zero between accepted samples.
     ``sample(lam, y, f)``, if given, receives the start and every accepted
     sample, with f = rhs(lam, y).  All rows share one step sequence and the
@@ -267,14 +313,16 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, h0=None, project=N
     termination = None
     accepted = rejected = 0
     k = 1
-    interval = target = None if span is None else span / reports
+    interval = None if span is None else span / reports
+    dense = cfg.method == "rk45" and reports > 1
+    target = span if dense else interval
 
     if cfg.method == "rk4":
         h = float(cfg.fixed_step)
         if span is not None:
             h = abs(interval) / max(1, math.ceil(abs(interval) / h))
     elif h0 is None:
-        h = _initial_step(rhs, lam, y, f, cfg, ncore, -1.0 if span is None else target)
+        h = _initial_step(rhs, lam, y, f, cfg, ncore, -1.0 if span is None else interval)
     else:
         h = h0
 
@@ -290,10 +338,12 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, h0=None, project=N
             h_try = min(h_try, cfg.max_step)
             # attempt until the error controller accepts
             while True:
-                y_new, f_new, err = _dp_step(rhs, lam, y, direction * h_try, f)
+                y_new, stages, err = _dp_step(rhs, lam, y, direction * h_try, f)
                 norm = _error_norm(err, y, y_new, cfg, ncore)
+                err = None
                 if norm <= 1.0:
                     break
+                y_new = stages = None  # freed before the retry builds its own
                 rejected += 1
                 h_try *= max(0.2, 0.9 * norm ** -0.2)
                 if h_try < cfg.min_step:
@@ -302,6 +352,9 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, h0=None, project=N
                     )
             factor = 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm ** -0.2))
             h = min(cfg.max_step, h_try * factor)
+            f_new = stages[6]
+            if not dense:
+                stages = None
         else:
             y_new = _rk4_step(rhs, lam, y, direction * h_try, f)
             f_new = None
@@ -347,6 +400,18 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, h0=None, project=N
                 t_star = (lam_star - lam) / hs
             if hit is None or direction * lam_star < direction * hit[0]:
                 hit = (lam_star, t_star, label)
+
+        if dense:
+            # read the reports this step passes (up to an event) off its dense
+            # output; free the stages, and each report once it is handed on
+            lam_end = lam_new if hit is None else hit[0]
+            passed = []
+            while k < reports and direction * k * interval <= direction * lam_end:
+                passed.append((k, _dp_dense(y, hs, stages, (k * interval - lam) / hs)))
+                k += 1
+            stages = None
+            while passed and on_report is not None:
+                on_report(*passed.pop(0))
 
         if hit is not None:
             lam_star, t_star, label = hit
@@ -668,10 +733,12 @@ def geodesic_reference(
 def _advance_block(sys, y, span, reports, cfg, on_report):
     """:func:`advance_batch` over span as ``reports`` equal intervals in one run.
 
-    The steps land on every interval's end, where on_report(k, block)
-    receives the block (k = 1..reports); h and the FSAL stage carry over from
-    one interval to the next.  The first rk45 step is
-    min(|span / reports|/8, max_step).  Returns the loop's step counts.
+    on_report(k, block) receives the block at the end of interval k
+    (k = 1..reports).  rk45 lands a step only on the span end and reads the
+    earlier reports off the dense output; rk4 lands on every interval's end.
+    h and the FSAL stage carry over from one interval to the next.  The
+    first rk45 step is min(|span / reports|/8, max_step).  Returns the
+    loop's step counts.
     """
     if span == 0.0:
         for k in range(1, reports + 1):

@@ -246,8 +246,10 @@ def _march(
 ) -> tuple[Ensemble, dict]:
     """Move e by dlam_total in ``reports`` equal intervals, as one step sequence.
 
-    on_report(k, ensemble) receives the ensemble after interval k.  Returns
-    the ensemble at the end and the stepping loop's step counts.
+    on_report(k, ensemble) receives the ensemble after interval k; with rk45
+    only the span end is a step end, and the earlier reports are read off
+    the dense output.  Only the final ensemble is kept.  Returns it and the
+    stepping loop's step counts.
     """
     if not math.isfinite(dlam_total):
         raise ValueError("dlam must be finite")
@@ -257,11 +259,12 @@ def _march(
     block[:, 4:8] = e.p
     block[:, 8] = e.phi
     block[:, 9] = np.log(e.f)
-    cur = e
+    lam = e.lam
+    end = e
 
     def land(k: int, y: np.ndarray):
-        nonlocal cur
-        lam = cur.lam + dlam
+        nonlocal lam, end
+        lam = lam + dlam
         f = np.exp(y[:, 9])
         if not np.all(f > 0.0):
             # Ensemble() would raise too, but without the lambda.
@@ -276,9 +279,11 @@ def _march(
         )
         if on_report is not None:
             on_report(k, cur)
+        if k == reports:
+            end = cur
 
     stats = _advance_block(e.sys, block, dlam_total, reports, cfg or IntegratorConfig(), land)
-    return cur, stats
+    return end, stats
 
 
 def propagate(e: Ensemble, dlam: float, cfg: IntegratorConfig | None = None) -> Ensemble:
@@ -360,14 +365,15 @@ def ensemble_series(
 ) -> tuple[Ensemble, np.ndarray, int]:
     """Advance an ensemble in ``reports`` equal intervals, logging a row each.
 
-    The markers follow one step sequence over the whole span: its steps land
-    on every report, and the step size and the last field evaluation carry
-    over from one interval to the next, so cfg.max_steps bounds the steps of
-    the whole series.  Returns (final ensemble, rows, total accepted steps)
-    where rows has shape (reports + 1, 4) with columns (lambda, total weight,
-    entropy, analytic entropy rate).  The optional ``on_report`` callback
-    receives (report index, ensemble) at the initial instant and after every
-    interval, e.g. to write snapshots.
+    The markers follow one step sequence over the whole span, so
+    cfg.max_steps bounds the steps of the whole series.  With rk45 the
+    reports are read off the steps' dense output and only the span end is
+    landed on, so the step count follows the tolerance, not ``reports``;
+    rk4 lands a step on every report.  Returns (final ensemble, rows, total
+    accepted steps) where rows has shape (reports + 1, 4) with columns
+    (lambda, total weight, entropy, analytic entropy rate).  The optional
+    ``on_report`` callback receives (report index, ensemble) at the initial
+    instant and after every interval, e.g. to write snapshots.
     """
     e_end, rows, stats = _series(e, dlam_total, reports, functional, cfg, on_report)
     return e_end, rows, stats["steps_accepted"]

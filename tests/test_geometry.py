@@ -144,6 +144,24 @@ def test_christoffel_symmetry_and_compatibility():
         assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
+def test_christoffel_validates_the_metric_once(monkeypatch):
+    calls = []
+    validate = geometry.inverse_metric
+
+    def counted(*args):
+        calls.append(1)
+        return validate(*args)
+
+    monkeypatch.setattr(geometry, "inverse_metric", counted)
+    m = _point_mass_metric()
+    q = np.array([0.1, 1.3, -0.4, 0.8])
+    gamma = christoffel(m, q, 0.0)
+    assert len(calls) == 1
+    gl = np.linalg.inv(validate(m, q, 0.0))
+    assert np.array_equal(geometry._lower(m, validate(m, q, 0.0)), 0.5 * (gl + gl.T))
+    assert gamma.shape == (4, 4, 4)
+
+
 def test_lowered_metric_is_inverse():
     m = _point_mass_metric()
     q = np.array([0.1, 1.3, -0.4, 0.8])

@@ -38,7 +38,13 @@ from contactrel import (
     weak_field,
 )
 from contactrel import integrators
-from contactrel.integrators import _dp_step, _hermite_eval, _hermite_slope
+from contactrel.integrators import (
+    _dp_dense,
+    _dp_step,
+    _error_norm,
+    _hermite_eval,
+    _hermite_slope,
+)
 
 ALPHA = 0.1
 
@@ -424,12 +430,105 @@ def test_dp_step_fsal_stage_owns_its_memory():
         return out
 
     y = np.linspace(0.0, 1.0, 30).reshape(3, 10)
-    y5, k_end, err = _dp_step(rhs, 0.0, y, 0.1, rhs(0.0, y))
+    y5, ks, err = _dp_step(rhs, 0.0, y, 0.1, rhs(0.0, y))
+    k_end = ks[6]
+    assert ks[1] is None  # weight 0 in stage 7, the error estimate and the dense output
     assert k_end.base is None and k_end.shape == y.shape
     assert k_end is stages[-1]
     for other in (y5, err, *stages[:-1]):
         assert not np.shares_memory(k_end, other)
     assert np.array_equal(k_end, np.cos(y5) - 0.1 * y5)
+
+
+def _reference_error_norm(err, y0, y1, cfg, ncore):
+    """The error norm written as one expression, with its temporaries."""
+    sc = cfg.abs_tol + cfg.rel_tol * np.maximum(
+        np.abs(y0[..., :ncore]), np.abs(y1[..., :ncore])
+    )
+    return float(np.max(np.sqrt(np.mean((err[..., :ncore] / sc) ** 2, axis=-1))))
+
+
+@pytest.mark.parametrize("shape", [(1000, 10), (10,)])
+def test_error_norm_in_place_is_bit_identical(shape):
+    rng = np.random.default_rng(7)
+    cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11)
+    for scale in (1e-12, 1.0, 1e6):
+        err, y0, y1 = (scale * rng.normal(size=shape) for _ in range(3))
+        y0[..., 0] = 0.0  # rows where abs_tol dominates the scale
+        args = [a.copy() for a in (err, y0, y1)]
+        got = _error_norm(*args, cfg, 9)
+        assert got == _reference_error_norm(err, y0, y1, cfg, 9)
+        assert all(np.array_equal(a, b) for a, b in zip(args, (err, y0, y1)))
+
+
+def _wavy_rhs(lam, y):
+    return np.cos(y) - 0.1 * y
+
+
+def test_dense_output_ends_on_the_step():
+    y = np.random.default_rng(3).normal(size=(50, 10))
+    y5, ks, _ = _dp_step(_wavy_rhs, 0.0, y, 0.3, _wavy_rhs(0.0, y))
+    assert np.array_equal(_dp_dense(y, 0.3, ks, 0.0), y)
+    ulp = np.finfo(float).eps * np.max(np.abs(y5))
+    assert np.max(np.abs(_dp_dense(y, 0.3, ks, 1.0) - y5)) <= 4 * ulp
+
+
+def test_dense_output_keeps_a_frozen_column_exact():
+    # a quadrature column whose derivative is exactly 0 (a photon's ln f)
+    def rhs(lam, y):
+        out = _wavy_rhs(lam, y)
+        out[:, 9] = 0.0
+        return out
+
+    y = np.random.default_rng(5).normal(size=(40, 10))
+    _, ks, _ = _dp_step(rhs, 0.0, y, 0.25, rhs(0.0, y))
+    for theta in (0.1, 1 / 3, 0.77, 1.0):
+        assert np.array_equal(_dp_dense(y, 0.25, ks, theta)[:, 9], y[:, 9])
+
+
+def test_dense_output_is_fourth_order():
+    # y' = -y from the exact y(0) = 1: the mid-step error of a 4th-order
+    # continuous extension is O(h^5), so halving h divides it by about 2^5
+    def rhs(lam, y):
+        return -y
+
+    errs = []
+    for h in (0.4, 0.2, 0.1):
+        y0 = np.ones(1)
+        _, ks, _ = _dp_step(rhs, 0.0, y0, h, rhs(0.0, y0))
+        errs.append(abs(_dp_dense(y0, h, ks, 0.5)[0] - math.exp(-0.5 * h)))
+    assert all(a / b >= 2 ** 4.5 for a, b in zip(errs, errs[1:]))
+
+
+def test_dense_coefficients_match_scipy():
+    rk = pytest.importorskip("scipy.integrate._ivp.rk")
+    assert np.array_equal(np.array(integrators._DP_P), rk.RK45.P)
+
+
+def test_rk45_series_of_a_flat_gas_matches_the_closed_form():
+    # 10^4 markers of a decaying-mass gas in flat space, all starting at
+    # phi = 0: at every report m(phi) = 1/(1 + alpha lam) and ln f has grown
+    # by 4 ln(1 + alpha lam), whatever the momentum.  The reports before the
+    # span end come off the dense output of steps that do not land on them.
+    sys, n, span, reports = _decay_sys(), 10_000, 5.0, 50
+    rng = np.random.default_rng(11)
+    y0 = np.zeros((n, 10))
+    p_spatial = rng.normal(0.0, 0.2, (n, 3))
+    y0[:, 4:8] = solve_p0_on_shell(sys, np.zeros((n, 4)), np.zeros(n), p_spatial)
+    y0[:, 9] = rng.normal(size=n)
+    cfg = IntegratorConfig()
+    seen = []
+    stats = integrators._advance_block(sys, y0, span, reports, cfg,
+                                       lambda k, y: seen.append((k, y)))
+    assert [k for k, _ in seen] == list(range(1, reports + 1))
+    assert stats["steps_accepted"] < reports
+    worst = 0.0
+    for k, y in seen:
+        lam = k * span / reports
+        m = sys.mass.value(y[:, 8])
+        worst = max(worst, np.max(np.abs(m * (1.0 + ALPHA * lam) - 1.0)),
+                    np.max(np.abs(y[:, 9] - y0[:, 9] - 4.0 * math.log1p(ALPHA * lam))))
+    assert worst <= 0.5 * cfg.rel_tol
 
 
 def test_advance_batch_max_steps_exceeded():
