@@ -18,6 +18,7 @@ import json
 import sys
 import tempfile
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -149,11 +150,15 @@ def execute_ensemble(cfg: ScenarioConfig, out_dir: str | None = None):
     def on_report(k, cur):
         if snap_stride and (k % snap_stride == 0 or k == reports):
             p = Path(f"{base}_snapshot_{k:04d}.{ext}")
-            output.write_ensemble_snapshot(cur, p, ext)
+            write_snapshot(cur, p)
             snap_paths.append(p)
 
     t0 = time.perf_counter()
-    e0, e_end, rows, stats = run_ensemble(cfg, on_report)
+    # snapshots are formatted beside the integration; leaving the writer waits
+    # for the last file, so the wall time ends when that file is complete
+    writer = output._snapshot_writer(ext) if snap_stride else nullcontext()
+    with writer as write_snapshot:
+        e0, e_end, rows, stats = run_ensemble(cfg, on_report)
     wall = time.perf_counter() - t0
 
     series_path = output.write_ensemble_series(rows, f"{base}_series.{ext}", ext)

@@ -22,6 +22,7 @@ full tensors for the geodesic reference and for inspection.
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -390,18 +391,68 @@ _EXPR_NAMESPACE = {
 }
 
 
+_EXPR_VALUES = frozenset({"x0", "x1", "x2", "x3", "phi", "pi", "e"})
+_EXPR_FUNCTIONS = frozenset(k for k, v in _EXPR_NAMESPACE.items() if callable(v))
+_EXPR_NODES = (
+    ast.Expression, ast.Constant, ast.Name, ast.Load, ast.Call, ast.BinOp, ast.UnaryOp,
+    ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub,
+)
+
+
+def _compile_entry(s: str, label: str):
+    """Compile one metric entry after checking it against the entry grammar.
+
+    The grammar: numeric literals, the names x0..x3, phi, pi and e,
+    ``+ - * / **``, unary +/-, and one-argument calls of the functions in
+    _EXPR_NAMESPACE.  Anything else raises ValueError before compilation, so a
+    scenario string cannot reach attributes, subscripts or builtins.  Literals
+    are compiled as floats: an integer power such as 9**9**9 cannot run
+    without bound, it overflows at once.
+    """
+    try:
+        tree = ast.parse(s, mode="eval")
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+        raise ValueError(f"cannot parse: {exc}") from None
+    callees = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    for node in ast.walk(tree):
+        if not isinstance(node, _EXPR_NODES):
+            raise ValueError(f"{type(node).__name__} is not allowed")
+        if isinstance(node, ast.Constant):
+            if type(node.value) not in (int, float):
+                raise ValueError(f"literal {node.value!r} is not a number")
+            try:
+                node.value = float(node.value)
+            except OverflowError:
+                raise ValueError("integer literal too large for a float") from None
+        elif isinstance(node, ast.Name):
+            allowed = _EXPR_FUNCTIONS if id(node) in callees else _EXPR_VALUES
+            if node.id not in allowed:
+                raise ValueError(f"name {node.id!r} is not allowed here")
+        elif isinstance(node, ast.Call):
+            if not isinstance(node.func, ast.Name):
+                raise ValueError("only the named functions can be called")
+            # a ufunc's second positional argument is its output array
+            if len(node.args) != 1 or node.keywords:
+                raise ValueError(f"{node.func.id}() takes exactly one argument")
+    try:
+        return compile(tree, label, "eval")
+    except RecursionError:  # nesting the parser accepted but the compiler does not
+        raise ValueError("expression is nested too deeply") from None
+
+
 def expression_metric(diag: Sequence[str], name: str = "expression") -> MetricField:
     """Diagonal inverse metric whose entries are numpy expressions.
 
     ``diag`` holds four strings over the variables x0..x3 and phi, e.g.
     ``("-(1 + 0.1*sin(x1))", "1", "1", "1")``.  Entries are evaluated with
     numpy semantics and broadcast over the batch; derivatives come from the
-    finite-difference fallback.  Expressions are compiled once and evaluated
-    in a restricted namespace (no builtins).
+    finite-difference fallback.  Each entry is checked against a small
+    grammar (:func:`_compile_entry`; ValueError otherwise), compiled once and
+    evaluated in a namespace without builtins.
     """
     if len(diag) != 4:
         raise ValueError("expression_metric needs exactly 4 diagonal entries")
-    codes = [compile(s, f"<metric diag[{i}]>", "eval") for i, s in enumerate(diag)]
+    codes = [_compile_entry(s, f"<metric diag[{i}]>") for i, s in enumerate(diag)]
 
     def func(q, phi):
         batch = q.shape[:-1]

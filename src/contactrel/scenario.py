@@ -147,11 +147,11 @@ def _norm_metric(d, path="metric") -> dict:
         raise ValidationError(f"{path}.diag", "expected a list of 4 expression strings")
     for i, s in enumerate(diag):
         _as_str(s, f"{path}.diag[{i}]")
-    try:
-        trial = geometry.expression_metric(diag)
-        trial.func(np.zeros(4), 0.0)
-    except Exception as exc:  # compile or evaluation failure
-        raise ValidationError(f"{path}.diag", f"invalid expression: {exc}")
+        try:  # the entry alone, so that the error names it: grammar, then the origin
+            geometry.expression_metric([s] * 4).func(np.zeros(4), 0.0)
+        except Exception as exc:
+            raise ValidationError(f"{path}.diag[{i}]",
+                                  f"invalid expression: {type(exc).__name__}: {exc}")
     return {"kind": "expression", "diag": [str(s) for s in diag]}
 
 

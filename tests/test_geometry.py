@@ -187,9 +187,15 @@ def test_expression_metric_rejects_wrong_arity():
 
 
 def test_expression_metric_has_no_builtins():
-    bad = expression_metric(["-(1)", "1", "1", "__import__('os').getpid()"], name="evil")
-    with pytest.raises(NameError):
-        bad.func(np.zeros((1, 4)), 0.0)
+    # refused by the entry grammar when the metric is built, before any evaluation
+    with pytest.raises(ValueError, match="only the named functions can be called"):
+        expression_metric(["-(1)", "1", "1", "__import__('os').getpid()"], name="evil")
+
+
+@pytest.mark.parametrize("entry", ["-" * 2000 + "1", "(" * 300 + "1" + ")" * 300, "9" * 5000])
+def test_expression_metric_refuses_what_it_cannot_compile(entry):
+    with pytest.raises(ValueError):
+        expression_metric(["-1", "1", "1", entry])
 
 
 def test_non_finite_metric_rejected():

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import ast
 import copy
 import json
 import math
+import re
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactrel import (
     GaussianMomentum,
@@ -97,6 +102,98 @@ def test_zero_rest_mass_in_decay_law_rejected():
 def test_negative_decay_rate_is_allowed():
     cfg = load_scenario(_minimal(mass={"kind": "exp_decay", "m0": 1.0, "alpha": -0.1}))
     assert cfg.mass["alpha"] == -0.1
+
+
+def _expression_doc(entry: str) -> dict:
+    return _minimal(metric={"kind": "expression", "diag": ["-1", "1", "1", entry]})
+
+
+@pytest.mark.parametrize("entry", [
+    "().__class__.__base__.__subclasses__().__len__()*0+1",  # attribute walk
+    "1+0*2**1100",  # literals are floats, so this overflows instead of giving 1
+    "1+0*9**9**9",  # as integers, a power that would never end
+    "sin(x1, x2)",  # a ufunc's second argument is its output array
+    "abs(x1, out=x1)",
+    "pi(1)",
+    "sin + 1",
+    "x1[0]",
+    "True",
+    "'1'",
+])
+def test_expression_outside_the_grammar_is_rejected_fast(entry):
+    t0 = time.perf_counter()
+    with pytest.raises(ValidationError, match=re.escape("metric.diag[3]")):
+        load_scenario(_expression_doc(entry))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_every_documented_expression_loads():
+    for entry in ["-(1 + 0.1*sin(x1))",  # the README example
+                  "-(1 + 0.1*sin(0.7*x1 + 0.5*phi))", "1 + 0.1*cos(0.7*x2)",
+                  "-(1 + 0.2*sin(x1 + 0.5*phi))", "1 + 0.1*x2**2", "-1e308",
+                  "+exp(-x3**2/2)*sqrt(abs(tanh(x0))+pi)/log(e+2)"]:
+        cfg = load_scenario(_expression_doc(entry))
+        assert cfg.metric["diag"][3] == entry
+
+
+# the entry grammar, written out independently of geometry.py
+_GRAMMAR_NODES = (
+    ast.Expression, ast.Constant, ast.Name, ast.Load, ast.Call, ast.BinOp, ast.UnaryOp,
+    ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub,
+)
+_GRAMMAR_VALUES = {"x0", "x1", "x2", "x3", "phi", "pi", "e"}
+_GRAMMAR_FUNCTIONS = {"sin", "cos", "tan", "exp", "log", "sqrt", "tanh", "abs"}
+_FUZZ_TOKENS = [
+    "x0", "x1", "phi", "pi", "e", "sin", "abs", "exp", "1", "2.5", "9", "0",
+    "(", ")", ",", "+", "-", "*", "/", "**", " ",
+    ".", "[", "]", ":", "=", "'os'", "lambda", "__class__", "__import__",
+    "__subclasses__", "__builtins__", "getattr", "True",
+]
+# nested templates reach well-formed expressions far more often than a flat
+# token string; str.format ignores the second operand of one-operand forms
+_FUZZ_TEMPLATES = [
+    "({}+{})", "({}-{})", "({}*{})", "({}/{})", "({}**{})", "-{}", "sin({})", "exp({})",
+    "abs({}, {})", "{}.__class__", "{}[{}]", "(lambda: {})", "__import__({})",
+]
+_FUZZ_ENTRIES = st.one_of(
+    st.lists(st.sampled_from(_FUZZ_TOKENS), min_size=1, max_size=12).map("".join),
+    st.recursive(
+        st.sampled_from(_FUZZ_TOKENS[:12] + ["()", "'os'", "__class__", "True"]),
+        lambda inner: st.builds(str.format, st.sampled_from(_FUZZ_TEMPLATES), inner, inner),
+        max_leaves=8,
+    ),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_FUZZ_ENTRIES)
+def test_expression_loader_fuzz(entry):
+    with np.errstate(all="ignore"):
+        try:
+            load_scenario(_expression_doc(entry))
+        except ValidationError as exc:
+            assert exc.field == "metric.diag[3]"
+            # outside the grammar, the refusal comes before any evaluation
+            assert _in_grammar(entry) or exc.reason.startswith("invalid expression: ValueError")
+            return
+    assert _in_grammar(entry)
+
+
+def _in_grammar(entry: str) -> bool:
+    try:
+        tree = ast.parse(entry, mode="eval")
+    except (SyntaxError, ValueError, RecursionError, MemoryError):
+        return False
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    callees = {id(c.func) for c in calls}
+    return all(
+        isinstance(node, _GRAMMAR_NODES)
+        and (not isinstance(node, ast.Name)
+             or node.id in (_GRAMMAR_FUNCTIONS if id(node) in callees else _GRAMMAR_VALUES))
+        and (not isinstance(node, ast.Constant) or type(node.value) in (int, float))
+        for node in ast.walk(tree)
+    ) and all(isinstance(c.func, ast.Name) and len(c.args) == 1 and not c.keywords
+              for c in calls)
 
 
 def test_parse_error_reports_position():
