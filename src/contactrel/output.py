@@ -128,23 +128,46 @@ def write_ensemble_snapshot(ensemble, path: str | Path, fmt_style: str = "csv") 
 # --- the forked snapshot writer -----------------------------------------------------
 
 
-def _usable_cpus() -> int:
+# where a container's CPU quota shows: cgroup v2's "quota period" ("max" for
+# none), then cgroup v1's quota (-1 for none) and period
+_CPU_QUOTA_FILES = (
+    ("/sys/fs/cgroup/cpu.max",),
+    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"),
+)
+
+
+def _usable_cpus() -> float:
+    """CPUs this process may run on, capped by a cgroup CPU quota."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not every platform has CPU affinity
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    for files in _CPU_QUOTA_FILES:
+        try:
+            quota, period = " ".join(Path(f).read_text() for f in files).split()
+            quota, period = int(quota), int(period)
+        except (OSError, ValueError):
+            continue
+        if quota > 0 and period > 0:
+            return min(cpus, quota / period)
+    return cpus
 
 
 def _fork_context():
     """The "fork" multiprocessing context, or None where the writer would not pay.
 
-    multiprocessing is imported here and not at module level: it costs about
-    15 ms and 0.6 MB, which runs that write no snapshots should not pay.
+    On one CPU (pinned with taskset) the forked writer made gas-flat's best
+    job 9% slower and 10% costlier in CPU time than formatting in-process,
+    so it needs two CPUs' worth of time (BENCH_10.json).  multiprocessing is
+    imported here and not at module level: it costs about 15 ms and 0.6 MB,
+    which runs that write no snapshots should not pay.
     """
     if _usable_cpus() < 2:
         return None
     import multiprocessing
 
+    if multiprocessing.current_process().daemon:
+        return None  # a daemonic process, such as a Pool worker, may not start children
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # no fork on this platform
@@ -163,32 +186,38 @@ def _snapshot_child(conn, parent_end, fmt_style: str):
     while True:
         try:
             path = conn.recv_bytes()
-        except EOFError:
+            block = conn.recv_bytes() if path else b""
+        except EOFError:  # also a snapshot cut short by an interrupted send
             return
         if not path:
             return
-        block = conn.recv_bytes()
         try:
             rows = np.frombuffer(block).reshape(-1, len(SNAPSHOT_COLUMNS))
             _write_table(Path(os.fsdecode(path)), SNAPSHOT_COLUMNS, rows, fmt_style)
         except Exception as exc:
-            conn.send_bytes(f"{type(exc).__name__}: {exc}".encode())
+            answer = f"{type(exc).__name__}: {exc}".encode()
         else:
-            conn.send_bytes(b"")
+            answer = b""
+        try:
+            conn.send_bytes(answer)
+        except OSError:
+            return  # the parent stopped listening, interrupted while it waited
 
 
 @contextmanager
 def _snapshot_writer(fmt_style: str):
     """Yield write(ensemble, path), which writes one ensemble snapshot.
 
-    With two usable CPUs and the "fork" start method, one writer process
-    formats the snapshots while the caller keeps stepping.  Each snapshot goes
-    over a pipe as the raw bytes of its row block, with at most one in flight.
-    On leaving the block, normally or by a raise, the pipe is drained and the
-    writer joined, so every snapshot file handed over is complete.  A writer
-    failure raises OSError naming the snapshot path; it is raised at the next
-    write or on a normal exit, never over another exception.  Otherwise each
-    write calls :func:`write_ensemble_snapshot` in this process.
+    With two usable CPUs (a cgroup quota counts), the "fork" start method and
+    a caller that is not a daemonic process, one writer process formats the
+    snapshots while the caller keeps stepping.  Each snapshot goes over a pipe
+    as the raw bytes of its row block, with at most one in flight.  On leaving
+    the block, normally or by a raise, the pipe is drained and the writer
+    joined, so every snapshot file handed over is complete; a Ctrl-C during
+    that wait still joins the writer.  A writer failure raises OSError naming
+    the snapshot path; it is raised at the next write or on a normal exit,
+    never over another exception.  Otherwise each write calls
+    :func:`write_ensemble_snapshot` in this process.
     """
     ctx = _fork_context()
     if ctx is None:
@@ -231,9 +260,11 @@ def _snapshot_writer(fmt_style: str):
             settle()
         except OSError:
             pass  # an exception is already on its way out
-        try:
-            conn.send_bytes(b"")
-        except OSError:
-            pass  # the writer is gone already
-        conn.close()
-        proc.join()
+        finally:
+            # also when Ctrl-C lands while settle() waits
+            try:
+                conn.send_bytes(b"")
+            except OSError:
+                pass  # the writer is gone already
+            conn.close()
+            proc.join()

@@ -8,8 +8,10 @@ import math
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -175,6 +177,67 @@ def test_one_cpu_writes_in_process(tmp_path, monkeypatch, parent_writes):
     _refuse_fork(monkeypatch)
     _, report = execute_ensemble(_gas(snapshot_stride=2), str(tmp_path))
     assert parent_writes == [Path(p).name for p in report.paths[1:]]
+
+
+def test_daemonic_caller_writes_in_process(tmp_path, parent_writes, two_cpus):
+    # a multiprocessing.Pool worker is daemonic and may not start a writer
+    cfg = _gas(snapshot_stride=2)
+    expected = _reference_snapshots(cfg, tmp_path / "ref")
+    out = tmp_path / "daemon"
+    out.mkdir()
+    worker = multiprocessing.get_context("fork").Process(
+        target=execute_ensemble, args=(cfg, str(out)), daemon=True)
+    worker.start()
+    worker.join()
+    assert worker.exitcode == 0
+    assert {p.name: p.read_bytes() for p in out.glob("gas_snapshot_*")} == expected
+
+
+@pytest.mark.parametrize("body_raises", [False, True], ids=["normal-exit", "raising-exit"])
+def test_ctrl_c_while_waiting_still_joins_the_writer(
+        tmp_path, monkeypatch, parent_writes, two_cpus, body_raises):
+    # the writer takes a second over the snapshot, and Ctrl-C comes while the
+    # caller waits for it on leaving the writer, normally or by a raise
+    cfg = _gas()
+    ensemble = kinetic.sample_ensemble(build_system(cfg), build_density_spec(cfg),
+                                       cfg.initial["n"], cfg.initial["seed"])
+    output.write_ensemble_snapshot(ensemble, tmp_path / "ref.csv")
+    write_table = output._write_table
+
+    def slow(*args):
+        time.sleep(1.0)
+        write_table(*args)
+
+    monkeypatch.setattr(output, "_write_table", slow)
+    path = tmp_path / "snap.csv"
+    ctrl_c = threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGINT))
+    with pytest.raises(KeyboardInterrupt):
+        with output._snapshot_writer("csv") as write:
+            write(ensemble, path)
+            ctrl_c.start()
+            if body_raises:
+                raise RuntimeError("the run failed")
+    ctrl_c.join()
+    assert multiprocessing.active_children() == []
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("v2, v1, cpus", [
+    ("100000 100000\n", None, 1.0),
+    ("150000 100000\n", None, 1.5),
+    ("max 100000\n", None, "affinity"),
+    (None, ("50000\n", "100000\n"), 0.5),
+    (None, ("-1\n", "100000\n"), "affinity"),
+    (None, None, "affinity"),
+])
+def test_usable_cpus_follow_a_cgroup_quota(tmp_path, monkeypatch, v2, v1, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    files = [tmp_path / "cpu.max", tmp_path / "cfs_quota_us", tmp_path / "cfs_period_us"]
+    for path, text in zip(files, [v2, *(v1 or (None, None))]):
+        if text is not None:
+            path.write_text(text)
+    monkeypatch.setattr(output, "_CPU_QUOTA_FILES", ((files[0],), tuple(files[1:])))
+    assert output._usable_cpus() == (4 if cpus == "affinity" else cpus)
 
 
 def test_no_snapshots_start_no_process(tmp_path, monkeypatch, parent_writes, two_cpus):
