@@ -38,7 +38,6 @@ from .errors import (
 from .geometry import (
     MetricField,
     christoffel,
-    contract,
     expression_metric,
     inverse_metric,
     lowered_metric,
@@ -115,7 +114,7 @@ __all__ = [
     "ParseError", "ValidationError",
     # geometry
     "MetricField", "inverse_metric", "lowered_metric", "metric_derivatives",
-    "contract", "christoffel", "minkowski", "weak_field",
+    "christoffel", "minkowski", "weak_field",
     "point_mass_potential", "uniform_gradient_potential", "expression_metric",
     # dynamics
     "ContactHamiltonianSystem", "ExtendedState", "ExtendedTangent", "MassModel",

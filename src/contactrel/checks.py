@@ -9,10 +9,8 @@ means.
 The contact-identity and divergence checks evaluate their random states in
 (n, .) blocks through the batched field (``dynamics._contact_residual_arrays``
 and ``_divergence_trace``), not one state at a time.  A block holds at most
-``_IDENTITY_BLOCK`` = 250 rows so that the largest temporary, the wavy
-metric's (n, 4, 4, 4) derivative tensor, stays under glibc's default mmap
-threshold; a bigger one raises that threshold when freed and costs the later
-gas runs several MB of peak RSS (see the constant's comment).
+``_IDENTITY_BLOCK`` = 250 rows, which keeps every temporary under glibc's
+default mmap threshold (see the constant's comment).
 
 ``perturb_divergence=True`` rescales the analytic divergence by 1% inside the
 divergence check; it exists so that the battery can be shown to catch a
@@ -63,36 +61,14 @@ class CheckResult:
 # --- shared fixtures ----------------------------------------------------------
 
 
-def _wavy_metric() -> geometry.MetricField:
-    """Analytic diagonal metric with q and phi dependence, for identity checks."""
-    a, b, k, w = 0.1, 0.1, 0.7, 0.5
-
-    def func(q, phi):
-        phi = np.asarray(phi, dtype=float)
-        g = np.zeros(q.shape[:-1] + (4, 4))
-        g[..., 0, 0] = -(1.0 + a * np.sin(k * q[..., 1] + w * phi))
-        g[..., 1, 1] = 1.0 + b * np.cos(k * q[..., 2])
-        g[..., 2, 2] = 1.0 + b * np.sin(k * q[..., 3] + w * phi)
-        g[..., 3, 3] = 1.0 + b * np.cos(k * q[..., 1])
-        return g
-
-    def d_q(q, phi):
-        phi = np.asarray(phi, dtype=float)
-        out = np.zeros(q.shape[:-1] + (4, 4, 4))
-        out[..., 0, 0, 1] = -a * k * np.cos(k * q[..., 1] + w * phi)
-        out[..., 1, 1, 2] = -b * k * np.sin(k * q[..., 2])
-        out[..., 2, 2, 3] = b * k * np.cos(k * q[..., 3] + w * phi)
-        out[..., 3, 3, 1] = -b * k * np.sin(k * q[..., 1])
-        return out
-
-    def d_phi(q, phi):
-        phi = np.asarray(phi, dtype=float)
-        out = np.zeros(q.shape[:-1] + (4, 4))
-        out[..., 0, 0] = -a * w * np.cos(k * q[..., 1] + w * phi)
-        out[..., 2, 2] = b * w * np.cos(k * q[..., 3] + w * phi)
-        return out
-
-    return geometry.MetricField(func=func, d_q=d_q, d_phi=d_phi, name="wavy")
+# Diagonal metric with q and phi dependence, for the identity checks; also the
+# metric of the gas-curved benchmark workload
+WAVY_DIAG = (
+    "-(1 + 0.1*sin(0.7*x1 + 0.5*phi))",
+    "1 + 0.1*cos(0.7*x2)",
+    "1 + 0.1*sin(0.7*x3 + 0.5*phi)",
+    "1 + 0.1*cos(0.7*x1)",
+)
 
 
 def _identity_metrics() -> list[geometry.MetricField]:
@@ -100,16 +76,16 @@ def _identity_metrics() -> list[geometry.MetricField]:
     return [
         geometry.minkowski(),
         geometry.weak_field(pot, grad, c=1.0, name="weak-field"),
-        _wavy_metric(),
+        geometry.expression_metric(WAVY_DIAG, name="wavy"),
     ]
 
 
-# Rows per block of the identity checks.  The wavy metric's analytic d_q is
-# an (n, 4, 4, 4) float64 tensor: 250 rows make it 128 000 B, under glibc's
-# default 128 KiB mmap threshold.  A larger tensor is served by mmap, and
-# freeing it raises glibc's dynamic threshold, so the later 10^4-marker gas
-# runs land on the brk heap and the peak RSS of verify --all-presets grows by
-# about 4 MB.  Smaller blocks measured the same as 250.
+# Rows per block of the identity checks, set so that the wavy metric's old
+# (n, 4, 4, 4) derivative tensor (128 000 B) stayed under glibc's default 128 KiB
+# mmap threshold: freeing a larger temporary raises glibc's dynamic threshold,
+# so the later 10^4-marker gas runs land on the brk heap and the peak RSS of
+# verify --all-presets grows by about 4 MB.  Not measured again since the
+# contraction stopped building that tensor.
 _IDENTITY_BLOCK = 250
 
 

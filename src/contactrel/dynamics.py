@@ -182,7 +182,7 @@ class ExtendedTangent:
 # --- batched internals -------------------------------------------------------
 # q: (n, 4), p: (n, 4), phi: (n,).  These skip the full signature validation
 # for speed; they only check finiteness of the metric evaluation.  Metric
-# derivatives enter only through geometry.contract.
+# derivatives enter only through the field's contract callback.
 
 
 def _h_and_shell(sys, q, p, phi):
@@ -200,13 +200,13 @@ def _dH_dphi_from(sys, phi, dphi_gpp):
 
 
 def _dH_dphi_arrays(sys, q, p, phi):
-    _, _, dphi_gpp = geometry.contract(sys.metric, q, p, phi)
+    _, _, dphi_gpp = sys.metric.contract(q, p, phi)
     return _dH_dphi_from(sys, phi, dphi_gpp)
 
 
 def _field_arrays(sys, q, p, phi):
     """Batched evolution field: returns (dq, dp, dphi, dHdphi)."""
-    dq, dq_gpp, dphi_gpp = geometry.contract(sys.metric, q, p, phi)
+    dq, dq_gpp, dphi_gpp = sys.metric.contract(q, p, phi)
     dHdphi = _dH_dphi_from(sys, phi, dphi_gpp)
     dp = -0.5 * dq_gpp
     dp -= p * dHdphi[..., None]
@@ -320,7 +320,7 @@ def reduced_field_phi(sys: ContactHamiltonianSystem, s: ExtendedState) -> tuple[
         raise TransversalityFailure(
             f"m(phi)^2 c^2 = {m2c2:.3e} < {TRANSVERSALITY_TOL}; phi is not a valid parameter"
         )
-    gp, dq_gpp, dphi_gpp = geometry.contract(sys.metric, *_as_batch(s))
+    gp, dq_gpp, dphi_gpp = sys.metric.contract(*_as_batch(s))
     dm = float(sys.mass.deriv(s.phi))
 
     dqdphi = -gp[0] / m2c2
@@ -342,7 +342,7 @@ def proper_time_field(sys: ContactHamiltonianSystem, s: ExtendedState) -> tuple[
         raise TransversalityFailure(
             "proper time is undefined for (near-)massless states"
         )
-    gp, dq_gpp, dphi_gpp = geometry.contract(sys.metric, *_as_batch(s))
+    gp, dq_gpp, dphi_gpp = sys.metric.contract(*_as_batch(s))
     dm = float(sys.mass.deriv(s.phi))
 
     dqdtau = gp[0] / m

@@ -11,13 +11,13 @@ Conventions
 * Derivative tensors put the derivative index last:
   ``d_q[..., a, b, mu] = d g^{ab} / d q^mu`` and ``d_phi[..., a, b]``.
 
-Analytic derivatives are optional; missing ones fall back to 4th-order central
-finite differences with step ``FD_STEP * (1 + |x|)`` for coordinate x.
-
-The flow needs the metric only through the quadratic form g^{ab} p_a p_b, so
-:func:`contract` returns just ``g . p`` and the gradient of that scalar, never
-a rank-3 tensor.  :func:`metric_derivatives` and :func:`christoffel` build the
-full tensors for the geodesic reference and for inspection.
+Every field carries exact derivatives: the constructors write them out, and
+:func:`expression_metric` differentiates its entries symbolically.  The flow
+needs the metric only through the quadratic form g^{ab} p_a p_b, so the
+dynamics calls each field's ``contract(q, p, phi)``, which returns ``g . p``
+and the gradient of that scalar, never a rank-3 tensor.
+:func:`metric_derivatives` and :func:`christoffel` build the full tensors for
+the geodesic reference and for inspection.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "inverse_metric",
     "lowered_metric",
     "metric_derivatives",
-    "contract",
     "christoffel",
     "minkowski",
     "weak_field",
@@ -50,43 +49,35 @@ _ETA = np.diag(_ETA_DIAG)
 # Validation thresholds for inverse_metric.
 SYMMETRY_TOL = 1e-14
 CONDITION_LIMIT = 1e12
-# Base step of the finite-difference fallback; coordinate x steps by FD_STEP * (1 + |x|).
-FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
 class MetricField:
-    """Inverse metric field g^{mu nu}(q, phi) with optional analytic derivatives.
+    """Inverse metric field g^{mu nu}(q, phi) with its exact derivatives.
 
     Parameters
     ----------
     func : callable
         ``func(q, phi) -> (..., 4, 4)`` inverse metric, batched as described in
         the module docstring.
-    d_q : callable or None
+    d_q : callable
         ``d_q(q, phi) -> (..., 4, 4, 4)`` with the q-derivative index last.
-        When None, 4th-order central differences of ``func`` with the step
-        ``FD_STEP * (1 + |q^mu|)`` are used.
-    d_phi : callable or None
-        ``d_phi(q, phi) -> (..., 4, 4)``.  When None, finite differences.
-    contract : callable or None
+    d_phi : callable
+        ``d_phi(q, phi) -> (..., 4, 4)``.
+    contract : callable
         ``contract(q, p, phi) -> (g . p (..., 4), d_mu(g^{ab} p_a p_b) (..., 4),
         d_phi(g^{ab} p_a p_b) (...))``, the three contractions the flow needs.
         It raises NonFiniteMetric / NonFiniteDerivative when its own metric or
-        derivative entries are non-finite.  When None, :func:`contract` builds
-        them from ``func``, ``d_q`` and ``d_phi``.
+        derivative entries are non-finite.
     name : str
         Human-readable tag used in reports and serialized scenarios.
     """
 
     func: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    d_q: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    d_phi: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    contract: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
+    d_q: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    d_phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    contract: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]]
     name: str = "custom"
-
-    def __call__(self, q: np.ndarray, phi) -> np.ndarray:
-        return self.func(np.asarray(q, dtype=float), phi)
 
 
 def _finite_metric(name: str, g):
@@ -156,47 +147,15 @@ def _fd4_of(f, x, h):
     return _fd4(vals[0], vals[1], vals[2], vals[3], hh)
 
 
-def _fd_dq(f, q: np.ndarray) -> np.ndarray:
-    """d f(q) / d q^mu for every mu, derivative index last."""
-    cols = []
-    for mu in range(4):
-
-        def f_mu(x, mu=mu):
-            qs = q.copy()
-            qs[..., mu] = x
-            return f(qs)
-
-        cols.append(_fd4_of(f_mu, q[..., mu], FD_STEP * (1.0 + np.abs(q[..., mu]))))
-    return np.stack(cols, axis=-1)
-
-
-def _fd_dphi(f, phi) -> np.ndarray:
-    phi = np.asarray(phi, dtype=float)
-    return _fd4_of(f, phi, FD_STEP * (1.0 + np.abs(phi)))
-
-
 def metric_derivatives(metric: MetricField, q: np.ndarray, phi) -> tuple[np.ndarray, np.ndarray]:
     """Return (d_q, d_phi) derivative tensors of the inverse metric.
 
     ``d_q[..., a, b, mu] = d g^{ab}/d q^mu`` and ``d_phi[..., a, b]``; both are
-    exactly symmetric in (a, b).  Uses analytic callbacks when the field
-    provides them, 4th-order central differences otherwise.
+    exactly symmetric in (a, b).
     """
     q = np.asarray(q, dtype=float)
-    if metric.d_q is not None:
-        dq = metric.d_q(q, phi)
-    else:
-        dq = _fd_dq(lambda qs: _eval_raw(metric, qs, phi), q)
-    if metric.d_phi is not None:
-        dphi = metric.d_phi(q, phi)
-    else:
-        dphi = _fd_dphi(lambda ps: _eval_raw(metric, q, ps), phi)
-    dq = np.asarray(dq, dtype=float)
-    dphi = np.asarray(dphi, dtype=float)
-    if not (np.all(np.isfinite(dq)) and np.all(np.isfinite(dphi))):
-        raise NonFiniteDerivative(
-            f"metric '{metric.name}' derivatives are non-finite"
-        )
+    dq = _finite_derivative(metric.name, metric.d_q(q, phi))
+    dphi = _finite_derivative(metric.name, metric.d_phi(q, phi))
     dq = 0.5 * (dq + np.swapaxes(dq, -2, -3))
     dphi = 0.5 * (dphi + np.swapaxes(dphi, -1, -2))
     return dq, dphi
@@ -205,36 +164,6 @@ def metric_derivatives(metric: MetricField, q: np.ndarray, phi) -> tuple[np.ndar
 def _gpp(g, p):
     """g^{ab} p_a p_b over the batch."""
     return np.einsum("...ab,...a,...b->...", g, p, p)
-
-
-def contract(metric: MetricField, q: np.ndarray, p: np.ndarray, phi):
-    """The metric contractions the contact flow needs, at a batch of states.
-
-    Returns ``(g . p, d_mu(g^{ab} p_a p_b), d_phi(g^{ab} p_a p_b))`` with
-    shapes (..., 4), (..., 4) and (...).  Uses the field's ``contract``
-    callback when it has one.  Otherwise each derivative comes from the
-    analytic ``d_q`` / ``d_phi`` callback contracted with p, or from the
-    4th-order stencil applied to the scalar g^{ab} p_a p_b (the same
-    evaluations of ``func`` as :func:`metric_derivatives`, no rank-3 tensor).
-    Raises NonFiniteMetric or NonFiniteDerivative like metric_derivatives.
-    """
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if metric.contract is not None:
-        return metric.contract(q, p, phi)
-    gp = np.einsum("...ab,...b->...a", _eval_raw(metric, q, phi), p)
-    if metric.d_q is not None:
-        dq_g = _finite_derivative(metric.name, metric.d_q(q, phi))
-        d_q = np.einsum("...abm,...a,...b->...m", dq_g, p, p)
-    else:
-        d_q = _finite_derivative(metric.name, _fd_dq(
-            lambda qs: _gpp(_eval_raw(metric, qs, phi), p), q))
-    if metric.d_phi is not None:
-        d_phi = _gpp(_finite_derivative(metric.name, metric.d_phi(q, phi)), p)
-    else:
-        d_phi = _finite_derivative(metric.name, _fd_dphi(
-            lambda ps: _gpp(_eval_raw(metric, q, ps), p), phi))
-    return gp, d_q, d_phi
 
 
 def christoffel(metric: MetricField, q: np.ndarray, phi) -> np.ndarray:
@@ -265,27 +194,24 @@ def christoffel(metric: MetricField, q: np.ndarray, phi) -> np.ndarray:
 # --- constructors -----------------------------------------------------------
 
 
-def _batch_like(q: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Broadcast a constant (4, 4) matrix over the batch shape of q."""
-    return np.broadcast_to(mat, q.shape[:-1] + (4, 4))
+def _no_d_phi(q, phi):
+    """d_phi of a field without phi dependence."""
+    return np.zeros(q.shape[:-1] + (4, 4))
 
 
 def minkowski() -> MetricField:
     """Flat inverse metric diag(-1, 1, 1, 1), independent of q and phi."""
 
     def func(q, phi):
-        return _batch_like(q, _ETA)
+        return np.broadcast_to(_ETA, q.shape[:-1] + (4, 4))
 
     def d_q(q, phi):
         return np.zeros(q.shape[:-1] + (4, 4, 4))
 
-    def d_phi(q, phi):
-        return np.zeros(q.shape[:-1] + (4, 4))
-
     def contract(q, p, phi):
         return _ETA_DIAG * p, np.zeros(p.shape), np.zeros(p.shape[:-1])
 
-    return MetricField(func=func, d_q=d_q, d_phi=d_phi, contract=contract, name="minkowski")
+    return MetricField(func=func, d_q=d_q, d_phi=_no_d_phi, contract=contract, name="minkowski")
 
 
 def point_mass_potential(gm: float, softening: float = 0.0):
@@ -323,7 +249,7 @@ def uniform_gradient_potential(g_vec: Sequence[float]):
 
 def weak_field(
     potential: Callable[[np.ndarray], np.ndarray],
-    gradient: Callable[[np.ndarray], np.ndarray] | None = None,
+    gradient: Callable[[np.ndarray], np.ndarray],
     c: float = 1.0,
     name: str = "weak-field",
 ) -> MetricField:
@@ -331,10 +257,9 @@ def weak_field(
 
     g^{00} = -(1 - 2 phi_N/c^2), g^{ii} = 1 - 2 phi_N/c^2, off-diagonal zero,
     to first order in phi_N/c^2.  ``potential`` maps spatial positions
-    (..., 3) -> (...); ``gradient`` maps (..., 3) -> (..., 3) and enables
-    analytic q-derivatives (otherwise finite differences are used).
-    The potential has no phi dependence, so d_phi is identically zero.
-    With ``gradient`` the field also supplies the ``contract`` callback.
+    (..., 3) -> (...); ``gradient`` maps (..., 3) -> (..., 3) and gives the
+    q-derivatives.  The potential has no phi dependence, so d_phi is
+    identically zero.
     """
     c2 = float(c) ** 2
 
@@ -347,64 +272,51 @@ def weak_field(
             g[..., i, i] = 1.0 - u
         return g
 
-    d_q = contract = None
-    if gradient is not None:
+    def d_q(q, phi):
+        du = 2.0 * gradient(q[..., 1:]) / c2  # (..., 3) = d u / d x^i
+        out = np.zeros(q.shape[:-1] + (4, 4, 4))
+        out[..., 1:] = np.einsum("ab,...i->...abi", -_ETA, du)  # d g^{ab} = -eta^{ab} du
+        return out
 
-        def d_q(q, phi):
-            x = q[..., 1:]
-            du = 2.0 * gradient(x) / c2  # (..., 3) = d u / d x^i
-            out = np.zeros(q.shape[:-1] + (4, 4, 4))
-            for i in (1, 2, 3):
-                out[..., 0, 0, i] = du[..., i - 1]
-                for j in (1, 2, 3):
-                    out[..., j, j, i] = -du[..., i - 1]
-            return out
+    def contract(q, p, phi):
+        # g^{ab} p_a p_b = (1 - u) eta^{ab} p_a p_b
+        x = q[..., 1:]
+        u = _finite_metric(name, 2.0 * potential(x) / c2)
+        du = _finite_derivative(name, 2.0 * gradient(x) / c2)
+        eta_p = _ETA_DIAG * p
+        eta_pp = np.einsum("...a,...a->...", eta_p, p)
+        d_gpp = np.zeros(p.shape)
+        d_gpp[..., 1:] = -du * eta_pp[..., None]
+        return (1.0 - u)[..., None] * eta_p, d_gpp, np.zeros(p.shape[:-1])
 
-        def contract(q, p, phi):
-            # g^{ab} p_a p_b = (1 - u) eta^{ab} p_a p_b
-            x = q[..., 1:]
-            u = _finite_metric(name, 2.0 * potential(x) / c2)
-            du = _finite_derivative(name, 2.0 * gradient(x) / c2)
-            eta_p = _ETA_DIAG * p
-            eta_pp = np.einsum("...a,...a->...", eta_p, p)
-            d_gpp = np.zeros(p.shape)
-            d_gpp[..., 1:] = -du * eta_pp[..., None]
-            return (1.0 - u)[..., None] * eta_p, d_gpp, np.zeros(p.shape[:-1])
-
-    def d_phi(q, phi):
-        return np.zeros(q.shape[:-1] + (4, 4))
-
-    return MetricField(func=func, d_q=d_q, d_phi=d_phi, contract=contract, name=name)
+    return MetricField(func=func, d_q=d_q, d_phi=_no_d_phi, contract=contract, name=name)
 
 
-_EXPR_NAMESPACE = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "tanh": np.tanh,
-    "abs": np.abs,
-    "pi": np.pi,
-    "e": np.e,
+# The functions of the entry grammar, each with f'(u) as entry text in u; None
+# where f' is zero (sign is taken as flat at its jump, so abs' is 0 at 0).
+_CHAIN = {
+    "sin": "cos(u)", "cos": "-sin(u)", "tan": "1 / cos(u)**2", "exp": "exp(u)",
+    "log": "1 / u", "sqrt": "0.5 / sqrt(u)", "tanh": "1 - tanh(u)**2", "abs": "sign(u)",
+    "sign": None,
 }
-
-
-_EXPR_VALUES = frozenset({"x0", "x1", "x2", "x3", "phi", "pi", "e"})
-_EXPR_FUNCTIONS = frozenset(k for k, v in _EXPR_NAMESPACE.items() if callable(v))
+_EXPR_NAMESPACE = {**{f: getattr(np, f) for f in _CHAIN}, "pi": np.pi, "e": np.e}
+# The variables of an entry, in the order of its derivative slots.
+_EXPR_VARIABLES = ("x0", "x1", "x2", "x3", "phi")
+_EXPR_VALUES = frozenset(_EXPR_VARIABLES + ("pi", "e"))
 _EXPR_NODES = (
     ast.Expression, ast.Constant, ast.Name, ast.Load, ast.Call, ast.BinOp, ast.UnaryOp,
     ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub,
 )
+# Largest written-out derivative of an entry, in nodes; it grows up to quadratically.
+_MAX_DERIVATIVE_NODES = 10_000
 
 
 def _compile_entry(s: str, label: str):
-    """Compile one metric entry after checking it against the entry grammar.
+    """Check one metric entry against the entry grammar; return (tree, code).
 
     The grammar: numeric literals, the names x0..x3, phi, pi and e,
     ``+ - * / **``, unary +/-, and one-argument calls of the functions in
-    _EXPR_NAMESPACE.  Anything else raises ValueError before compilation, so a
+    _CHAIN.  Anything else raises ValueError before compilation, so a
     scenario string cannot reach attributes, subscripts or builtins.  Literals
     are compiled as floats: an integer power such as 9**9**9 cannot run
     without bound, it overflows at once.
@@ -425,7 +337,7 @@ def _compile_entry(s: str, label: str):
             except OverflowError:
                 raise ValueError("integer literal too large for a float") from None
         elif isinstance(node, ast.Name):
-            allowed = _EXPR_FUNCTIONS if id(node) in callees else _EXPR_VALUES
+            allowed = _CHAIN if id(node) in callees else _EXPR_VALUES
             if node.id not in allowed:
                 raise ValueError(f"name {node.id!r} is not allowed here")
         elif isinstance(node, ast.Call):
@@ -435,36 +347,156 @@ def _compile_entry(s: str, label: str):
             if len(node.args) != 1 or node.keywords:
                 raise ValueError(f"{node.func.id}() takes exactly one argument")
     try:
-        return compile(tree, label, "eval")
+        return tree, compile(tree, label, "eval")
     except RecursionError:  # nesting the parser accepted but the compiler does not
         raise ValueError("expression is nested too deeply") from None
+
+
+# --- exact derivatives of the entry grammar -------------------------------------
+# A derivative is a tree over the grammar, and None stands for an identically
+# zero one, so that zero terms are pruned instead of evaluated.  Derivative
+# factors are put on the right, where _op drops them when they are 1.
+
+
+def _op(a, op: ast.operator, b):
+    """The tree a op b, with zero (None) terms and a right factor of 1 left out."""
+    if isinstance(op, (ast.Add, ast.Sub)):
+        if b is None:
+            return a
+        if a is None:
+            return b if isinstance(op, ast.Add) else ast.UnaryOp(ast.USub(), b)
+    elif a is None or b is None:
+        return None
+    elif isinstance(b, ast.Constant) and b.value == 1.0:
+        return a
+    return ast.BinOp(a, op, b)
+
+
+class _Bind(ast.NodeTransformer):
+    """Puts the tree ``u`` in place of the name u in a _CHAIN template."""
+
+    def __init__(self, u: ast.expr):
+        self.u = u
+
+    def visit_Name(self, node):
+        return self.u if node.id == "u" else node
+
+
+def _derivative(node: ast.expr, var: str):
+    """d node / d var over the entry grammar; None when it is identically zero."""
+    if isinstance(node, ast.Constant):
+        return None
+    if isinstance(node, ast.Name):
+        return ast.Constant(1.0) if node.id == var else None
+    if isinstance(node, ast.UnaryOp):
+        d = _derivative(node.operand, var)
+        return _op(None, ast.Sub(), d) if isinstance(node.op, ast.USub) else d
+    if isinstance(node, ast.Call):  # the chain rule
+        u, template = node.args[0], _CHAIN[node.func.id]
+        du = _derivative(u, var)
+        if du is None or template is None:
+            return None
+        return _op(_Bind(u).visit(ast.parse(template, mode="eval").body), ast.Mult(), du)
+    a, op, b = node.left, node.op, node.right
+    da, db = _derivative(a, var), _derivative(b, var)
+    if isinstance(op, (ast.Add, ast.Sub)):
+        return _op(da, op, db)
+    if isinstance(op, ast.Mult):
+        return _op(_op(b, op, da), ast.Add(), _op(a, op, db))
+    if isinstance(op, ast.Div):  # da / b - a db / b**2
+        b2 = ast.BinOp(b, ast.Pow(), ast.Constant(2.0))
+        return _op(_op(da, op, b), ast.Sub(), _op(_op(a, ast.Mult(), db), op, b2))
+    if db is None:  # the power rule, b a**(b - 1) da
+        if da is None or (isinstance(b, ast.Constant) and b.value == 0.0):
+            return None
+        power = ast.BinOp(a, op, ast.BinOp(b, ast.Sub(), ast.Constant(1.0)))
+        return _op(_op(b, ast.Mult(), power), ast.Mult(), da)
+    # a**b (db log(a) + b da / a)
+    log_a = ast.Call(ast.Name("log", ast.Load()), [a], [])
+    rate = _op(_op(log_a, ast.Mult(), db), ast.Add(), _op(_op(b, ast.Mult(), da), ast.Div(), a))
+    return _op(node, ast.Mult(), rate)
+
+
+def _written_size(node: ast.AST, memo: dict) -> int:
+    """Node count of a tree with each shared subtree counted once per use."""
+    if id(node) not in memo:
+        memo[id(node)] = 1 + sum(_written_size(c, memo) for c in ast.iter_child_nodes(node))
+    return memo[id(node)]
+
+
+def _entry_codes(s: str, label: str):
+    """Compile one entry and each of its derivatives that is not identically zero.
+
+    Returns ``(code, {slot: code})``, slot k holding the derivative in
+    ``_EXPR_VARIABLES[k]``.  Each derivative is written out as entry text and
+    compiled through :func:`_compile_entry`.  Raises ValueError, never
+    RecursionError, when a derivative cannot be built or compiled.
+    """
+    tree, code = _compile_entry(s, label)
+    derivatives = {}
+    try:
+        for k, var in enumerate(_EXPR_VARIABLES):
+            d = _derivative(tree.body, var)
+            if d is None:
+                continue
+            if _written_size(d, {}) > _MAX_DERIVATIVE_NODES:
+                raise ValueError(f"its derivative in {var} has over {_MAX_DERIVATIVE_NODES} nodes")
+            derivatives[k] = _compile_entry(ast.unparse(d), f"{label} d/d{var}")[1]
+    except RecursionError:
+        raise ValueError("expression is nested too deeply to differentiate") from None
+    return code, derivatives
+
+
+def _evaluate(codes, q: np.ndarray, phi) -> np.ndarray:
+    """The compiled entries at (q, phi), stacked on a last axis over q's batch."""
+    env = dict(_EXPR_NAMESPACE, x0=q[..., 0], x1=q[..., 1], x2=q[..., 2], x3=q[..., 3],
+               phi=np.asarray(phi, dtype=float))
+    out = np.empty(q.shape[:-1] + (len(codes),))
+    for k, code in enumerate(codes):
+        out[..., k] = eval(code, {"__builtins__": {}}, env)
+    return out
 
 
 def expression_metric(diag: Sequence[str], name: str = "expression") -> MetricField:
     """Diagonal inverse metric whose entries are numpy expressions.
 
     ``diag`` holds four strings over the variables x0..x3 and phi, e.g.
-    ``("-(1 + 0.1*sin(x1))", "1", "1", "1")``.  Entries are evaluated with
-    numpy semantics and broadcast over the batch; derivatives come from the
-    finite-difference fallback.  Each entry is checked against a small
-    grammar (:func:`_compile_entry`; ValueError otherwise), compiled once and
-    evaluated in a namespace without builtins.
+    ``("-(1 + 0.1*sin(x1))", "1", "1", "1")``.  Each entry is checked against
+    a small grammar (:func:`_compile_entry`; ValueError otherwise), compiled
+    once and evaluated with numpy semantics in a namespace without builtins,
+    broadcast over the batch.  Its derivatives are exact: the entry is
+    differentiated symbolically, and derivatives that are identically zero are
+    never evaluated.
     """
     if len(diag) != 4:
         raise ValueError("expression_metric needs exactly 4 diagonal entries")
-    codes = [_compile_entry(s, f"<metric diag[{i}]>") for i, s in enumerate(diag)]
+    entries = [_entry_codes(s, f"<metric diag[{i}]>") for i, s in enumerate(diag)]
+    values = [code for code, _ in entries]
+    slots = [(a, k) for a, (_, derivs) in enumerate(entries) for k in derivs]
+    derivatives = [entries[a][1][k] for a, k in slots]
+    rows, cols = np.array(slots, dtype=int).reshape(-1, 2).T
+    eye = np.eye(4)
+
+    def gradient(q, phi):
+        """(..., 4, 5): d g^{aa} / d(x0, x1, x2, x3, phi)."""
+        out = np.zeros(q.shape[:-1] + (4, len(_EXPR_VARIABLES)))
+        out[..., rows, cols] = _evaluate(derivatives, q, phi)
+        return out
 
     def func(q, phi):
-        batch = q.shape[:-1]
-        phi_arr = np.asarray(phi, dtype=float)
-        local = {
-            "x0": q[..., 0], "x1": q[..., 1], "x2": q[..., 2], "x3": q[..., 3],
-            "phi": phi_arr,
-        }
-        g = np.zeros(batch + (4, 4))
-        for i, code in enumerate(codes):
-            val = eval(code, {"__builtins__": {}}, {**_EXPR_NAMESPACE, **local})
-            g[..., i, i] = np.broadcast_to(val, batch)
-        return g
+        return np.einsum("...a,ab->...ab", _evaluate(values, q, phi), eye)
 
-    return MetricField(func=func, name=name)
+    def d_q(q, phi):
+        return np.einsum("...am,ab->...abm", gradient(q, phi)[..., :4], eye)
+
+    def d_phi(q, phi):
+        return np.einsum("...a,ab->...ab", gradient(q, phi)[..., 4], eye)
+
+    def contract(q, p, phi):
+        # g^{ab} p_a p_b = sum_a g^{aa} p_a^2
+        diag_g = _finite_metric(name, _evaluate(values, q, phi))
+        d_gpp = _finite_derivative(
+            name, np.einsum("...ak,...a->...k", gradient(q, phi), p * p))
+        return diag_g * p, d_gpp[..., :4], d_gpp[..., 4]
+
+    return MetricField(func=func, d_q=d_q, d_phi=d_phi, contract=contract, name=name)

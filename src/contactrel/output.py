@@ -11,7 +11,6 @@ same as :func:`write_ensemble_snapshot`'s.
 
 from __future__ import annotations
 
-import math
 import os
 import signal
 from contextlib import contextmanager
@@ -23,7 +22,6 @@ from .integrators import Trajectory
 
 __all__ = [
     "TRAJECTORY_COLUMNS",
-    "fmt",
     "write_trajectory",
     "write_ensemble_series",
     "write_ensemble_snapshot",
@@ -45,13 +43,6 @@ SNAPSHOT_COLUMNS = (
 _CHUNK_ROWS = 512
 
 
-def fmt(x: float) -> str:
-    """Format one value with 17 significant digits; NaN becomes 'nan'."""
-    if math.isnan(x):
-        return "nan"
-    return f"{x:.17g}"
-
-
 def _rows_from_trajectory(traj: Trajectory) -> np.ndarray:
     return np.column_stack(
         [traj.lam, traj.q, traj.p, traj.phi, traj.ham, traj.tau, traj.shell]
@@ -61,7 +52,7 @@ def _rows_from_trajectory(traj: Trajectory) -> np.ndarray:
 def _write_table(path: Path, columns, rows, fmt_style: str, stride: int = 1):
     """Write rows with one %-template per line, in chunks of _CHUNK_ROWS rows.
 
-    "%.17g" formats each value as :func:`fmt` does; JSONL writes NaN as null.
+    Each value is formatted as "%.17g" (NaN as "nan"); JSONL writes NaN as null.
     Only one chunk is ever converted to Python floats at a time.
     """
     rows = np.asarray(rows, dtype=float)[::stride]

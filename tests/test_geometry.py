@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactrel import (
     BadSignature,
@@ -101,18 +105,35 @@ def test_uniform_gradient_potential():
     assert np.allclose(grad(x), [0.1, -0.2, 0.3])
 
 
+def _stencil_derivatives(metric, q, phi, step=1e-5):
+    """4th-order stencil of func in each q^mu and in phi, derivative index last;
+    coordinate x steps by step * (1 + |x|)."""
+    phi = np.asarray(phi, dtype=float)
+
+    def along(mu):
+        def f(x):
+            qs = q.copy()
+            qs[..., mu] = x
+            return metric.func(qs, phi)
+        return f
+
+    dq = np.stack([geometry._fd4_of(along(mu), q[..., mu], step * (1.0 + np.abs(q[..., mu])))
+                   for mu in range(4)], axis=-1)
+    dphi = geometry._fd4_of(lambda x: metric.func(q, x), phi, step * (1.0 + np.abs(phi)))
+    return dq, dphi
+
+
 def test_analytic_weak_field_derivatives_match_finite_differences():
     gm, c = 0.3, 1.5
     pot, grad = point_mass_potential(gm, softening=0.5)
     analytic = weak_field(pot, grad, c=c)
-    fallback = MetricField(func=analytic.func, name="fd-only")
     rng = np.random.default_rng(11)
     for _ in range(25):
         q = rng.uniform(-2, 2, size=4)
         dq_a, dphi_a = metric_derivatives(analytic, q, 0.0)
-        dq_f, dphi_f = metric_derivatives(fallback, q, 0.0)
+        dq_f, dphi_f = _stencil_derivatives(analytic, q, 0.0)
         assert np.max(np.abs(dq_a - dq_f)) < 1e-9
-        # phi-independent metric: the fallback difference is pure roundoff
+        # phi-independent metric: the stencil is pure roundoff
         assert np.max(np.abs(dphi_a - dphi_f)) < 1e-10
 
 
@@ -217,5 +238,47 @@ def test_asymmetric_metric_rejected():
         g[..., 0, 1] = 0.25
         return g
 
+    skew = dataclasses.replace(minkowski(), func=func, name="skew")
     with pytest.raises(BadSignature):
-        inverse_metric(MetricField(func=func, name="skew"), np.zeros(4), 0.0)
+        inverse_metric(skew, np.zeros(4), 0.0)
+
+
+# --- exact expression derivatives ---------------------------------------------
+
+_LEAVES = ["x0", "x1", "x2", "x3", "phi", "0.5", "2", "3", "pi", "e"]
+_FORMS = ["({} + {})", "({} - {})", "({} * {})", "({} / {})", "({} ** {})", "-{}", "+{}",
+          "sin({})", "cos({})", "tan({})", "exp({})", "log({})", "sqrt({})", "tanh({})",
+          "abs({})", "sign({})"]
+# str.format ignores the second operand of the one-operand forms
+_EXPRESSIONS = st.recursive(
+    st.sampled_from(_LEAVES),
+    lambda inner: st.builds(str.format, st.sampled_from(_FORMS), inner, inner),
+    max_leaves=6,
+)
+_POINTS = np.random.default_rng(8)
+_Q = _POINTS.uniform(-1.5, 1.5, size=(16, 4))
+_PHI = _POINTS.uniform(-1.0, 1.0, size=16)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_EXPRESSIONS)
+def test_expression_derivatives_match_the_stencil(entry):
+    # Compared where the exact derivative and the stencil are both finite and
+    # the stencil has converged: at steps h and h/2 it agrees to 1e-7, so no
+    # kink, jump or round-off floor lies within its reach.
+    metric = expression_metric([entry, "1", "1", "1"])
+    with np.errstate(all="ignore"):
+        try:
+            value = metric.func(_Q, _PHI)[:, 0, 0]
+            exact = np.column_stack([metric.d_q(_Q, _PHI)[:, 0, 0, :],
+                                     metric.d_phi(_Q, _PHI)[:, 0, 0]])
+            coarse, fine = (np.column_stack([dq[:, 0, 0, :], dphi[:, 0, 0]])
+                            for dq, dphi in (_stencil_derivatives(metric, _Q, _PHI, 1e-3),
+                                             _stencil_derivatives(metric, _Q, _PHI, 5e-4)))
+        except (ArithmeticError, TypeError):  # a constant part such as 1/(2-2)
+            return
+        scale = np.maximum(1.0, np.maximum(np.abs(fine), np.abs(value)[:, None]))
+        usable = (np.isfinite(exact) & np.isfinite(coarse) & np.isfinite(fine)
+                  & (np.abs(coarse - fine) <= 1e-7 * scale))
+        err = np.abs(exact - fine) / scale
+    assert np.all(err[usable] <= 1e-6), (entry, np.max(err[usable]))

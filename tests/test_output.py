@@ -27,11 +27,16 @@ from contactrel import (
     output,
 )
 from contactrel.cli import execute_ensemble
-from contactrel.output import _write_table, fmt
+from contactrel.output import _write_table
 from contactrel.scenario import run_ensemble
 
 SPECIAL = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
            1e300, -1e300, 1e-300, -1e-300, 0.1, 1.0 / 3.0, -2.5]
+
+
+def fmt(x: float) -> str:
+    """One value with 17 significant digits; NaN becomes 'nan'."""
+    return "nan" if math.isnan(x) else f"{x:.17g}"
 
 
 def _json_value(x: float) -> str:

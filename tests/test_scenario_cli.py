@@ -127,11 +127,26 @@ def test_expression_outside_the_grammar_is_rejected_fast(entry):
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("entry", [
+    "*".join(["x1"] * 400),  # its derivative nests deeper than the compiler allows
+    "sin(" * 200 + "x1" + ")" * 200,  # its derivative grows with the square of the depth
+])
+def test_differentiating_an_entry_is_bounded(entry):
+    t0 = time.perf_counter()
+    try:
+        load_scenario(_expression_doc(entry))
+    except ValidationError as exc:
+        assert exc.field == "metric.diag[3]"
+        assert exc.reason.startswith("invalid expression: ValueError")
+    assert time.perf_counter() - t0 < 2.0
+
+
 def test_every_documented_expression_loads():
     for entry in ["-(1 + 0.1*sin(x1))",  # the README example
                   "-(1 + 0.1*sin(0.7*x1 + 0.5*phi))", "1 + 0.1*cos(0.7*x2)",
                   "-(1 + 0.2*sin(x1 + 0.5*phi))", "1 + 0.1*x2**2", "-1e308",
-                  "+exp(-x3**2/2)*sqrt(abs(tanh(x0))+pi)/log(e+2)"]:
+                  "+exp(-x3**2/2)*sqrt(abs(tanh(x0))+pi)/log(e+2)",
+                  "1 + 0.1*sign(x1)*x1**2"]:
         cfg = load_scenario(_expression_doc(entry))
         assert cfg.metric["diag"][3] == entry
 
@@ -142,7 +157,7 @@ _GRAMMAR_NODES = (
     ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub,
 )
 _GRAMMAR_VALUES = {"x0", "x1", "x2", "x3", "phi", "pi", "e"}
-_GRAMMAR_FUNCTIONS = {"sin", "cos", "tan", "exp", "log", "sqrt", "tanh", "abs"}
+_GRAMMAR_FUNCTIONS = {"sin", "cos", "tan", "exp", "log", "sqrt", "tanh", "abs", "sign"}
 _FUZZ_TOKENS = [
     "x0", "x1", "phi", "pi", "e", "sin", "abs", "exp", "1", "2.5", "9", "0",
     "(", ")", ",", "+", "-", "*", "/", "**", " ",
