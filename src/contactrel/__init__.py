@@ -50,18 +50,14 @@ from .geometry import (
 from .dynamics import (
     ContactHamiltonianSystem,
     ExtendedState,
-    ExtendedTangent,
     MassModel,
-    contact_identity_residuals,
     evolution_field,
     four_velocity,
     mass_from_tau,
     project_to_shell,
-    proper_time_field,
     reduced_field_phi,
     solve_p0_on_shell,
     state_from_velocity,
-    tau_from_phi,
 )
 from .integrators import (
     IntegratorConfig,
@@ -117,9 +113,8 @@ __all__ = [
     "christoffel", "minkowski", "weak_field",
     "point_mass_potential", "uniform_gradient_potential", "expression_metric",
     # dynamics
-    "ContactHamiltonianSystem", "ExtendedState", "ExtendedTangent", "MassModel",
-    "project_to_shell", "evolution_field", "contact_identity_residuals",
-    "reduced_field_phi", "proper_time_field", "four_velocity", "tau_from_phi",
+    "ContactHamiltonianSystem", "ExtendedState", "MassModel",
+    "project_to_shell", "evolution_field", "reduced_field_phi", "four_velocity",
     "mass_from_tau", "solve_p0_on_shell", "state_from_velocity",
     # integrators
     "IntegratorConfig", "StopCondition", "Trajectory", "integrate",

@@ -13,15 +13,20 @@ not phase-space volume: div X_H = -4 dH/dphi.
 Index conventions follow geometry.py; p_0 = -E/c is negative for
 future-directed momenta in signature (-,+,+,+).
 
-The public functions take one ExtendedState.  H, the shell residual and
-dH/dphi have no public single-state form: the private batched functions over
-q (n, 4), p (n, 4), phi (n,) blocks (``_h_and_shell``, ``_field_arrays``,
-``_dH_dphi_arrays``, ``_contact_residual_arrays``) compute them, and the
-integrators, the kinetic layer, the scenario builder and the verification
-battery call those directly.  evolution_field and contact_identity_residuals
-are their n = 1 case.  Batched callers bound their block size themselves:
-the battery uses blocks of 250 rows so that an analytic (n, 4, 4, 4) metric
-derivative stays under glibc's default 128 KiB mmap threshold.
+Along a massive flow dphi = -m c^2 dtau, so an affine m(phi) decays as
+m(tau) = m0 exp(-alpha tau); ``mass_from_tau`` is that law, and the battery's
+decay checks measure the flow against it.
+
+The public functions take one ExtendedState.  H, the shell residual, dH/dphi
+and the contact-identity residuals have no public single-state form: the
+private batched functions over q (n, 4), p (n, 4), phi (n,) blocks
+(``_h_and_shell``, ``_field_arrays``, ``_dH_dphi_arrays``,
+``_contact_residual_arrays``) compute them, and the integrators, the kinetic
+layer, the scenario builder and the verification battery call those
+directly.  evolution_field is the n = 1 case of ``_field_arrays``.  Batched
+callers bound their block size themselves: the battery uses blocks of 250
+rows so that an analytic (n, 4, 4, 4) metric derivative stays under glibc's
+default 128 KiB mmap threshold.
 """
 
 from __future__ import annotations
@@ -44,14 +49,10 @@ __all__ = [
     "MassModel",
     "ContactHamiltonianSystem",
     "ExtendedState",
-    "ExtendedTangent",
     "project_to_shell",
     "evolution_field",
-    "contact_identity_residuals",
     "reduced_field_phi",
-    "proper_time_field",
     "four_velocity",
-    "tau_from_phi",
     "mass_from_tau",
     "solve_p0_on_shell",
     "state_from_velocity",
@@ -170,15 +171,6 @@ class ExtendedState:
         object.__setattr__(self, "phi", phi)
 
 
-@dataclass(frozen=True)
-class ExtendedTangent:
-    """Components (dq^mu, dp_mu, dphi)/dlam of a tangent vector at a state."""
-
-    dq: np.ndarray
-    dp: np.ndarray
-    dphi: float
-
-
 # --- batched internals -------------------------------------------------------
 # q: (n, 4), p: (n, 4), phi: (n,).  These skip the full signature validation
 # for speed; they only check finiteness of the metric evaluation.  Metric
@@ -245,7 +237,16 @@ def _fd_grad_H(sys, q, p, phi):
 
 
 def _contact_residual_arrays(sys, q, p, phi):
-    """Batched contact_identity_residuals: returns r1 (n,) and r2 (n,)."""
+    """Residuals of the defining contact identities: r1 (n,) and r2 (n,).
+
+    r1: |eta(X_H)| = |dphi - p . dH/dp|: the analytic dphi against p
+        contracted with the finite-difference gradient of H in p.
+    r2: max-norm residual of iota_X d eta = dH - (dH/dphi) eta, with the
+        gradient of H estimated by finite differences.  Componentwise this
+        checks  -dp_mu = dH/dq^mu + (dH/dphi) p_mu  and  dq^mu = dH/dp_mu,
+        plus the dphi component where the analytic dH/dphi is compared
+        against its finite-difference estimate.
+    """
     dq, dp, dphi, dHdphi = _field_arrays(sys, q, p, phi)
     dHdq, dHdp, dHdphi_fd = _fd_grad_H(sys, q, p, phi)
     r1 = np.abs(dphi - np.einsum("...a,...a->...", p, dHdp))  # eta(X_H) = dphi - p.dH/dp
@@ -282,26 +283,13 @@ def project_to_shell(sys: ContactHamiltonianSystem, s: ExtendedState) -> Extende
     return ExtendedState(q=s.q, p=beta * s.p, phi=s.phi)
 
 
-def evolution_field(sys: ContactHamiltonianSystem, s: ExtendedState) -> ExtendedTangent:
-    """The evolution contact vector field X_H at a state."""
+def evolution_field(
+    sys: ContactHamiltonianSystem, s: ExtendedState
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The evolution contact vector field X_H at a state: (dq, dp, dphi)/dlam."""
     q, p, phi = _as_batch(s)
     dq, dp, dphi, _ = _field_arrays(sys, q, p, phi)
-    return ExtendedTangent(dq=dq[0], dp=dp[0], dphi=float(dphi[0]))
-
-
-def contact_identity_residuals(sys: ContactHamiltonianSystem, s: ExtendedState) -> tuple[float, float]:
-    """Residuals of the defining contact identities at a state.
-
-    r1: |eta(X_H)| = |dphi - p . dH/dp|: the analytic dphi against p
-        contracted with the finite-difference gradient of H in p.
-    r2: max-norm residual of iota_X d eta = dH - (dH/dphi) eta, with the
-        gradient of H estimated by finite differences.  Componentwise this
-        checks  -dp_mu = dH/dq^mu + (dH/dphi) p_mu  and  dq^mu = dH/dp_mu,
-        plus the dphi component where the analytic dH/dphi is compared
-        against its finite-difference estimate.
-    """
-    r1, r2 = _contact_residual_arrays(sys, *_as_batch(s))
-    return float(r1[0]), float(r2[0])
+    return dq[0], dp[0], float(dphi[0])
 
 
 def reduced_field_phi(sys: ContactHamiltonianSystem, s: ExtendedState) -> tuple[np.ndarray, np.ndarray]:
@@ -330,28 +318,6 @@ def reduced_field_phi(sys: ContactHamiltonianSystem, s: ExtendedState) -> tuple[
     return dqdphi, dpdphi
 
 
-def proper_time_field(sys: ContactHamiltonianSystem, s: ExtendedState) -> tuple[np.ndarray, np.ndarray]:
-    """On-shell flow in proper time tau, using dphi = -m c^2 dtau.
-
-    dq^mu/dtau = g^{mu nu} p_nu / m
-    dp_mu/dtau = -(1/2m) (d g^{ab}/d q^mu) p_a p_b
-                 - (p_mu/2m) (d g^{ab}/d phi) p_a p_b - c^2 m'(phi) p_mu
-    """
-    m = float(sys.mass.value(s.phi))
-    if (m * sys.c) ** 2 < TRANSVERSALITY_TOL:
-        raise TransversalityFailure(
-            "proper time is undefined for (near-)massless states"
-        )
-    gp, dq_gpp, dphi_gpp = sys.metric.contract(*_as_batch(s))
-    dm = float(sys.mass.deriv(s.phi))
-
-    dqdtau = gp[0] / m
-    dpdtau = -0.5 * dq_gpp[0] / m
-    dpdtau -= 0.5 * s.p * float(dphi_gpp[0]) / m
-    dpdtau -= sys.c**2 * dm * s.p
-    return dqdtau, dpdtau
-
-
 def four_velocity(sys: ContactHamiltonianSystem, s: ExtendedState) -> np.ndarray:
     """u^mu = g^{mu nu} p_nu / m for a massive state, as a (4,) array."""
     m = float(sys.mass.value(s.phi))
@@ -362,41 +328,20 @@ def four_velocity(sys: ContactHamiltonianSystem, s: ExtendedState) -> np.ndarray
     return np.einsum("ab,b->a", g[0], s.p) / m
 
 
-def tau_from_phi(sys: ContactHamiltonianSystem, phi0: float, phi1: float) -> float:
-    """Elapsed proper time along the on-shell flow from phi0 to phi1.
-
-    Delta tau = -integral_{phi0}^{phi1} dphi / (m(phi) c^2), in closed form:
-    constant mass gives -(phi1 - phi0)/(m0 c^2); an affine mass with slope k
-    gives -ln(m(phi1)/m(phi0)) / (c^2 k).  phi decreases along massive flows,
-    so forward motion (phi1 < phi0) yields Delta tau > 0.
-    """
-    mass, c2 = sys.mass, sys.c**2
-    if mass.kind == "zero":
-        raise MasslessProjection("proper time is undefined for massless particles")
-    m0 = float(mass.value(phi0))
-    m1 = float(mass.value(phi1))
-    if not (m0 > 0.0 and m1 > 0.0):
-        raise MasslessProjection(
-            f"mass is non-positive on [{phi1}, {phi0}] (m(phi0)={m0}, m(phi1)={m1})"
-        )
-    if mass.kind == "affine_phi" and mass.slope != 0.0:
-        return -math.log(m1 / m0) / (c2 * mass.slope)
-    return -(phi1 - phi0) / (m0 * c2)
-
-
-def mass_from_tau(sys: ContactHamiltonianSystem, phi_start: float, dtau: float) -> float:
+def mass_from_tau(sys: ContactHamiltonianSystem, phi_start: float, dtau):
     """Mass after elapsed proper time dtau, starting from phi = phi_start.
 
     Follows dm/dtau = -c^2 m'(phi) m: constant mass stays m0; an affine mass
-    with slope alpha/c^2 decays as m(phi_start) exp(-alpha dtau).
+    with slope alpha/c^2 decays as m(phi_start) exp(-alpha dtau).  dtau may
+    be an array; the result then has its shape.
     """
     mass = sys.mass
     if mass.kind == "zero":
         raise MasslessProjection("proper time is undefined for massless particles")
     m_start = float(mass.value(phi_start))
     if mass.kind == "constant" or mass.slope == 0.0:
-        return m_start
-    return m_start * math.exp(-mass.slope * sys.c**2 * dtau)
+        return np.full_like(dtau, m_start, dtype=float) if np.ndim(dtau) else m_start
+    return m_start * np.exp(-mass.slope * sys.c**2 * dtau)
 
 
 # --- on-shell construction helpers -------------------------------------------

@@ -8,11 +8,11 @@ class ContactRelError(Exception):
 # --- geometry ---------------------------------------------------------------
 
 class NonFiniteMetric(ContactRelError):
-    """Metric evaluation produced NaN or Inf entries."""
+    """Metric evaluation produced NaN, Inf or non-real entries."""
 
 
 class NonFiniteDerivative(ContactRelError):
-    """Metric derivative evaluation produced NaN or Inf entries."""
+    """Metric derivative evaluation produced NaN, Inf or non-real entries."""
 
 
 class BadSignature(ContactRelError):

@@ -447,13 +447,24 @@ def _entry_codes(s: str, label: str):
     return code, derivatives
 
 
-def _evaluate(codes, q: np.ndarray, phi) -> np.ndarray:
-    """The compiled entries at (q, phi), stacked on a last axis over q's batch."""
+def _evaluate(codes, q: np.ndarray, phi, error=NonFiniteMetric) -> np.ndarray:
+    """The compiled entries at (q, phi), stacked on a last axis over q's batch.
+
+    An entry without a real value raises ``error``: one that is complex, or
+    one whose constants fail in Python float arithmetic (``1/(2-2)`` raises
+    ZeroDivisionError where numpy would give inf).
+    """
     env = dict(_EXPR_NAMESPACE, x0=q[..., 0], x1=q[..., 1], x2=q[..., 2], x3=q[..., 3],
                phi=np.asarray(phi, dtype=float))
     out = np.empty(q.shape[:-1] + (len(codes),))
     for k, code in enumerate(codes):
-        out[..., k] = eval(code, {"__builtins__": {}}, env)
+        try:
+            value = eval(code, {"__builtins__": {}}, env)
+        except ArithmeticError as exc:
+            raise error(f"{code.co_filename}: {type(exc).__name__}: {exc}") from None
+        if np.iscomplexobj(value):
+            raise error(f"{code.co_filename} takes a complex value")
+        out[..., k] = value
     return out
 
 
@@ -480,7 +491,7 @@ def expression_metric(diag: Sequence[str], name: str = "expression") -> MetricFi
     def gradient(q, phi):
         """(..., 4, 5): d g^{aa} / d(x0, x1, x2, x3, phi)."""
         out = np.zeros(q.shape[:-1] + (4, len(_EXPR_VARIABLES)))
-        out[..., rows, cols] = _evaluate(derivatives, q, phi)
+        out[..., rows, cols] = _evaluate(derivatives, q, phi, NonFiniteDerivative)
         return out
 
     def func(q, phi):

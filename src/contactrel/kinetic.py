@@ -329,7 +329,7 @@ def entropy_rate(e: Ensemble, functional: EntropyFunctional) -> float:
     return float(4.0 * np.sum(ratio * bracket * dhdphi))
 
 
-def _series(
+def ensemble_series(
     e: Ensemble,
     dlam_total: float,
     reports: int,
@@ -337,7 +337,19 @@ def _series(
     cfg: IntegratorConfig | None = None,
     on_report: Callable[[int, Ensemble], None] | None = None,
 ) -> tuple[Ensemble, np.ndarray, dict]:
-    """:func:`ensemble_series` with the loop's accepted and rejected step counts."""
+    """Advance an ensemble in ``reports`` equal intervals, logging a row each.
+
+    The markers follow one step sequence over the whole span, so
+    cfg.max_steps bounds the steps of the whole series.  With rk45 the
+    reports are read off the steps' dense output and only the span end is
+    landed on, so the step count follows the tolerance, not ``reports``;
+    rk4 lands a step on every report.  Returns (final ensemble, rows, step
+    counts) where rows has shape (reports + 1, 4) with columns (lambda,
+    total weight, entropy, analytic entropy rate), and the counts are a dict
+    with "steps_accepted" and "steps_rejected".  The optional ``on_report``
+    callback receives (report index, ensemble) at the initial instant and
+    after every interval, e.g. to write snapshots.
+    """
     if reports < 1:
         raise ValueError("reports must be at least 1")
     if not math.isfinite(dlam_total) or dlam_total == 0.0:
@@ -353,27 +365,3 @@ def _series(
     log(0, e)
     e_end, stats = _march(e, dlam_total, reports, cfg, log)
     return e_end, rows, stats
-
-
-def ensemble_series(
-    e: Ensemble,
-    dlam_total: float,
-    reports: int,
-    functional: EntropyFunctional,
-    cfg: IntegratorConfig | None = None,
-    on_report: Callable[[int, Ensemble], None] | None = None,
-) -> tuple[Ensemble, np.ndarray, int]:
-    """Advance an ensemble in ``reports`` equal intervals, logging a row each.
-
-    The markers follow one step sequence over the whole span, so
-    cfg.max_steps bounds the steps of the whole series.  With rk45 the
-    reports are read off the steps' dense output and only the span end is
-    landed on, so the step count follows the tolerance, not ``reports``;
-    rk4 lands a step on every report.  Returns (final ensemble, rows, total
-    accepted steps) where rows has shape (reports + 1, 4) with columns
-    (lambda, total weight, entropy, analytic entropy rate).  The optional
-    ``on_report`` callback receives (report index, ensemble) at the initial
-    instant and after every interval, e.g. to write snapshots.
-    """
-    e_end, rows, stats = _series(e, dlam_total, reports, functional, cfg, on_report)
-    return e_end, rows, stats["steps_accepted"]

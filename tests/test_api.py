@@ -34,3 +34,32 @@ def test_package_exports_are_the_submodule_objects():
         assert getattr(home, name) is obj, name
         if hasattr(home, "__all__"):
             assert name in home.__all__, f"{name} missing from {home.__name__}.__all__"
+
+
+# The package's public surface, written out so that adding or dropping an
+# export is a deliberate edit here too.
+_PUBLIC = [
+    "BadSignature", "CheckResult", "ContactHamiltonianSystem", "ContactRelError",
+    "DensitySpec", "EmptyEnsemble", "Ensemble", "EntropyFunctional", "ExtendedState",
+    "GaussianMomentum", "InsufficientSamples", "IntegratorConfig", "MassModel",
+    "MasslessProjection", "MaxStepsExceeded", "MetricField", "NonFiniteDerivative",
+    "NonFiniteMetric", "NonPositiveDensity", "NotMonotone", "NotTimelike",
+    "ParseError", "ScenarioConfig", "ShellSolveFailed", "SingularMetric",
+    "StepSizeUnderflow", "StopCondition", "Trajectory", "TransversalityFailure",
+    "UniformMomentum", "UnnormalizableSpec", "ValidationError", "__version__",
+    "advance_batch", "build_density_spec", "build_initial_state",
+    "build_integrator_config", "build_system", "christoffel", "ensemble_series",
+    "entropy", "entropy_rate", "evolution_field", "expression_metric", "four_velocity",
+    "geodesic_reference", "integrate", "inverse_metric", "load_scenario",
+    "lowered_metric", "mass_from_tau", "metric_derivatives", "minkowski",
+    "point_mass_potential", "preset_scenario", "project_to_shell", "propagate",
+    "reduced_field_phi", "reparametrize_by_phi", "reparametrize_by_tau", "run_all",
+    "sample_ensemble", "serialize_scenario", "solve_p0_on_shell",
+    "state_from_velocity", "uniform_gradient_potential", "weak_field",
+    "write_ensemble_series", "write_ensemble_snapshot", "write_trajectory",
+]
+
+
+def test_public_surface_is_pinned():
+    assert len(_PUBLIC) == 70
+    assert sorted(contactrel.__all__) == _PUBLIC

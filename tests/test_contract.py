@@ -4,6 +4,8 @@ a stencil over its metric values."""
 from __future__ import annotations
 
 import ast
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -178,3 +180,22 @@ def test_abs_has_derivative_zero_at_its_kink():
     assert np.all(d_q == 0.0) and np.all(d_phi == 0.0)
     dq_g, _ = metric_derivatives(metric, q[0], 0.0)
     assert np.all(dq_g == 0.0)
+
+
+def test_constant_division_by_zero_in_a_derivative_is_named():
+    # d/dx1 of x1/(2-2) divides two float literals, which Python raises on
+    metric = expression_metric(("-1 + x1/(2-2)", "1", "1", "1"))
+    with pytest.raises(NonFiniteDerivative, match=re.escape("diag[0]> d/dx1")):
+        metric_derivatives(metric, np.zeros(4), 0.0)
+
+
+def test_complex_entry_is_refused_not_cast_to_real():
+    # a float power of a negative literal is complex; its real part is not the entry
+    metric = expression_metric(("-(1 + x1*(-8)**(1/3))", "1", "1", "1"))
+    q = np.array([0.0, 0.5, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteMetric, match="complex"):
+            metric.func(q, 0.0)
+        with pytest.raises(NonFiniteDerivative, match="complex"):
+            metric_derivatives(metric, q, 0.0)

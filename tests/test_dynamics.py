@@ -17,7 +17,6 @@ from contactrel import (
     MassModel,
     NotTimelike,
     ShellSolveFailed,
-    contact_identity_residuals,
     evolution_field,
     four_velocity,
     lowered_metric,
@@ -25,11 +24,9 @@ from contactrel import (
     minkowski,
     point_mass_potential,
     project_to_shell,
-    proper_time_field,
     reduced_field_phi,
     solve_p0_on_shell,
     state_from_velocity,
-    tau_from_phi,
     weak_field,
 )
 from contactrel import checks, dynamics, geometry
@@ -171,12 +168,12 @@ def test_project_to_shell_spacelike_rejected():
 def test_rest_decay_field_hand_values():
     sys = _flat(MassModel.exp_decay(1.0, 0.1))
     s = ExtendedState(q=[0, 0, 0, 0], p=[-1, 0, 0, 0], phi=0.0)
-    f = evolution_field(sys, s)
-    assert np.allclose(f.dq, [1, 0, 0, 0])
-    assert f.dphi == -1.0
+    dq, dp, dphi = evolution_field(sys, s)
+    assert np.allclose(dq, [1, 0, 0, 0])
+    assert dphi == -1.0
     assert dynamics._dH_dphi_arrays(sys, *dynamics._as_batch(s))[0] == pytest.approx(0.1)
     # dp_mu = -p_mu dH/dphi in flat space
-    assert np.allclose(f.dp, [0.1, 0, 0, 0])
+    assert np.allclose(dp, [0.1, 0, 0, 0])
 
 
 def test_contact_identities_random_states():
@@ -186,9 +183,9 @@ def test_contact_identities_random_states():
         q = rng.uniform(-2, 2, size=4)
         p = np.concatenate([[rng.uniform(-2, -0.5)], rng.uniform(-1, 1, size=3)])
         s = ExtendedState(q=q, p=p, phi=rng.uniform(-1, 1))
-        r1, r2 = contact_identity_residuals(sys, s)
-        assert r1 < 1e-12
-        assert r2 < 1e-8
+        r1, r2 = dynamics._contact_residual_arrays(sys, *dynamics._as_batch(s))
+        assert r1[0] < 1e-12
+        assert r2[0] < 1e-8
 
 
 # --- batched identity checks against their per-state references ------------------
@@ -212,8 +209,8 @@ def _pointwise_divergence_trace(sys, y):
             def component(x, j=j):
                 ys = row.copy()
                 ys[j] = x
-                f = evolution_field(sys, ExtendedState(q=ys[0:4], p=ys[4:8], phi=ys[8]))
-                return np.concatenate([f.dq, f.dp, [f.dphi]])[j]
+                dq, dp, dphi = evolution_field(sys, ExtendedState(q=ys[0:4], p=ys[4:8], phi=ys[8]))
+                return np.concatenate([dq, dp, [dphi]])[j]
 
             trace[i] += geometry._fd4_of(component, row[j], 1e-3 * (1.0 + abs(row[j])))
     return trace
@@ -225,7 +222,8 @@ def test_contact_residual_arrays_match_single_state_calls(k):
     q, p, phi = checks._random_states(np.random.default_rng(100 + k), 250)
     r1, r2 = dynamics._contact_residual_arrays(sys, q, p, phi)
     ref = np.array([
-        contact_identity_residuals(sys, ExtendedState(q=q[i], p=p[i], phi=phi[i]))
+        np.concatenate(dynamics._contact_residual_arrays(sys, *dynamics._as_batch(
+            ExtendedState(q=q[i], p=p[i], phi=phi[i]))))
         for i in range(250)
     ])
     assert np.array_equal(r1, ref[:, 0])
@@ -279,24 +277,10 @@ def test_reduced_field_consistency_with_lambda_flow():
     rng = np.random.default_rng(13)
     for _ in range(20):
         s = _random_onshell(sys, rng)
-        f = evolution_field(sys, s)
+        dq, dp, dphi = evolution_field(sys, s)
         dq_phi, dp_phi = reduced_field_phi(sys, s)
-        assert np.max(np.abs(dq_phi - f.dq / f.dphi)) < 1e-12
-        assert np.max(np.abs(dp_phi - f.dp / f.dphi)) < 1e-12
-
-
-def test_proper_time_field_consistency_with_lambda_flow():
-    # dtau/dlam = -dphi/dlam / (m c^2) links the two parametrizations
-    sys = _curved(MassModel.exp_decay(1.0, 0.1, c=1.5), c=1.5)
-    rng = np.random.default_rng(29)
-    for _ in range(20):
-        s = _random_onshell(sys, rng)
-        f = evolution_field(sys, s)
-        dq_tau, dp_tau = proper_time_field(sys, s)
-        m = 1.0 + (0.1 / sys.c**2) * s.phi
-        dtau_dlam = -f.dphi / (m * sys.c**2)
-        assert np.max(np.abs(dq_tau - f.dq / dtau_dlam)) < 1e-10
-        assert np.max(np.abs(dp_tau - f.dp / dtau_dlam)) < 1e-10
+        assert np.max(np.abs(dq_phi - dq / dphi)) < 1e-12
+        assert np.max(np.abs(dp_phi - dp / dphi)) < 1e-12
 
 
 # --- mass models and proper time -----------------------------------------------------
@@ -319,30 +303,19 @@ def test_mass_model_zero_and_constant():
     assert ContactHamiltonianSystem(metric=minkowski(), mass=c, c=1.0).massive is True
 
 
-def test_tau_from_phi_constant_mass():
-    sys = _flat(MassModel.constant(2.0))
-    assert tau_from_phi(sys, 0.0, -2.0) == pytest.approx(1.0, rel=1e-15)
-
-
-def test_tau_from_phi_decay_closed_form():
-    # With m0 = 1, alpha = 0.1: phi after exactly one unit of proper time is
-    # 10 (e^{-0.1} - 1), so the elapsed tau recovered from phi must be 1.
-    sys = _flat(MassModel.exp_decay(1.0, 0.1))
-    phi1 = 10.0 * (math.exp(-0.1) - 1.0)
-    assert tau_from_phi(sys, 0.0, phi1) == pytest.approx(1.0, rel=1e-14)
-
-
 def test_mass_from_tau_decay():
     sys = _flat(MassModel.exp_decay(1.0, 0.1))
     assert mass_from_tau(sys, 0.0, 3.0) == pytest.approx(math.exp(-0.3), rel=1e-14)
     const = _flat(MassModel.constant(1.7))
     assert mass_from_tau(const, 0.0, 5.0) == 1.7
-
-
-def test_tau_from_phi_massless_rejected():
-    sys = _flat(MassModel.zero())
+    # an array of elapsed proper times gives the law at each of them
+    tau = np.linspace(0.0, 5.0, 11)
+    decayed = mass_from_tau(sys, 0.0, tau)
+    assert decayed.shape == tau.shape
+    assert np.allclose(decayed, np.exp(-0.1 * tau), rtol=1e-14, atol=0.0)
+    assert np.array_equal(mass_from_tau(const, 0.0, tau), np.full(11, 1.7))
     with pytest.raises(MasslessProjection):
-        tau_from_phi(sys, 0.0, -1.0)
+        mass_from_tau(_flat(MassModel.zero()), 0.0, tau)
 
 
 def test_extended_state_validation():

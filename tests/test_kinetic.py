@@ -336,7 +336,7 @@ def test_rate_consistency_small_interval():
 def test_ensemble_series_rows_and_callbacks():
     e0 = sample_ensemble(_decay_system(0.1), _gaussian_spec(), 100, seed=37)
     seen = []
-    e_end, rows, steps = ensemble_series(
+    e_end, rows, stats = ensemble_series(
         e0, 5.0, 10, SB, cfg=IntegratorConfig(max_step=0.5),
         on_report=lambda k, cur: seen.append((k, cur.lam)),
     )
@@ -349,7 +349,7 @@ def test_ensemble_series_rows_and_callbacks():
     # entropy strictly decreasing, rate column negative throughout
     assert np.all(np.diff(rows[:, 2]) < 0.0)
     assert np.all(rows[:, 3] < 0.0)
-    assert steps >= 10
+    assert stats["steps_accepted"] >= 10
     assert [k for k, _ in seen] == list(range(11))
     assert e_end.lam == pytest.approx(5.0)
 
@@ -361,9 +361,9 @@ def _block(e):
 def test_one_report_series_equals_advance_batch():
     e0 = sample_ensemble(_decay_system(0.1), _gaussian_spec(), 200, seed=43)
     cfg = IntegratorConfig(max_step=0.7)
-    e_end, rows, steps = ensemble_series(e0, 2.0, 1, SB, cfg)
+    e_end, rows, stats = ensemble_series(e0, 2.0, 1, SB, cfg)
     block, ref_steps = advance_batch(e0.sys, _block(e0), 2.0, cfg)
-    assert steps == ref_steps
+    assert stats["steps_accepted"] == ref_steps
     assert np.array_equal(_block(e_end)[:, 0:9], block[:, 0:9])
     assert np.array_equal(e_end.f, np.exp(block[:, 9]))
     assert rows[1, 0] == e_end.lam == 2.0
@@ -384,9 +384,9 @@ def test_decay_gas_series_is_one_step_sequence():
     span, reports = cfg.stop[0]["value"], cfg.outputs["reports"]
     alpha, m0 = cfg.mass["alpha"], cfg.mass["m0"]
     seen = []
-    _, rows, steps = ensemble_series(e0, span, reports, SB, icfg,
+    _, rows, stats = ensemble_series(e0, span, reports, SB, icfg,
                                      on_report=lambda k, cur: seen.append(cur))
-    assert steps < reports
+    assert stats["steps_accepted"] < reports
 
     dlam = span / reports
     e, ref = e0, [(e0.lam, e0.total_weight())]

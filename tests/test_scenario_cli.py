@@ -141,6 +141,18 @@ def test_differentiating_an_entry_is_bounded(entry):
     assert time.perf_counter() - t0 < 2.0
 
 
+@pytest.mark.parametrize("entry, error", [
+    ("-1 + x1/(2-2)", "NonFiniteDerivative"),  # d/dx1 divides two literals by zero
+    ("-(1 + x1*(-8)**(1/3))", "NonFiniteMetric"),  # complex, not real
+])
+def test_entry_without_a_real_value_is_rejected(entry, error):
+    doc = _minimal(metric={"kind": "expression", "diag": [entry, "1", "1", "1"]})
+    with pytest.raises(ValidationError) as exc, np.errstate(all="ignore"):
+        load_scenario(doc)
+    assert exc.value.field == "metric.diag[0]"
+    assert exc.value.reason.startswith(f"invalid expression: {error}")
+
+
 def test_every_documented_expression_loads():
     for entry in ["-(1 + 0.1*sin(x1))",  # the README example
                   "-(1 + 0.1*sin(0.7*x1 + 0.5*phi))", "1 + 0.1*cos(0.7*x2)",
@@ -525,3 +537,14 @@ def test_verify_gas_preset_reuses_battery_run(tmp_path, monkeypatch):
     result = cli._verify_one_preset("photon-gas", str(tmp_path))
     assert result.name == "preset:photon-gas"
     assert result.passed, result.detail
+
+
+def test_verify_measures_the_decay_law(tmp_path, monkeypatch):
+    # Both decay checks take their target from dynamics.mass_from_tau, so a
+    # law that is 1% off must fail them.
+    from contactrel import checks, cli, dynamics
+
+    law = dynamics.mass_from_tau
+    monkeypatch.setattr(dynamics, "mass_from_tau", lambda *args: 1.01 * law(*args))
+    assert not cli._verify_one_preset("decay-flat", str(tmp_path)).passed
+    assert not checks.check_decay_cancellation().passed
