@@ -14,6 +14,7 @@ appears only on the console, never in files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import tempfile
@@ -201,9 +202,13 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = checks_mod.run_all(perturb_divergence=args.perturb_divergence)
+    names = [name for name, _ in checks_mod.CHECKS]
     if args.all_presets:
-        results.extend(_verify_presets())
+        names += [f"preset:{name}" for name in PRESETS]
+    with tempfile.TemporaryDirectory(prefix="contactrel-verify-") as tmp:
+        results = checks_mod._run_records(
+            functools.partial(_verify_record, args.perturb_divergence, tmp), names
+        )
     if args.json:
         for r in results:
             record = {
@@ -232,19 +237,14 @@ def _cmd_presets(args) -> int:
 # --- preset verification (the --all-presets battery) -----------------------------------
 
 
-def _verify_presets() -> list[checks_mod.CheckResult]:
-    results = []
-    with tempfile.TemporaryDirectory(prefix="contactrel-verify-") as tmp:
-        for name in PRESETS:
-            try:
-                results.append(_verify_one_preset(name, tmp))
-            except Exception as exc:
-                results.append(checks_mod.CheckResult(
-                    name=f"preset:{name}", passed=False,
-                    measured=float("nan"), tolerance=float("nan"),
-                    detail=f"raised {type(exc).__name__}: {exc}",
-                ))
-    return results
+def _verify_record(perturb_divergence: bool, tmp: str, name: str) -> checks_mod.CheckResult:
+    """One verify record: a battery check, or "preset:NAME" for a preset run."""
+    if not name.startswith("preset:"):
+        return checks_mod._check_record(perturb_divergence, name)
+    try:
+        return _verify_one_preset(name.removeprefix("preset:"), tmp)
+    except Exception as exc:
+        return checks_mod._failed(name, exc)
 
 
 def _verify_one_preset(name: str, tmp: str) -> checks_mod.CheckResult:

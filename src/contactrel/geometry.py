@@ -154,11 +154,15 @@ def metric_derivatives(metric: MetricField, q: np.ndarray, phi) -> tuple[np.ndar
     exactly symmetric in (a, b).
     """
     q = np.asarray(q, dtype=float)
-    dq = _finite_derivative(metric.name, metric.d_q(q, phi))
+    dq = _d_q(metric, q, phi)
     dphi = _finite_derivative(metric.name, metric.d_phi(q, phi))
-    dq = 0.5 * (dq + np.swapaxes(dq, -2, -3))
-    dphi = 0.5 * (dphi + np.swapaxes(dphi, -1, -2))
-    return dq, dphi
+    return dq, 0.5 * (dphi + np.swapaxes(dphi, -1, -2))
+
+
+def _d_q(metric: MetricField, q: np.ndarray, phi) -> np.ndarray:
+    """The d_q tensor of :func:`metric_derivatives` alone."""
+    dq = _finite_derivative(metric.name, metric.d_q(q, phi))
+    return 0.5 * (dq + np.swapaxes(dq, -2, -3))
 
 
 def _gpp(g, p):
@@ -176,8 +180,14 @@ def christoffel(metric: MetricField, q: np.ndarray, phi) -> np.ndarray:
     """
     q = np.asarray(q, dtype=float)
     g = inverse_metric(metric, q, phi)
-    gl = _lower(metric, g)
-    dq, _ = metric_derivatives(metric, q, phi)
+    return _christoffel(g, _lower(metric, g), _d_q(metric, q, phi))
+
+
+def _christoffel(g, gl, dq):
+    """:func:`christoffel` from g^{ab}, its symmetrised inverse and the d_q tensor.
+
+    Nothing is validated here: the caller has checked the metric.
+    """
     # L[..., s, b, a] = d g_{sb} / d q^a
     L = -np.einsum("...sm,...mna,...nb->...sba", gl, dq, gl)
     # C[s, a, b] = d_a g_{sb} + d_b g_{sa} - d_s g_{ab}

@@ -40,6 +40,7 @@ from .errors import (
     MasslessProjection,
     MaxStepsExceeded,
     NotMonotone,
+    SingularMetric,
     StepSizeUnderflow,
     TransversalityFailure,
 )
@@ -446,13 +447,19 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, h0=None, project=N
     return termination, {"steps_accepted": accepted, "steps_rejected": rejected}
 
 
-def _run_recorded(rhs, y0, cfg, span, events, ncore, project=None):
-    """_run_loop keeping every sample; returns (lams, ys, fs, termination, stats)."""
+def _run_recorded(rhs, y0, cfg, span, events, ncore, project=None, validate=None):
+    """_run_loop keeping every sample; returns (lams, ys, fs, termination, stats).
+
+    ``validate(y)``, if given, is called on each sample before it is kept.
+    """
     samples = []
-    termination, stats = _run_loop(
-        rhs, y0, cfg, span, events, ncore,
-        lambda lam, y, f: samples.append((lam, y, f)), project=project,
-    )
+
+    def sample(lam, y, f):
+        if validate is not None:
+            validate(y)
+        samples.append((lam, y, f))
+
+    termination, stats = _run_loop(rhs, y0, cfg, span, events, ncore, sample, project=project)
     lams, ys, fs = (np.array(col) for col in zip(*samples))
     return lams, ys, fs, termination, stats
 
@@ -674,6 +681,8 @@ def geodesic_reference(
     dynamics.four_velocity returns it).  The returned trajectory stores the
     contravariant four-velocity in the ``p`` slot (see metadata["p_column"]).
     Stop conditions: lambda_reached (meaning tau) and coordinate_bound only.
+    A run that leaves the metric's domain raises BadSignature or
+    SingularMetric.
     """
     if not cfg.stop:
         raise ValueError("geodesic_reference needs at least one stop condition")
@@ -693,16 +702,30 @@ def geodesic_reference(
 
     lam_end, events = _make_events(cfg, sys, massive=False)
 
+    # Stages only check finiteness; the signature and conditioning checks of
+    # geometry.christoffel run once per accepted sample (validate below).
     def rhs(lam, y):
         q, uvec = y[0:4], y[4:8]
-        gamma = geometry.christoffel(sys.metric, q, phi0)
+        g = geometry._eval_raw(sys.metric, q, phi0)
+        try:
+            gl = np.linalg.inv(g)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMetric(
+                f"metric '{sys.metric.name}' is singular at a trial point"
+            ) from exc
+        gamma = geometry._christoffel(
+            g, 0.5 * (gl + gl.T), geometry._d_q(sys.metric, q, phi0)
+        )
         dy = np.empty(8)
         dy[0:4] = uvec
         dy[4:8] = -np.einsum("mab,a,b->m", gamma, uvec, uvec)
         return dy
 
     y0 = np.concatenate([q0, u])
-    lams, ys, fs, termination, stats = _run_recorded(rhs, y0, cfg, lam_end, events, ncore=8)
+    lams, ys, fs, termination, stats = _run_recorded(
+        rhs, y0, cfg, lam_end, events, ncore=8,
+        validate=lambda y: geometry.lowered_metric(sys.metric, y[0:4], phi0),
+    )
 
     n = len(lams)
     q_arr, u_arr = ys[:, 0:4], ys[:, 4:8]

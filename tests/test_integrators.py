@@ -577,3 +577,29 @@ def test_geodesic_reference_rejects_unnormalized_velocity():
             sys, np.array([0.0, 1.0, 0.0, 0.0]), np.array([2.0, 0, 0, 0]),
             IntegratorConfig(stop=_stop("lambda_reached", 1.0)),
         )
+
+
+@pytest.mark.parametrize("diag", [
+    # g^{11} vanishes at x1 = 2, where the geodesic turns
+    ["-1", "1 - 0.5*x1", "1", "1"],
+    # g^{11} is exactly 0 past x1 = 0.5: a trial stage cannot be inverted
+    ["-1", "1 - sign(x1 - 0.5)", "1", "1"],
+    # g^{22} changes sign at x1 = 2, which the straight geodesic crosses:
+    # only the check of an accepted sample sees it
+    ["-1", "1", "1 - 0.5*x1", "1"],
+])
+def test_geodesic_reference_stops_with_a_named_reason_where_the_metric_degenerates(diag):
+    # The right-hand side checks finiteness only; a singular stage or an
+    # accepted sample outside the domain must still end the run with a
+    # named error, never numpy's LinAlgError and never in silence.
+    from contactrel import BadSignature, SingularMetric, expression_metric, four_velocity
+
+    sys = ContactHamiltonianSystem(
+        metric=expression_metric(diag), mass=MassModel.constant(1.0), c=1.0
+    )
+    s0 = state_from_velocity(sys, np.zeros(4), 0.0, [0.5, 0.0, 0.0])
+    with pytest.raises((SingularMetric, BadSignature)):
+        geodesic_reference(
+            sys, s0.q, four_velocity(sys, s0),
+            IntegratorConfig(stop=_stop("lambda_reached", 50.0)),
+        )

@@ -548,3 +548,115 @@ def test_verify_measures_the_decay_law(tmp_path, monkeypatch):
     monkeypatch.setattr(dynamics, "mass_from_tau", lambda *args: 1.01 * law(*args))
     assert not cli._verify_one_preset("decay-flat", str(tmp_path)).passed
     assert not checks.check_decay_cancellation().passed
+
+
+# ---------------------------------------------------------------------------
+# the verify records in forked workers
+
+
+def _force_pool(monkeypatch, workers=2):
+    """Give verify a pool of this many workers, whatever the host's CPU count."""
+    from contactrel import output
+
+    monkeypatch.setattr(output, "_usable_cpus", lambda: float(workers))
+
+
+def _verify_records(argv, capsys):
+    code = main(argv)
+    out = capsys.readouterr().out
+    return code, out, [json.loads(line) for line in out.splitlines() if line.strip()]
+
+
+def test_verify_pool_matches_in_process_and_runs_each_gas_once(tmp_path, monkeypatch, capsys):
+    # The same records, byte for byte, from the worker pool and from the
+    # in-process path; each ensemble preset is integrated once per battery,
+    # its preset record reading entropy-decay's run.  The log is a file so
+    # that calls made in forked workers are counted.  With four workers a
+    # gas preset record split off entropy-decay's task would find a worker
+    # idle while entropy-decay still runs, and integrate its gas again.
+    from contactrel import checks, output
+
+    _force_pool(monkeypatch, workers=4)
+    log = tmp_path / "runs.log"
+    real = checks.run_ensemble
+
+    def counted(cfg, *args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(serialize_scenario(cfg).replace("\n", " ") + "\n")
+        return real(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(checks, "run_ensemble", counted)
+    gases = [serialize_scenario(preset_scenario(name)).replace("\n", " ")
+             for name in PRESETS if preset_scenario(name).kind == "ensemble"]
+    outs = []
+    for in_process in (False, True):
+        if in_process:
+            monkeypatch.setattr(output, "_fork_context", lambda: None)
+        checks._gas_run.cache_clear()
+        log.write_text("")
+        code, out, records = _verify_records(["verify", "--all-presets", "--json"], capsys)
+        assert code == 0, out
+        assert [r["name"] for r in records] == (
+            [name for name, _ in checks.CHECKS] + [f"preset:{name}" for name in PRESETS])
+        runs = log.read_text().splitlines()
+        assert [runs.count(gas) for gas in gases] == [1] * len(gases)
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_verify_check_raising_in_a_worker_fails_in_place(monkeypatch, capsys):
+    # A rebound catalog of two entries prints two records, in catalog order;
+    # the one that raised in its worker is a named failed record.
+    import os
+
+    from contactrel import checks
+    from contactrel.checks import CheckResult
+
+    def boom():
+        raise ValueError("broken on purpose")
+
+    def fine():
+        return CheckResult("fine", True, 0.0, 1.0, detail=str(os.getpid()))
+
+    _force_pool(monkeypatch)
+    monkeypatch.setattr(checks, "CHECKS", (("boom", boom), ("fine", fine)))
+    code, _, records = _verify_records(["verify", "--json"], capsys)
+    assert code == 1
+    assert [r["name"] for r in records] == ["boom", "fine"]
+    assert records[0]["passed"] is False
+    assert records[0]["detail"] == "raised ValueError: broken on purpose"
+    assert records[1]["passed"] is True
+    assert records[1]["detail"] != str(os.getpid())  # computed by a worker
+
+
+def test_verify_worker_that_dies_fails_its_records_without_hanging(monkeypatch, capsys):
+    import multiprocessing
+    import os
+    import signal
+
+    from contactrel import checks
+    from contactrel.checks import CheckResult
+
+    def die():
+        os._exit(3)
+
+    def fine():
+        return CheckResult("fine", True, 0.0, 1.0)
+
+    def hung(signum, frame):
+        raise TimeoutError("verify did not return after a worker died")
+
+    _force_pool(monkeypatch)
+    monkeypatch.setattr(checks, "CHECKS", (("die", die), ("fine", fine)))
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        code, _, records = _verify_records(["verify", "--json"], capsys)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 1
+    assert [r["name"] for r in records] == ["die", "fine"]
+    assert records[0]["passed"] is False
+    assert records[0]["detail"].startswith("raised BrokenProcessPool")
+    assert multiprocessing.active_children() == []
