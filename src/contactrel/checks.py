@@ -8,11 +8,10 @@ No check reads another's result except through the ``_gas_run`` cache, so
 ``run_all`` and ``verify`` compute the records in forked workers, one per
 usable CPU, and return them in catalog order (``_run_records``).
 
-The contact-identity and divergence checks evaluate their random states in
-(n, .) blocks through the batched field (``dynamics._contact_residual_arrays``
-and ``_divergence_trace``), not one state at a time.  A block holds at most
-``_IDENTITY_BLOCK`` = 250 rows, which keeps every temporary under glibc's
-default mmap threshold (see the constant's comment).
+The contact-identity and divergence checks evaluate all random states of a
+metric as one (n, .) block through the batched field
+(``dynamics._contact_residual_arrays`` and ``_divergence_trace``), not one
+state at a time.
 
 ``perturb_divergence=True`` rescales the analytic divergence by 1% inside the
 divergence check; it exists so that the battery can be shown to catch a
@@ -82,20 +81,6 @@ def _identity_metrics() -> list[geometry.MetricField]:
     ]
 
 
-# Rows per block of the identity checks, set so that the wavy metric's old
-# (n, 4, 4, 4) derivative tensor (128 000 B) stayed under glibc's default 128 KiB
-# mmap threshold: freeing a larger temporary raises glibc's dynamic threshold,
-# so the later 10^4-marker gas runs land on the brk heap and the peak RSS of
-# verify --all-presets grows by about 4 MB.  Not measured again since the
-# contraction stopped building that tensor.
-_IDENTITY_BLOCK = 250
-
-
-def _blocks(n):
-    """Slices that cover range(n) in blocks of at most _IDENTITY_BLOCK rows."""
-    return [slice(lo, lo + _IDENTITY_BLOCK) for lo in range(0, n, _IDENTITY_BLOCK)]
-
-
 def _random_states(rng, n):
     q = rng.uniform(-2.0, 2.0, size=(n, 4))
     p = np.column_stack(
@@ -136,17 +121,15 @@ def _orbit_system(gm, c=1.0, mass=None) -> ContactHamiltonianSystem:
 # --- criterion 1: contact identities -------------------------------------------
 
 
-def check_contact_identities(states_per_metric: int = 1000, seed: int = 2024) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_contact_identities() -> CheckResult:
+    rng = np.random.default_rng(2024)
     mass = MassModel.exp_decay(1.0, 0.1, phi0=0.0, c=1.0)
     worst_r1 = worst_r2 = 0.0
     for metric in _identity_metrics():
         sys = ContactHamiltonianSystem(metric=metric, mass=mass, c=1.0)
-        q, p, phi = _random_states(rng, states_per_metric)
-        for rows in _blocks(states_per_metric):
-            r1, r2 = dynamics._contact_residual_arrays(sys, q[rows], p[rows], phi[rows])
-            worst_r1 = max(worst_r1, float(np.max(r1)))
-            worst_r2 = max(worst_r2, float(np.max(r2)))
+        r1, r2 = dynamics._contact_residual_arrays(sys, *_random_states(rng, 1000))
+        worst_r1 = max(worst_r1, float(np.max(r1)))
+        worst_r2 = max(worst_r2, float(np.max(r2)))
     passed = worst_r1 < 1e-12 and worst_r2 < 1e-8
     return CheckResult(
         name="contact-identities",
@@ -212,8 +195,9 @@ def _divergence_trace(sys, y):
     return trace
 
 
-def check_divergence(n_states: int = 100, seed: int = 77, perturb: bool = False) -> CheckResult:
-    rng = np.random.default_rng(seed)
+def check_divergence(perturb: bool = False) -> CheckResult:
+    rng = np.random.default_rng(77)
+    n_states = 100
     mass = MassModel.exp_decay(1.0, 0.1, phi0=0.0, c=1.0)
     metrics = _identity_metrics()
     # One draw per state, state i for metric i % 3: the draw order fixes
@@ -226,14 +210,12 @@ def check_divergence(n_states: int = 100, seed: int = 77, perturb: bool = False)
     for k, metric in enumerate(metrics):
         sys = ContactHamiltonianSystem(metric=metric, mass=mass, c=1.0)
         y_k = y[k::len(metrics)]
-        for rows in _blocks(len(y_k)):
-            yb = y_k[rows]
-            trace = _divergence_trace(sys, yb)
-            analytic = -4.0 * dynamics._dH_dphi_arrays(sys, yb[:, 0:4], yb[:, 4:8], yb[:, 8])
-            if perturb:
-                analytic *= 1.01
-            mismatch = np.abs(trace - analytic) / np.maximum(1.0, np.abs(analytic))
-            worst = max(worst, float(np.max(mismatch)))
+        trace = _divergence_trace(sys, y_k)
+        analytic = -4.0 * dynamics._dH_dphi_arrays(sys, y_k[:, 0:4], y_k[:, 4:8], y_k[:, 8])
+        if perturb:
+            analytic *= 1.01
+        mismatch = np.abs(trace - analytic) / np.maximum(1.0, np.abs(analytic))
+        worst = max(worst, float(np.max(mismatch)))
     return CheckResult(
         name="divergence-identity",
         passed=worst < 1e-6,

@@ -23,10 +23,7 @@ private batched functions over q (n, 4), p (n, 4), phi (n,) blocks
 (``_h_and_shell``, ``_field_arrays``, ``_dH_dphi_arrays``,
 ``_contact_residual_arrays``) compute them, and the integrators, the kinetic
 layer, the scenario builder and the verification battery call those
-directly.  evolution_field is the n = 1 case of ``_field_arrays``.  Batched
-callers bound their block size themselves: the battery uses blocks of 250
-rows so that an analytic (n, 4, 4, 4) metric derivative stays under glibc's
-default 128 KiB mmap threshold.
+directly.  evolution_field is the n = 1 case of ``_field_arrays``.
 """
 
 from __future__ import annotations

@@ -11,11 +11,14 @@ Conventions
 * Derivative tensors put the derivative index last:
   ``d_q[..., a, b, mu] = d g^{ab} / d q^mu`` and ``d_phi[..., a, b]``.
 
-Every field carries exact derivatives: the constructors write them out, and
-:func:`expression_metric` differentiates its entries symbolically.  The flow
-needs the metric only through the quadratic form g^{ab} p_a p_b, so the
-dynamics calls each field's ``contract(q, p, phi)``, which returns ``g . p``
-and the gradient of that scalar, never a rank-3 tensor.
+Every built-in field is diagonal and carries exact derivatives: each
+constructor gives its diagonal g^{aa} and the gradient of that diagonal (the
+weak field writes it out, :func:`expression_metric` differentiates its
+entries symbolically), and ``_diagonal_metric`` builds all four callbacks of
+the field from those two.  The flow needs the metric only through the
+quadratic form g^{ab} p_a p_b, so the dynamics calls each field's
+``contract(q, p, phi)``, which returns ``g . p`` and the gradient of that
+scalar, never a rank-3 tensor.
 :func:`metric_derivatives` and :func:`christoffel` build the full tensors for
 the geodesic reference and for inspection.
 """
@@ -44,7 +47,6 @@ __all__ = [
 ]
 
 _ETA_DIAG = np.array([-1.0, 1.0, 1.0, 1.0])
-_ETA = np.diag(_ETA_DIAG)
 
 # Validation thresholds for inverse_metric.
 SYMMETRY_TOL = 1e-14
@@ -54,6 +56,10 @@ CONDITION_LIMIT = 1e12
 @dataclass(frozen=True)
 class MetricField:
     """Inverse metric field g^{mu nu}(q, phi) with its exact derivatives.
+
+    All four callbacks are required.  The built-in constructors get them from
+    ``_diagonal_metric``; a hand-made field must keep them consistent, as
+    ``tests/test_contract.py`` checks for the built-in ones.
 
     Parameters
     ----------
@@ -204,24 +210,57 @@ def _christoffel(g, gl, dq):
 # --- constructors -----------------------------------------------------------
 
 
-def _no_d_phi(q, phi):
-    """d_phi of a field without phi dependence."""
-    return np.zeros(q.shape[:-1] + (4, 4))
+def _diagonal_metric(name: str, diag, gradient=None) -> MetricField:
+    """A diagonal inverse metric: the one builder of every built-in field.
+
+    ``diag`` is ``(q, phi) -> (..., 4)``, the entries g^{aa}, or a constant
+    (4,) array.  ``gradient`` is ``(q, phi) -> (..., 4, 5)``, holding
+    d g^{aa} / d(x0, x1, x2, x3, phi), or None where it is identically zero.
+    ``contract`` uses g^{ab} p_a p_b = sum_a g^{aa} p_a^2 and checks that the
+    entries and the contracted derivatives are finite (a constant diagonal
+    once, here).
+    """
+    eye = np.eye(4)
+    if callable(diag):
+        def func(q, phi):
+            return np.einsum("...a,ab->...ab", diag(q, phi), eye)
+
+        def values(q, phi):
+            return _finite_metric(name, diag(q, phi))
+    else:
+        const = _finite_metric(name, np.asarray(diag, dtype=float))
+        matrix = np.diag(const)
+
+        def func(q, phi):
+            return np.broadcast_to(matrix, q.shape[:-1] + (4, 4))
+
+        def values(q, phi):
+            return const
+
+    def d_q(q, phi):
+        if gradient is None:
+            return np.zeros(q.shape[:-1] + (4, 4, 4))
+        return np.einsum("...am,ab->...abm", gradient(q, phi)[..., :4], eye)
+
+    def d_phi(q, phi):
+        if gradient is None:
+            return np.zeros(q.shape[:-1] + (4, 4))
+        return np.einsum("...a,ab->...ab", gradient(q, phi)[..., 4], eye)
+
+    def contract(q, p, phi):
+        g_p = values(q, phi) * p
+        if gradient is None:
+            return g_p, np.zeros(p.shape), np.zeros(p.shape[:-1])
+        d_gpp = _finite_derivative(
+            name, np.einsum("...ak,...a->...k", gradient(q, phi), p * p))
+        return g_p, d_gpp[..., :4], d_gpp[..., 4]
+
+    return MetricField(func=func, d_q=d_q, d_phi=d_phi, contract=contract, name=name)
 
 
 def minkowski() -> MetricField:
     """Flat inverse metric diag(-1, 1, 1, 1), independent of q and phi."""
-
-    def func(q, phi):
-        return np.broadcast_to(_ETA, q.shape[:-1] + (4, 4))
-
-    def d_q(q, phi):
-        return np.zeros(q.shape[:-1] + (4, 4, 4))
-
-    def contract(q, p, phi):
-        return _ETA_DIAG * p, np.zeros(p.shape), np.zeros(p.shape[:-1])
-
-    return MetricField(func=func, d_q=d_q, d_phi=_no_d_phi, contract=contract, name="minkowski")
+    return _diagonal_metric("minkowski", _ETA_DIAG)
 
 
 def point_mass_potential(gm: float, softening: float = 0.0):
@@ -273,33 +312,17 @@ def weak_field(
     """
     c2 = float(c) ** 2
 
-    def func(q, phi):
-        x = q[..., 1:]
-        u = 2.0 * potential(x) / c2
-        g = np.zeros(q.shape[:-1] + (4, 4))
-        g[..., 0, 0] = -1.0 + u
-        for i in (1, 2, 3):
-            g[..., i, i] = 1.0 - u
-        return g
+    def diag(q, phi):
+        return (1.0 - 2.0 * potential(q[..., 1:]) / c2)[..., None] * _ETA_DIAG
 
-    def d_q(q, phi):
+    def grad(q, phi):
         du = 2.0 * gradient(q[..., 1:]) / c2  # (..., 3) = d u / d x^i
-        out = np.zeros(q.shape[:-1] + (4, 4, 4))
-        out[..., 1:] = np.einsum("ab,...i->...abi", -_ETA, du)  # d g^{ab} = -eta^{ab} du
+        out = np.zeros(q.shape[:-1] + (4, 5))
+        out[..., 0, 1:4] = du  # d g^{aa} / d x^i = -eta^{aa} du_i
+        out[..., 1:, 1:4] = -du[..., None, :]
         return out
 
-    def contract(q, p, phi):
-        # g^{ab} p_a p_b = (1 - u) eta^{ab} p_a p_b
-        x = q[..., 1:]
-        u = _finite_metric(name, 2.0 * potential(x) / c2)
-        du = _finite_derivative(name, 2.0 * gradient(x) / c2)
-        eta_p = _ETA_DIAG * p
-        eta_pp = np.einsum("...a,...a->...", eta_p, p)
-        d_gpp = np.zeros(p.shape)
-        d_gpp[..., 1:] = -du * eta_pp[..., None]
-        return (1.0 - u)[..., None] * eta_p, d_gpp, np.zeros(p.shape[:-1])
-
-    return MetricField(func=func, d_q=d_q, d_phi=_no_d_phi, contract=contract, name=name)
+    return _diagonal_metric(name, diag, grad)
 
 
 # The functions of the entry grammar, each with f'(u) as entry text in u; None
@@ -496,28 +519,10 @@ def expression_metric(diag: Sequence[str], name: str = "expression") -> MetricFi
     slots = [(a, k) for a, (_, derivs) in enumerate(entries) for k in derivs]
     derivatives = [entries[a][1][k] for a, k in slots]
     rows, cols = np.array(slots, dtype=int).reshape(-1, 2).T
-    eye = np.eye(4)
 
     def gradient(q, phi):
-        """(..., 4, 5): d g^{aa} / d(x0, x1, x2, x3, phi)."""
         out = np.zeros(q.shape[:-1] + (4, len(_EXPR_VARIABLES)))
         out[..., rows, cols] = _evaluate(derivatives, q, phi, NonFiniteDerivative)
         return out
 
-    def func(q, phi):
-        return np.einsum("...a,ab->...ab", _evaluate(values, q, phi), eye)
-
-    def d_q(q, phi):
-        return np.einsum("...am,ab->...abm", gradient(q, phi)[..., :4], eye)
-
-    def d_phi(q, phi):
-        return np.einsum("...a,ab->...ab", gradient(q, phi)[..., 4], eye)
-
-    def contract(q, p, phi):
-        # g^{ab} p_a p_b = sum_a g^{aa} p_a^2
-        diag_g = _finite_metric(name, _evaluate(values, q, phi))
-        d_gpp = _finite_derivative(
-            name, np.einsum("...ak,...a->...k", gradient(q, phi), p * p))
-        return diag_g * p, d_gpp[..., :4], d_gpp[..., 4]
-
-    return MetricField(func=func, d_q=d_q, d_phi=d_phi, contract=contract, name=name)
+    return _diagonal_metric(name, lambda q, phi: _evaluate(values, q, phi), gradient)

@@ -166,6 +166,35 @@ def _hermite_slope(y0, y1, f0, f1, h, t):
     return (dh00 * y0 + dh01 * y1) / h + dh10 * f0 + dh11 * f1
 
 
+def _hermite_crossing(y0, y1, f0, f1, h, target):
+    """Bisect where each cubic Hermite y(t) crosses its target; returns (a, b).
+
+    Elementwise over (m,) arrays of one column's values y0, y1 and slopes
+    f0, f1 at the ends of steps of width h, where y(t) - target changes sign
+    on [0, 1].  The fractions a <= b bracket the crossing (a = b at an exact
+    root) until b - a < 1e-16 or a and b are adjacent doubles; each pass
+    halves the bracket, so every element stops within 54 passes.
+    """
+    m = np.shape(target)[0]
+    a = np.zeros(m)
+    b = np.ones(m)
+    ga = y0 - target
+    live = np.ones(m, dtype=bool)
+    for _ in range(64):
+        mid = 0.5 * (a + b)
+        live &= (a < mid) & (mid < b)  # else a, b are adjacent and would not move
+        if not live.any():
+            break
+        gm = _hermite_eval(y0, y1, f0, f1, h, mid) - target
+        zero = gm == 0.0  # an exact root sets a = b = mid
+        flip = (ga < 0) != (gm < 0)
+        b = np.where(live & (flip | zero), mid, b)
+        a = np.where(live & (~flip | zero), mid, a)
+        ga = np.where(live & ~flip, gm, ga)
+        live &= ~(b - a < 1e-16)
+    return a, b
+
+
 # --- Dormand-Prince 5(4) tableau ----------------------------------------------
 
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
@@ -293,8 +322,10 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, h0=None, project=N
     from report to report.  rk45 lands a step only on the span end and reads
     every earlier report off the dense output (:func:`_dp_dense`) of the
     accepted step that passes it; rk4 lands a step on every report.
-    ``events`` is a list of (label, fn) with fn(lam, y) -> float;
-    an event fires when its value crosses zero between accepted samples.
+    ``events`` is a list of (label, column, value) for a (d,) state; an
+    event fires when y[column] crosses value between accepted samples, and
+    the crossing is located on the step's cubic Hermite
+    (:func:`_hermite_crossing`).
     ``sample(lam, y, f)``, if given, receives the start and every accepted
     sample, with f = rhs(lam, y).  All rows share one step sequence and the
     error norm is the worst row's.  rk45 starts from ``h0`` (default
@@ -309,7 +340,9 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, h0=None, project=N
     f = rhs(lam, y)
     if sample is not None:
         sample(lam, y, f)
-    ev_prev = [fn(lam, y) for _, fn in events]
+    labels = [label for label, _, _ in events]
+    columns = np.array([column for _, column, _ in events], dtype=int)
+    values = np.array([value for _, _, value in events], dtype=float)
     direction = -1.0 if span is not None and span < 0 else 1.0
     termination = None
     accepted = rejected = 0
@@ -369,38 +402,21 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, h0=None, project=N
         if f_new is None and (events or sample is not None or not (landed and k == reports)):
             f_new = rhs(lam_new, y_new)
 
-        # locate the earliest zero crossing of any event on this step
+        # locate the earliest crossing of any event surface on this step
         hit = None
-        ev_new = []
-        for j, (label, fn) in enumerate(events):
-            e1 = fn(lam_new, y_new)
-            ev_new.append(e1)
-            e0 = ev_prev[j]
-            crossed = ((e0 < 0) != (e1 < 0)) or e1 == 0.0
-            if e0 == 0.0 or not crossed:
-                continue
-            a, b = 0.0, 1.0
-            ga = e0
-            for _ in range(90):
-                mid = 0.5 * (a + b)
-                ym = _hermite_eval(y, y_new, f, f_new, hs, mid)
-                gm = fn(lam + mid * hs, ym)
-                if gm == 0.0:
-                    a = b = mid
-                    break
-                if (ga < 0) != (gm < 0):
-                    b = mid
-                else:
-                    a, ga = mid, gm
-                if b - a < 1e-16:
-                    break
-            t_star = b
-            lam_star = lam + t_star * hs
-            if direction * (lam_star - lam) <= 0.0:
-                lam_star = np.nextafter(lam, lam_new)
-                t_star = (lam_star - lam) / hs
-            if hit is None or direction * lam_star < direction * hit[0]:
-                hit = (lam_star, t_star, label)
+        if events:
+            e0, e1 = y[columns] - values, y_new[columns] - values
+            crossed = (((e0 < 0) != (e1 < 0)) | (e1 == 0.0)) & (e0 != 0.0)
+            if crossed.any():
+                c = columns[crossed]
+                _, t = _hermite_crossing(y[c], y_new[c], f[c], f_new[c], hs, values[crossed])
+                lam_star = lam + t * hs
+                # a crossing at the step's start is put one double after it
+                early = direction * (lam_star - lam) <= 0.0
+                lam_star[early] = np.nextafter(lam, lam_new)
+                t[early] = (lam_star[early] - lam) / hs
+                j = int(np.argmin(direction * lam_star))
+                hit = (lam_star[j], t[j], labels[np.flatnonzero(crossed)[j]])
 
         if dense:
             # read the reports this step passes (up to an event) off its dense
@@ -431,7 +447,6 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, h0=None, project=N
             f_new = rhs(lam_new, y_new)
 
         lam, y, f = lam_new, y_new, f_new
-        ev_prev = ev_new
         if sample is not None:
             sample(lam, y, f)
 
@@ -468,25 +483,27 @@ def _run_recorded(rhs, y0, cfg, span, events, ncore, project=None, validate=None
 
 
 def _make_events(cfg: IntegratorConfig, sys: ContactHamiltonianSystem, massive: bool):
+    """(lambda span or None, [(label, column, value)]) of cfg.stop.
+
+    A mass floor is the phi where the affine m(phi) reaches it; a mass that
+    does not depend on phi never crosses one, so it is no event.
+    """
     lam_end = None
     events = []
     for stop in cfg.stop:
         if stop.kind == "lambda_reached":
             lam_end = stop.value if lam_end is None else min(lam_end, stop.value)
         elif stop.kind == "phi_reached":
-            events.append(("phi_reached", lambda lam, y, v=stop.value: y[8] - v))
+            events.append(("phi_reached", 8, stop.value))
         elif stop.kind == "tau_reached":
             if not massive:
                 raise ValueError("tau_reached stop is undefined for massless systems")
-            events.append(("tau_reached", lambda lam, y, v=stop.value: y[9] - v))
+            events.append(("tau_reached", 9, stop.value))
         elif stop.kind == "coordinate_bound":
-            events.append(
-                ("coordinate_bound", lambda lam, y, a=stop.axis, v=stop.value: y[a] - v)
-            )
-        elif stop.kind == "mass_floor":
-            events.append(
-                ("mass_floor", lambda lam, y, v=stop.value: float(sys.mass.value(y[8])) - v)
-            )
+            events.append(("coordinate_bound", stop.axis, stop.value))
+        elif sys.mass.kind == "affine_phi" and sys.mass.slope != 0.0:  # mass_floor
+            m = sys.mass
+            events.append(("mass_floor", 8, m.phi_ref + (stop.value - m.m0) / m.slope))
     return lam_end, events
 
 
@@ -601,21 +618,7 @@ def _resample(traj: Trajectory, col: int, new_parameter: str, num: int | None):
     i = np.clip(i, 0, n - 2)
     h = h_all[i]
     y0, y1, f0, f1 = vals[i], vals[i + 1], derivs[i], derivs[i + 1]
-    a = np.zeros(len(target))
-    b = np.ones(len(target))
-    ga = s[i] - target
-    live = np.ones(len(target), dtype=bool)
-    for _ in range(80):
-        if not live.any():
-            break
-        mid = 0.5 * (a + b)
-        gm = _hermite_eval(y0[:, col], y1[:, col], f0[:, col], f1[:, col], h, mid) - target
-        zero = gm == 0.0  # an exact root sets a = b = mid
-        flip = (ga < 0) != (gm < 0)
-        b = np.where(live & (flip | zero), mid, b)
-        a = np.where(live & (~flip | zero), mid, a)
-        ga = np.where(live & ~flip, gm, ga)
-        live &= ~(b - a < 1e-16)
+    a, b = _hermite_crossing(y0[:, col], y1[:, col], f0[:, col], f1[:, col], h, target)
     t = 0.5 * (a + b)
     tc, hc = t[:, None], h[:, None]
     out_vals[1:-1] = _hermite_eval(y0, y1, f0, f1, hc, tc)

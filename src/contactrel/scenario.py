@@ -294,6 +294,8 @@ def _norm_stop(lst, path="stop") -> list:
         else:
             _check_keys(d, p, {"kind", "value"}, set())
             out.append({"kind": kind, "value": _as_float(d["value"], f"{p}.value")})
+            if kind == "lambda_reached" and not out[-1]["value"] > 0:
+                raise ValidationError(f"{p}.value", "must be > 0: runs go forward in lambda")
     return out
 
 

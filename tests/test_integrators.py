@@ -206,6 +206,39 @@ def test_earliest_stop_wins():
     assert traj.lam[-1] < 0.6
 
 
+def test_earliest_of_several_crossings_in_one_step_wins():
+    # the first rk4 step (lam 0 -> 2, phi 0 -> -1.67) crosses phi = -0.5 and
+    # the floor m = 0.96 at phi = -0.4; the floor, listed last, comes first
+    traj = integrate(
+        _decay_sys(), _rest_state(),
+        IntegratorConfig(
+            method="rk4", fixed_step=2.0,
+            stop=(
+                StopCondition("lambda_reached", 10.0),
+                StopCondition("phi_reached", -0.5),
+                StopCondition("mass_floor", 0.96),
+            ),
+        ),
+    )
+    assert len(traj) == 2
+    assert traj.metadata["termination"]["reason"] == "mass_floor"
+    assert traj.phi[-1] == pytest.approx(-0.4, abs=1e-12)
+
+
+def test_mass_floor_of_a_constant_mass_is_no_event():
+    sys = ContactHamiltonianSystem(metric=minkowski(), mass=MassModel.constant(1.0), c=1.0)
+    # alone it is no stop at all, refused before the first step
+    with pytest.raises(ValueError, match="no usable stop condition"):
+        integrate(sys, _rest_state(), IntegratorConfig(max_steps=50, stop=_stop("mass_floor", 0.5)))
+    # a floor at the constant mass itself never fires either
+    traj = integrate(
+        sys, _rest_state(),
+        IntegratorConfig(stop=(StopCondition("mass_floor", 1.0),
+                               StopCondition("lambda_reached", 2.0))),
+    )
+    assert traj.metadata["termination"]["reason"] == "lambda_reached"
+
+
 # --- reparametrization ----------------------------------------------------------------
 
 

@@ -285,6 +285,25 @@ def test_massless_scenarios_reject_mass_dependent_features(patch, field):
         load_scenario(doc)
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0])
+@pytest.mark.parametrize("kind", ["massive", "massless", "ensemble"])
+def test_lambda_reached_must_be_positive(kind, value, tmp_path, capsys):
+    # at 0 and below, a run used to fail on a misleading error, crash, or go
+    # backward in lambda
+    doc = _gas_doc() if kind == "ensemble" else _minimal()
+    if kind == "massless":
+        doc.update(mass={"kind": "zero"}, initial={"kind": "single", "p_spatial": [1.0, 0, 0]})
+    doc["stop"][0]["value"] = value
+    with pytest.raises(ValidationError, match=re.escape("stop[0].value")):
+        load_scenario(doc)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    command = "ensemble" if kind == "ensemble" else "run"
+    assert main([command, str(path), "--out-dir", str(tmp_path)]) == 2
+    assert "must be > 0" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_load_from_file_and_missing_file(tmp_path):
     path = tmp_path / "s.json"
     path.write_text(json.dumps(_minimal()))
