@@ -104,7 +104,7 @@ class MassModel:
         return cls(
             kind="affine_phi",
             m0=float(m0),
-            slope=float(alpha) / float(c) ** 2,
+            slope=float(alpha) / (float(c) * float(c)),  # c^2 past 1e308 is inf: slope 0
             phi_ref=float(phi0),
         )
 

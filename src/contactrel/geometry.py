@@ -270,7 +270,7 @@ def point_mass_potential(gm: float, softening: float = 0.0):
     shape (..., 3):  phi_N = -GM / sqrt(|x|^2 + soft^2).
     """
     gm = float(gm)
-    s2 = float(softening) ** 2
+    s2 = float(softening) * float(softening)  # inf, not OverflowError, past 1e154
 
     def pot(x):
         r2 = np.sum(x * x, axis=-1) + s2
@@ -310,7 +310,7 @@ def weak_field(
     q-derivatives.  The potential has no phi dependence, so d_phi is
     identically zero.
     """
-    c2 = float(c) ** 2
+    c2 = float(c) * float(c)  # inf, not OverflowError, past 1e154
 
     def diag(q, phi):
         return (1.0 - 2.0 * potential(q[..., 1:]) / c2)[..., None] * _ETA_DIAG

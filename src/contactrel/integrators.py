@@ -62,7 +62,8 @@ class StopCondition:
     """A termination rule for integrate().
 
     kinds: lambda_reached(value), phi_reached(value), tau_reached(value),
-    coordinate_bound(axis, value), mass_floor(value).
+    coordinate_bound(axis, value), mass_floor(value).  The value is finite,
+    and a lambda_reached value is > 0: runs go forward in lambda.
     """
 
     kind: str
@@ -76,6 +77,10 @@ class StopCondition:
             raise ValueError(f"unknown stop condition kind: {self.kind!r}")
         if self.kind == "coordinate_bound" and self.axis not in (0, 1, 2, 3):
             raise ValueError("coordinate_bound axis must be 0..3")
+        if not math.isfinite(self.value):
+            raise ValueError(f"stop condition value must be finite, got {self.value!r}")
+        if self.kind == "lambda_reached" and not self.value > 0:
+            raise ValueError("lambda_reached needs a value > 0: runs go forward in lambda")
 
 
 @dataclass(frozen=True)
@@ -104,6 +109,8 @@ class IntegratorConfig:
             raise ValueError("rk4 requires a positive fixed_step")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if not self.max_step > 0:
+            raise ValueError(f"max_step must be positive, got {self.max_step!r}")
 
 
 @dataclass

@@ -2,9 +2,13 @@
 
 A scenario is a JSON object with keys ``metric``, ``mass``, ``initial``,
 ``stop`` (required) and ``c``, ``integrator``, ``outputs``, ``name``
-(optional).  Loading normalizes every optional key to its default, so a
-loaded config serializes and reloads to an equal value.  Validation rejects
-unknown keys and reports offending fields by dotted path.
+(optional).  The schema is data: ``_SCENARIO`` gives each object as a table
+``{key: (reader, default)}``, and each object with a ``"kind"`` as one such
+table per kind.  One reader walks it: it refuses missing required keys and
+unknown keys, fills every optional key with its default (so a loaded config
+serializes and reloads to an equal value), and checks each field's type and
+range.  ``_normalize`` adds the rules that span keys.  Every error names the
+offending field or list element by path, e.g. ``initial.momentum.sigma[1]``.
 """
 
 from __future__ import annotations
@@ -54,285 +58,220 @@ class ScenarioConfig:
         return self.initial["kind"]
 
 
-# --- low-level field coercion --------------------------------------------------
+# --- schema ---------------------------------------------------------------------
+# A reader is read(value, path) -> value: it checks and coerces one JSON value,
+# or raises ValidationError naming path.  A JSON object is a table
+# {key: (reader, default)}, where the default is REQUIRED, OPTIONAL (the key
+# stays absent) or a value that is read in place of a missing key.
+
+REQUIRED, OPTIONAL = object(), object()
 
 
-def _as_float(v, path: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValidationError(path, f"expected a number, got {type(v).__name__}")
-    out = float(v)
+def _at(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
+
+
+def _typed(types, noun: str):
+    def read(v, path):
+        if not isinstance(v, types) or (isinstance(v, bool) and types is not bool):
+            raise ValidationError(path, f"expected {noun}, got {type(v).__name__}")
+        return v
+    return read
+
+
+_STR, _BOOL, _INT = _typed(str, "a string"), _typed(bool, "a boolean"), _typed(int, "an integer")
+_OBJECT, _NUMERIC = _typed(dict, "an object"), _typed((int, float), "a number")
+
+
+def _number(v, path: str) -> float:
+    try:
+        out = float(_NUMERIC(v, path))
+    except OverflowError:  # an integer beyond the float range
+        out = math.inf
     if not math.isfinite(out):
         raise ValidationError(path, "must be finite")
     return out
 
 
-def _as_int(v, path: str, minimum: int | None = None) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValidationError(path, f"expected an integer, got {type(v).__name__}")
-    if minimum is not None and v < minimum:
-        raise ValidationError(path, f"must be >= {minimum}")
-    return v
-
-
-def _as_bool(v, path: str) -> bool:
-    if not isinstance(v, bool):
-        raise ValidationError(path, f"expected a boolean, got {type(v).__name__}")
-    return v
-
-
-def _as_str(v, path: str, choices=None) -> str:
-    if not isinstance(v, str):
-        raise ValidationError(path, f"expected a string, got {type(v).__name__}")
-    if choices is not None and v not in choices:
-        raise ValidationError(path, f"must be one of {sorted(choices)}, got {v!r}")
-    return v
-
-
-def _as_vec(v, path: str, length: int) -> list:
-    if not isinstance(v, list) or len(v) != length:
-        raise ValidationError(path, f"expected a list of {length} numbers")
-    return [_as_float(x, f"{path}[{i}]") for i, x in enumerate(v)]
-
-
-def _as_dict(v, path: str) -> dict:
-    if not isinstance(v, dict):
-        raise ValidationError(path, f"expected an object, got {type(v).__name__}")
-    return v
-
-
-def _check_keys(d: dict, path: str, required: set, optional: set):
-    for key in required:
-        if key not in d:
-            raise ValidationError(f"{path}.{key}" if path else key, "is required")
-    unknown = set(d) - required - optional
-    if unknown:
-        key = sorted(unknown)[0]
-        raise ValidationError(f"{path}.{key}" if path else key, "unknown key")
-
-
-# --- section normalizers --------------------------------------------------------
-
-
-def _norm_metric(d, path="metric") -> dict:
-    d = _as_dict(d, path)
-    kind = _as_str(d.get("kind"), f"{path}.kind", {"minkowski", "weak_field", "expression"}) \
-        if "kind" in d else None
-    if kind is None:
-        raise ValidationError(f"{path}.kind", "is required")
-    if kind == "minkowski":
-        _check_keys(d, path, {"kind"}, set())
-        return {"kind": "minkowski"}
-    if kind == "weak_field":
-        _check_keys(d, path, {"kind", "potential"}, set())
-        pot = _as_dict(d["potential"], f"{path}.potential")
-        pkind = _as_str(pot.get("kind"), f"{path}.potential.kind",
-                        {"point_mass", "uniform_gradient"}) if "kind" in pot else None
-        if pkind is None:
-            raise ValidationError(f"{path}.potential.kind", "is required")
-        if pkind == "point_mass":
-            _check_keys(pot, f"{path}.potential", {"kind", "GM"}, {"softening"})
-            gm = _as_float(pot["GM"], f"{path}.potential.GM")
-            soft = _as_float(pot.get("softening", 0.0), f"{path}.potential.softening")
-            if soft < 0:
-                raise ValidationError(f"{path}.potential.softening", "must be >= 0")
-            return {"kind": "weak_field",
-                    "potential": {"kind": "point_mass", "GM": gm, "softening": soft}}
-        _check_keys(pot, f"{path}.potential", {"kind", "g"}, set())
-        g = _as_vec(pot["g"], f"{path}.potential.g", 3)
-        return {"kind": "weak_field", "potential": {"kind": "uniform_gradient", "g": g}}
-    # expression
-    _check_keys(d, path, {"kind", "diag"}, set())
-    diag = d["diag"]
-    if not isinstance(diag, list) or len(diag) != 4:
-        raise ValidationError(f"{path}.diag", "expected a list of 4 expression strings")
-    for i, s in enumerate(diag):
-        _as_str(s, f"{path}.diag[{i}]")
-        try:  # the entry alone, so that the error names it: grammar, derivatives, origin
-            code, derivatives = geometry._entry_codes(s, f"<metric diag[{i}]>")
-            geometry._evaluate([code], np.zeros(4), 0.0)
-            geometry._evaluate(list(derivatives.values()), np.zeros(4), 0.0, NonFiniteDerivative)
-        except Exception as exc:
-            raise ValidationError(f"{path}.diag[{i}]",
-                                  f"invalid expression: {type(exc).__name__}: {exc}")
-    return {"kind": "expression", "diag": [str(s) for s in diag]}
-
-
-def _norm_mass(d, path="mass") -> dict:
-    d = _as_dict(d, path)
-    if "kind" not in d:
-        raise ValidationError(f"{path}.kind", "is required")
-    kind = _as_str(d["kind"], f"{path}.kind", {"constant", "exp_decay", "zero"})
-    if kind == "zero":
-        _check_keys(d, path, {"kind"}, set())
-        return {"kind": "zero"}
-    if kind == "constant":
-        _check_keys(d, path, {"kind", "m0"}, set())
-        m0 = _as_float(d["m0"], f"{path}.m0")
-        if not m0 > 0:
-            raise ValidationError(f"{path}.m0", "must be > 0")
-        return {"kind": "constant", "m0": m0}
-    _check_keys(d, path, {"kind", "m0", "alpha"}, {"tau0"})
-    m0 = _as_float(d["m0"], f"{path}.m0")
-    if not m0 > 0:
-        raise ValidationError(f"{path}.m0", "must be > 0 (a decaying mass cannot start at zero)")
-    alpha = _as_float(d["alpha"], f"{path}.alpha")
-    tau0 = _as_float(d.get("tau0", 0.0), f"{path}.tau0")
-    return {"kind": "exp_decay", "m0": m0, "alpha": alpha, "tau0": tau0}
-
-
-def _norm_initial(d, path="initial") -> dict:
-    d = _as_dict(d, path)
-    if "kind" not in d:
-        raise ValidationError(f"{path}.kind", "is required")
-    kind = _as_str(d["kind"], f"{path}.kind", {"single", "ensemble"})
-    if kind == "single":
-        _check_keys(d, path, {"kind"},
-                    {"q0", "phi0", "p_spatial", "v", "p", "allow_off_shell"})
-        out = {
-            "kind": "single",
-            "q0": _as_vec(d.get("q0", [0.0] * 4), f"{path}.q0", 4),
-            "phi0": _as_float(d.get("phi0", 0.0), f"{path}.phi0"),
-        }
-        given = [k for k in ("p_spatial", "v", "p") if k in d]
-        if len(given) != 1:
-            raise ValidationError(
-                path, "exactly one of p_spatial, v, p must be given"
-            )
-        key = given[0]
-        out[key] = _as_vec(d[key], f"{path}.{key}", 3 if key != "p" else 4)
-        out["allow_off_shell"] = _as_bool(
-            d.get("allow_off_shell", False), f"{path}.allow_off_shell"
-        )
+def _check(read, ok, reason: str):
+    """``read``, then refuse a value where ``ok(value)`` is false."""
+    def checked(v, path):
+        out = read(v, path)
+        if not ok(out):
+            raise ValidationError(path, reason.format(out))
         return out
-    _check_keys(d, path, {"kind", "n", "seed", "momentum"},
-                {"q_center", "q_halfwidth", "phi_center", "phi_halfwidth"})
-    mom = _as_dict(d["momentum"], f"{path}.momentum")
-    if "kind" not in mom:
-        raise ValidationError(f"{path}.momentum.kind", "is required")
-    mkind = _as_str(mom["kind"], f"{path}.momentum.kind", {"gaussian", "uniform"})
-    if mkind == "gaussian":
-        _check_keys(mom, f"{path}.momentum", {"kind", "mean", "sigma"}, set())
-        momentum = {
-            "kind": "gaussian",
-            "mean": _as_vec(mom["mean"], f"{path}.momentum.mean", 3),
-            "sigma": _as_vec(mom["sigma"], f"{path}.momentum.sigma", 3),
-        }
-        if any(s <= 0 for s in momentum["sigma"]):
-            raise ValidationError(f"{path}.momentum.sigma", "must be > 0 componentwise")
-    else:
-        _check_keys(mom, f"{path}.momentum", {"kind", "center", "halfwidth"}, set())
-        momentum = {
-            "kind": "uniform",
-            "center": _as_vec(mom["center"], f"{path}.momentum.center", 3),
-            "halfwidth": _as_vec(mom["halfwidth"], f"{path}.momentum.halfwidth", 3),
-        }
-        if any(h < 0 for h in momentum["halfwidth"]):
-            raise ValidationError(f"{path}.momentum.halfwidth", "must be >= 0")
-    out = {
-        "kind": "ensemble",
-        "n": _as_int(d["n"], f"{path}.n", minimum=1),
-        "seed": _as_int(d["seed"], f"{path}.seed"),
-        "q_center": _as_vec(d.get("q_center", [0.0] * 4), f"{path}.q_center", 4),
-        "q_halfwidth": _as_vec(d.get("q_halfwidth", [0.0] * 4), f"{path}.q_halfwidth", 4),
-        "phi_center": _as_float(d.get("phi_center", 0.0), f"{path}.phi_center"),
-        "phi_halfwidth": _as_float(d.get("phi_halfwidth", 0.0), f"{path}.phi_halfwidth"),
-        "momentum": momentum,
-    }
-    if any(h < 0 for h in out["q_halfwidth"]) or out["phi_halfwidth"] < 0:
-        raise ValidationError(f"{path}.q_halfwidth", "halfwidths must be >= 0")
-    return out
+    return checked
 
 
-def _norm_integrator(d, path="integrator") -> dict:
-    d = _as_dict(d, path)
-    _check_keys(d, path, set(),
-                {"method", "rel_tol", "abs_tol", "fixed_step", "min_step",
-                 "max_step", "max_steps", "shell_projection"})
-    out = {
-        "method": _as_str(d.get("method", "rk45"), f"{path}.method", {"rk4", "rk45"}),
-        "rel_tol": _as_float(d.get("rel_tol", 1e-10), f"{path}.rel_tol"),
-        "abs_tol": _as_float(d.get("abs_tol", 1e-12), f"{path}.abs_tol"),
-        "fixed_step": None if d.get("fixed_step") is None
-        else _as_float(d["fixed_step"], f"{path}.fixed_step"),
-        "min_step": _as_float(d.get("min_step", 1e-14), f"{path}.min_step"),
-        "max_step": None if d.get("max_step") is None
-        else _as_float(d["max_step"], f"{path}.max_step"),
-        "max_steps": _as_int(d.get("max_steps", 1_000_000), f"{path}.max_steps", 1),
-        "shell_projection": _as_int(d.get("shell_projection", 0), f"{path}.shell_projection", 0),
-    }
-    if out["rel_tol"] <= 0 or out["abs_tol"] <= 0:
-        raise ValidationError(f"{path}.rel_tol", "tolerances must be > 0")
-    if out["method"] == "rk4" and not (out["fixed_step"] and out["fixed_step"] > 0):
-        raise ValidationError(f"{path}.fixed_step", "rk4 requires a positive fixed_step")
-    if out["fixed_step"] is not None and out["fixed_step"] <= 0:
-        raise ValidationError(f"{path}.fixed_step", "must be > 0")
-    if out["max_step"] is not None and out["max_step"] <= 0:
-        raise ValidationError(f"{path}.max_step", "must be > 0")
-    return out
+def _positive(reason: str = "must be > 0"):
+    return _check(_number, lambda x: x > 0, reason)
 
 
-_STOP_KINDS = {"lambda_reached", "phi_reached", "tau_reached", "coordinate_bound", "mass_floor"}
+_POSITIVE, _NONNEGATIVE = _positive(), _check(_number, lambda x: x >= 0, "must be >= 0")
 
 
-def _norm_stop(lst, path="stop") -> list:
-    if not isinstance(lst, list) or not lst:
-        raise ValidationError(path, "expected a non-empty list of stop conditions")
-    out = []
-    for i, d in enumerate(lst):
-        p = f"{path}[{i}]"
-        d = _as_dict(d, p)
+def _integer(lo=-math.inf, hi=math.inf):
+    reason = f"must be >= {lo}" if hi == math.inf else f"must be {lo}..{hi}"
+    return _check(_INT, lambda n: lo <= n <= hi, reason)
+
+
+def _choice(*options):
+    return _check(_STR, lambda s: s in options, f"must be one of {sorted(options)}, got {{!r}}")
+
+
+def _nullable(read):
+    return lambda v, path: None if v is None else read(v, path)
+
+
+def _list(n, read=_number, noun: str = "numbers"):
+    """A list of ``n`` items (None: one or more), each read by ``read``."""
+    shape = f"a list of {n}" if n else "a non-empty list of"
+
+    def items(v, path):
+        if not isinstance(v, list) or not v or n and len(v) != n:
+            raise ValidationError(path, f"expected {shape} {noun}")
+        return [read(x, f"{path}[{i}]") for i, x in enumerate(v)]
+    return items
+
+
+def _fields(table: dict, d: dict, path: str, known=()) -> dict:
+    """The object ``d`` read by ``table``; ``known`` keys may appear besides the table's."""
+    for key, (_, default) in table.items():
+        if default is REQUIRED and key not in d:
+            raise ValidationError(_at(path, key), "is required")
+    unknown = d.keys() - table.keys() - set(known)
+    if unknown:
+        raise ValidationError(_at(path, min(unknown, key=str)), "unknown key")
+    return {key: read(d[key] if key in d else default, _at(path, key))
+            for key, (read, default) in table.items() if key in d or default is not OPTIONAL}
+
+
+def _object(table: dict):
+    return lambda v, path: _fields(table, _OBJECT(v, path), path)
+
+
+def _kinds(**tables):
+    """An object whose "kind" picks its table."""
+    kind_of = _choice(*tables)
+
+    def read(v, path):
+        d = _OBJECT(v, path)
         if "kind" not in d:
-            raise ValidationError(f"{p}.kind", "is required")
-        kind = _as_str(d["kind"], f"{p}.kind", _STOP_KINDS)
-        if kind == "coordinate_bound":
-            _check_keys(d, p, {"kind", "value", "axis"}, set())
-            out.append({"kind": kind,
-                        "value": _as_float(d["value"], f"{p}.value"),
-                        "axis": _as_int(d["axis"], f"{p}.axis", 0)})
-            if out[-1]["axis"] > 3:
-                raise ValidationError(f"{p}.axis", "must be 0..3")
-        else:
-            _check_keys(d, p, {"kind", "value"}, set())
-            out.append({"kind": kind, "value": _as_float(d["value"], f"{p}.value")})
-            if kind == "lambda_reached" and not out[-1]["value"] > 0:
-                raise ValidationError(f"{p}.value", "must be > 0: runs go forward in lambda")
-    return out
+            raise ValidationError(_at(path, "kind"), "is required")
+        kind = kind_of(d["kind"], _at(path, "kind"))
+        return {"kind": kind, **_fields(tables[kind], d, path, ("kind",))}
+    return read
 
 
-def _norm_outputs(d, path="outputs") -> dict:
-    d = _as_dict(d, path)
-    _check_keys(d, path, set(),
-                {"path", "format", "stride", "reports", "snapshot_stride",
-                 "reparametrize_phi", "reparametrize_tau"})
-    out = {
-        "path": _as_str(d.get("path", "run_output"), f"{path}.path"),
-        "format": _as_str(d.get("format", "csv"), f"{path}.format", {"csv", "jsonl"}),
-        "stride": _as_int(d.get("stride", 1), f"{path}.stride", 1),
-        "reports": _as_int(d.get("reports", 50), f"{path}.reports", 1),
-        "snapshot_stride": _as_int(d.get("snapshot_stride", 10), f"{path}.snapshot_stride", 0),
-        "reparametrize_phi": _as_bool(d.get("reparametrize_phi", False), f"{path}.reparametrize_phi"),
-        "reparametrize_tau": _as_bool(d.get("reparametrize_tau", False), f"{path}.reparametrize_tau"),
-    }
-    return out
+def _entry(s, path: str) -> str:
+    """An expression entry of the diagonal, checked alone so that the error names it."""
+    _STR(s, path)
+    try:  # grammar, derivatives, value at the origin
+        code, derivatives = geometry._entry_codes(s, f"<metric {path.rpartition('.')[2]}>")
+        geometry._evaluate([code], np.zeros(4), 0.0)
+        geometry._evaluate(list(derivatives.values()), np.zeros(4), 0.0, NonFiniteDerivative)
+    except Exception as exc:
+        raise ValidationError(path, f"invalid expression: {type(exc).__name__}: {exc}")
+    return str(s)
+
+
+_VEC3, _VEC4, _ZERO4 = _list(3), _list(4), [0.0] * 4
+_VALUE = {"value": (_number, REQUIRED)}
+_DEFAULT = IntegratorConfig()  # owns the integrator defaults
+
+_SCENARIO = {
+    "c": (_POSITIVE, 1.0),
+    "name": (_STR, "scenario"),
+    "metric": (_kinds(
+        minkowski={},
+        weak_field={"potential": (_kinds(
+            point_mass={"GM": (_number, REQUIRED), "softening": (_NONNEGATIVE, 0.0)},
+            uniform_gradient={"g": (_VEC3, REQUIRED)},
+        ), REQUIRED)},
+        expression={"diag": (_list(4, _entry, "expression strings"), REQUIRED)},
+    ), REQUIRED),
+    "mass": (_kinds(
+        constant={"m0": (_POSITIVE, REQUIRED)},
+        exp_decay={
+            "m0": (_positive("must be > 0 (a decaying mass cannot start at zero)"), REQUIRED),
+            "alpha": (_number, REQUIRED),
+            "tau0": (_number, 0.0),
+        },
+        zero={},
+    ), REQUIRED),
+    "initial": (_kinds(
+        single={
+            "q0": (_VEC4, _ZERO4),
+            "phi0": (_number, 0.0),
+            "p_spatial": (_VEC3, OPTIONAL),
+            "v": (_VEC3, OPTIONAL),
+            "p": (_VEC4, OPTIONAL),
+            "allow_off_shell": (_BOOL, False),
+        },
+        ensemble={
+            "n": (_integer(1), REQUIRED),
+            "seed": (_integer(), REQUIRED),
+            "q_center": (_VEC4, _ZERO4),
+            "q_halfwidth": (_list(4, _NONNEGATIVE), _ZERO4),
+            "phi_center": (_number, 0.0),
+            "phi_halfwidth": (_NONNEGATIVE, 0.0),
+            "momentum": (_kinds(
+                gaussian={"mean": (_VEC3, REQUIRED), "sigma": (_list(3, _POSITIVE), REQUIRED)},
+                uniform={"center": (_VEC3, REQUIRED),
+                         "halfwidth": (_list(3, _NONNEGATIVE), REQUIRED)},
+            ), REQUIRED),
+        },
+    ), REQUIRED),
+    "integrator": (_object({
+        "method": (_choice("rk4", "rk45"), _DEFAULT.method),
+        "rel_tol": (_POSITIVE, _DEFAULT.rel_tol),
+        "abs_tol": (_POSITIVE, _DEFAULT.abs_tol),
+        "fixed_step": (_nullable(_POSITIVE), _DEFAULT.fixed_step),
+        "min_step": (_number, _DEFAULT.min_step),
+        "max_step": (_nullable(_POSITIVE),  # JSON null is IntegratorConfig's math.inf
+                     None if _DEFAULT.max_step == math.inf else _DEFAULT.max_step),
+        "max_steps": (_integer(1), _DEFAULT.max_steps),
+        "shell_projection": (_integer(0), _DEFAULT.shell_projection),
+    }), {}),
+    "stop": (_list(None, _kinds(
+        lambda_reached={"value": (_positive("must be > 0: runs go forward in lambda"), REQUIRED)},
+        phi_reached=_VALUE, tau_reached=_VALUE, mass_floor=_VALUE,
+        coordinate_bound={**_VALUE, "axis": (_integer(0, 3), REQUIRED)},
+    ), "stop conditions"), REQUIRED),
+    "outputs": (_object({
+        "path": (_STR, "run_output"),
+        "format": (_choice("csv", "jsonl"), "csv"),
+        "stride": (_integer(1), 1),
+        "reports": (_integer(1), 50),
+        "snapshot_stride": (_integer(0), 10),
+        "reparametrize_phi": (_BOOL, False),
+        "reparametrize_tau": (_BOOL, False),
+    }), {}),
+}
+
+
+def _decay_start(mass: dict) -> float:
+    """m0 exp(alpha tau0): an exp_decay law's mass at the initial phi, inf on overflow."""
+    try:
+        return mass["m0"] * math.exp(mass["alpha"] * mass["tau0"])
+    except OverflowError:
+        return math.inf
 
 
 def _normalize(data: dict) -> ScenarioConfig:
-    _check_keys(data, "", {"metric", "mass", "initial", "stop"},
-                {"c", "integrator", "outputs", "name"})
-    c = _as_float(data.get("c", 1.0), "c")
-    if not c > 0:
-        raise ValidationError("c", "must be > 0")
-    cfg = ScenarioConfig(
-        name=_as_str(data.get("name", "scenario"), "name"),
-        metric=_norm_metric(data["metric"]),
-        mass=_norm_mass(data["mass"]),
-        c=c,
-        initial=_norm_initial(data["initial"]),
-        integrator=_norm_integrator(data.get("integrator", {})),
-        stop=_norm_stop(data["stop"]),
-        outputs=_norm_outputs(data.get("outputs", {})),
-    )
-    # cross-field rules
+    cfg = ScenarioConfig(**_fields(_SCENARIO, data, ""))
+    # rules that span keys
+    if cfg.kind == "single" and sum(k in cfg.initial for k in ("p_spatial", "v", "p")) != 1:
+        raise ValidationError("initial", "exactly one of p_spatial, v, p must be given")
+    if cfg.integrator["method"] == "rk4" and cfg.integrator["fixed_step"] is None:
+        raise ValidationError("integrator.fixed_step", "rk4 requires a positive fixed_step")
+    if cfg.mass["kind"] == "exp_decay":  # the law build_system makes must exist
+        if not 0.0 < _decay_start(cfg.mass) < math.inf:
+            raise ValidationError("mass.tau0", "the mass m0*exp(alpha*tau0) where runs start "
+                                               "must be finite and > 0")
+        c2 = cfg.c * cfg.c
+        if not (c2 > 0.0 and math.isfinite(cfg.mass["alpha"] / c2)):
+            raise ValidationError("c", "too small for a decay law: alpha/c^2 is not finite")
     massless = cfg.mass["kind"] == "zero"
     for i, s in enumerate(cfg.stop):
         if massless and s["kind"] == "tau_reached":
@@ -422,8 +361,7 @@ def build_system(cfg: ScenarioConfig) -> ContactHamiltonianSystem:
         mass = MassModel.constant(ms["m0"])
     else:
         # m = m0 at proper time tau0 along flows started at the initial phi
-        m_start = ms["m0"] * math.exp(ms["alpha"] * ms["tau0"])
-        mass = MassModel.exp_decay(m_start, ms["alpha"], phi0=anchor_phi, c=cfg.c)
+        mass = MassModel.exp_decay(_decay_start(ms), ms["alpha"], phi0=anchor_phi, c=cfg.c)
     return ContactHamiltonianSystem(metric=metric, mass=mass, c=cfg.c)
 
 
@@ -470,22 +408,9 @@ def build_density_spec(cfg: ScenarioConfig) -> DensitySpec:
 
 
 def build_integrator_config(cfg: ScenarioConfig) -> IntegratorConfig:
-    integ = cfg.integrator
-    stops = tuple(
-        StopCondition(kind=s["kind"], value=s["value"], axis=s.get("axis", 0))
-        for s in cfg.stop
-    )
-    return IntegratorConfig(
-        method=integ["method"],
-        rel_tol=integ["rel_tol"],
-        abs_tol=integ["abs_tol"],
-        fixed_step=integ["fixed_step"],
-        min_step=integ["min_step"],
-        max_step=math.inf if integ["max_step"] is None else integ["max_step"],
-        max_steps=integ["max_steps"],
-        shell_projection=integ["shell_projection"],
-        stop=stops,
-    )
+    max_step = cfg.integrator["max_step"]  # JSON null is math.inf, no bound
+    integ = {**cfg.integrator, "max_step": math.inf if max_step is None else max_step}
+    return IntegratorConfig(**integ, stop=tuple(StopCondition(**s) for s in cfg.stop))
 
 
 def run_ensemble(cfg: ScenarioConfig, on_report=None):

@@ -225,6 +225,23 @@ def test_earliest_of_several_crossings_in_one_step_wins():
     assert traj.phi[-1] == pytest.approx(-0.4, abs=1e-12)
 
 
+@pytest.mark.parametrize("kind, value", [
+    ("lambda_reached", 0.0), ("lambda_reached", -1.0), ("lambda_reached", math.nan),
+    ("phi_reached", math.nan), ("tau_reached", math.inf), ("mass_floor", -math.inf),
+])
+def test_stop_condition_refuses_values_no_run_can_reach(kind, value):
+    # the scenario loader refuses these too; a run used to fail late or go backward in lambda
+    with pytest.raises(ValueError):
+        StopCondition(kind, value)
+
+
+@pytest.mark.parametrize("max_step", [0.0, -0.5, math.nan])
+def test_integrator_config_refuses_a_non_positive_max_step(max_step):
+    # -0.5 used to end in StepSizeUnderflow("step size -inf ...") after a RuntimeWarning
+    with pytest.raises(ValueError, match="max_step"):
+        IntegratorConfig(max_step=max_step)
+
+
 def test_mass_floor_of_a_constant_mass_is_no_event():
     sys = ContactHamiltonianSystem(metric=minkowski(), mass=MassModel.constant(1.0), c=1.0)
     # alone it is no stop at all, refused before the first step

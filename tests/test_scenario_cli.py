@@ -319,6 +319,117 @@ def test_serialization_round_trips_every_preset():
         assert load_scenario(serialize_scenario(cfg)) == cfg
 
 
+def _holder(doc, path):
+    """The object or list inside doc that holds path's last key, and that key."""
+    *parents, key = path
+    for k in parents:
+        doc = doc[k]
+    return doc, key
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("integrator",), {"abs_tol": 0.0}, "integrator.abs_tol"),
+    (("integrator",), {"rel_tol": -1.0}, "integrator.rel_tol"),
+    (("initial", "phi_halfwidth"), -0.1, "initial.phi_halfwidth"),
+    (("initial", "q_halfwidth"), [0.0, -1.0, 0.0, 0.0], "initial.q_halfwidth[1]"),
+    (("initial", "momentum", "sigma"), [0.2, 0.0, 0.2], "initial.momentum.sigma[1]"),
+    (("initial", "momentum"), {"kind": "uniform", "center": [0, 0, 0], "halfwidth": [1, 1, -1]},
+     "initial.momentum.halfwidth[2]"),
+    (("stop", 0), {"kind": "coordinate_bound", "value": 1.0, "axis": 4}, "stop[0].axis"),
+])
+def test_errors_name_the_field_or_element_they_check(path, value, field):
+    doc = _gas_doc()
+    target, key = _holder(doc, path)
+    target[key] = value
+    with pytest.raises(ValidationError) as exc:
+        load_scenario(doc)
+    assert exc.value.field == field
+
+
+@pytest.mark.parametrize("mass, c, field", [
+    ({"kind": "exp_decay", "m0": 1, "alpha": 1000, "tau0": 1}, 1.0, "mass.tau0"),  # overflows
+    ({"kind": "exp_decay", "m0": 1, "alpha": -1000, "tau0": 1}, 1.0, "mass.tau0"),  # is 0
+    ({"kind": "exp_decay", "m0": 1e300, "alpha": 100, "tau0": 1}, 1.0, "mass.tau0"),  # is inf
+    ({"kind": "exp_decay", "m0": 1, "alpha": 0.1}, 1e-200, "c"),  # alpha / c^2 overflows
+])
+def test_decay_law_that_cannot_be_built_is_refused(mass, c, field, tmp_path, capsys):
+    # build_system cannot make these laws: refused at load, not by a traceback
+    doc = _minimal(mass=mass, c=c)
+    with pytest.raises(ValidationError) as exc:
+        load_scenario(doc)
+    assert exc.value.field == field
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert f"{field}:" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("patch", [
+    {"c": 1e200, "metric": {"kind": "weak_field", "potential": {"kind": "point_mass", "GM": 1.0}}},
+    {"c": 1e200, "mass": {"kind": "exp_decay", "m0": 1.0, "alpha": 0.1}},
+    {"metric": {"kind": "weak_field",
+                "potential": {"kind": "point_mass", "GM": 1.0, "softening": 1e200}}},
+])
+def test_extreme_constants_that_load_also_build(patch):
+    # c^2 and softening^2 beyond the float range are inf, not an OverflowError
+    build_system(load_scenario(_minimal(**patch)))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["zero", "exp_decay", "weak_field", "ensemble", "uniform", "rk4",
+                       "coordinate_bound", "jsonl"]),
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8,
+)
+
+
+def _paths(doc, here=()):
+    """Every key and list index path inside a JSON document."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else [])
+    return [p for k, v in items for p in (here + (k,), *_paths(v, here + (k,)))]
+
+
+@st.composite
+def _fuzzed_documents(draw):
+    """A preset's document, as written or with every default filled, changed at one path."""
+    name = draw(st.sampled_from(sorted(PRESETS)))
+    doc = draw(st.sampled_from([PRESETS[name][1](),
+                                json.loads(serialize_scenario(preset_scenario(name)))]))
+    target, key = _holder(doc, draw(st.sampled_from(_paths(doc))))
+    action = draw(st.sampled_from(["replace", "delete", "add"]))
+    if action == "replace":
+        target[key] = draw(_JSON_VALUES)
+    elif action == "delete":
+        del target[key]
+    else:
+        target = target[key] if isinstance(target[key], dict) else target
+        if isinstance(target, list):
+            target = doc
+        target["unknown_" + draw(st.text(max_size=4))] = draw(_JSON_VALUES)
+    return action, doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(_fuzzed_documents())
+def test_loader_fuzz_accepts_only_what_builds(case):
+    action, doc = case
+    try:
+        cfg = load_scenario(doc)
+    except ValidationError as exc:
+        assert action != "add" or exc.reason == "unknown key"
+        return
+    assert action != "add"
+    assert load_scenario(serialize_scenario(cfg)) == cfg
+    build_system(cfg)
+    build_integrator_config(cfg)
+    if cfg.kind == "ensemble":
+        build_density_spec(cfg)
+
+
 # ---------------------------------------------------------------------------
 # preset checks
 
