@@ -1,8 +1,10 @@
 """CSV and JSONL writers with round-trip numeric formatting.
 
-All numbers are written with %.17g so that parsing them back yields the
-identical IEEE double; CSV and JSONL outputs of the same data therefore carry
-identical values.  NaN appears as ``nan`` in CSV and ``null`` in JSONL.
+All numbers are written exactly as %.17g writes them, so that parsing them back
+yields the identical IEEE double; CSV and JSONL outputs of the same data carry
+identical values.  NaN appears as ``nan`` in CSV and ``null`` in JSONL.  One NumPy
+kernel formats whole chunks of rows; only finite nonzero values outside
+1e-4 <= |x| < 1e17 go through Python's % (``_fallback``).
 
 Ensemble snapshots can be formatted in a forked writer process while the
 caller keeps integrating (:func:`_snapshot_writer`); the bytes written are the
@@ -38,9 +40,8 @@ SNAPSHOT_COLUMNS = (
     "index", "q0", "q1", "q2", "q3", "p0", "p1", "p2", "p3", "phi", "w", "f",
 )
 
-# rows per tolist() chunk: converting a whole 10^4-row table at once costs
-# megabytes of Python floats for no speed
-_CHUNK_ROWS = 512
+# rows formatted at once; a chunk's temporaries stay under about 1 MB
+_CHUNK_ROWS = 256
 
 
 def _rows_from_trajectory(traj: Trajectory) -> np.ndarray:
@@ -49,30 +50,113 @@ def _rows_from_trajectory(traj: Trajectory) -> np.ndarray:
     )
 
 
-def _write_table(path: Path, columns, rows, fmt_style: str, stride: int = 1):
-    """Write rows with one %-template per line, in chunks of _CHUNK_ROWS rows.
+# --- %.17g for whole blocks of values -------------------------------------------------
+# 1e-4 <= |x| < 1e17 prints as its 17 digits D = round(|x| 10^(16-k)), k = floor(log10 |x|):
+# Dekker's two-product with the exact 10^(16-k) gives p + e, and p >= 2^53 is even, so
+# D = p + rint(e) rounds half to even as %.17g does.  A value fills a 40-byte slot of
+# NUL-padded text (sign, "0.", three zeros, 17 digit/point pairs); NULs are dropped per
+# chunk.  The masks also spell zero, inf and NaN; other values go through % (_fallback).
 
-    Each value is formatted as "%.17g" (NaN as "nan"); JSONL writes NaN as null.
-    Only one chunk is ever converted to Python floats at a time.
-    """
+_ZERO, _INF, _NAN = 21, 22, 23  # mask classes after the exponents k + 4 = 0..20
+_fallback = b"%.17g".__mod__  # the exponent form of 0 < |x| < 1e-4 and |x| >= 1e17
+# a 4-digit group as the digits of four slot pairs, and its trailing zeros
+_SPREAD4 = np.zeros((10_000, 8), np.uint8)
+_GROUP = np.arange(10_000, dtype=np.int16)[:, None]  # int64 temporaries raised peak RSS 1.5 MB
+_SPREAD4[:, ::2] = _GROUP // np.int16([1000, 100, 10, 1]) % 10 + ord("0")
+_TZ4 = (_SPREAD4[:, 6::-2] == ord("0")).cumprod(axis=1, dtype=np.int8).sum(axis=1, dtype=np.int32)
+_SPREAD4 = _SPREAD4.view(np.uint64)[:, 0]
+
+
+def _slot_masks(nan_text: bytes) -> np.ndarray:
+    """XOR masks over spread digits, (5, 24 * 2 * 17) words by (class, sign, trailing
+    zeros of D).  Each clears the '0's of the leading digit's group 000d; for an exponent
+    it sets the sign, k < 0's "0." and zeros and the point after digit k when a nonzero
+    digit follows, and clears '0' digits past both.  Zero, inf, NaN spread as D = 10^16."""
+    masks = np.zeros((24, 2, 17, 40), np.uint8)
+    k, last, i = np.arange(-4, 17)[:, None, None, None], 16 - np.arange(17)[:, None], np.arange(17)
+    masks[:21, :, :, 6::2] = (i > np.maximum(last, k)) * ord("0")  # digit i of D
+    masks[:21, :, :, 7::2] = ((i == k) & (k < last)) * ord(".")
+    for j in range(4):
+        masks[j, :, :, 1:6 - j] = np.frombuffer(b"0.000"[:5 - j], np.uint8)
+    masks[:21, 1, :, 0] = ord("-")
+    for cls, texts in ((_ZERO, [b"0", b"-0"]), (_INF, [b"inf", b"-inf"]), (_NAN, [nan_text] * 2)):
+        for sign, text in enumerate(texts):
+            masks[cls, sign, :, 6::2] = ord("0")
+            masks[cls, sign, :, 6] = ord("1")
+            masks[cls, sign, :, :len(text)] ^= np.frombuffer(text, np.uint8)
+    masks[..., 0:6:2] ^= ord("0")
+    return masks.reshape(-1, 40).view(np.uint64).T.copy()
+
+
+_MASKS = {"csv": _slot_masks(b"nan"), "jsonl": _slot_masks(b"null")}
+
+
+def _split(a):
+    """Veltkamp's split of doubles into halves of at most 26 bits."""
+    c = a * 134217729.0
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_SCALE = np.array([float(10 ** (20 - j)) for j in range(21)])  # 10^(16-k), exact
+
+
+def _digits(a, k4):
+    """D = round(a 10^(20-k4)), half to even, exact for a in [1e-4, 1e17)."""
+    scale = _SCALE.take(k4)
+    p = a * scale
+    (ah, al), (bh, bl) = _split(a), _split(scale)
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return p.astype(np.int64) + np.rint(e).astype(np.int64)
+
+
+def _slots(x, masks) -> np.ndarray:
+    """The (n, 5) uint64 words of the slots of n values."""
+    a = np.abs(x)
+    fixed = (a >= 1e-4) & (a < 1e17)
+    a = np.where(fixed, a, 1.0)  # keeps log10 and the integer casts finite
+    cls = np.minimum((np.log10(a) + 4).astype(np.int64), 20)  # k + 4, k = floor(log10 a)
+    d = _digits(a, cls)
+    miss = (d < 10 ** 16) | (d >= 10 ** 17)
+    if miss.any():  # log10 was off by one
+        cls[miss] += np.where(d[miss] < 10 ** 16, -1, 1)
+        d[miss] = _digits(a[miss], cls[miss])
+    g = np.empty((5, len(d)), np.int32)  # the leading digit, then four 4-digit groups
+    g[0] = d // 10 ** 16
+    top = d // 10 ** 8
+    hi, lo = top.astype(np.int32) - g[0] * 10 ** 8, (d - top * 10 ** 8).astype(np.int32)
+    g[1], g[3] = hi // 10 ** 4, lo // 10 ** 4
+    g[2], g[4] = hi - g[1] * 10 ** 4, lo - g[3] * 10 ** 4
+    tz = _TZ4.take(g[1:])
+    zeros = tz[3] + (g[4] == 0) * (tz[2] + (g[3] == 0) * (tz[1] + (g[2] == 0) * tz[0]))
+    if not fixed.all():
+        cls[x == 0], cls[np.isinf(x)], cls[np.isnan(x)] = _ZERO, _INF, _NAN
+    words = (_SPREAD4.take(g) ^ masks.take(cls * 34 + np.signbit(x) * 17 + zeros, axis=1)).T
+    for i in np.flatnonzero(~fixed & (cls < _ZERO)):
+        words[i] = np.frombuffer(_fallback(float(x[i])).ljust(40, b"\0"), np.uint64)
+    return words
+
+
+def _write_table(path: Path, columns, rows, fmt_style: str, stride: int = 1):
+    """Write rows as %.17g text (NaN: nan in CSV, null in JSONL) in chunks laid into rows of
+    words: JSONL keys right-aligned before their slots, CSV separators in slots' last byte."""
     rows = np.asarray(rows, dtype=float)[::stride]
-    names = [c.replace("%", "%%") for c in columns]
-    if fmt_style == "csv":
-        head = ",".join(columns) + "\n"
-        line = ",".join(["%.17g"] * len(columns)) + "\n"
-    elif fmt_style == "jsonl":
-        head = ""
-        line = "{" + ", ".join(f'"{c}": %.17g' for c in names) + "}\n"
-    else:
+    if fmt_style not in _MASKS:
         raise ValueError(f"unknown output format: {fmt_style!r}")
+    jsonl, m = fmt_style == "jsonl", len(columns)
+    keys = [((", " if j else "{") + f'"{c}": ').encode() * jsonl for j, c in enumerate(columns)]
+    width = -(-max(map(len, keys)) // 8) + 5  # words per column
+    ends = bytes(m) if jsonl else b"," * (m - 1) + b"\n"
+    row = [k.rjust(8 * width - 40, b"\0") + bytes(39) + ends[j:j + 1] for j, k in enumerate(keys)]
+    template = np.frombuffer(b"".join(row) + b"}\n\0\0\0\0\0\0" * jsonl, np.uint64)
     with open(path, "w") as fh:
-        fh.write(head)
+        fh.write("" if jsonl else ",".join(columns) + "\n")
         for i in range(0, len(rows), _CHUNK_ROWS):
-            text = "".join([line % tuple(row) for row in rows[i:i + _CHUNK_ROWS].tolist()])
-            if fmt_style == "jsonl":
-                # a key cannot hold an unescaped quote, so '": nan' is a value
-                text = text.replace('": nan', '": null')
-            fh.write(text)
+            block = rows[i:i + _CHUNK_ROWS]
+            cells = np.tile(template, (len(block), 1))
+            slots = cells[:, :m * width].reshape(len(block), m, width)[:, :, width - 5:]
+            slots ^= _slots(block.ravel(), _MASKS[fmt_style]).reshape(slots.shape)
+            fh.write(cells.tobytes().translate(None, b"\0").decode())
 
 
 def write_trajectory(traj: Trajectory, path: str | Path, fmt_style: str = "csv",

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dynamics, geometry, kinetic
 from .dynamics import ContactHamiltonianSystem, ExtendedState, MassModel
-from .errors import NonFiniteDerivative, ParseError, ValidationError
+from .errors import NonFiniteDerivative, ParseError, ShellSolveFailed, ValidationError
 from .integrators import IntegratorConfig, StopCondition
 from .kinetic import DensitySpec, GaussianMomentum, UniformMomentum
 
@@ -168,10 +168,14 @@ def _entry(s, path: str) -> str:
     _STR(s, path)
     try:  # grammar, derivatives, value at the origin
         code, derivatives = geometry._entry_codes(s, f"<metric {path.rpartition('.')[2]}>")
-        geometry._evaluate([code], np.zeros(4), 0.0)
-        geometry._evaluate(list(derivatives.values()), np.zeros(4), 0.0, NonFiniteDerivative)
+        with np.errstate(all="ignore"):  # so that no warnings filter changes the verdict
+            value = geometry._evaluate([code], np.zeros(4), 0.0)
+            slopes = geometry._evaluate(list(derivatives.values()), np.zeros(4), 0.0,
+                                        NonFiniteDerivative)
     except Exception as exc:
         raise ValidationError(path, f"invalid expression: {type(exc).__name__}: {exc}")
+    if not (np.isfinite(value).all() and np.isfinite(slopes).all()):
+        raise ValidationError(path, "invalid expression: not finite at the origin")
     return str(s)
 
 
@@ -210,7 +214,7 @@ _SCENARIO = {
         },
         ensemble={
             "n": (_integer(1), REQUIRED),
-            "seed": (_integer(), REQUIRED),
+            "seed": (_integer(0), REQUIRED),
             "q_center": (_VEC4, _ZERO4),
             "q_halfwidth": (_list(4, _NONNEGATIVE), _ZERO4),
             "phi_center": (_number, 0.0),
@@ -365,12 +369,22 @@ def build_system(cfg: ScenarioConfig) -> ContactHamiltonianSystem:
     return ContactHamiltonianSystem(metric=metric, mass=mass, c=cfg.c)
 
 
+def _check_rest_scale(sys: ContactHamiltonianSystem, phi) -> None:
+    """Refuse c or m c whose square overflows: initial momenta and H square both."""
+    m = float(sys.mass.value(phi))
+    scale = sys.c * max(m, 1.0)
+    if not math.isfinite(4.0 * scale * scale):
+        raise ShellSolveFailed(f"c = {sys.c:g} with m = {m:g} is too large: "
+                               "4 c^2 or 4 (m c)^2 is beyond the float range")
+
+
 def build_initial_state(cfg: ScenarioConfig, sys: ContactHamiltonianSystem) -> ExtendedState:
     init = cfg.initial
     if init["kind"] != "single":
         raise ValidationError("initial.kind", "build_initial_state needs a single-particle scenario")
     q0 = np.asarray(init["q0"], dtype=float)
     phi0 = init["phi0"]
+    _check_rest_scale(sys, phi0)
     if "p_spatial" in init:
         p = dynamics.solve_p0_on_shell(sys, q0, phi0, np.asarray(init["p_spatial"]))
         return ExtendedState(q=q0, p=p, phi=phi0)
@@ -420,8 +434,10 @@ def run_ensemble(cfg: ScenarioConfig, on_report=None):
     the last three are :func:`kinetic.ensemble_series`'s result, the counts
     a dict with "steps_accepted" and "steps_rejected".
     """
-    e0 = kinetic.sample_ensemble(build_system(cfg), build_density_spec(cfg),
-                                 cfg.initial["n"], cfg.initial["seed"])
+    sys = build_system(cfg)
+    _check_rest_scale(sys, cfg.initial["phi_center"])
+    e0 = kinetic.sample_ensemble(sys, build_density_spec(cfg), cfg.initial["n"],
+                                 cfg.initial["seed"])
     span = min(s["value"] for s in cfg.stop)
     e_end, rows, stats = kinetic.ensemble_series(
         e0, span, cfg.outputs["reports"], kinetic.EntropyFunctional.shannon_boltzmann(),

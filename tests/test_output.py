@@ -25,6 +25,7 @@ from contactrel import (
     kinetic,
     load_scenario,
     output,
+    preset_scenario,
 )
 from contactrel.cli import execute_ensemble
 from contactrel.output import _write_table
@@ -56,7 +57,7 @@ def _per_value(columns, rows, fmt_style):
 @pytest.mark.parametrize("fmt_style", ["csv", "jsonl"])
 @pytest.mark.parametrize("stride", [1, 3])
 def test_template_writer_matches_per_value_formatting(tmp_path, fmt_style, stride):
-    # 1200 rows span three 512-row chunks; every special value lands in every
+    # 1200 rows span several chunks; every special value lands in every
     # column, next to random values of all magnitudes
     rng = np.random.default_rng(7)
     columns = ("lambda", "q0", "nan", "p%1", "w")
@@ -66,6 +67,90 @@ def test_template_writer_matches_per_value_formatting(tmp_path, fmt_style, strid
     path = tmp_path / f"table.{fmt_style}"
     _write_table(path, columns, rows, fmt_style, stride)
     assert path.read_text() == _per_value(columns, rows[::stride], fmt_style)
+
+
+_KERNEL_COLUMNS = ("lambda", "q0", "nan", "p%1", "w", "shell_residual", "tau", "f")
+_KERNEL_ROWS = 32771  # 2^15 + 3 rows of 8 values: a partial last chunk
+
+
+def _edge_values() -> np.ndarray:
+    """10^j and both neighbouring doubles for j = -6..18, of both signs, and
+    the values with constant text or no fixed notation."""
+    tens = np.array([10.0 ** j for j in range(-6, 19)])
+    near = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+    return np.concatenate([near, -near, [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf,
+                                         5e-324, -5e-324]])
+
+
+def _kernel_values(seed: int) -> np.ndarray:
+    """(_KERNEL_ROWS, 8) values: random 64-bit patterns, random magnitudes
+    1e-6..1e20 of both signs and exact 17-digit ties (odd integers / 4 in
+    [1e15, 2.25e15]), with the edge values at the start, the end and across the
+    first two chunk boundaries."""
+    rng = np.random.default_rng(seed)
+    n = _KERNEL_ROWS * len(_KERNEL_COLUMNS)
+    third = n // 3
+    bits = rng.integers(0, 2 ** 64, third, dtype=np.uint64, endpoint=False).view(np.float64)
+    magnitudes = rng.choice([-1.0, 1.0], third) * 10.0 ** rng.uniform(-6.0, 20.0, third)
+    ties = (2 * rng.integers(2 * 10 ** 15, 45 * 10 ** 14, n - 2 * third) + 1) / 4.0
+    values = rng.permutation(np.concatenate([bits, magnitudes, ties]))
+    edges = _edge_values()
+    boundary = output._CHUNK_ROWS * len(_KERNEL_COLUMNS)
+    for start in (0, boundary - len(edges) // 2, 2 * boundary - 1, n - len(edges)):
+        values[start:start + len(edges)] = edges
+    return values.reshape(_KERNEL_ROWS, len(_KERNEL_COLUMNS))
+
+
+@pytest.mark.parametrize("fmt_style, stride, seed", [
+    ("csv", 1, 1), ("jsonl", 1, 2), ("csv", 3, 3), ("jsonl", 3, 4),
+])
+def test_kernel_matches_per_value_formatting_on_a_million_values(tmp_path, fmt_style,
+                                                                  stride, seed):
+    # four cases of 262 168 written values each
+    values = _kernel_values(seed)
+    rows = np.full((stride * (len(values) - 1) + 1, values.shape[1]), np.pi)
+    rows[::stride] = values
+    path = tmp_path / f"table.{fmt_style}"
+    _write_table(path, _KERNEL_COLUMNS, rows, fmt_style, stride)
+    assert path.read_text() == _per_value(_KERNEL_COLUMNS, values, fmt_style)
+
+
+@pytest.mark.parametrize("shift", [-1.0, 1.0])
+def test_a_log10_off_by_one_is_corrected(tmp_path, monkeypatch, shift):
+    # every exponent guess is one off, so each value takes the k -/+ 1 re-scaling
+    def log10(a):
+        exponents = [int(f"{v:.16e}".partition("e")[2]) for v in a.tolist()]
+        return np.array(exponents) + 0.5 + shift
+
+    monkeypatch.setattr(np, "log10", log10)
+    values = _kernel_values(5)[:3000]
+    path = tmp_path / "table.csv"
+    _write_table(path, _KERNEL_COLUMNS, values, "csv")
+    assert path.read_text() == _per_value(_KERNEL_COLUMNS, values, "csv")
+
+
+def test_fixed_range_never_reaches_the_fallback(tmp_path, monkeypatch):
+    # decay-gas snapshots at both ends of the run, and its series: only values
+    # with no fixed notation (0 < |x| < 1e-4 or |x| >= 1e17) may be formatted by %
+    seen = []
+    fallback = output._fallback
+
+    def spy(x):
+        seen.append(x)
+        return fallback(x)
+
+    monkeypatch.setattr(output, "_fallback", spy)
+    cfg = preset_scenario("decay-gas")
+    e0, e_end, series, _ = run_ensemble(dataclasses.replace(
+        cfg, outputs={**cfg.outputs, "reports": 1}))
+    for fmt_style in ("csv", "jsonl"):
+        output.write_ensemble_snapshot(e0, tmp_path / f"first.{fmt_style}", fmt_style)
+        output.write_ensemble_snapshot(e_end, tmp_path / f"last.{fmt_style}", fmt_style)
+        output.write_ensemble_series(series, tmp_path / f"series.{fmt_style}", fmt_style)
+    assert seen  # a few weights of the first snapshot are below 1e-4
+    assert all(x != 0 and not 1e-4 <= abs(x) < 1e17 for x in seen)
+    assert (tmp_path / "first.csv").read_text() == _per_value(
+        output.SNAPSHOT_COLUMNS, output._snapshot_rows(e0), "csv")
 
 
 def test_writer_rejects_unknown_format(tmp_path):

@@ -8,6 +8,7 @@ import json
 import math
 import re
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -374,6 +375,60 @@ def test_decay_law_that_cannot_be_built_is_refused(mass, c, field, tmp_path, cap
 def test_extreme_constants_that_load_also_build(patch):
     # c^2 and softening^2 beyond the float range are inf, not an OverflowError
     build_system(load_scenario(_minimal(**patch)))
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
+def test_negative_seed_is_refused_at_load(tmp_path, capsys):
+    doc = _gas_doc()
+    doc["initial"]["seed"] = -1
+    with pytest.raises(ValidationError) as exc:
+        load_scenario(doc)
+    assert exc.value.field == "initial.seed"
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert main(["ensemble", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert "initial.seed:" in _one_error_line(capsys)
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("entry, reason", [
+    ("1/x1", "not finite at the origin"),  # numpy warns as it divides by zero
+    ("sqrt(x1)", "not finite at the origin"),  # in its derivative
+    ("1e308*10", "not finite at the origin"),  # float arithmetic gives inf in silence
+])
+def test_entry_verdict_does_not_depend_on_the_warnings_filter(entry, reason):
+    doc = _minimal(metric={"kind": "expression", "diag": ["-1", entry, "1", "1"]})
+    messages = set()
+    for action in ("error", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(ValidationError) as exc:
+                load_scenario(doc)
+        assert exc.value.field == "metric.diag[1]"
+        messages.add(str(exc.value))
+    assert len(messages) == 1 and reason in messages.pop()
+
+
+@pytest.mark.parametrize("initial", [
+    {"kind": "single", "p_spatial": [0.5, 0.0, 0.0]},
+    {"kind": "single", "v": [0.3, 0.0, 0.0]},
+    _gas_doc()["initial"],
+])
+def test_huge_c_ends_in_a_named_error(initial, tmp_path, capsys):
+    # c = 1e200 loads and builds, but no initial momentum has a finite (m c)^2
+    doc = _gas_doc() if initial["kind"] == "ensemble" else _minimal()
+    doc.update(c=1e200, initial=initial)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    command = "ensemble" if initial["kind"] == "ensemble" else "run"
+    assert main([command, str(path), "--out-dir", str(tmp_path)]) == 2
+    assert "c = 1e+200 with m = 1 is too large" in _one_error_line(capsys)
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 _JSON_VALUES = st.recursive(
