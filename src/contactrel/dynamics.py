@@ -199,7 +199,10 @@ def _field_arrays(sys, q, p, phi):
     dHdphi = _dH_dphi_from(sys, phi, dphi_gpp)
     dp = -0.5 * dq_gpp
     dp -= p * dHdphi[..., None]
-    dphi = np.einsum("...a,...a->...", p, dq)  # p . dq, annihilated by eta exactly
+    # p . dq, annihilated by eta exactly; summed as einsum sums a C-ordered
+    # row of 4, so the bits do not depend on the operands' layout
+    t = p * dq
+    dphi = (t[..., 0] + t[..., 2]) + (t[..., 1] + t[..., 3])
     return dq, dp, dphi, dHdphi
 
 

@@ -7,14 +7,16 @@ carry proper time tau as an extra quadrature variable (d tau/d lambda =
 which covers only the 9 extended coordinates.
 
 One stepping loop, ``_run_loop``, serves a single state (d,) and a marker
-block (n, d) alike: :func:`integrate`, :func:`geodesic_reference` and
-:func:`advance_batch` differ only in their right-hand side, their first step
-and what they keep of the accepted samples.  Its steppers are an embedded
-Dormand-Prince 5(4) pair with FSAL, whose error norm is the worst row's RMS,
-and a classic RK4 that splits a lambda span into ceil(span/fixed_step) equal
-steps.  A Dormand-Prince series of reports reads its intermediate reports off
-the pair's 4th-order continuous extension (Hairer, Norsett & Wanner, Solving
-ODEs I, II.6), so its steps follow the tolerance, not the report count.  Stop
+block (d, n) alike: components sit on axis 0 in both, so row j of a block is
+component j (q0..q3, p0..p3, phi, ln f) of every marker, one contiguous run.
+:func:`integrate`, :func:`geodesic_reference` and :func:`advance_batch`
+differ only in their right-hand side, their first step and what they keep of
+the accepted samples.  Its steppers are an embedded Dormand-Prince 5(4) pair
+with FSAL, whose error norm is the worst marker's RMS, and a classic RK4 that
+splits a lambda span into ceil(span/fixed_step) equal steps.  A
+Dormand-Prince series of reports reads its intermediate reports off the pair's
+4th-order continuous extension (Hairer, Norsett & Wanner, Solving ODEs I,
+II.6), so its steps follow the tolerance, not the report count.  Stop
 conditions are located on the cubic Hermite interpolant of each accepted step
 and refined by bisection, so the final sample sits on the stop surface to
 root-finding precision.
@@ -284,34 +286,53 @@ def _rk4_step(rhs, lam, y, h, k1):
 
 
 def _error_norm(err, y0, y1, cfg, ncore):
-    """Worst per-row RMS of err over the first ncore columns, scaled by tolerance.
+    """Worst per-marker RMS of err over the first ncore components, scaled by tolerance.
 
-    The scale abs_tol + rel_tol max(|y0|, |y1|) and then (err / scale)^2
-    are built in place in one array, by the operations of the plain
-    expression in the same order, so the norm is bit-identical to it.
+    Components sit on axis 0, of a (d,) state or a (d, n) block.  The scale
+    abs_tol + rel_tol max(|y0|, |y1|) and then (err / scale)^2 are built in
+    place in one array.  A marker's ncore (8 to 15) squares are summed in the
+    order np.mean takes along a contiguous run: pairwise over the first 8,
+    then the rest in sequence.  The norm is thus bit-identical to the plain
+    expression over a row-major (n, d) block.
     """
-    sc = np.abs(y0[..., :ncore])
-    np.maximum(sc, np.abs(y1[..., :ncore]), out=sc)
+    sc = np.abs(y0[:ncore])
+    np.maximum(sc, np.abs(y1[:ncore]), out=sc)
     sc *= cfg.rel_tol
     sc += cfg.abs_tol
-    np.divide(err[..., :ncore], sc, out=sc)
+    np.divide(err[:ncore], sc, out=sc)
     np.square(sc, out=sc)
-    return float(np.max(np.sqrt(np.mean(sc, axis=-1))))
+    total = ((sc[0] + sc[1]) + (sc[2] + sc[3])) + ((sc[4] + sc[5]) + (sc[6] + sc[7]))
+    for row in sc[8:]:
+        total += row
+    return float(np.max(np.sqrt(total / ncore)))
 
 
 def _initial_step(rhs, lam0, y0, f0, cfg, ncore, lam_span):
-    """Step-size seed following the usual embedded-pair heuristic."""
-    d0 = _error_norm(y0, y0, y0, cfg, ncore)
-    d1 = _error_norm(f0, y0, y0, cfg, ncore)
+    """Step-size seed following the usual embedded-pair heuristic.
+
+    A norm that overflows is inf; a seed that is then not > 0 raises
+    StepSizeUnderflow, since the loop could not move from it.
+    """
+    with np.errstate(over="ignore"):
+        d0 = _error_norm(y0, y0, y0, cfg, ncore)
+        d1 = _error_norm(f0, y0, y0, cfg, ncore)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, lam_span) if lam_span > 0 else h0
-    f1 = rhs(lam0 + h0, y0 + h0 * f0)
-    d2 = _error_norm(f1 - f0, y0, y0, cfg, ncore) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    h = min(100 * h0, h1, cfg.max_step)
+    h = h0
+    if h0 > 0.0:  # else d1 overflowed, and no step could start
+        f1 = rhs(lam0 + h0, y0 + h0 * f0)
+        with np.errstate(over="ignore"):
+            d2 = _error_norm(f1 - f0, y0, y0, cfg, ncore) / h0
+        if max(d1, d2) <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** 0.2
+        h = min(100 * h0, h1, cfg.max_step)
+    if not h > 0.0:
+        raise StepSizeUnderflow(
+            f"the first step size underflowed to {h:.3e}: the field is too large "
+            f"for rel_tol={cfg.rel_tol:.3e} and abs_tol={cfg.abs_tol:.3e}"
+        )
     return min(h, lam_span) if lam_span > 0 else h
 
 
@@ -320,7 +341,10 @@ def _initial_step(rhs, lam0, y0, f0, cfg, ncore, lam_span):
 
 def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, h0=None, project=None,
               reports=1, on_report=None):
-    """Advance y0, a (d,) state or an (n, d) marker block, from lam = 0.
+    """Advance y0, a (d,) state or a (d, n) marker block, from lam = 0.
+
+    Components sit on axis 0: y[j] is component j of the state, or of every
+    marker of a block, and y[:ncore] are the ones the error norm covers.
 
     The run ends at lam = span (either sign; None when there is no lambda
     stop) or when an event fires.  ``on_report(k, y)`` receives the state at
@@ -334,8 +358,8 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, h0=None, project=N
     the crossing is located on the step's cubic Hermite
     (:func:`_hermite_crossing`).
     ``sample(lam, y, f)``, if given, receives the start and every accepted
-    sample, with f = rhs(lam, y).  All rows share one step sequence and the
-    error norm is the worst row's.  rk45 starts from ``h0`` (default
+    sample, with f = rhs(lam, y).  All markers share one step sequence and
+    the error norm is the worst marker's.  rk45 starts from ``h0`` (default
     :func:`_initial_step`); rk4 splits each report interval into
     ceil(|interval|/fixed_step) equal steps, or takes steps of fixed_step
     when span is None, and evaluates rhs at the end of the run only if a
@@ -343,7 +367,7 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, h0=None, project=N
     every cfg.shell_projection accepted steps.  Returns (termination, stats).
     """
     lam = 0.0
-    y = np.array(y0, dtype=float)
+    y = np.array(y0, dtype=float, order="C")
     f = rhs(lam, y)
     if sample is not None:
         sample(lam, y, f)
@@ -763,10 +787,24 @@ def geodesic_reference(
 # --- batched ensemble stepping -----------------------------------------------
 
 
-def _advance_block(sys, y, span, reports, cfg, on_report):
-    """:func:`advance_batch` over span as ``reports`` equal intervals in one run.
+def _block_field(sys, y):
+    """d/dlambda of a (10, n) block: the evolution field and d ln f = 4 dH/dphi.
 
-    on_report(k, block) receives the block at the end of interval k
+    The field reads (n, 4) views of the q and p rows and its results are
+    written into the rows of one (10, n) array.
+    """
+    dq, dp, dphi, dhdphi = _field_arrays(sys, y[0:4].T, y[4:8].T, y[8])
+    out = np.empty_like(y)
+    out[0:4], out[4:8], out[8] = dq.T, dp.T, dphi
+    out[9] = 4.0 * dhdphi
+    return out
+
+
+def _advance_block(sys, y, span, reports, cfg, on_report):
+    """Advance a (10, n) block over span as ``reports`` equal intervals in one run.
+
+    Row j of y is component j (q0..q3, p0..p3, phi, ln f) of every marker.
+    on_report(k, block) receives the (10, n) block at the end of interval k
     (k = 1..reports).  rk45 lands a step only on the span end and reads the
     earlier reports off the dense output; rk4 lands on every interval's end.
     h and the FSAL stage carry over from one interval to the next.  The
@@ -778,16 +816,9 @@ def _advance_block(sys, y, span, reports, cfg, on_report):
             on_report(k, y.copy())
         return {"steps_accepted": 0, "steps_rejected": 0}
 
-    def rhs(lam, block):
-        dq, dp, dphi, dhdphi = _field_arrays(sys, block[:, 0:4], block[:, 4:8], block[:, 8])
-        out = np.empty_like(block)
-        out[:, 0:4], out[:, 4:8], out[:, 8] = dq, dp, dphi
-        out[:, 9] = 4.0 * dhdphi
-        return out
-
     _, stats = _run_loop(
-        rhs, y, cfg, span, (), ncore=9, h0=min(abs(span / reports) / 8.0, cfg.max_step),
-        reports=reports, on_report=on_report,
+        lambda lam, block: _block_field(sys, block), y, cfg, span, (), ncore=9,
+        h0=min(abs(span / reports) / 8.0, cfg.max_step), reports=reports, on_report=on_report,
     )
     return stats
 
@@ -805,8 +836,10 @@ def advance_batch(
     the worst per-marker RMS over the 9 extended coordinates (ln f is a
     quadrature variable like tau); the first step is min(|dlam|/8, max_step).
     "rk4" takes ceil(|dlam|/fixed_step) equal steps.  Supports either sign of
-    dlam.  Returns (new block, accepted steps).
+    dlam.  The loop runs on the (10, n) transpose; the input is not modified.
+    Returns (new C-contiguous (n, 10) block, accepted steps).
     """
     out = []
-    stats = _advance_block(sys, y, dlam, 1, cfg, lambda k, block: out.append(block))
+    rows = np.asarray(y, dtype=float).T
+    stats = _advance_block(sys, rows, dlam, 1, cfg, lambda k, block: out.append(block.T.copy()))
     return out[0], stats["steps_accepted"]

@@ -246,26 +246,28 @@ def _march(
 ) -> tuple[Ensemble, dict]:
     """Move e by dlam_total in ``reports`` equal intervals, as one step sequence.
 
-    on_report(k, ensemble) receives the ensemble after interval k; with rk45
-    only the span end is a step end, and the earlier reports are read off
-    the dense output.  Only the final ensemble is kept.  Returns it and the
-    stepping loop's step counts.
+    The markers are stepped as one (10, n) block whose row j is component j
+    (q0..q3, p0..p3, phi, ln f) of every marker.  on_report(k, ensemble)
+    receives the ensemble after interval k, its q and p (n, 4) views of the
+    reported block's rows; with rk45 only the span end is a step end, and the
+    earlier reports are read off the dense output.  Only the final ensemble
+    is kept.  Returns it and the stepping loop's step counts.
     """
     if not math.isfinite(dlam_total):
         raise ValueError("dlam must be finite")
     dlam = dlam_total / reports
-    block = np.empty((e.n, 10))
-    block[:, 0:4] = e.q
-    block[:, 4:8] = e.p
-    block[:, 8] = e.phi
-    block[:, 9] = np.log(e.f)
+    block = np.empty((10, e.n))
+    block[0:4] = e.q.T
+    block[4:8] = e.p.T
+    block[8] = e.phi
+    block[9] = np.log(e.f)
     lam = e.lam
     end = e
 
     def land(k: int, y: np.ndarray):
         nonlocal lam, end
         lam = lam + dlam
-        f = np.exp(y[:, 9])
+        f = np.exp(y[9])
         if not np.all(f > 0.0):
             # Ensemble() would raise too, but without the lambda.
             lost = int(np.count_nonzero(~(f > 0.0)))
@@ -274,7 +276,7 @@ def _march(
                 f"by lambda = {lam:.17g}"
             )
         cur = Ensemble(
-            sys=e.sys, lam=lam, q=y[:, 0:4], p=y[:, 4:8], phi=y[:, 8],
+            sys=e.sys, lam=lam, q=y[0:4].T, p=y[4:8].T, phi=y[8],
             w=e.w.copy(), f=f,
         )
         if on_report is not None:

@@ -180,17 +180,13 @@ def write_ensemble_series(rows, path: str | Path, fmt_style: str = "csv") -> Pat
 
 
 def _snapshot_rows(ensemble) -> np.ndarray:
-    """The (n, 12) block of SNAPSHOT_COLUMNS; column_stack makes it C-contiguous."""
-    return np.column_stack(
-        [
-            np.arange(ensemble.n, dtype=float),
-            ensemble.q,
-            ensemble.p,
-            ensemble.phi,
-            ensemble.w,
-            ensemble.f,
-        ]
-    )
+    """The C-contiguous (n, 12) block of SNAPSHOT_COLUMNS, whatever the layout
+    of the ensemble's arrays (the writer process is sent its raw bytes)."""
+    rows = np.empty((ensemble.n, len(SNAPSHOT_COLUMNS)))
+    rows[:, 0] = np.arange(ensemble.n)
+    rows[:, 1:5], rows[:, 5:9], rows[:, 9] = ensemble.q, ensemble.p, ensemble.phi
+    rows[:, 10], rows[:, 11] = ensemble.w, ensemble.f
+    return rows
 
 
 def write_ensemble_snapshot(ensemble, path: str | Path, fmt_style: str = "csv") -> Path:

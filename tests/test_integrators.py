@@ -27,6 +27,7 @@ from contactrel import (
     MaxStepsExceeded,
     StopCondition,
     advance_batch,
+    expression_metric,
     geodesic_reference,
     integrate,
     minkowski,
@@ -38,6 +39,7 @@ from contactrel import (
     weak_field,
 )
 from contactrel import integrators
+from contactrel.checks import WAVY_DIAG
 from contactrel.integrators import (
     _dp_dense,
     _dp_step,
@@ -498,16 +500,23 @@ def _reference_error_norm(err, y0, y1, cfg, ncore):
     return float(np.max(np.sqrt(np.mean((err[..., :ncore] / sc) ** 2, axis=-1))))
 
 
-@pytest.mark.parametrize("shape", [(1000, 10), (10,)])
+@pytest.mark.parametrize("shape", [(10, 1000), (10,), (10, 1)])
 def test_error_norm_in_place_is_bit_identical(shape):
+    # components on axis 0, against the reference over row-major (n, 10) copies
     rng = np.random.default_rng(7)
     cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-11)
     for scale in (1e-12, 1.0, 1e6):
         err, y0, y1 = (scale * rng.normal(size=shape) for _ in range(3))
-        y0[..., 0] = 0.0  # rows where abs_tol dominates the scale
+        y0[0] = 0.0  # markers where abs_tol dominates the scale
         args = [a.copy() for a in (err, y0, y1)]
-        got = _error_norm(*args, cfg, 9)
-        assert got == _reference_error_norm(err, y0, y1, cfg, 9)
+        rows = [np.ascontiguousarray(a.T) for a in (err, y0, y1)]
+        for ncore in (8, 9):
+            got = _error_norm(*args, cfg, ncore)
+            assert got == _reference_error_norm(*rows, cfg, ncore)
+            if len(shape) == 2:  # each marker alone, so no row hides behind the max
+                for i in range(shape[1]):
+                    one = _error_norm(*(a[:, i:i + 1] for a in args), cfg, ncore)
+                    assert one == _reference_error_norm(*(r[i:i + 1] for r in rows), cfg, ncore)
         assert all(np.array_equal(a, b) for a, b in zip(args, (err, y0, y1)))
 
 
@@ -562,10 +571,10 @@ def test_rk45_series_of_a_flat_gas_matches_the_closed_form():
     # span end come off the dense output of steps that do not land on them.
     sys, n, span, reports = _decay_sys(), 10_000, 5.0, 50
     rng = np.random.default_rng(11)
-    y0 = np.zeros((n, 10))
+    y0 = np.zeros((10, n))  # component-major: row j is component j of every marker
     p_spatial = rng.normal(0.0, 0.2, (n, 3))
-    y0[:, 4:8] = solve_p0_on_shell(sys, np.zeros((n, 4)), np.zeros(n), p_spatial)
-    y0[:, 9] = rng.normal(size=n)
+    y0[4:8] = solve_p0_on_shell(sys, np.zeros((n, 4)), np.zeros(n), p_spatial).T
+    y0[9] = rng.normal(size=n)
     cfg = IntegratorConfig()
     seen = []
     stats = integrators._advance_block(sys, y0, span, reports, cfg,
@@ -575,10 +584,55 @@ def test_rk45_series_of_a_flat_gas_matches_the_closed_form():
     worst = 0.0
     for k, y in seen:
         lam = k * span / reports
-        m = sys.mass.value(y[:, 8])
+        m = sys.mass.value(y[8])
         worst = max(worst, np.max(np.abs(m * (1.0 + ALPHA * lam) - 1.0)),
-                    np.max(np.abs(y[:, 9] - y0[:, 9] - 4.0 * math.log1p(ALPHA * lam))))
+                    np.max(np.abs(y[9] - y0[9] - 4.0 * math.log1p(ALPHA * lam))))
     assert worst <= 0.5 * cfg.rel_tol
+
+
+def _layout_systems():
+    """Minkowski, weak-field and expression metrics, each with a phi-dependent mass."""
+    mass = MassModel.exp_decay(1.0, ALPHA)
+    metrics = {
+        "minkowski": minkowski(),
+        "weak-field": weak_field(*point_mass_potential(1.0, 0.5), c=10.0),
+        "expression": expression_metric(WAVY_DIAG),
+    }
+    return {k: ContactHamiltonianSystem(metric=m, mass=mass, c=1.0) for k, m in metrics.items()}
+
+
+@pytest.mark.parametrize("kind", ["minkowski", "weak-field", "expression"])
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_block_field_rows_equal_the_field_on_row_major_slices(kind, n):
+    # _block_field hands the field (n, 4) views of (10, n) rows; the result
+    # must not depend on that layout, to the last bit
+    sys = _layout_systems()[kind]
+    rng = np.random.default_rng(n)
+    block = rng.normal(size=(10, n))
+    block[1:4] += 3.0  # away from the point mass
+    block[4] -= 2.0
+    q, p = np.ascontiguousarray(block[0:4].T), np.ascontiguousarray(block[4:8].T)
+    dq, dp, dphi, dhdphi = integrators._field_arrays(sys, q, p, block[8].copy())
+    out = integrators._block_field(sys, block)
+    assert out.shape == (10, n) and out.flags.c_contiguous
+    assert np.array_equal(out[0:4], dq.T) and np.array_equal(out[4:8], dp.T)
+    assert np.array_equal(out[8], dphi) and np.array_equal(out[9], 4.0 * dhdphi)
+    assert np.all(np.isfinite(out))
+
+
+@pytest.mark.parametrize("dlam", [0.5, 0.0])
+def test_advance_batch_keeps_its_row_major_interface(dlam):
+    sys = _decay_sys()
+    y0 = np.zeros((3, 10))
+    y0[:, 4] = [-1.0, -1.2, -1.5]
+    y0[:, 1] = [0.1, 0.2, 0.3]
+    keep = y0.copy()
+    out, _ = advance_batch(sys, y0, dlam, IntegratorConfig())
+    assert out.shape == (3, 10) and out.flags.c_contiguous
+    assert not np.shares_memory(out, y0)
+    assert np.array_equal(y0, keep)
+    if dlam == 0.0:
+        assert np.array_equal(out, y0)
 
 
 def test_advance_batch_max_steps_exceeded():

@@ -336,6 +336,28 @@ def test_no_snapshots_start_no_process(tmp_path, monkeypatch, parent_writes, two
     assert [Path(p).name for p in report.paths] == ["gas_series.csv"]
 
 
+@pytest.mark.parametrize("fmt_style", ["csv", "jsonl"])
+@pytest.mark.parametrize("forked", [True, False], ids=["forked", "in-process"])
+def test_snapshot_of_fortran_ordered_arrays_matches_c_ordered(
+        tmp_path, monkeypatch, parent_writes, two_cpus, forked, fmt_style):
+    # the report ensembles' q and p are (n, 4) views of a component-major
+    # block; the writer process is sent the raw bytes of a C-ordered table
+    if not forked:
+        _no_fork(monkeypatch)
+    cfg = _gas(fmt_style)
+    e = kinetic.sample_ensemble(build_system(cfg), build_density_spec(cfg), 300, 5)
+    f_ordered = dataclasses.replace(e, q=np.asfortranarray(e.q), p=np.asfortranarray(e.p))
+    assert f_ordered.q.flags.f_contiguous and not f_ordered.q.flags.c_contiguous
+    assert output._snapshot_rows(f_ordered).flags.c_contiguous
+    expected = output.write_ensemble_snapshot(e, tmp_path / "c.out", fmt_style).read_bytes()
+    parent_writes.clear()
+    path = tmp_path / "f.out"
+    with output._snapshot_writer(fmt_style) as write:
+        write(f_ordered, path)
+    assert parent_writes == ([] if forked else ["f.out"])
+    assert path.read_bytes() == expected
+
+
 @pytest.mark.parametrize("forked", [True, False], ids=["forked", "in-process"])
 @pytest.mark.parametrize("blocked", [0, REPORTS])
 def test_unwritable_snapshot_raises_with_its_path(

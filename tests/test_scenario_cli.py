@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from contactrel import (
     GaussianMomentum,
     ParseError,
+    StepSizeUnderflow,
     ValidationError,
     build_density_spec,
     build_initial_state,
@@ -428,6 +429,28 @@ def test_huge_c_ends_in_a_named_error(initial, tmp_path, capsys):
     command = "ensemble" if initial["kind"] == "ensemble" else "run"
     assert main([command, str(path), "--out-dir", str(tmp_path)]) == 2
     assert "c = 1e+200 with m = 1 is too large" in _one_error_line(capsys)
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("action", ["default", "error"])
+@pytest.mark.parametrize("c", [1e100, 1e150])
+@pytest.mark.parametrize("initial", [
+    {"kind": "single", "p_spatial": [0.5, 0.0, 0.0]},
+    {"kind": "single", "v": [0.3, 0.0, 0.0]},
+], ids=["p_spatial", "v"])
+def test_huge_c_within_the_scale_check_ends_in_a_named_error(
+        initial, c, action, tmp_path, capsys):
+    # (m c)^2 is finite, but the field's scaled norm overflows and the first
+    # step size underflows to 0; the verdict must not hang on the warnings filter
+    doc = _minimal(c=c, initial=initial)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert "the first step size underflowed to 0" in _one_error_line(capsys)
+        with pytest.raises(StepSizeUnderflow):
+            execute_single(load_scenario(doc), str(tmp_path))
     assert sorted(tmp_path.iterdir()) == [path]
 
 
