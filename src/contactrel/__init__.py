@@ -63,7 +63,6 @@ from .integrators import (
     IntegratorConfig,
     StopCondition,
     Trajectory,
-    advance_batch,
     geodesic_reference,
     integrate,
     reparametrize_by_phi,
@@ -78,7 +77,6 @@ from .kinetic import (
     ensemble_series,
     entropy,
     entropy_rate,
-    propagate,
     sample_ensemble,
 )
 from .output import (
@@ -119,10 +117,9 @@ __all__ = [
     # integrators
     "IntegratorConfig", "StopCondition", "Trajectory", "integrate",
     "geodesic_reference", "reparametrize_by_phi", "reparametrize_by_tau",
-    "advance_batch",
     # kinetic
     "Ensemble", "EntropyFunctional", "GaussianMomentum", "UniformMomentum",
-    "DensitySpec", "sample_ensemble", "propagate", "entropy", "entropy_rate",
+    "DensitySpec", "sample_ensemble", "entropy", "entropy_rate",
     "ensemble_series",
     # output
     "write_trajectory", "write_ensemble_series", "write_ensemble_snapshot",

@@ -485,10 +485,16 @@ def _evaluate(codes, q: np.ndarray, phi, error=NonFiniteMetric) -> np.ndarray:
 
     An entry without a real value raises ``error``: one that is complex, or
     one whose constants fail in Python float arithmetic (``1/(2-2)`` raises
-    ZeroDivisionError where numpy would give inf).
+    ZeroDivisionError where numpy would give inf).  A lone point (q shape
+    (4,)) is evaluated as a batch of one: on numpy scalars ``**`` takes
+    another power routine than on arrays, and would round differently.
     """
+    phi = np.asarray(phi, dtype=float)
+    single = q.ndim == 1
+    if single:
+        q, phi = q[None], phi[None]
     env = dict(_EXPR_NAMESPACE, x0=q[..., 0], x1=q[..., 1], x2=q[..., 2], x3=q[..., 3],
-               phi=np.asarray(phi, dtype=float))
+               phi=phi)
     out = np.empty(q.shape[:-1] + (len(codes),))
     for k, code in enumerate(codes):
         try:
@@ -498,7 +504,7 @@ def _evaluate(codes, q: np.ndarray, phi, error=NonFiniteMetric) -> np.ndarray:
         if np.iscomplexobj(value):
             raise error(f"{code.co_filename} takes a complex value")
         out[..., k] = value
-    return out
+    return out[0] if single else out
 
 
 def expression_metric(diag: Sequence[str], name: str = "expression") -> MetricField:

@@ -6,12 +6,15 @@ carry proper time tau as an extra quadrature variable (d tau/d lambda =
 -(d phi/d lambda) / (m c^2)); tau is excluded from the adaptive error norm,
 which covers only the 9 extended coordinates.
 
-One stepping loop, ``_run_loop``, serves a single state (d,) and a marker
-block (d, n) alike: components sit on axis 0 in both, so row j of a block is
-component j (q0..q3, p0..p3, phi, ln f) of every marker, one contiguous run.
-:func:`integrate`, :func:`geodesic_reference` and :func:`advance_batch`
-differ only in their right-hand side, their first step and what they keep of
-the accepted samples.  Its steppers are an embedded Dormand-Prince 5(4) pair
+One right-hand side, ``_block_field``, and one stepping loop, ``_run_loop``,
+serve a single state (d,) and a marker block (d, n) alike: components sit on
+axis 0 in both, so row j of a block is component j (q0..q3, p0..p3, phi,
+ln f) of every marker, one contiguous run.  :func:`integrate` and the marker
+blocks of :func:`kinetic.ensemble_series` differ only in the quadrature row
+the field carries (tau or ln f), their first step and what they keep of the
+accepted samples; :func:`geodesic_reference` runs its own right-hand side,
+an independent reference, through the same loop.
+Its steppers are an embedded Dormand-Prince 5(4) pair
 with FSAL, whose error norm is the worst marker's RMS, and a classic RK4 that
 splits a lambda span into ceil(span/fixed_step) equal steps.  A
 Dormand-Prince series of reports reads its intermediate reports off the pair's
@@ -55,7 +58,6 @@ __all__ = [
     "reparametrize_by_phi",
     "reparametrize_by_tau",
     "geodesic_reference",
-    "advance_batch",
 ]
 
 
@@ -87,7 +89,7 @@ class StopCondition:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Numerical parameters for integrate() and advance_batch().
+    """Numerical parameters for integrate(), geodesic_reference() and ensemble_series().
 
     ``method`` is "rk45" (adaptive, default) or "rk4" (fixed step, requires
     ``fixed_step``).  ``shell_projection`` = k > 0 rescales the momentum back
@@ -513,6 +515,32 @@ def _run_recorded(rhs, y0, cfg, span, events, ncore, project=None, validate=None
 # --- contact-flow integration --------------------------------------------------
 
 
+def _block_field(sys, y, quadrature):
+    """d/dlambda of a state (d,) or a block (d, n): the evolution field and its quadrature.
+
+    Components sit on axis 0, so the field reads the (4,) q and p of a state,
+    or (n, 4) views of a block's q and p rows, and rows 0..8 of the result,
+    shaped like y, hold d(q, p, phi).  ``quadrature`` names row 9:
+    "tau", the proper time of a massive single run, d tau = -d phi / (m c^2),
+    which raises TransversalityFailure once m <= 0; "ln_f", the density each
+    marker carries, d ln f = 4 dH/dphi (div X_H = -4 dH/dphi); None for a
+    (9,) massless state.
+    """
+    dq, dp, dphi, dhdphi = _field_arrays(sys, y[0:4].T, y[4:8].T, y[8])
+    out = np.empty_like(y)
+    out[0:4], out[4:8], out[8] = dq.T, dp.T, dphi
+    if quadrature == "tau":
+        m = float(sys.mass.value(y[8]))
+        if m <= 0.0:
+            raise TransversalityFailure(
+                "mass reached zero during integration; add a mass_floor stop"
+            )
+        out[9] = -dphi / (m * sys.c**2)
+    elif quadrature == "ln_f":
+        out[9] = 4.0 * dhdphi
+    return out
+
+
 def _make_events(cfg: IntegratorConfig, sys: ContactHamiltonianSystem, massive: bool):
     """(lambda span or None, [(label, column, value)]) of cfg.stop.
 
@@ -560,27 +588,15 @@ def integrate(sys: ContactHamiltonianSystem, s0: ExtendedState, cfg: IntegratorC
     y0[0:4], y0[4:8], y0[8] = s0.q, s0.p, s0.phi
     if massive:
         y0[9] = 0.0
-    c2 = sys.c**2
-
-    def rhs(lam, y):
-        dq, dp, dphi, _ = _field_arrays(sys, y[None, 0:4], y[None, 4:8], y[8:9])
-        dy = np.empty(dim)
-        dy[0:4], dy[4:8], dy[8] = dq[0], dp[0], dphi[0]
-        if massive:
-            m = float(sys.mass.value(y[8]))
-            if m <= 0.0:
-                raise TransversalityFailure(
-                    "mass reached zero during integration; add a mass_floor stop"
-                )
-            dy[9] = -dy[8] / (m * c2)
-        return dy
 
     def project(y):
         s = project_to_shell(sys, ExtendedState(q=y[0:4], p=y[4:8], phi=y[8]))
         return np.concatenate([y[0:4], s.p, y[8:]])
 
+    quadrature = "tau" if massive else None
     lams, ys, fs, termination, stats = _run_recorded(
-        rhs, y0, cfg, lam_end, events, ncore=9, project=project if massive else None
+        lambda lam, y: _block_field(sys, y, quadrature), y0, cfg, lam_end, events,
+        ncore=9, project=project if massive else None,
     )
 
     q_arr, p_arr, phi_arr = ys[:, 0:4], ys[:, 4:8], ys[:, 8]
@@ -787,19 +803,6 @@ def geodesic_reference(
 # --- batched ensemble stepping -----------------------------------------------
 
 
-def _block_field(sys, y):
-    """d/dlambda of a (10, n) block: the evolution field and d ln f = 4 dH/dphi.
-
-    The field reads (n, 4) views of the q and p rows and its results are
-    written into the rows of one (10, n) array.
-    """
-    dq, dp, dphi, dhdphi = _field_arrays(sys, y[0:4].T, y[4:8].T, y[8])
-    out = np.empty_like(y)
-    out[0:4], out[4:8], out[8] = dq.T, dp.T, dphi
-    out[9] = 4.0 * dhdphi
-    return out
-
-
 def _advance_block(sys, y, span, reports, cfg, on_report):
     """Advance a (10, n) block over span as ``reports`` equal intervals in one run.
 
@@ -809,15 +812,10 @@ def _advance_block(sys, y, span, reports, cfg, on_report):
     earlier reports off the dense output; rk4 lands on every interval's end.
     h and the FSAL stage carry over from one interval to the next.  The
     first rk45 step is min(|span / reports|/8, max_step).  Returns the
-    loop's step counts.
+    loop's step counts.  Callers pass a nonzero span.
     """
-    if span == 0.0:
-        for k in range(1, reports + 1):
-            on_report(k, y.copy())
-        return {"steps_accepted": 0, "steps_rejected": 0}
-
     _, stats = _run_loop(
-        lambda lam, block: _block_field(sys, block), y, cfg, span, (), ncore=9,
+        lambda lam, block: _block_field(sys, block, "ln_f"), y, cfg, span, (), ncore=9,
         h0=min(abs(span / reports) / 8.0, cfg.max_step), reports=reports, on_report=on_report,
     )
     return stats
@@ -829,17 +827,18 @@ def advance_batch(
     dlam: float,
     cfg: IntegratorConfig,
 ) -> tuple[np.ndarray, int]:
-    """Advance a marker block (n, 10) = [q, p, phi, ln f] by dlam in lambda.
+    """Advance a row-major marker block (n, 10) = [q, p, phi, ln f] by dlam in lambda.
 
-    The block goes through the same stepping loop as :func:`integrate`: all
-    markers share the step sequence, and with method "rk45" the error norm is
-    the worst per-marker RMS over the 9 extended coordinates (ln f is a
-    quadrature variable like tau); the first step is min(|dlam|/8, max_step).
-    "rk4" takes ceil(|dlam|/fixed_step) equal steps.  Supports either sign of
-    dlam.  The loop runs on the (10, n) transpose; the input is not modified.
-    Returns (new C-contiguous (n, 10) block, accepted steps).
+    Not public API: a thin adapter over :func:`_advance_block`, kept only
+    because the benchmark probes (``bench/probes.py``, ``bench/tracing.py``)
+    call it by name; ensembles go through :func:`kinetic.ensemble_series`.
+    The block runs as its (10, n) transpose; the input is not modified.
+    Supports either sign of dlam, and dlam = 0 takes no step.  Returns (new
+    C-contiguous (n, 10) block, accepted steps).
     """
+    rows = np.asarray(y, dtype=float)
+    if dlam == 0.0:
+        return rows.copy(), 0
     out = []
-    rows = np.asarray(y, dtype=float).T
-    stats = _advance_block(sys, rows, dlam, 1, cfg, lambda k, block: out.append(block.T.copy()))
+    stats = _advance_block(sys, rows.T, dlam, 1, cfg, lambda k, block: out.append(block.T.copy()))
     return out[0], stats["steps_accepted"]

@@ -42,7 +42,6 @@ __all__ = [
     "UniformMomentum",
     "DensitySpec",
     "sample_ensemble",
-    "propagate",
     "entropy",
     "entropy_rate",
     "ensemble_series",
@@ -237,68 +236,6 @@ def sample_ensemble(
     )
 
 
-def _march(
-    e: Ensemble,
-    dlam_total: float,
-    reports: int,
-    cfg: IntegratorConfig | None,
-    on_report: Callable[[int, Ensemble], None] | None = None,
-) -> tuple[Ensemble, dict]:
-    """Move e by dlam_total in ``reports`` equal intervals, as one step sequence.
-
-    The markers are stepped as one (10, n) block whose row j is component j
-    (q0..q3, p0..p3, phi, ln f) of every marker.  on_report(k, ensemble)
-    receives the ensemble after interval k, its q and p (n, 4) views of the
-    reported block's rows; with rk45 only the span end is a step end, and the
-    earlier reports are read off the dense output.  Only the final ensemble
-    is kept.  Returns it and the stepping loop's step counts.
-    """
-    if not math.isfinite(dlam_total):
-        raise ValueError("dlam must be finite")
-    dlam = dlam_total / reports
-    block = np.empty((10, e.n))
-    block[0:4] = e.q.T
-    block[4:8] = e.p.T
-    block[8] = e.phi
-    block[9] = np.log(e.f)
-    lam = e.lam
-    end = e
-
-    def land(k: int, y: np.ndarray):
-        nonlocal lam, end
-        lam = lam + dlam
-        f = np.exp(y[9])
-        if not np.all(f > 0.0):
-            # Ensemble() would raise too, but without the lambda.
-            lost = int(np.count_nonzero(~(f > 0.0)))
-            raise NonPositiveDensity(
-                f"density of {lost} of {e.n} markers underflowed to zero "
-                f"by lambda = {lam:.17g}"
-            )
-        cur = Ensemble(
-            sys=e.sys, lam=lam, q=y[0:4].T, p=y[4:8].T, phi=y[8],
-            w=e.w.copy(), f=f,
-        )
-        if on_report is not None:
-            on_report(k, cur)
-        if k == reports:
-            end = cur
-
-    stats = _advance_block(e.sys, block, dlam_total, reports, cfg or IntegratorConfig(), land)
-    return end, stats
-
-
-def propagate(e: Ensemble, dlam: float, cfg: IntegratorConfig | None = None) -> Ensemble:
-    """Advance every marker by dlam along the flow, transporting f.
-
-    Weights are untouched; densities evolve by d ln f/d lambda = 4 dH/dphi.
-    Returns a new Ensemble at lam + dlam.  Raises NonPositiveDensity, with
-    the number of markers and the lambda, when exp(ln f) underflows to zero
-    for any marker, instead of dropping it.
-    """
-    return _march(e, dlam, 1, cfg)[0]
-
-
 def _weight_per_density(e: Ensemble) -> np.ndarray:
     """w / f, after checking that f is positive and finite and w / f finite."""
     if not np.all(e.f > 0.0):
@@ -341,16 +278,22 @@ def ensemble_series(
 ) -> tuple[Ensemble, np.ndarray, dict]:
     """Advance an ensemble in ``reports`` equal intervals, logging a row each.
 
-    The markers follow one step sequence over the whole span, so
-    cfg.max_steps bounds the steps of the whole series.  With rk45 the
-    reports are read off the steps' dense output and only the span end is
-    landed on, so the step count follows the tolerance, not ``reports``;
-    rk4 lands a step on every report.  Returns (final ensemble, rows, step
-    counts) where rows has shape (reports + 1, 4) with columns (lambda,
-    total weight, entropy, analytic entropy rate), and the counts are a dict
-    with "steps_accepted" and "steps_rejected".  The optional ``on_report``
-    callback receives (report index, ensemble) at the initial instant and
-    after every interval, e.g. to write snapshots.
+    The markers move as one (10, n) block whose row j is component j (q0..q3,
+    p0..p3, phi, ln f) of every marker, along one step sequence over the
+    whole span, so cfg.max_steps bounds the steps of the whole series.
+    Weights are untouched; densities evolve by d ln f/d lambda = 4 dH/dphi.
+    With rk45 the reports are read off the steps' dense output and only the
+    span end is landed on, so the step count follows the tolerance, not
+    ``reports``; rk4 lands a step on every report.  Returns (final ensemble,
+    rows, step counts) where rows has shape (reports + 1, 4) with columns
+    (lambda, total weight, entropy, analytic entropy rate), and the counts
+    are a dict with "steps_accepted" and "steps_rejected".  The optional
+    ``on_report`` callback receives (report index, ensemble) at the initial
+    instant and after every interval, e.g. to write snapshots; a reported
+    ensemble's q and p are (n, 4) views of the block's rows, and only the
+    final one is kept.  Raises NonPositiveDensity, with the number of markers
+    and the lambda, when exp(ln f) underflows to zero for any marker, instead
+    of dropping it.
     """
     if reports < 1:
         raise ValueError("reports must be at least 1")
@@ -365,5 +308,33 @@ def ensemble_series(
             on_report(k, cur)
 
     log(0, e)
-    e_end, stats = _march(e, dlam_total, reports, cfg, log)
-    return e_end, rows, stats
+    dlam = dlam_total / reports
+    block = np.empty((10, e.n))
+    block[0:4] = e.q.T
+    block[4:8] = e.p.T
+    block[8] = e.phi
+    block[9] = np.log(e.f)
+    lam = e.lam
+    end = e
+
+    def land(k: int, y: np.ndarray):
+        nonlocal lam, end
+        lam = lam + dlam  # summed: e.lam + k * dlam rounds differently in the lambda column
+        f = np.exp(y[9])
+        if not np.all(f > 0.0):
+            # Ensemble() would raise too, but without the lambda.
+            lost = int(np.count_nonzero(~(f > 0.0)))
+            raise NonPositiveDensity(
+                f"density of {lost} of {e.n} markers underflowed to zero "
+                f"by lambda = {lam:.17g}"
+            )
+        cur = Ensemble(
+            sys=e.sys, lam=lam, q=y[0:4].T, p=y[4:8].T, phi=y[8],
+            w=e.w.copy(), f=f,
+        )
+        log(k, cur)
+        if k == reports:
+            end = cur
+
+    stats = _advance_block(e.sys, block, dlam_total, reports, cfg or IntegratorConfig(), land)
+    return end, rows, stats

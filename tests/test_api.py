@@ -47,12 +47,12 @@ _PUBLIC = [
     "ParseError", "ScenarioConfig", "ShellSolveFailed", "SingularMetric",
     "StepSizeUnderflow", "StopCondition", "Trajectory", "TransversalityFailure",
     "UniformMomentum", "UnnormalizableSpec", "ValidationError", "__version__",
-    "advance_batch", "build_density_spec", "build_initial_state",
+    "build_density_spec", "build_initial_state",
     "build_integrator_config", "build_system", "christoffel", "ensemble_series",
     "entropy", "entropy_rate", "evolution_field", "expression_metric", "four_velocity",
     "geodesic_reference", "integrate", "inverse_metric", "load_scenario",
     "lowered_metric", "mass_from_tau", "metric_derivatives", "minkowski",
-    "point_mass_potential", "preset_scenario", "project_to_shell", "propagate",
+    "point_mass_potential", "preset_scenario", "project_to_shell",
     "reduced_field_phi", "reparametrize_by_phi", "reparametrize_by_tau", "run_all",
     "sample_ensemble", "serialize_scenario", "solve_p0_on_shell",
     "state_from_velocity", "uniform_gradient_potential", "weak_field",
@@ -61,5 +61,5 @@ _PUBLIC = [
 
 
 def test_public_surface_is_pinned():
-    assert len(_PUBLIC) == 70
+    assert len(_PUBLIC) == 68
     assert sorted(contactrel.__all__) == _PUBLIC

@@ -26,7 +26,7 @@ from contactrel import (
     MassModel,
     MaxStepsExceeded,
     StopCondition,
-    advance_batch,
+    TransversalityFailure,
     expression_metric,
     geodesic_reference,
     integrate,
@@ -36,6 +36,7 @@ from contactrel import (
     reparametrize_by_tau,
     solve_p0_on_shell,
     state_from_velocity,
+    uniform_gradient_potential,
     weak_field,
 )
 from contactrel import integrators
@@ -46,6 +47,7 @@ from contactrel.integrators import (
     _error_norm,
     _hermite_eval,
     _hermite_slope,
+    advance_batch,
 )
 
 ALPHA = 0.1
@@ -613,11 +615,70 @@ def test_block_field_rows_equal_the_field_on_row_major_slices(kind, n):
     block[4] -= 2.0
     q, p = np.ascontiguousarray(block[0:4].T), np.ascontiguousarray(block[4:8].T)
     dq, dp, dphi, dhdphi = integrators._field_arrays(sys, q, p, block[8].copy())
-    out = integrators._block_field(sys, block)
+    out = integrators._block_field(sys, block, "ln_f")
     assert out.shape == (10, n) and out.flags.c_contiguous
     assert np.array_equal(out[0:4], dq.T) and np.array_equal(out[4:8], dp.T)
     assert np.array_equal(out[8], dphi) and np.array_equal(out[9], 4.0 * dhdphi)
     assert np.all(np.isfinite(out))
+
+
+# an expression whose powers act on computed values, which numpy rounds one
+# way on arrays and another way on numpy scalars
+POWER_DIAG = (
+    "-(1 + 0.1*sin(x1)**2)*exp(0.05*phi**2)",
+    "(2 + sin(x1))**(0.1*phi)",
+    "1 + 0.1*cos(x2 + phi)**3",
+    "1 + 0.1*x3**2",
+)
+
+
+@pytest.mark.parametrize("kind", ["minkowski", "point-mass", "uniform-gradient",
+                                  "expression", "power"])
+@pytest.mark.parametrize("mass", ["constant", "affine", "zero"])
+def test_block_field_of_a_single_state_equals_the_one_row_field(kind, mass):
+    # A single run steps a (d,) state through _block_field, which hands the
+    # field (4,) q and p; every row must equal, to the last bit, the field
+    # of the state as a one-row batch and tau' = -phi' / (m * c**2) (with
+    # c = 1.7, m * c * c would round differently)
+    metric = {
+        "minkowski": minkowski(),
+        "point-mass": weak_field(*point_mass_potential(1.0, 0.5), c=10.0),
+        "uniform-gradient": weak_field(*uniform_gradient_potential([0.3, -0.2, 0.1]), c=3.0),
+        "expression": expression_metric(WAVY_DIAG),
+        "power": expression_metric(POWER_DIAG),
+    }[kind]
+    mass_model = {
+        "constant": MassModel.constant(1.3),
+        "affine": MassModel.exp_decay(1.0, ALPHA, c=1.7),
+        "zero": MassModel.zero(),
+    }[mass]
+    sys = ContactHamiltonianSystem(metric=metric, mass=mass_model, c=1.7)
+    d = 10 if sys.massive else 9
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        y = rng.normal(size=d)
+        y[1:4] += 3.0  # away from the point mass
+        y[4] -= 2.0
+        dq, dp, dphi, dhdphi = integrators._field_arrays(sys, y[None, 0:4], y[None, 4:8], y[8:9])
+        ref = np.concatenate([dq[0], dp[0], dphi])
+        out = integrators._block_field(sys, y, "tau" if sys.massive else None)
+        assert out.shape == (d,)
+        assert np.array_equal(out[0:9], ref)
+        if sys.massive:
+            m = float(sys.mass.value(y[8]))
+            assert out[9] == -dphi[0] / (m * sys.c**2)
+            assert integrators._block_field(sys, y, "ln_f")[9] == 4.0 * dhdphi[0]
+
+
+def test_a_stage_where_the_mass_reaches_zero_raises():
+    # m = 1 + phi vanishes at phi = -1, which rk4 steps of 3.0 overshoot; the
+    # proper-time row of that stage would divide by m <= 0, so it raises
+    sys = ContactHamiltonianSystem(
+        metric=minkowski(), mass=MassModel.exp_decay(1.0, 1.0), c=1.0
+    )
+    cfg = IntegratorConfig(method="rk4", fixed_step=3.0, stop=_stop("lambda_reached", 6.0))
+    with pytest.raises(TransversalityFailure, match="mass reached zero"):
+        integrate(sys, _rest_state(), cfg)
 
 
 @pytest.mark.parametrize("dlam", [0.5, 0.0])

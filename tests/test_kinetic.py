@@ -21,7 +21,6 @@ from contactrel import (
     NonPositiveDensity,
     UniformMomentum,
     UnnormalizableSpec,
-    advance_batch,
     build_density_spec,
     build_integrator_config,
     build_system,
@@ -30,9 +29,9 @@ from contactrel import (
     entropy_rate,
     minkowski,
     preset_scenario,
-    propagate,
     sample_ensemble,
 )
+from contactrel.integrators import advance_batch
 
 
 def _flat(mass=None, c=1.0):
@@ -55,8 +54,9 @@ SB = EntropyFunctional.shannon_boltzmann()
 
 
 def _fd_rate(e, functional, dlam):
-    """(S(lam + dlam) - S(lam)) / dlam with the markers moved by propagate."""
-    return (entropy(propagate(e, dlam), functional) - entropy(e, functional)) / dlam
+    """(S(lam + dlam) - S(lam)) / dlam with the markers moved by one report."""
+    moved = ensemble_series(e, dlam, 1, SB)[0]
+    return (entropy(moved, functional) - entropy(e, functional)) / dlam
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +259,7 @@ def test_custom_functional_entropy_and_rate():
 
 def test_propagate_preserves_markers_and_weights():
     e0 = sample_ensemble(_decay_system(0.1), _gaussian_spec(), 300, seed=5)
-    e1 = propagate(e0, 2.0)
+    e1 = ensemble_series(e0, 2.0, 1, SB)[0]
     assert e1.n == e0.n
     assert np.array_equal(e1.w, e0.w)
     assert e1.lam == pytest.approx(2.0)
@@ -271,7 +271,7 @@ def test_density_transport_matches_closed_form():
     # every marker's density grows by the same factor (1 + alpha lam)^4.
     alpha, lam = 0.1, 2.0
     e0 = sample_ensemble(_decay_system(alpha), _gaussian_spec(), 200, seed=13)
-    e1 = propagate(e0, lam)
+    e1 = ensemble_series(e0, lam, 1, SB)[0]
     ratio = e1.f / e0.f
     assert np.max(np.abs(ratio / (1.0 + alpha * lam) ** 4 - 1.0)) < 1e-8
 
@@ -280,7 +280,7 @@ def test_entropy_decreases_and_rate_matches_closed_form():
     alpha = 0.1
     e0 = sample_ensemble(_decay_system(alpha), _gaussian_spec(), 500, seed=17)
     assert entropy_rate(e0, SB) == pytest.approx(-4.0 * alpha, abs=1e-12)
-    e1 = propagate(e0, 3.0)
+    e1 = ensemble_series(e0, 3.0, 1, SB)[0]
     drop = entropy(e0, SB) - entropy(e1, SB)
     assert drop == pytest.approx(4.0 * math.log(1.0 + alpha * 3.0), abs=1e-8)
     assert entropy_rate(e1, SB) == pytest.approx(
@@ -290,7 +290,7 @@ def test_entropy_decreases_and_rate_matches_closed_form():
 
 def test_constant_mass_transport_freezes_density():
     e0 = sample_ensemble(_flat(), _gaussian_spec(), 150, seed=19)
-    e1 = propagate(e0, 4.0)
+    e1 = ensemble_series(e0, 4.0, 1, SB)[0]
     assert np.max(np.abs(e1.f - e0.f)) < 1e-12
     assert abs(entropy_rate(e0, SB)) < 1e-14
 
@@ -301,7 +301,7 @@ def test_massless_transport_freezes_density():
         momentum=GaussianMomentum(mean=(0.6, 0.0, 0.0), sigma=(0.1, 0.1, 0.1))
     )
     e0 = sample_ensemble(sys, spec, 150, seed=23)
-    e1 = propagate(e0, 4.0)
+    e1 = ensemble_series(e0, 4.0, 1, SB)[0]
     assert np.max(np.abs(e1.f - e0.f)) < 1e-12
     assert np.max(np.abs(e1.phi - e0.phi)) < 1e-12
 
@@ -310,16 +310,17 @@ def test_propagate_raises_when_density_underflows():
     # A mass that grows in proper time gives dH/dphi < 0, so ln f falls; the
     # two markers that start at the smallest subnormal density underflow to
     # f = 0 and must stop the run instead of being dropped with their weight.
+    # Their weights are subnormal too, so that report 0's w / f is finite.
     sys = ContactHamiltonianSystem(
         metric=minkowski(), mass=MassModel.exp_decay(1.0, -0.5), c=1.0
     )
     e = Ensemble(
         sys=sys, lam=0.0, q=np.zeros((4, 4)), p=np.tile([-1.0, 0.0, 0.0, 0.0], (4, 1)),
-        phi=np.zeros(4), w=np.full(4, 0.25), f=[1.0, 5e-324, 1.0, 5e-324],
+        phi=np.zeros(4), w=[0.25, 5e-324, 0.25, 5e-324], f=[1.0, 5e-324, 1.0, 5e-324],
     )
     assert e.n == 4
     with pytest.raises(NonPositiveDensity, match=r"2 of 4 markers .* lambda = 1$"):
-        propagate(e, 1.0)
+        ensemble_series(e, 1.0, 1, SB)[0]
 
 
 def test_rate_consistency_small_interval():
