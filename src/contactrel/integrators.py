@@ -11,9 +11,10 @@ serve a single state (d,) and a marker block (d, n) alike: components sit on
 axis 0 in both, so row j of a block is component j (q0..q3, p0..p3, phi,
 ln f) of every marker, one contiguous run.  :func:`integrate` and the marker
 blocks of :func:`kinetic.ensemble_series` differ only in the quadrature row
-the field carries (tau or ln f), their first step and what they keep of the
-accepted samples; :func:`geodesic_reference` runs its own right-hand side,
-an independent reference, through the same loop.
+the field carries (tau or ln f) and what they keep of the accepted samples;
+they share the step policy, so a block of copies of one state takes that
+state's steps.  :func:`geodesic_reference` runs its own right-hand side, an
+independent reference, through the same loop.
 Its steppers are an embedded Dormand-Prince 5(4) pair
 with FSAL, whose error norm is the worst marker's RMS, and a classic RK4 that
 splits a lambda span into ceil(span/fixed_step) equal steps.  A
@@ -341,7 +342,7 @@ def _initial_step(rhs, lam0, y0, f0, cfg, ncore, lam_span):
 # --- the stepping loop ------------------------------------------------------------
 
 
-def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, h0=None, project=None,
+def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, project=None,
               reports=1, on_report=None):
     """Advance y0, a (d,) state or a (d, n) marker block, from lam = 0.
 
@@ -354,15 +355,17 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, h0=None, project=N
     one step sequence: the step-size proposal and the FSAL stage carry over
     from report to report.  rk45 lands a step only on the span end and reads
     every earlier report off the dense output (:func:`_dp_dense`) of the
-    accepted step that passes it; rk4 lands a step on every report.
+    accepted step that passes it, handing each on as soon as it is read;
+    rk4 lands a step on every report.
     ``events`` is a list of (label, column, value) for a (d,) state; an
     event fires when y[column] crosses value between accepted samples, and
     the crossing is located on the step's cubic Hermite
     (:func:`_hermite_crossing`).
     ``sample(lam, y, f)``, if given, receives the start and every accepted
     sample, with f = rhs(lam, y).  All markers share one step sequence and
-    the error norm is the worst marker's.  rk45 starts from ``h0`` (default
-    :func:`_initial_step`); rk4 splits each report interval into
+    the error norm is the worst marker's.  rk45 starts from
+    :func:`_initial_step`, for a state and a block alike (a block's seed
+    follows its worst marker's norms); rk4 splits each report interval into
     ceil(|interval|/fixed_step) equal steps, or takes steps of fixed_step
     when span is None, and evaluates rhs at the end of the run only if a
     sample or an event reads it.  ``project`` optionally maps y -> y after
@@ -388,10 +391,8 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, h0=None, project=N
         h = float(cfg.fixed_step)
         if span is not None:
             h = abs(interval) / max(1, math.ceil(abs(interval) / h))
-    elif h0 is None:
-        h = _initial_step(rhs, lam, y, f, cfg, ncore, -1.0 if span is None else interval)
     else:
-        h = h0
+        h = _initial_step(rhs, lam, y, f, cfg, ncore, -1.0 if span is None else interval)
 
     while termination is None:
         if accepted >= cfg.max_steps:
@@ -452,16 +453,14 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, h0=None, project=N
                 hit = (lam_star[j], t[j], labels[np.flatnonzero(crossed)[j]])
 
         if dense:
-            # read the reports this step passes (up to an event) off its dense
-            # output; free the stages, and each report once it is handed on
+            # hand on each report this step passes (up to an event) as it is
+            # read off the dense output, so one report is alive at a time
             lam_end = lam_new if hit is None else hit[0]
-            passed = []
             while k < reports and direction * k * interval <= direction * lam_end:
-                passed.append((k, _dp_dense(y, hs, stages, (k * interval - lam) / hs)))
+                if on_report is not None:
+                    on_report(k, _dp_dense(y, hs, stages, (k * interval - lam) / hs))
                 k += 1
             stages = None
-            while passed and on_report is not None:
-                on_report(*passed.pop(0))
 
         if hit is not None:
             lam_star, t_star, label = hit
@@ -811,12 +810,12 @@ def _advance_block(sys, y, span, reports, cfg, on_report):
     (k = 1..reports).  rk45 lands a step only on the span end and reads the
     earlier reports off the dense output; rk4 lands on every interval's end.
     h and the FSAL stage carry over from one interval to the next.  The
-    first rk45 step is min(|span / reports|/8, max_step).  Returns the
-    loop's step counts.  Callers pass a nonzero span.
+    first rk45 step is :func:`_initial_step`'s, as for a single state.
+    Returns the loop's step counts.  Callers pass a nonzero span.
     """
     _, stats = _run_loop(
         lambda lam, block: _block_field(sys, block, "ln_f"), y, cfg, span, (), ncore=9,
-        h0=min(abs(span / reports) / 8.0, cfg.max_step), reports=reports, on_report=on_report,
+        reports=reports, on_report=on_report,
     )
     return stats
 

@@ -20,6 +20,8 @@ import pytest
 
 from contactrel import (
     ContactHamiltonianSystem,
+    Ensemble,
+    EntropyFunctional,
     ExtendedState,
     IntegratorConfig,
     MasslessProjection,
@@ -27,6 +29,7 @@ from contactrel import (
     MaxStepsExceeded,
     StopCondition,
     TransversalityFailure,
+    ensemble_series,
     expression_metric,
     geodesic_reference,
     integrate,
@@ -407,6 +410,56 @@ def test_advance_batch_matches_integrate():
         assert np.max(np.abs(out[i, 0:4] - traj.q[-1])) < 1e-9
         assert np.max(np.abs(out[i, 4:8] - traj.p[-1])) < 1e-9
         assert abs(out[i, 8] - traj.phi[-1]) < 1e-9
+
+
+@pytest.mark.parametrize("metric, mass", [
+    (minkowski, MassModel.exp_decay(1.0, ALPHA)),
+    (lambda: expression_metric(WAVY_DIAG), MassModel.constant(1.0)),
+], ids=["minkowski-decay", "wavy-constant"])
+def test_a_block_of_copies_takes_the_single_run_step_sequence(metric, mass):
+    # one step policy: a block of identical markers is seeded and controlled
+    # like the state it copies, so both take the same steps (rejected ones
+    # too: 2 on the wavy metric) to the same bits
+    sys = ContactHamiltonianSystem(metric=metric(), mass=mass, c=1.0)
+    q = np.array([0.0, 0.3, -0.2, 0.1])
+    p = solve_p0_on_shell(sys, q, 0.0, [1.0, -0.5, 0.8])
+    cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10, stop=_stop("lambda_reached", 5.0))
+    traj = integrate(sys, ExtendedState(q=q, p=p, phi=0.0), cfg)
+    n = 7
+    e = Ensemble(sys=sys, lam=0.0, q=np.tile(q, (n, 1)), p=np.tile(p, (n, 1)),
+                 phi=np.zeros(n), w=np.ones(n), f=np.ones(n))
+    end, _, stats = ensemble_series(e, 5.0, 1, EntropyFunctional.shannon_boltzmann(), cfg)
+    assert stats["steps_accepted"] == traj.metadata["steps_accepted"]
+    assert stats["steps_rejected"] == traj.metadata["steps_rejected"]
+    for i in range(n):
+        assert np.array_equal(end.q[i], traj.q[-1])
+        assert np.array_equal(end.p[i], traj.p[-1])
+        assert end.phi[i] == traj.phi[-1]
+
+
+def test_dense_reports_are_handed_on_as_they_are_read(monkeypatch):
+    # a long rk45 step passes many reports of a massless gas; each must reach
+    # on_report before the next is read, so no report waits in a list
+    reads = []
+    dense = integrators._dp_dense
+
+    def counted(*args):
+        reads.append(None)
+        return dense(*args)
+
+    monkeypatch.setattr(integrators, "_dp_dense", counted)
+    sys = ContactHamiltonianSystem(metric=minkowski(), mass=MassModel.zero(), c=1.0)
+    n, reports = 100, 50
+    q = np.zeros((n, 4))
+    p = solve_p0_on_shell(sys, q, np.zeros(n), np.random.default_rng(5).normal(size=(n, 3)))
+    e = Ensemble(sys=sys, lam=0.0, q=q, p=p, phi=np.zeros(n), w=np.ones(n), f=np.ones(n))
+    seen = []
+    _, _, stats = ensemble_series(e, 5.0, reports, EntropyFunctional.shannon_boltzmann(),
+                                  on_report=lambda k, cur: seen.append((k, len(reads))))
+    assert stats["steps_accepted"] < reports // 2  # steps pass several reports each
+    # report 0 is the start, report k < reports the k-th dense read, and the
+    # last lands on the span end
+    assert seen == [(k, min(k, reports - 1)) for k in range(reports + 1)]
 
 
 def test_advance_batch_round_trip():

@@ -29,6 +29,7 @@ from contactrel import (
     preset_scenario,
     serialize_scenario,
 )
+from contactrel.checks import WAVY_DIAG
 from contactrel.cli import execute_ensemble, execute_single, main
 from contactrel.scenario import PRESETS, run_ensemble
 
@@ -454,6 +455,23 @@ def test_huge_c_within_the_scale_check_ends_in_a_named_error(
     assert sorted(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("action", ["default", "error"])
+def test_huge_c_ensemble_ends_in_a_named_error(action, tmp_path, capsys):
+    # a marker block is seeded by the same first-step rule as a single run, so
+    # its overflowing field ends in StepSizeUnderflow, not in a traceback
+    doc = _gas_doc()
+    doc.update(c=6e153, mass={"kind": "constant", "m0": 1.0})
+    doc["initial"]["n"] = 10
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        assert main(["ensemble", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert "the first step size underflowed to 0" in _one_error_line(capsys)
+        with pytest.raises(StepSizeUnderflow):
+            execute_ensemble(load_scenario(doc), str(tmp_path))
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
     | st.sampled_from(["zero", "exp_decay", "weak_field", "ensemble", "uniform", "rk4",
@@ -681,11 +699,14 @@ def test_cli_ensemble_outputs_and_determinism(tmp_path, capsys):
 
 
 def test_ensemble_report_counts_rejected_steps(tmp_path):
-    # at rel_tol 1e-12 the step-size controller overshoots and retries; the
-    # report carries the counts of the one stepping loop behind the series
+    # on the wavy metric the step-size controller overshoots and retries (2
+    # rejected steps at rel_tol 1e-6, 1e-7 and 1e-8); the report carries the
+    # counts of the one stepping loop behind the series
     doc = _gas_doc(reports=2)
-    doc["stop"] = [{"kind": "lambda_reached", "value": 5.0}]
-    doc["integrator"] = {"rel_tol": 1e-12, "abs_tol": 1e-14}
+    doc["metric"] = {"kind": "expression", "diag": list(WAVY_DIAG)}
+    doc["mass"] = {"kind": "constant", "m0": 1.0}
+    doc["stop"] = [{"kind": "lambda_reached", "value": 10.0}]
+    doc["integrator"] = {"rel_tol": 1e-7, "abs_tol": 1e-9}
     cfg = load_scenario(doc)
     stats = run_ensemble(cfg)[3]
     rows, report = execute_ensemble(cfg, str(tmp_path))
