@@ -1,12 +1,16 @@
 """Verification battery: the package's acceptance checks as callable functions.
 
 Each check builds its own scenario, measures a residual against a fixed
-tolerance, and returns a CheckResult.  ``run_all`` executes the full battery;
-the CLI ``verify`` command and the acceptance test suite both drive these
-functions, so there is a single source of truth for what "working" means.
-No check reads another's result except through the ``_gas_run`` cache, so
-``run_all`` and ``verify`` compute the records in forked workers, one per
-usable CPU, and return them in catalog order (``_run_records``).
+tolerance, and returns a CheckResult.  ``run_all`` executes the full battery,
+and with ``all_presets`` the "preset:NAME" record of every bundled preset
+too; the CLI ``verify`` command calls it and the acceptance test suite drives
+the same functions, so there is a single source of truth for what "working"
+means.  A preset record applies the preset's own check (``scenario.PRESETS``)
+to its run, without output files: the ``integrate`` trajectory of a
+single-particle preset, or the series rows of an ensemble preset's cached
+``_gas_run``.  No check reads another's result except through that cache, so
+``run_all`` computes the records in forked workers, one per usable CPU, and
+returns them in catalog order.
 
 The contact-identity and divergence checks evaluate all random states of a
 metric as one (n, .) block through the batched field
@@ -38,7 +42,15 @@ from .integrators import (
     reparametrize_by_phi,
     reparametrize_by_tau,
 )
-from .scenario import load_scenario, preset_scenario, run_ensemble
+from .scenario import (
+    PRESETS,
+    build_initial_state,
+    build_integrator_config,
+    build_system,
+    load_scenario,
+    preset_scenario,
+    run_ensemble,
+)
 
 __all__ = ["CheckResult", "run_all", "CHECKS"]
 
@@ -606,18 +618,6 @@ CHECKS = (
 _ENTROPY_GASES = ("decay-gas", "absorbing-gas", "photon-gas")
 
 
-def run_all(perturb_divergence: bool = False) -> list[CheckResult]:
-    """Run the full battery; failures are reported, not raised.
-
-    The checks are computed by forked workers, one per usable CPU, and come
-    back in catalog order (see :func:`_run_records`).
-    """
-    return _run_records(
-        functools.partial(_check_record, perturb_divergence),
-        [name for name, _ in CHECKS],
-    )
-
-
 def _failed(name: str, exc: BaseException) -> CheckResult:
     """The record of a check that raised: a failed check, not a crash of verify."""
     return CheckResult(
@@ -627,14 +627,31 @@ def _failed(name: str, exc: BaseException) -> CheckResult:
 
 
 def _check_record(perturb_divergence: bool, name: str) -> CheckResult:
-    """Run the check that CHECKS holds under ``name``."""
-    fn = dict(CHECKS)[name]
+    """The record ``name``: a check that CHECKS holds, or "preset:NAME"."""
     try:
+        if name.startswith("preset:"):
+            return _preset_record(name.removeprefix("preset:"))
+        fn = dict(CHECKS)[name]
         if fn is check_divergence:
             return fn(perturb=perturb_divergence)
         return fn()
     except Exception as exc:
         return _failed(name, exc)
+
+
+def _preset_record(preset: str) -> CheckResult:
+    """The preset's own check on its run; no output file is written."""
+    cfg = preset_scenario(preset)
+    if cfg.kind == "single":
+        sys = build_system(cfg)
+        run = integrate(sys, build_initial_state(cfg, sys), build_integrator_config(cfg))
+    else:  # the battery has already run this preset; reuse its rows
+        run = _gas_run(preset)[2]
+    measured, tol, passed, detail = PRESETS[preset][2](cfg, run)
+    return CheckResult(
+        name=f"preset:{preset}", passed=passed, measured=measured,
+        tolerance=tol, detail=detail,
+    )
 
 
 def _tasks(names) -> list[tuple[str, ...]]:
@@ -650,25 +667,30 @@ def _tasks(names) -> list[tuple[str, ...]]:
             for name in names if name not in shared]
 
 
-def _run_task(record, task) -> list[CheckResult]:
-    return [record(name) for name in task]
+def _run_task(perturb_divergence: bool, task) -> list[CheckResult]:
+    return [_check_record(perturb_divergence, name) for name in task]
 
 
-def _run_records(record, names) -> list[CheckResult]:
-    """[record(name) for name in names], each task (see :func:`_tasks`) in a worker.
+def run_all(perturb_divergence: bool = False, all_presets: bool = False) -> list[CheckResult]:
+    """Run the full battery, then with ``all_presets`` every preset record.
 
-    ``record`` must pickle; it runs in a worker forked from this process, so
-    it sees CHECKS and every other module state as they are at this call.
-    The pool has one worker per usable CPU (a cgroup quota counts), no more
-    than there are tasks, and takes the tasks one at a time in catalog
-    order.  Workers ignore Ctrl-C, which the caller receives; it then waits
-    for the running tasks and drops the rest.  A worker that dies fails the
-    records of every task it had not finished, by name.  With one task, or
-    where output._fork_context() gives no context (under two usable CPUs, no
-    fork, a daemonic caller), the tasks run one after another in this process.
+    Failures are reported, not raised, and the records come back in catalog
+    order.  Each task (see :func:`_tasks`) runs in a worker forked from this
+    process, so it sees CHECKS and every other module state as they are at
+    this call.  The pool has one worker per usable CPU (a cgroup quota
+    counts), no more than there are tasks, and takes the tasks one at a time
+    in catalog order.  Workers ignore Ctrl-C, which the caller receives; it
+    then waits for the running tasks and drops the rest.  A worker that dies
+    fails the records of every task it had not finished, by name.  With one
+    task, or where output._fork_context() gives no context (under two usable
+    CPUs, no fork, a daemonic caller), the tasks run one after another in
+    this process.
     """
+    names = [name for name, _ in CHECKS]
+    if all_presets:
+        names += [f"preset:{name}" for name in PRESETS]
     tasks = _tasks(names)
-    run = functools.partial(_run_task, record)
+    run = functools.partial(_run_task, perturb_divergence)
     ctx = output._fork_context() if len(tasks) > 1 else None
     if ctx is None:
         done = list(map(run, tasks))

@@ -14,19 +14,17 @@ appears only on the console, never in files.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
-import tempfile
 import time
-from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from contextlib import nullcontext, suppress
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import checks as checks_mod
 from . import output
+from .checks import run_all
 from .dynamics import _h_and_shell
 from .errors import ContactRelError, ValidationError
 from .integrators import integrate, reparametrize_by_phi, reparametrize_by_tau
@@ -89,15 +87,12 @@ def _out_base(cfg: ScenarioConfig, out_dir: str | None) -> Path:
     return base
 
 
-def execute_single(cfg: ScenarioConfig, out_dir: str | None = None,
-                   allow_off_shell: bool = False):
+def execute_single(cfg: ScenarioConfig, out_dir: str | None = None):
     """Integrate a single-particle scenario; returns (trajectory, report)."""
     if cfg.kind != "single":
         raise ValidationError(
             "initial.kind", "this scenario is an ensemble; use the ensemble command"
         )
-    if allow_off_shell:
-        cfg = replace(cfg, initial={**cfg.initial, "allow_off_shell": True})
     sys_ = build_system(cfg)
     s0 = build_initial_state(cfg, sys_)
     icfg = build_integrator_config(cfg)
@@ -116,15 +111,10 @@ def execute_single(cfg: ScenarioConfig, out_dir: str | None = None,
     stride = cfg.outputs["stride"]
     paths = [output.write_trajectory(traj, f"{base}.{ext}", ext, stride)]
     for tag, resampled in companions.items():
-        paths.append(
-            output.write_trajectory(
-                resampled, f"{base}_{tag}.{ext}", ext, parameter_name=tag
-            )
-        )
+        paths.append(output.write_trajectory(resampled, f"{base}_{tag}.{ext}", ext))
 
-    term = traj.metadata.get("termination") or {"reason": "max_steps"}
     report = RunReport(
-        termination=term["reason"],
+        termination=traj.metadata["termination"]["reason"],
         steps=traj.metadata["steps_accepted"],
         steps_rejected=traj.metadata["steps_rejected"],
         h_drift=float(np.max(np.abs(traj.ham - traj.ham[0]))),
@@ -136,7 +126,10 @@ def execute_single(cfg: ScenarioConfig, out_dir: str | None = None,
 
 
 def execute_ensemble(cfg: ScenarioConfig, out_dir: str | None = None):
-    """Propagate an ensemble scenario; returns (series rows, report)."""
+    """Propagate an ensemble scenario; returns (series rows, report).
+
+    A run that raises removes the snapshots it wrote before the error leaves.
+    """
     if cfg.kind != "ensemble":
         raise ValidationError(
             "initial.kind", "this scenario is single-particle; use the run command"
@@ -151,15 +144,23 @@ def execute_ensemble(cfg: ScenarioConfig, out_dir: str | None = None):
     def on_report(k, cur):
         if snap_stride and (k % snap_stride == 0 or k == reports):
             p = Path(f"{base}_snapshot_{k:04d}.{ext}")
-            write_snapshot(cur, p)
             snap_paths.append(p)
+            write_snapshot(cur, p)
 
     t0 = time.perf_counter()
     # snapshots are formatted beside the integration; leaving the writer waits
     # for the last file, so the wall time ends when that file is complete
     writer = output._snapshot_writer(ext) if snap_stride else nullcontext()
-    with writer as write_snapshot:
-        e0, e_end, rows, stats = run_ensemble(cfg, on_report)
+    try:
+        with writer as write_snapshot:
+            e0, e_end, rows, stats = run_ensemble(cfg, on_report)
+    except BaseException:
+        # a run that raises leaves no snapshot behind: leaving the writer has
+        # finished the one in flight, and a failed removal hides no error
+        for p in snap_paths:
+            with suppress(OSError):
+                p.unlink()
+        raise
     wall = time.perf_counter() - t0
 
     series_path = output.write_ensemble_series(rows, f"{base}_series.{ext}", ext)
@@ -182,7 +183,7 @@ def execute_ensemble(cfg: ScenarioConfig, out_dir: str | None = None):
 
 def _cmd_run(args) -> int:
     cfg = _load_from_args(args)
-    traj, report = execute_single(cfg, args.out_dir, args.allow_off_shell)
+    traj, report = execute_single(cfg, args.out_dir)
     print(f"scenario '{cfg.name}': {traj.metadata['system']}, "
           f"{len(traj)} samples in {traj.parameter}")
     for line in report.lines():
@@ -202,13 +203,7 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    names = [name for name, _ in checks_mod.CHECKS]
-    if args.all_presets:
-        names += [f"preset:{name}" for name in PRESETS]
-    with tempfile.TemporaryDirectory(prefix="contactrel-verify-") as tmp:
-        results = checks_mod._run_records(
-            functools.partial(_verify_record, args.perturb_divergence, tmp), names
-        )
+    results = run_all(args.perturb_divergence, args.all_presets)
     if args.json:
         for r in results:
             record = {
@@ -234,45 +229,16 @@ def _cmd_presets(args) -> int:
     return 0
 
 
-# --- preset verification (the --all-presets battery) -----------------------------------
-
-
-def _verify_record(perturb_divergence: bool, tmp: str, name: str) -> checks_mod.CheckResult:
-    """One verify record: a battery check, or "preset:NAME" for a preset run."""
-    if not name.startswith("preset:"):
-        return checks_mod._check_record(perturb_divergence, name)
-    try:
-        return _verify_one_preset(name.removeprefix("preset:"), tmp)
-    except Exception as exc:
-        return checks_mod._failed(name, exc)
-
-
-def _verify_one_preset(name: str, tmp: str) -> checks_mod.CheckResult:
-    cfg = preset_scenario(name)
-    if cfg.kind == "single":
-        run, _ = execute_single(cfg, tmp)
-    else:  # the battery has already run this preset; reuse its rows
-        run = checks_mod._gas_run(name)[2]
-    measured, tol, passed, detail = PRESETS[name][2](cfg, run)
-    return checks_mod.CheckResult(
-        name=f"preset:{name}", passed=passed, measured=measured,
-        tolerance=tol, detail=detail,
-    )
-
-
 # --- entry point ------------------------------------------------------------------------
 
 
-def _add_scenario_args(parser, off_shell: bool):
+def _add_scenario_args(parser):
     parser.add_argument("scenario", nargs="?", default=None,
                         help="path to a scenario JSON document")
     parser.add_argument("--preset", default=None, metavar="NAME",
                         help="use a bundled preset instead of a file")
     parser.add_argument("--out-dir", default=None, metavar="DIR",
                         help="directory prefix for relative output paths")
-    if off_shell:
-        parser.add_argument("--allow-off-shell", action="store_true",
-                            help="accept initial momenta that violate the shell condition")
 
 
 def main(argv=None) -> int:
@@ -284,11 +250,11 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="integrate a single-particle scenario")
-    _add_scenario_args(p_run, off_shell=True)
+    _add_scenario_args(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_ens = sub.add_parser("ensemble", help="propagate a marker ensemble")
-    _add_scenario_args(p_ens, off_shell=False)
+    _add_scenario_args(p_ens)
     p_ens.set_defaults(func=_cmd_ensemble)
 
     p_ver = sub.add_parser("verify", help="run the invariant battery")
@@ -302,7 +268,6 @@ def main(argv=None) -> int:
     p_ver.set_defaults(func=_cmd_verify)
 
     p_pre = sub.add_parser("presets", help="list bundled scenarios")
-    p_pre.add_argument("action", nargs="?", default="list", choices=["list"])
     p_pre.set_defaults(func=_cmd_presets)
 
     args = parser.parse_args(argv)

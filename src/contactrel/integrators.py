@@ -384,7 +384,7 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, project=None,
     accepted = rejected = 0
     k = 1
     interval = None if span is None else span / reports
-    dense = cfg.method == "rk45" and reports > 1
+    dense = cfg.method == "rk45"
     target = span if dense else interval
 
     if cfg.method == "rk4":
@@ -421,8 +421,6 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, project=None,
             factor = 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm ** -0.2))
             h = min(cfg.max_step, h_try * factor)
             f_new = stages[6]
-            if not dense:
-                stages = None
         else:
             y_new = _rk4_step(rhs, lam, y, direction * h_try, f)
             f_new = None
@@ -720,12 +718,12 @@ def geodesic_reference(
     q0,
     u0,
     cfg: IntegratorConfig,
-    phi0: float = 0.0,
 ) -> Trajectory:
     """Integrate the geodesic equation du^mu/dtau = -Gamma^mu_{ab} u^a u^b.
 
     Independent reference for constant-mass motion in a phi-independent
-    metric, parametrized by proper time.  ``u0`` is the initial contravariant
+    metric, parametrized by proper time; the metric is evaluated at phi = 0,
+    and the ``phi`` column is 0.  ``u0`` is the initial contravariant
     four-velocity, a (4,) array with g_{mu nu} u^mu u^nu = -c^2 (as
     dynamics.four_velocity returns it).  The returned trajectory stores the
     contravariant four-velocity in the ``p`` slot (see metadata["p_column"]).
@@ -741,10 +739,10 @@ def geodesic_reference(
     q0 = np.asarray(q0, dtype=float).reshape(4)
     u = np.asarray(u0, dtype=float).reshape(4)
 
-    _, dphi_g = geometry.metric_derivatives(sys.metric, q0, phi0)
+    _, dphi_g = geometry.metric_derivatives(sys.metric, q0, 0.0)
     if np.max(np.abs(dphi_g)) > 1e-10:
         raise ValueError("geodesic reference requires a phi-independent metric")
-    gl0 = geometry.lowered_metric(sys.metric, q0, phi0)
+    gl0 = geometry.lowered_metric(sys.metric, q0, 0.0)
     norm0 = float(u @ gl0 @ u)
     if abs(norm0 + sys.c**2) > 1e-6 * sys.c**2:
         raise ValueError(f"u0 is not normalized: g u u = {norm0:.6e}, expected {-sys.c**2}")
@@ -755,7 +753,7 @@ def geodesic_reference(
     # geometry.christoffel run once per accepted sample (validate below).
     def rhs(lam, y):
         q, uvec = y[0:4], y[4:8]
-        g = geometry._eval_raw(sys.metric, q, phi0)
+        g = geometry._eval_raw(sys.metric, q, 0.0)
         try:
             gl = np.linalg.inv(g)
         except np.linalg.LinAlgError as exc:
@@ -763,7 +761,7 @@ def geodesic_reference(
                 f"metric '{sys.metric.name}' is singular at a trial point"
             ) from exc
         gamma = geometry._christoffel(
-            g, 0.5 * (gl + gl.T), geometry._d_q(sys.metric, q, phi0)
+            g, 0.5 * (gl + gl.T), geometry._d_q(sys.metric, q, 0.0)
         )
         dy = np.empty(8)
         dy[0:4] = uvec
@@ -773,12 +771,13 @@ def geodesic_reference(
     y0 = np.concatenate([q0, u])
     lams, ys, fs, termination, stats = _run_recorded(
         rhs, y0, cfg, lam_end, events, ncore=8,
-        validate=lambda y: geometry.lowered_metric(sys.metric, y[0:4], phi0),
+        validate=lambda y: geometry.lowered_metric(sys.metric, y[0:4], 0.0),
     )
 
     n = len(lams)
     q_arr, u_arr = ys[:, 0:4], ys[:, 4:8]
-    gl = np.linalg.inv(geometry._eval_raw(sys.metric, q_arr, np.full(n, phi0)))
+    phi = np.zeros(n)
+    gl = np.linalg.inv(geometry._eval_raw(sys.metric, q_arr, phi))
     uu = np.einsum("nab,na,nb->n", gl, u_arr, u_arr)
     shell = uu + sys.c**2
     deriv = np.zeros((n, 10))
@@ -793,7 +792,7 @@ def geodesic_reference(
         **stats,
     }
     return Trajectory(
-        lam=lams, q=q_arr, p=u_arr, phi=np.full(n, phi0),
+        lam=lams, q=q_arr, p=u_arr, phi=phi,
         ham=0.5 * shell, tau=lams.copy(), shell=shell, deriv=deriv,
         parameter="tau", metadata=metadata,
     )

@@ -160,14 +160,15 @@ def _write_table(path: Path, columns, rows, fmt_style: str, stride: int = 1):
 
 
 def write_trajectory(traj: Trajectory, path: str | Path, fmt_style: str = "csv",
-                     stride: int = 1, parameter_name: str = "lambda") -> Path:
+                     stride: int = 1) -> Path:
     """Write a trajectory table; returns the path written.
 
-    The first column is the flow parameter; for reparametrized companions
-    pass parameter_name="phi" or "tau".
+    The first column is the flow parameter, named by ``traj.parameter``:
+    "lambda", or "phi" and "tau" for reparametrized companions and "tau" for
+    a geodesic reference.
     """
     path = Path(path)
-    columns = (parameter_name,) + TRAJECTORY_COLUMNS[1:]
+    columns = (traj.parameter,) + TRAJECTORY_COLUMNS[1:]
     _write_table(path, columns, _rows_from_trajectory(traj), fmt_style, stride)
     return path
 

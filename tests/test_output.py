@@ -19,13 +19,23 @@ import numpy as np
 import pytest
 
 from contactrel import (
+    ContactHamiltonianSystem,
+    ExtendedState,
+    IntegratorConfig,
+    MassModel,
     NonPositiveDensity,
+    StopCondition,
     build_density_spec,
     build_system,
+    geodesic_reference,
+    integrate,
     kinetic,
     load_scenario,
+    minkowski,
     output,
     preset_scenario,
+    reparametrize_by_phi,
+    reparametrize_by_tau,
 )
 from contactrel.cli import execute_ensemble
 from contactrel.output import _write_table
@@ -362,21 +372,29 @@ def test_snapshot_of_fortran_ordered_arrays_matches_c_ordered(
 @pytest.mark.parametrize("blocked", [0, REPORTS])
 def test_unwritable_snapshot_raises_with_its_path(
         tmp_path, monkeypatch, parent_writes, two_cpus, forked, blocked):
-    # snapshot 0 fails while the run goes on; the last one fails at the end
+    # snapshot 0 fails while the run goes on; the last one fails at the end.
+    # The error raised is the writer's, not one met while the snapshots
+    # written so far are removed (the blocking directory cannot be).
     if not forked:
         _no_fork(monkeypatch)
     path = tmp_path / f"gas_snapshot_{blocked:04d}.csv"
     path.mkdir()
-    with pytest.raises(OSError, match=re.escape(str(path))):
+    with pytest.raises(OSError, match=re.escape(str(path))) as raised:
         execute_ensemble(_gas(), str(tmp_path))
     assert multiprocessing.active_children() == []
+    assert raised.value.__context__ is None
+    if forked:
+        assert str(raised.value).startswith(f"cannot write snapshot {path}: ")
+    else:
+        assert type(raised.value) is IsADirectoryError
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_error_mid_series_propagates_unchanged(tmp_path, monkeypatch, parent_writes, two_cpus):
     # A mass that grows in proper time makes ln f fall, so two markers that
-    # start at the smallest subnormal density underflow in the first step,
-    # after snapshot 0 has been handed to the writer.  Their weight is as
-    # small, so that the entropy at report 0 stays finite.
+    # start at the smallest subnormal density underflow before the run ends,
+    # after the first snapshots have been handed to the writer.  Their weight
+    # is as small, so that the entropy at report 0 stays finite.
     cfg = _gas(alpha=-0.5)
     e0 = kinetic.sample_ensemble(build_system(cfg), build_density_spec(cfg),
                                  cfg.initial["n"], cfg.initial["seed"])
@@ -385,17 +403,51 @@ def test_error_mid_series_propagates_unchanged(tmp_path, monkeypatch, parent_wri
     e0 = dataclasses.replace(e0, w=w, f=f)
     monkeypatch.setattr(kinetic, "sample_ensemble", lambda *args: e0)
 
+    ref = tmp_path / "ref"
+    ref.mkdir()
+
+    def write_ref(k, cur):
+        output.write_ensemble_snapshot(cur, ref / f"gas_snapshot_{k:04d}.csv")
+
     with pytest.raises(NonPositiveDensity) as in_process:
-        run_ensemble(cfg)
+        run_ensemble(cfg, write_ref)
+    parent_writes.clear()
+    removed = {}
+    unlink = Path.unlink
+
+    def read_then_unlink(path, *args, **kwargs):
+        removed[path.name] = path.read_bytes()
+        unlink(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "unlink", read_then_unlink)
+    out = tmp_path / "out"
     with pytest.raises(NonPositiveDensity, match=r"2 of 300 markers .* lambda") as forked:
-        execute_ensemble(cfg, str(tmp_path))
+        execute_ensemble(cfg, str(out))
     assert multiprocessing.active_children() == []
     assert type(forked.value) is NonPositiveDensity
     assert str(forked.value) == str(in_process.value)
     assert parent_writes == []
-    # the snapshot in flight was finished before the error left execute_ensemble
-    output.write_ensemble_snapshot(e0, tmp_path / "ref.csv")
-    assert (tmp_path / "gas_snapshot_0000.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # every snapshot, the one in flight included, was complete when it was
+    # removed on the error's way out, and none is left
+    assert list(out.iterdir()) == []
+    assert "gas_snapshot_0000.csv" in removed
+    assert removed == {p.name: p.read_bytes() for p in ref.iterdir()}
+
+
+def test_trajectory_table_names_its_first_column_by_the_parameter(tmp_path):
+    sys_ = ContactHamiltonianSystem(
+        metric=minkowski(), mass=MassModel.exp_decay(1.0, 0.1, phi0=0.0, c=1.0), c=1.0)
+    s0 = ExtendedState(q=[0, 0, 0, 0], p=[-1, 0, 0, 0], phi=0.0)
+    cfg = IntegratorConfig(stop=(StopCondition("lambda_reached", 1.0),))
+    traj = integrate(sys_, s0, cfg)
+    geo = geodesic_reference(
+        dataclasses.replace(sys_, mass=MassModel.constant(1.0)), s0.q, [1, 0, 0, 0], cfg)
+    for run, name in [(traj, "lambda"), (reparametrize_by_phi(traj), "phi"),
+                      (reparametrize_by_tau(traj), "tau"), (geo, "tau")]:
+        for fmt_style in ("csv", "jsonl"):
+            text = output.write_trajectory(run, tmp_path / "t.out", fmt_style).read_text()
+            first = text.split(",", 1)[0]
+            assert first == (name if fmt_style == "csv" else '{"' + name + '": 0')
 
 
 def test_importing_the_cli_leaves_multiprocessing_out():

@@ -31,6 +31,7 @@ from contactrel import (
 )
 from contactrel.checks import WAVY_DIAG
 from contactrel.cli import execute_ensemble, execute_single, main
+from contactrel.integrators import integrate, reparametrize_by_phi, reparametrize_by_tau
 from contactrel.scenario import PRESETS, run_ensemble
 
 
@@ -458,18 +459,22 @@ def test_huge_c_within_the_scale_check_ends_in_a_named_error(
 @pytest.mark.parametrize("action", ["default", "error"])
 def test_huge_c_ensemble_ends_in_a_named_error(action, tmp_path, capsys):
     # a marker block is seeded by the same first-step rule as a single run, so
-    # its overflowing field ends in StepSizeUnderflow, not in a traceback
+    # its overflowing field ends in StepSizeUnderflow, not in a traceback; the
+    # snapshot of report 0, written before the first step, is removed again
     doc = _gas_doc()
     doc.update(c=6e153, mass={"kind": "constant", "m0": 1.0})
     doc["initial"]["n"] = 10
     path = tmp_path / "s.json"
     path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter(action, RuntimeWarning)
-        assert main(["ensemble", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert main(["ensemble", str(path), "--out-dir", str(out)]) == 2
         assert "the first step size underflowed to 0" in _one_error_line(capsys)
+        assert list(out.iterdir()) == []
         with pytest.raises(StepSizeUnderflow):
-            execute_ensemble(load_scenario(doc), str(tmp_path))
+            execute_ensemble(load_scenario(doc), str(out))
+        assert list(out.iterdir()) == []
 
 
 _JSON_VALUES = st.recursive(
@@ -646,6 +651,33 @@ def test_cli_run_preset_writes_companions(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "name", [name for name in PRESETS if preset_scenario(name).kind == "single"])
+def test_cli_run_preset_writes_one_row_per_sample(name, tmp_path, capsys):
+    # verify checks these presets without writing, so their tables are pinned
+    # here: each holds its run's rows, first column named by the parameter
+    cfg = preset_scenario(name)
+    assert main(["run", "--preset", name, "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    sys_ = build_system(cfg)
+    traj = integrate(sys_, build_initial_state(cfg, sys_), build_integrator_config(cfg))
+    base = cfg.outputs["path"]
+    tables = {f"{base}.csv": traj}
+    if cfg.outputs["reparametrize_phi"]:
+        tables[f"{base}_phi.csv"] = reparametrize_by_phi(traj)
+    if cfg.outputs["reparametrize_tau"]:
+        tables[f"{base}_tau.csv"] = reparametrize_by_tau(traj)
+    assert len(tables) == (2 if name == "decay-flat" else 1)
+    assert {p.name for p in tmp_path.iterdir()} == set(tables)
+    for fname, run in tables.items():
+        text = (tmp_path / fname).read_text()
+        assert text.split(",", 1)[0] == run.parameter
+        rows = np.loadtxt(text.splitlines()[1:], delimiter=",", ndmin=2)
+        expected = np.column_stack(
+            [run.lam, run.q, run.p, run.phi, run.ham, run.tau, run.shell])
+        np.testing.assert_array_equal(rows, expected[::cfg.outputs["stride"]])
+
+
 def test_cli_run_scenario_file_jsonl(tmp_path, capsys):
     doc = _minimal()
     doc["outputs"] = {"path": "traj", "format": "jsonl"}
@@ -754,28 +786,32 @@ def test_cli_reports_parse_errors_as_exit_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_verify_gas_preset_reuses_battery_run(tmp_path, monkeypatch):
+def test_verify_gas_preset_reuses_battery_run(monkeypatch):
     # --all-presets checks ensemble presets on the battery's cached runs, so
-    # it must not integrate them a second time through execute_ensemble.
-    from contactrel import cli
+    # a preset record must not step its gas a second time.
+    from contactrel import checks, kinetic
+
+    checks._gas_run("photon-gas")  # the run the battery's entropy-decay caches
 
     def refuse(*args, **kwargs):
         raise AssertionError("ensemble preset integrated twice")
 
-    monkeypatch.setattr(cli, "execute_ensemble", refuse)
-    result = cli._verify_one_preset("photon-gas", str(tmp_path))
+    monkeypatch.setattr(kinetic, "ensemble_series", refuse)
+    monkeypatch.setattr(checks, "run_ensemble", refuse)
+    result = checks._check_record(False, "preset:photon-gas")
     assert result.name == "preset:photon-gas"
     assert result.passed, result.detail
 
 
-def test_verify_measures_the_decay_law(tmp_path, monkeypatch):
+def test_verify_measures_the_decay_law(monkeypatch):
     # Both decay checks take their target from dynamics.mass_from_tau, so a
-    # law that is 1% off must fail them.
-    from contactrel import checks, cli, dynamics
+    # law that is 1% off must fail them, by measurement and not by a raise.
+    from contactrel import checks, dynamics
 
     law = dynamics.mass_from_tau
     monkeypatch.setattr(dynamics, "mass_from_tau", lambda *args: 1.01 * law(*args))
-    assert not cli._verify_one_preset("decay-flat", str(tmp_path)).passed
+    record = checks._check_record(False, "preset:decay-flat")
+    assert not record.passed and math.isfinite(record.measured), record.detail
     assert not checks.check_decay_cancellation().passed
 
 
@@ -831,6 +867,28 @@ def test_verify_pool_matches_in_process_and_runs_each_gas_once(tmp_path, monkeyp
         assert [runs.count(gas) for gas in gases] == [1] * len(gases)
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def test_verify_all_presets_writes_no_file(tmp_path, monkeypatch, capsys):
+    # every preset is checked on its run in memory; the log is a file so
+    # that writes made in forked workers are counted
+    from contactrel import checks, output
+
+    _force_pool(monkeypatch, workers=4)
+    log = tmp_path / "writes.log"
+    log.write_text("")
+    real = output._write_table
+
+    def logged(path, *args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{path}\n")
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(output, "_write_table", logged)
+    code, out, records = _verify_records(["verify", "--all-presets", "--json"], capsys)
+    assert code == 0, out
+    assert len(records) == len(checks.CHECKS) + len(PRESETS)
+    assert log.read_text() == ""
 
 
 def test_verify_check_raising_in_a_worker_fails_in_place(monkeypatch, capsys):
