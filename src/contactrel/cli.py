@@ -7,8 +7,10 @@ ensemble  propagate a marker ensemble and write series/snapshot tables
 verify    execute the invariant battery (and optionally every preset)
 presets   list the bundled example scenarios
 
-All output files are deterministic for a fixed scenario document: wall time
-appears only on the console, never in files.
+``run`` and ``ensemble`` say which tables to write; :mod:`output` names and
+writes them, with no wall time in them, and removes them all if the run fails.
+Exit codes: 0, 1 when a check fails, 2 with one ``error:`` line for a refused
+scenario, a named failure of the run or a table that cannot be written.
 """
 
 from __future__ import annotations
@@ -17,9 +19,7 @@ import argparse
 import json
 import sys
 import time
-from contextlib import nullcontext, suppress
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -55,15 +55,14 @@ class RunReport:
     paths: tuple[str, ...]
 
     def lines(self) -> list[str]:
-        out = [
+        return [
             f"termination: {self.termination}",
             f"steps: {self.steps} accepted, {self.steps_rejected} rejected",
             f"max |H - H0|: {self.h_drift:.6e}",
             f"max shell residual: {self.shell_max:.6e}",
             f"wall time: {self.wall_time:.3f} s",
+            *(f"wrote: {p}" for p in self.paths),
         ]
-        out.extend(f"wrote: {p}" for p in self.paths)
-        return out
 
 
 # --- scenario execution ---------------------------------------------------------
@@ -77,14 +76,6 @@ def _load_from_args(args) -> ScenarioConfig:
     if args.preset:
         return preset_scenario(args.preset)
     return load_scenario(args.scenario)
-
-
-def _out_base(cfg: ScenarioConfig, out_dir: str | None) -> Path:
-    base = Path(cfg.outputs["path"])
-    if out_dir is not None and not base.is_absolute():
-        base = Path(out_dir) / base
-    base.parent.mkdir(parents=True, exist_ok=True)
-    return base
 
 
 def execute_single(cfg: ScenarioConfig, out_dir: str | None = None):
@@ -106,12 +97,8 @@ def execute_single(cfg: ScenarioConfig, out_dir: str | None = None):
         companions["tau"] = reparametrize_by_tau(traj)
     wall = time.perf_counter() - t0
 
-    base = _out_base(cfg, out_dir)
-    ext = cfg.outputs["format"]
-    stride = cfg.outputs["stride"]
-    paths = [output.write_trajectory(traj, f"{base}.{ext}", ext, stride)]
-    for tag, resampled in companions.items():
-        paths.append(output.write_trajectory(resampled, f"{base}_{tag}.{ext}", ext))
+    with output._RunFiles(cfg.outputs, out_dir) as files:
+        files.trajectory(traj, companions)
 
     report = RunReport(
         termination=traj.metadata["termination"]["reason"],
@@ -120,50 +107,25 @@ def execute_single(cfg: ScenarioConfig, out_dir: str | None = None):
         h_drift=float(np.max(np.abs(traj.ham - traj.ham[0]))),
         shell_max=float(np.max(np.abs(traj.shell))),
         wall_time=wall,
-        paths=tuple(str(p) for p in paths),
+        paths=tuple(map(str, files.paths)),
     )
     return traj, report
 
 
 def execute_ensemble(cfg: ScenarioConfig, out_dir: str | None = None):
-    """Propagate an ensemble scenario; returns (series rows, report).
-
-    A run that raises removes the snapshots it wrote before the error leaves.
-    """
+    """Propagate an ensemble scenario; returns (series rows, report)."""
     if cfg.kind != "ensemble":
         raise ValidationError(
             "initial.kind", "this scenario is single-particle; use the run command"
         )
-    reports = cfg.outputs["reports"]
-    snap_stride = cfg.outputs["snapshot_stride"]
-
-    base = _out_base(cfg, out_dir)
-    ext = cfg.outputs["format"]
-    snap_paths: list[Path] = []
-
-    def on_report(k, cur):
-        if snap_stride and (k % snap_stride == 0 or k == reports):
-            p = Path(f"{base}_snapshot_{k:04d}.{ext}")
-            snap_paths.append(p)
-            write_snapshot(cur, p)
-
-    t0 = time.perf_counter()
-    # snapshots are formatted beside the integration; leaving the writer waits
-    # for the last file, so the wall time ends when that file is complete
-    writer = output._snapshot_writer(ext) if snap_stride else nullcontext()
-    try:
-        with writer as write_snapshot:
+    with output._RunFiles(cfg.outputs, out_dir) as files:
+        t0 = time.perf_counter()
+        # snapshots are formatted beside the integration; leaving the writer
+        # waits for the last file, so the wall time ends when it is complete
+        with files.snapshots() as on_report:
             e0, e_end, rows, stats = run_ensemble(cfg, on_report)
-    except BaseException:
-        # a run that raises leaves no snapshot behind: leaving the writer has
-        # finished the one in flight, and a failed removal hides no error
-        for p in snap_paths:
-            with suppress(OSError):
-                p.unlink()
-        raise
-    wall = time.perf_counter() - t0
-
-    series_path = output.write_ensemble_series(rows, f"{base}_series.{ext}", ext)
+        wall = time.perf_counter() - t0
+        files.series(rows)
     h0, _ = _h_and_shell(e0.sys, e0.q, e0.p, e0.phi)
     h1, shell1 = _h_and_shell(e0.sys, e_end.q, e_end.p, e_end.phi)
     report = RunReport(
@@ -173,7 +135,7 @@ def execute_ensemble(cfg: ScenarioConfig, out_dir: str | None = None):
         h_drift=float(np.max(np.abs(np.asarray(h1) - np.asarray(h0)))),
         shell_max=float(np.max(np.abs(shell1))),
         wall_time=wall,
-        paths=tuple(str(p) for p in [series_path, *snap_paths]),
+        paths=tuple(map(str, files.paths)),
     )
     return rows, report
 
@@ -186,8 +148,7 @@ def _cmd_run(args) -> int:
     traj, report = execute_single(cfg, args.out_dir)
     print(f"scenario '{cfg.name}': {traj.metadata['system']}, "
           f"{len(traj)} samples in {traj.parameter}")
-    for line in report.lines():
-        print(line)
+    print(*report.lines(), sep="\n")
     return 0
 
 
@@ -197,8 +158,7 @@ def _cmd_ensemble(args) -> int:
     s0, s1 = rows[0, 2], rows[-1, 2]
     print(f"scenario '{cfg.name}': {cfg.initial['n']} markers, "
           f"{len(rows) - 1} reports, entropy {s0:.6f} -> {s1:.6f}")
-    for line in report.lines():
-        print(line)
+    print(*report.lines(), sep="\n")
     return 0
 
 
@@ -273,7 +233,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ContactRelError as exc:
+    except (ContactRelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,16 +6,17 @@ identical values.  NaN appears as ``nan`` in CSV and ``null`` in JSONL.  One Num
 kernel formats whole chunks of rows; only finite nonzero values outside
 1e-4 <= |x| < 1e17 go through Python's % (``_fallback``).
 
-Ensemble snapshots can be formatted in a forked writer process while the
-caller keeps integrating (:func:`_snapshot_writer`); the bytes written are the
-same as :func:`write_ensemble_snapshot`'s.
+Every table of a run is named, written and, if the run fails, removed by
+:class:`_RunFiles`: the trajectory PATH.FMT, its companions PATH_phi.FMT and
+PATH_tau.FMT, an ensemble's PATH_series.FMT and PATH_snapshot_NNNN.FMT, whose
+snapshots a forked writer process can format while the caller integrates.
 """
 
 from __future__ import annotations
 
 import os
 import signal
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -42,12 +43,6 @@ SNAPSHOT_COLUMNS = (
 
 # rows formatted at once; a chunk's temporaries stay under about 1 MB
 _CHUNK_ROWS = 256
-
-
-def _rows_from_trajectory(traj: Trajectory) -> np.ndarray:
-    return np.column_stack(
-        [traj.lam, traj.q, traj.p, traj.phi, traj.ham, traj.tau, traj.shell]
-    )
 
 
 # --- %.17g for whole blocks of values -------------------------------------------------
@@ -169,7 +164,8 @@ def write_trajectory(traj: Trajectory, path: str | Path, fmt_style: str = "csv",
     """
     path = Path(path)
     columns = (traj.parameter,) + TRAJECTORY_COLUMNS[1:]
-    _write_table(path, columns, _rows_from_trajectory(traj), fmt_style, stride)
+    rows = np.column_stack([traj.lam, traj.q, traj.p, traj.phi, traj.ham, traj.tau, traj.shell])
+    _write_table(path, columns, rows, fmt_style, stride)
     return path
 
 
@@ -197,7 +193,7 @@ def write_ensemble_snapshot(ensemble, path: str | Path, fmt_style: str = "csv") 
     return path
 
 
-# --- the forked snapshot writer -----------------------------------------------------
+# --- a run's tables and the forked snapshot writer ------------------------------
 
 
 # where a container's CPU quota shows: cgroup v2's "quota period" ("max" for
@@ -246,6 +242,15 @@ def _fork_context():
         return None
 
 
+def _write_snapshot(path, rows, fmt_style: str) -> str:
+    """Write a snapshot's rows here or in the writer process; "" or the error text."""
+    try:
+        _write_table(path, SNAPSHOT_COLUMNS, rows, fmt_style)
+    except Exception as exc:
+        return f"cannot write snapshot {path}: {type(exc).__name__}: {exc}"
+    return ""
+
+
 def _snapshot_child(conn, parent_end, fmt_style: str):
     """Writer process: format each (path, row block) the parent sends.
 
@@ -263,80 +268,114 @@ def _snapshot_child(conn, parent_end, fmt_style: str):
             return
         if not path:
             return
+        rows = np.frombuffer(block).reshape(-1, len(SNAPSHOT_COLUMNS))
         try:
-            rows = np.frombuffer(block).reshape(-1, len(SNAPSHOT_COLUMNS))
-            _write_table(Path(os.fsdecode(path)), SNAPSHOT_COLUMNS, rows, fmt_style)
-        except Exception as exc:
-            answer = f"{type(exc).__name__}: {exc}".encode()
-        else:
-            answer = b""
-        try:
-            conn.send_bytes(answer)
+            conn.send_bytes(_write_snapshot(os.fsdecode(path), rows, fmt_style).encode())
         except OSError:
             return  # the parent stopped listening, interrupted while it waited
 
 
-@contextmanager
-def _snapshot_writer(fmt_style: str):
-    """Yield write(ensemble, path), which writes one ensemble snapshot.
+class _RunFiles(AbstractContextManager):
+    """The tables of one run, named from a scenario's outputs section with a
+    relative path under out_dir.  Each path is recorded before its table is
+    written, and a raise out of the ``with`` block removes every one, a table
+    cut short too; a failed removal hides nothing, and the run's error leaves
+    unchanged.
 
-    With two usable CPUs (a cgroup quota counts), the "fork" start method and
-    a caller that is not a daemonic process, one writer process formats the
-    snapshots while the caller keeps stepping.  Each snapshot goes over a pipe
-    as the raw bytes of its row block, with at most one in flight.  On leaving
-    the block, normally or by a raise, the pipe is drained and the writer
-    joined, so every snapshot file handed over is complete; a Ctrl-C during
-    that wait still joins the writer.  A writer failure raises OSError naming
-    the snapshot path; it is raised at the next write or on a normal exit,
-    never over another exception.  Otherwise each write calls
-    :func:`write_ensemble_snapshot` in this process.
+    Snapshots are written in :meth:`snapshots`: with two usable CPUs (a cgroup
+    quota counts), "fork" and a caller that is not daemonic, by one writer
+    process sent each snapshot's raw rows over a pipe, at most one in flight;
+    otherwise in this process.  Leaving that block, normally, by a raise or by
+    Ctrl-C while waiting, drains the pipe and joins the writer, so every
+    snapshot handed over is complete.  A failed snapshot raises OSError("cannot
+    write snapshot PATH: ...") at the next one or on a normal exit, never over
+    another exception.
     """
-    ctx = _fork_context()
-    if ctx is None:
-        yield lambda ensemble, path: write_ensemble_snapshot(ensemble, path, fmt_style)
-        return
-    conn, child_end = ctx.Pipe()
-    proc = ctx.Process(target=_snapshot_child, args=(child_end, conn, fmt_style), daemon=True)
-    proc.start()
-    child_end.close()
-    pending = None  # the snapshot path whose answer is still owed
 
-    def settle():
-        nonlocal pending
-        if pending is None:
+    def __init__(self, outputs: dict, out_dir: str | None = None):
+        self.base = Path(out_dir or "", outputs["path"])  # an absolute path ignores out_dir
+        self.base.parent.mkdir(parents=True, exist_ok=True)
+        self.outputs, self.fmt_style = outputs, outputs["format"]
+        self.paths: list[Path] = []  # in report order: a series ahead of its snapshots
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None:
+            for path in self.paths:
+                with suppress(OSError):
+                    path.unlink()
+
+    def _record(self, suffix: str) -> Path:
+        self.paths.append(Path(f"{self.base}{suffix}.{self.fmt_style}"))
+        return self.paths[-1]
+
+    def trajectory(self, traj: Trajectory, companions: dict):
+        """Write the trajectory at its stride and each companion ("phi", "tau") whole."""
+        write_trajectory(traj, self._record(""), self.fmt_style, self.outputs["stride"])
+        for tag, resampled in companions.items():
+            write_trajectory(resampled, self._record(f"_{tag}"), self.fmt_style)
+
+    def series(self, rows):
+        write_ensemble_series(rows, self._record("_series"), self.fmt_style)
+        self.paths.insert(0, self.paths.pop())
+
+    @contextmanager
+    def snapshots(self):
+        """Yield on_report(k, ensemble), which snapshots every snapshot_stride-th
+        report and the last; stride 0 snapshots none and starts no process."""
+        stride, fmt_style = self.outputs["snapshot_stride"], self.fmt_style
+
+        def on_report(k, ensemble):
+            if stride and (k % stride == 0 or k == self.outputs["reports"]):
+                write(self._record(f"_snapshot_{k:04d}"), _snapshot_rows(ensemble))
+
+        ctx = _fork_context() if stride else None
+        if ctx is None:
+            def write(path, rows):
+                error = _write_snapshot(path, rows, fmt_style)
+                if error:
+                    raise OSError(error)
+
+            yield on_report
             return
-        path, pending = pending, None
-        try:
-            error = conn.recv_bytes().decode()
-        except (EOFError, OSError):
-            proc.join()
-            error = f"writer process ended with code {proc.exitcode}"
-        if error:
-            raise OSError(f"cannot write snapshot {path}: {error}")
+        conn, child_end = ctx.Pipe()
+        proc = ctx.Process(target=_snapshot_child, args=(child_end, conn, fmt_style), daemon=True)
+        proc.start()
+        child_end.close()
+        pending = None  # the snapshot path whose answer is still owed
 
-    def write(ensemble, path):
-        nonlocal pending
-        settle()
-        try:
-            conn.send_bytes(os.fsencode(path))
-            conn.send_bytes(_snapshot_rows(ensemble))
-        except OSError as exc:
-            raise OSError(f"cannot write snapshot {path}: {exc}") from exc
-        pending = path
-
-    try:
-        yield write
-        settle()
-    finally:
-        try:
-            settle()
-        except OSError:
-            pass  # an exception is already on its way out
-        finally:
-            # also when Ctrl-C lands while settle() waits
+        def settle():
+            nonlocal pending
+            if pending is None:
+                return
+            path, pending = pending, None
             try:
-                conn.send_bytes(b"")
-            except OSError:
-                pass  # the writer is gone already
-            conn.close()
-            proc.join()
+                error = conn.recv_bytes().decode()
+            except (EOFError, OSError):
+                proc.join()
+                error = (f"cannot write snapshot {path}: "
+                         f"writer process ended with code {proc.exitcode}")
+            if error:
+                raise OSError(error)
+
+        def write(path, rows):
+            nonlocal pending
+            settle()
+            try:
+                conn.send_bytes(os.fsencode(path))
+                conn.send_bytes(rows)
+            except OSError as exc:
+                raise OSError(f"cannot write snapshot {path}: {exc}") from exc
+            pending = path
+
+        try:
+            yield on_report
+            settle()
+        finally:
+            try:
+                with suppress(OSError):  # an exception is already on its way out
+                    settle()
+            finally:  # also when Ctrl-C lands while settle() waits
+                with suppress(OSError):  # the writer is gone already
+                    conn.send_bytes(b"")
+                conn.close()
+                proc.join()

@@ -190,17 +190,24 @@ def _gas(fmt_style="csv", snapshot_stride=1, alpha=0.1):
 
 @pytest.fixture
 def parent_writes(monkeypatch):
-    """Snapshot paths the parent process writes itself, through the public writer."""
+    """Snapshot paths the parent process writes itself; a forked writer's
+    calls append to the writer process's copy of the list."""
     written = []
-    real = output.write_ensemble_snapshot
+    real = output._write_snapshot
 
-    def spy(ensemble, path, fmt_style="csv"):
+    def spy(path, rows, fmt_style):
         written.append(Path(path).name)
-        return real(ensemble, path, fmt_style)
+        return real(path, rows, fmt_style)
 
-    monkeypatch.setattr(output, "write_ensemble_snapshot", spy)
+    monkeypatch.setattr(output, "_write_snapshot", spy)
     yield written
     assert multiprocessing.active_children() == []
+
+
+def _one_snapshot(base: Path, fmt_style: str = "csv"):
+    """The tables of a run under base that snapshots its one report, 0."""
+    return output._RunFiles(
+        {"path": str(base), "format": fmt_style, "reports": 1, "snapshot_stride": 1})
 
 
 @pytest.fixture
@@ -309,11 +316,11 @@ def test_ctrl_c_while_waiting_still_joins_the_writer(
         write_table(*args)
 
     monkeypatch.setattr(output, "_write_table", slow)
-    path = tmp_path / "snap.csv"
+    path = tmp_path / "snap_snapshot_0000.csv"
     ctrl_c = threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGINT))
     with pytest.raises(KeyboardInterrupt):
-        with output._snapshot_writer("csv") as write:
-            write(ensemble, path)
+        with _one_snapshot(tmp_path / "snap").snapshots() as on_report:
+            on_report(0, ensemble)
             ctrl_c.start()
             if body_raises:
                 raise RuntimeError("the run failed")
@@ -361,10 +368,10 @@ def test_snapshot_of_fortran_ordered_arrays_matches_c_ordered(
     assert output._snapshot_rows(f_ordered).flags.c_contiguous
     expected = output.write_ensemble_snapshot(e, tmp_path / "c.out", fmt_style).read_bytes()
     parent_writes.clear()
-    path = tmp_path / "f.out"
-    with output._snapshot_writer(fmt_style) as write:
-        write(f_ordered, path)
-    assert parent_writes == ([] if forked else ["f.out"])
+    path = tmp_path / f"f_snapshot_0000.{fmt_style}"
+    with _one_snapshot(tmp_path / "f", fmt_style).snapshots() as on_report:
+        on_report(0, f_ordered)
+    assert parent_writes == ([] if forked else [path.name])
     assert path.read_bytes() == expected
 
 
@@ -373,8 +380,8 @@ def test_snapshot_of_fortran_ordered_arrays_matches_c_ordered(
 def test_unwritable_snapshot_raises_with_its_path(
         tmp_path, monkeypatch, parent_writes, two_cpus, forked, blocked):
     # snapshot 0 fails while the run goes on; the last one fails at the end.
-    # The error raised is the writer's, not one met while the snapshots
-    # written so far are removed (the blocking directory cannot be).
+    # Both writer paths raise the same error, the writer's, not one met while
+    # the snapshots written so far are removed (the blocking directory cannot be).
     if not forked:
         _no_fork(monkeypatch)
     path = tmp_path / f"gas_snapshot_{blocked:04d}.csv"
@@ -383,10 +390,8 @@ def test_unwritable_snapshot_raises_with_its_path(
         execute_ensemble(_gas(), str(tmp_path))
     assert multiprocessing.active_children() == []
     assert raised.value.__context__ is None
-    if forked:
-        assert str(raised.value).startswith(f"cannot write snapshot {path}: ")
-    else:
-        assert type(raised.value) is IsADirectoryError
+    assert type(raised.value) is OSError
+    assert str(raised.value).startswith(f"cannot write snapshot {path}: IsADirectoryError: ")
     assert list(tmp_path.iterdir()) == [path]
 
 

@@ -6,10 +6,12 @@ import ast
 import copy
 import json
 import math
+import multiprocessing
 import re
 import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from contactrel import (
     build_integrator_config,
     build_system,
     load_scenario,
+    output,
     preset_scenario,
     serialize_scenario,
 )
@@ -475,6 +478,73 @@ def test_huge_c_ensemble_ends_in_a_named_error(action, tmp_path, capsys):
         with pytest.raises(StepSizeUnderflow):
             execute_ensemble(load_scenario(doc), str(out))
         assert list(out.iterdir()) == []
+
+
+def _snapshots_here(monkeypatch, forked: bool) -> list:
+    """Snapshot names this process writes itself: none when a writer process
+    is started, whatever the host's CPU count, and all with no fork."""
+    here, real = [], output._write_snapshot
+
+    def spy(path, rows, fmt_style):
+        here.append(Path(path).name)
+        return real(path, rows, fmt_style)
+
+    monkeypatch.setattr(output, "_write_snapshot", spy)
+    if forked:
+        monkeypatch.setattr(output, "_usable_cpus", lambda: 2.0)
+    else:
+        monkeypatch.setattr(output, "_fork_context", lambda: None)
+    return here
+
+
+@pytest.mark.parametrize("forked", [True, False], ids=["forked", "in-process"])
+def test_failed_series_write_removes_the_snapshots(forked, tmp_path, monkeypatch):
+    # the series is written once the last snapshot is complete; its failure
+    # removes the snapshots and leaves with the series write's own error
+    here = _snapshots_here(monkeypatch, forked)
+    blocked = tmp_path / "gas_series.csv"
+    blocked.mkdir()
+    with pytest.raises(IsADirectoryError) as raised:
+        execute_ensemble(load_scenario(_gas_doc()), str(tmp_path))
+    assert str(raised.value.filename) == str(blocked)
+    assert raised.value.__context__ is None
+    assert multiprocessing.active_children() == []
+    assert here == ([] if forked else [f"gas_snapshot_{k:04d}.csv" for k in (0, 2, 4)])
+    assert list(tmp_path.iterdir()) == [blocked]
+
+
+def test_failed_companion_write_removes_the_trajectory(tmp_path):
+    blocked = tmp_path / "decay_flat_tau.csv"
+    blocked.mkdir()
+    with pytest.raises(IsADirectoryError) as raised:
+        execute_single(preset_scenario("decay-flat"), str(tmp_path))
+    assert str(raised.value.filename) == str(blocked)
+    assert list(tmp_path.iterdir()) == [blocked]
+
+
+@pytest.mark.parametrize("command, blocked, forked", [
+    ("run", "decay_flat_tau.csv", None),
+    *[("ensemble", name, forked)
+      for name in ["gas_series.csv", "gas_snapshot_0000.csv", "gas_snapshot_0004.csv"]
+      for forked in [True, False]],
+])
+def test_unwritable_output_ends_in_one_error_line(
+        command, blocked, forked, tmp_path, monkeypatch, capsys):
+    # not a traceback, and not exit 1, which is a failed verification's code
+    if forked is not None:
+        _snapshots_here(monkeypatch, forked)
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    if command == "run":
+        argv = ["run", "--preset", "decay-flat"]
+    else:
+        path = tmp_path / "gas.json"
+        path.write_text(json.dumps(_gas_doc()))
+        argv = ["ensemble", str(path)]
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    assert str(out / blocked) in _one_error_line(capsys)
+    assert multiprocessing.active_children() == []
+    assert list(out.iterdir()) == [out / blocked]
 
 
 _JSON_VALUES = st.recursive(
