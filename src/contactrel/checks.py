@@ -6,7 +6,7 @@ and with ``all_presets`` the "preset:NAME" record of every bundled preset
 too; the CLI ``verify`` command calls it and the acceptance test suite drives
 the same functions, so there is a single source of truth for what "working"
 means.  A preset record applies the preset's own check (``scenario.PRESETS``)
-to its run, without output files: the ``integrate`` trajectory of a
+to its run, without output files: the ``run_single`` trajectory of a
 single-particle preset, or the series rows of an ensemble preset's cached
 ``_gas_run``.  No check reads another's result except through that cache, so
 ``run_all`` computes the records in forked workers, one per usable CPU, and
@@ -42,15 +42,7 @@ from .integrators import (
     reparametrize_by_phi,
     reparametrize_by_tau,
 )
-from .scenario import (
-    PRESETS,
-    build_initial_state,
-    build_integrator_config,
-    build_system,
-    load_scenario,
-    preset_scenario,
-    run_ensemble,
-)
+from .scenario import PRESETS, load_scenario, preset_scenario, run_ensemble, run_single
 
 __all__ = ["CheckResult", "run_all", "CHECKS"]
 
@@ -642,11 +634,8 @@ def _check_record(perturb_divergence: bool, name: str) -> CheckResult:
 def _preset_record(preset: str) -> CheckResult:
     """The preset's own check on its run; no output file is written."""
     cfg = preset_scenario(preset)
-    if cfg.kind == "single":
-        sys = build_system(cfg)
-        run = integrate(sys, build_initial_state(cfg, sys), build_integrator_config(cfg))
-    else:  # the battery has already run this preset; reuse its rows
-        run = _gas_run(preset)[2]
+    # the battery has already run an ensemble preset; reuse its rows
+    run = run_single(cfg) if cfg.kind == "single" else _gas_run(preset)[2]
     measured, tol, passed, detail = PRESETS[preset][2](cfg, run)
     return CheckResult(
         name=f"preset:{preset}", passed=passed, measured=measured,

@@ -27,17 +27,8 @@ from . import output
 from .checks import run_all
 from .dynamics import _h_and_shell
 from .errors import ContactRelError, ValidationError
-from .integrators import integrate, reparametrize_by_phi, reparametrize_by_tau
-from .scenario import (
-    PRESETS,
-    ScenarioConfig,
-    build_initial_state,
-    build_integrator_config,
-    build_system,
-    load_scenario,
-    preset_scenario,
-    run_ensemble,
-)
+from .integrators import reparametrize_by_phi, reparametrize_by_tau
+from .scenario import PRESETS, ScenarioConfig, load_scenario, preset_scenario, run_ensemble, run_single
 
 __all__ = ["main", "RunReport"]
 
@@ -84,12 +75,8 @@ def execute_single(cfg: ScenarioConfig, out_dir: str | None = None):
         raise ValidationError(
             "initial.kind", "this scenario is an ensemble; use the ensemble command"
         )
-    sys_ = build_system(cfg)
-    s0 = build_initial_state(cfg, sys_)
-    icfg = build_integrator_config(cfg)
-
     t0 = time.perf_counter()
-    traj = integrate(sys_, s0, icfg)
+    traj = run_single(cfg)
     companions = {}
     if cfg.outputs["reparametrize_phi"]:
         companions["phi"] = reparametrize_by_phi(traj)

@@ -66,14 +66,17 @@ _H_FD_STEP = 1e-3
 class MassModel:
     """Rest mass as a function of the contact coordinate phi.
 
+    Every kind is one affine law, m(phi) = m0 + slope * (phi - phi_ref), so
+    m'(phi) is the number ``slope``.  With slope = alpha / c^2 it encodes
+    exponential proper-time decay m(tau) = m0 exp(-alpha (tau - tau0))
+    exactly, because dphi = -m c^2 dtau.  The kind names the law and says
+    which parameters it admits:
+
     Kinds
     -----
-    constant : m(phi) = m0
-    affine_phi : m(phi) = m0 + slope * (phi - phi_ref).  With
-        slope = alpha / c^2 this encodes exponential proper-time decay
-        m(tau) = m0 exp(-alpha (tau - tau0)) exactly, because
-        dphi = -m c^2 dtau.
-    zero : massless (photons); proper time is undefined.
+    constant : m0 > 0, slope 0
+    affine_phi : m0 > 0, any slope
+    zero : m0 = slope = 0; massless (photons), proper time is undefined.
     """
 
     kind: str
@@ -86,6 +89,10 @@ class MassModel:
             raise ValueError(f"unknown mass model kind: {self.kind!r}")
         if self.kind != "zero" and not self.m0 > 0.0:
             raise ValueError("mass models with kind != 'zero' need m0 > 0")
+        if self.kind == "zero" and self.m0 != 0.0:
+            raise ValueError("a zero mass needs m0 = 0")
+        if self.kind != "affine_phi" and self.slope != 0.0:
+            raise ValueError(f"a {self.kind} mass needs slope 0")
 
     @classmethod
     def constant(cls, m0: float) -> "MassModel":
@@ -109,20 +116,13 @@ class MassModel:
         )
 
     def value(self, phi):
-        """m(phi); vectorized over phi."""
+        """m(phi); vectorized over phi, a float for a scalar phi.
+
+        Exactly m0 (+0.0 for a zero mass) at every finite phi when slope is 0.
+        """
         phi = np.asarray(phi, dtype=float)
-        if self.kind == "zero":
-            return np.zeros_like(phi) if phi.ndim else 0.0
-        if self.kind == "constant":
-            return np.full_like(phi, self.m0) if phi.ndim else self.m0
         out = self.m0 + self.slope * (phi - self.phi_ref)
         return out if phi.ndim else float(out)
-
-    def deriv(self, phi):
-        """m'(phi); vectorized over phi."""
-        phi = np.asarray(phi, dtype=float)
-        s = self.slope if self.kind == "affine_phi" else 0.0
-        return np.full_like(phi, s) if phi.ndim else s
 
 
 @dataclass(frozen=True)
@@ -184,8 +184,7 @@ def _h_and_shell(sys, q, p, phi):
 def _dH_dphi_from(sys, phi, dphi_gpp):
     """dH/dphi from d_phi(g^{ab} p_a p_b)."""
     m = np.asarray(sys.mass.value(phi), dtype=float)
-    dm = np.asarray(sys.mass.deriv(phi), dtype=float)
-    return 0.5 * dphi_gpp + m * sys.c**2 * dm
+    return 0.5 * dphi_gpp + m * sys.c**2 * sys.mass.slope
 
 
 def _dH_dphi_arrays(sys, q, p, phi):
@@ -309,12 +308,11 @@ def reduced_field_phi(sys: ContactHamiltonianSystem, s: ExtendedState) -> tuple[
             f"m(phi)^2 c^2 = {m2c2:.3e} < {TRANSVERSALITY_TOL}; phi is not a valid parameter"
         )
     gp, dq_gpp, dphi_gpp = sys.metric.contract(*_as_batch(s))
-    dm = float(sys.mass.deriv(s.phi))
 
     dqdphi = -gp[0] / m2c2
     dpdphi = 0.5 * dq_gpp[0] / m2c2
     dpdphi += 0.5 * s.p * float(dphi_gpp[0]) / m2c2
-    dpdphi += s.p * dm / m
+    dpdphi += s.p * sys.mass.slope / m
     return dqdphi, dpdphi
 
 
@@ -331,15 +329,15 @@ def four_velocity(sys: ContactHamiltonianSystem, s: ExtendedState) -> np.ndarray
 def mass_from_tau(sys: ContactHamiltonianSystem, phi_start: float, dtau):
     """Mass after elapsed proper time dtau, starting from phi = phi_start.
 
-    Follows dm/dtau = -c^2 m'(phi) m: constant mass stays m0; an affine mass
-    with slope alpha/c^2 decays as m(phi_start) exp(-alpha dtau).  dtau may
-    be an array; the result then has its shape.
+    Follows dm/dtau = -c^2 m'(phi) m: a mass with slope 0 stays m(phi_start)
+    exactly; slope alpha/c^2 decays as m(phi_start) exp(-alpha dtau).  dtau
+    may be an array; the result then has its shape.
     """
     mass = sys.mass
-    if mass.kind == "zero":
+    if not sys.massive:
         raise MasslessProjection("proper time is undefined for massless particles")
     m_start = float(mass.value(phi_start))
-    if mass.kind == "constant" or mass.slope == 0.0:
+    if mass.slope == 0.0:
         return np.full_like(dtau, m_start, dtype=float) if np.ndim(dtau) else m_start
     return m_start * np.exp(-mass.slope * sys.c**2 * dtau)
 

@@ -541,8 +541,8 @@ def _block_field(sys, y, quadrature):
 def _make_events(cfg: IntegratorConfig, sys: ContactHamiltonianSystem, massive: bool):
     """(lambda span or None, [(label, column, value)]) of cfg.stop.
 
-    A mass floor is the phi where the affine m(phi) reaches it; a mass that
-    does not depend on phi never crosses one, so it is no event.
+    A mass floor is the phi where the affine m(phi) reaches it; a mass of
+    slope 0 never crosses one, so it is no event.
     """
     lam_end = None
     events = []
@@ -557,7 +557,7 @@ def _make_events(cfg: IntegratorConfig, sys: ContactHamiltonianSystem, massive: 
             events.append(("tau_reached", 9, stop.value))
         elif stop.kind == "coordinate_bound":
             events.append(("coordinate_bound", stop.axis, stop.value))
-        elif sys.mass.kind == "affine_phi" and sys.mass.slope != 0.0:  # mass_floor
+        elif sys.mass.slope != 0.0:  # mass_floor
             m = sys.mass
             events.append(("mass_floor", 8, m.phi_ref + (stop.value - m.m0) / m.slope))
     return lam_end, events

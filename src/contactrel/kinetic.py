@@ -76,10 +76,10 @@ class Ensemble:
 
     Stored struct-of-arrays: q (n, 4), p (n, 4), phi (n,), w (n,), f (n,).
     Construction raises EmptyEnsemble for zero markers and NonPositiveDensity,
-    naming the count, for any density that is not > 0 (NaN included); no
-    marker is ever dropped.  Propagation raises NonPositiveDensity rather
-    than let a density underflow to zero.  Weights are never modified by
-    propagation.
+    naming the count and ``lam``, for any density that is not > 0 (NaN
+    included); no marker is ever dropped.  Propagation builds an Ensemble at
+    every report, so a density that underflows to zero raises there.
+    Weights are never modified by propagation.
     """
 
     sys: ContactHamiltonianSystem
@@ -101,7 +101,8 @@ class Ensemble:
         if not np.all(self.f > 0.0):
             bad = np.count_nonzero(~(self.f > 0.0))
             raise NonPositiveDensity(
-                f"density of {bad} of {len(self.f)} markers is not positive"
+                f"density of {bad} of {len(self.f)} markers is not positive "
+                f"at lambda = {self.lam:.17g}"
             )
 
     @property
@@ -320,17 +321,9 @@ def ensemble_series(
     def land(k: int, y: np.ndarray):
         nonlocal lam, end
         lam = lam + dlam  # summed: e.lam + k * dlam rounds differently in the lambda column
-        f = np.exp(y[9])
-        if not np.all(f > 0.0):
-            # Ensemble() would raise too, but without the lambda.
-            lost = int(np.count_nonzero(~(f > 0.0)))
-            raise NonPositiveDensity(
-                f"density of {lost} of {e.n} markers underflowed to zero "
-                f"by lambda = {lam:.17g}"
-            )
         cur = Ensemble(
             sys=e.sys, lam=lam, q=y[0:4].T, p=y[4:8].T, phi=y[8],
-            w=e.w.copy(), f=f,
+            w=e.w.copy(), f=np.exp(y[9]),
         )
         log(k, cur)
         if k == reports:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 import signal
 from contextlib import AbstractContextManager, contextmanager, suppress
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -279,7 +280,8 @@ class _RunFiles(AbstractContextManager):
     """The tables of one run, named from a scenario's outputs section with a
     relative path under out_dir.  Each path is recorded before its table is
     written, and a raise out of the ``with`` block removes every one, a table
-    cut short too; a failed removal hides nothing, and the run's error leaves
+    cut short too, and then each directory made for them that is left empty,
+    deepest first; a failed removal hides nothing, and the run's error leaves
     unchanged.
 
     Snapshots are written in :meth:`snapshots`: with two usable CPUs (a cgroup
@@ -294,7 +296,9 @@ class _RunFiles(AbstractContextManager):
 
     def __init__(self, outputs: dict, out_dir: str | None = None):
         self.base = Path(out_dir or "", outputs["path"])  # an absolute path ignores out_dir
-        self.base.parent.mkdir(parents=True, exist_ok=True)
+        parent = self.base.parent
+        self.made_dirs = list(takewhile(lambda d: not d.exists(), (parent, *parent.parents)))
+        parent.mkdir(parents=True, exist_ok=True)
         self.outputs, self.fmt_style = outputs, outputs["format"]
         self.paths: list[Path] = []  # in report order: a series ahead of its snapshots
 
@@ -303,6 +307,9 @@ class _RunFiles(AbstractContextManager):
             for path in self.paths:
                 with suppress(OSError):
                     path.unlink()
+            for directory in self.made_dirs:  # deepest first; one still holding a file stays
+                with suppress(OSError):
+                    directory.rmdir()
 
     def _record(self, suffix: str) -> Path:
         self.paths.append(Path(f"{self.base}{suffix}.{self.fmt_style}"))

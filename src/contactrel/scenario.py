@@ -23,7 +23,7 @@ import numpy as np
 from . import dynamics, geometry, kinetic
 from .dynamics import ContactHamiltonianSystem, ExtendedState, MassModel
 from .errors import NonFiniteDerivative, ParseError, ShellSolveFailed, ValidationError
-from .integrators import IntegratorConfig, StopCondition
+from .integrators import IntegratorConfig, StopCondition, Trajectory, integrate
 from .kinetic import DensitySpec, GaussianMomentum, UniformMomentum
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "build_initial_state",
     "build_density_spec",
     "build_integrator_config",
+    "run_single",
     "run_ensemble",
     "preset_scenario",
     "PRESETS",
@@ -425,6 +426,12 @@ def build_integrator_config(cfg: ScenarioConfig) -> IntegratorConfig:
     max_step = cfg.integrator["max_step"]  # JSON null is math.inf, no bound
     integ = {**cfg.integrator, "max_step": math.inf if max_step is None else max_step}
     return IntegratorConfig(**integ, stop=tuple(StopCondition(**s) for s in cfg.stop))
+
+
+def run_single(cfg: ScenarioConfig) -> Trajectory:
+    """Build a single-particle scenario's system, state and integrator; integrate it."""
+    sys = build_system(cfg)
+    return integrate(sys, build_initial_state(cfg, sys), build_integrator_config(cfg))
 
 
 def run_ensemble(cfg: ScenarioConfig, on_report=None):

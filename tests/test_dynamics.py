@@ -289,18 +289,63 @@ def test_reduced_field_consistency_with_lambda_flow():
 def test_mass_model_exp_decay_slope():
     m = MassModel.exp_decay(2.0, 0.3, phi0=0.5, c=2.0)
     assert m.value(0.5) == pytest.approx(2.0)
-    assert m.deriv(0.5) == pytest.approx(0.3 / 4.0)
+    assert m.slope == pytest.approx(0.3 / 4.0)
     # affine in phi
     assert m.value(0.5 + 1.0) == pytest.approx(2.0 + 0.3 / 4.0)
 
 
 def test_mass_model_zero_and_constant():
     z = MassModel.zero()
-    assert z.value(1.3) == 0.0 and z.deriv(1.3) == 0.0
+    assert z.value(1.3) == 0.0 and z.slope == 0.0
     c = MassModel.constant(2.5)
-    assert c.value(-4.0) == 2.5 and c.deriv(-4.0) == 0.0
+    assert c.value(-4.0) == 2.5 and c.slope == 0.0
     assert ContactHamiltonianSystem(metric=minkowski(), mass=z, c=1.0).massive is False
     assert ContactHamiltonianSystem(metric=minkowski(), mass=c, c=1.0).massive is True
+
+
+def _per_kind_value(mass, phi):
+    """m(phi) written out per kind: the reference that the one affine law of
+    MassModel.value must match bit for bit."""
+    phi = np.asarray(phi, dtype=float)
+    if mass.kind == "zero":
+        return np.zeros_like(phi) if phi.ndim else 0.0
+    if mass.kind == "constant":
+        return np.full_like(phi, mass.m0) if phi.ndim else mass.m0
+    out = mass.m0 + mass.slope * (phi - mass.phi_ref)
+    return out if phi.ndim else float(out)
+
+
+_EDGE_PHIS = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, 0.5, -3.75]
+
+
+@pytest.mark.parametrize("mass", [
+    MassModel.zero(),
+    MassModel.constant(2.5),
+    MassModel.exp_decay(2.0, 0.3, phi0=0.5, c=2.0),
+    MassModel.exp_decay(1.3, 0.1, phi0=-0.25, c=1e200),  # c^2 is inf: slope 0
+], ids=["zero", "constant", "affine", "affine-slope-0"])
+def test_mass_value_matches_the_per_kind_law_bit_for_bit(mass):
+    for phi in _EDGE_PHIS:
+        got = mass.value(phi)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(_per_kind_value(mass, phi)).tobytes()
+    for arr in (np.array(_EDGE_PHIS), np.array(_EDGE_PHIS).reshape(3, 3)[:, ::2]):
+        got = mass.value(arr)
+        assert got.dtype == np.float64 and got.shape == arr.shape
+        assert got.tobytes() == _per_kind_value(mass, arr).tobytes()
+    if mass.slope == 0.0:  # exactly m0 everywhere, and +0.0 for a zero mass
+        assert mass.value(np.array(_EDGE_PHIS)).tobytes() == np.full(9, mass.m0).tobytes()
+
+
+def test_mass_model_kinds_admit_only_their_parameters():
+    with pytest.raises(ValueError, match="constant mass needs slope 0"):
+        MassModel(kind="constant", m0=1.0, slope=0.5)
+    with pytest.raises(ValueError, match="zero mass needs slope 0"):
+        MassModel(kind="zero", slope=-0.5)
+    with pytest.raises(ValueError, match="zero mass needs m0 = 0"):
+        MassModel(kind="zero", m0=1.0)
+    with pytest.raises(ValueError, match="need m0 > 0"):
+        MassModel(kind="affine_phi", m0=0.0, slope=0.5)
 
 
 def test_mass_from_tau_decay():
@@ -314,6 +359,10 @@ def test_mass_from_tau_decay():
     assert decayed.shape == tau.shape
     assert np.allclose(decayed, np.exp(-0.1 * tau), rtol=1e-14, atol=0.0)
     assert np.array_equal(mass_from_tau(const, 0.0, tau), np.full(11, 1.7))
+    # slope 0 (c^2 is inf) keeps the start mass exactly, a float for a scalar
+    flat0 = _flat(MassModel.exp_decay(1.3, 0.1, phi0=-0.25, c=1e200))
+    assert type(mass_from_tau(flat0, 0.7, 5.0)) is float and mass_from_tau(flat0, 0.7, 5.0) == 1.3
+    assert mass_from_tau(flat0, 0.7, tau).tobytes() == np.full(11, 1.3).tobytes()
     with pytest.raises(MasslessProjection):
         mass_from_tau(_flat(MassModel.zero()), 0.0, tau)
 

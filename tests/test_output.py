@@ -210,6 +210,18 @@ def _one_snapshot(base: Path, fmt_style: str = "csv"):
         {"path": str(base), "format": fmt_style, "reports": 1, "snapshot_stride": 1})
 
 
+def test_a_raise_removes_only_the_empty_directories_made_for_the_tables(tmp_path):
+    (tmp_path / "old").mkdir()
+    files = output._RunFiles({"path": "new/kept/deep/gas", "format": "csv"}, str(tmp_path / "old"))
+    with pytest.raises(RuntimeError, match="the run failed"):
+        with files:
+            files.series(np.zeros((2, 4)))
+            (tmp_path / "old/new/kept/note.txt").write_text("not a table of the run")
+            raise RuntimeError("the run failed")
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == [
+        Path("old"), Path("old/new"), Path("old/new/kept"), Path("old/new/kept/note.txt")]
+
+
 @pytest.fixture
 def two_cpus(monkeypatch):
     """Start the writer process on any machine, and make it slow to exit, so
@@ -433,8 +445,8 @@ def test_error_mid_series_propagates_unchanged(tmp_path, monkeypatch, parent_wri
     assert str(forked.value) == str(in_process.value)
     assert parent_writes == []
     # every snapshot, the one in flight included, was complete when it was
-    # removed on the error's way out, and none is left
-    assert list(out.iterdir()) == []
+    # removed on the error's way out, and none is left, nor the out dir
+    assert not out.exists()
     assert "gas_snapshot_0000.csv" in removed
     assert removed == {p.name: p.read_bytes() for p in ref.iterdir()}
 

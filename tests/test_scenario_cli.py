@@ -459,14 +459,21 @@ def test_huge_c_within_the_scale_check_ends_in_a_named_error(
     assert sorted(tmp_path.iterdir()) == [path]
 
 
+def _huge_c_gas(**outputs) -> dict:
+    """A 10-marker gas whose field overflows: its first step size underflows."""
+    doc = _gas_doc(**outputs)
+    doc.update(c=6e153, mass={"kind": "constant", "m0": 1.0})
+    doc["initial"]["n"] = 10
+    return doc
+
+
 @pytest.mark.parametrize("action", ["default", "error"])
 def test_huge_c_ensemble_ends_in_a_named_error(action, tmp_path, capsys):
     # a marker block is seeded by the same first-step rule as a single run, so
     # its overflowing field ends in StepSizeUnderflow, not in a traceback; the
-    # snapshot of report 0, written before the first step, is removed again
-    doc = _gas_doc()
-    doc.update(c=6e153, mass={"kind": "constant", "m0": 1.0})
-    doc["initial"]["n"] = 10
+    # snapshot of report 0, written before the first step, is removed again,
+    # and so is the out dir made for it
+    doc = _huge_c_gas()
     path = tmp_path / "s.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
@@ -474,10 +481,24 @@ def test_huge_c_ensemble_ends_in_a_named_error(action, tmp_path, capsys):
         warnings.simplefilter(action, RuntimeWarning)
         assert main(["ensemble", str(path), "--out-dir", str(out)]) == 2
         assert "the first step size underflowed to 0" in _one_error_line(capsys)
-        assert list(out.iterdir()) == []
+        assert not out.exists()
         with pytest.raises(StepSizeUnderflow):
             execute_ensemble(load_scenario(doc), str(out))
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("out_dir, outputs_path", [
+    ("fresh/a/b", "gas"),    # --out-dir and its parents are new
+    ("old", "sub/dir/gas"),  # outputs.path adds directories under an existing out dir
+], ids=["out-dir", "outputs-path"])
+def test_failed_run_removes_the_directories_it_made(out_dir, outputs_path, tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_huge_c_gas(path=outputs_path)))
+    (tmp_path / "old").mkdir()
+    assert main(["ensemble", str(path), "--out-dir", str(tmp_path / out_dir)]) == 2
+    assert "the first step size underflowed to 0" in _one_error_line(capsys)
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "old", path]
+    assert list((tmp_path / "old").iterdir()) == []
 
 
 def _snapshots_here(monkeypatch, forked: bool) -> list:
