@@ -7,7 +7,7 @@ H = (g^{ab} p_a p_b + m(phi)^2 c^2) / 2 on a 9-dimensional phase space.
 
 Layers:
 
-- ``geometry``: inverse-metric fields, derivatives, Christoffel symbols
+- ``geometry``: diagonal inverse-metric fields, their derivatives and lowering
 - ``dynamics``: the generating function, its flow field, shell algebra
 - ``integrators``: adaptive/fixed Runge-Kutta, events, reparametrization
 - ``kinetic``: marker ensembles, density transport, entropy functionals
@@ -37,7 +37,6 @@ from .errors import (
 )
 from .geometry import (
     MetricField,
-    christoffel,
     expression_metric,
     inverse_metric,
     lowered_metric,
@@ -108,7 +107,7 @@ __all__ = [
     "ParseError", "ValidationError",
     # geometry
     "MetricField", "inverse_metric", "lowered_metric", "metric_derivatives",
-    "christoffel", "minkowski", "weak_field",
+    "minkowski", "weak_field",
     "point_mass_potential", "uniform_gradient_potential", "expression_metric",
     # dynamics
     "ContactHamiltonianSystem", "ExtendedState", "MassModel",

@@ -17,6 +17,11 @@ metric as one (n, .) block through the batched field
 (``dynamics._contact_residual_arrays`` and ``_divergence_trace``), not one
 state at a time.
 
+Every run a check configures itself carries a ``max_steps`` of about ten
+times the accepted steps it takes when healthy, so a broken field ends in
+MaxStepsExceeded, a failed record, instead of stepping on toward the default
+budget of 10^6 steps.  The ensemble presets run as their documents say.
+
 ``perturb_divergence=True`` rescales the analytic divergence by 1% inside the
 divergence check; it exists so that the battery can be shown to catch a
 deliberately wrong value (the check must then fail).
@@ -151,12 +156,15 @@ def check_energy_conservation() -> CheckResult:
     sys = _decay_flat_system()
     s0 = ExtendedState(q=[0, 0, 0, 0], p=[-1, 0, 0, 0], phi=0.0)
     stop = (StopCondition("lambda_reached", 10.0),)
-    free = integrate(sys, s0, IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, stop=stop))
+    free = integrate(
+        sys, s0, IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, max_steps=400, stop=stop),
+    )
     drift = float(np.max(np.abs(free.ham - free.ham[0])))
     free_shell = float(np.max(np.abs(free.shell)))
     projected = integrate(
         sys, s0,
-        IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, shell_projection=1, stop=stop),
+        IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12, shell_projection=1, max_steps=400,
+                         stop=stop),
     )
     shell = float(np.max(np.abs(projected.shell)))
     passed = drift < 1e-8 and free_shell < 1e-8 and shell < 1e-12
@@ -239,12 +247,12 @@ def check_geodesic_recovery() -> CheckResult:
     u0 = dynamics.four_velocity(sys, s0)
     t_end = 31.0  # about one orbital period of the r=1, v=0.2 orbit
     cfg = IntegratorConfig(
-        rel_tol=1e-11, abs_tol=1e-13, max_step=0.25,
+        rel_tol=1e-11, abs_tol=1e-13, max_step=0.25, max_steps=2500,
         stop=(StopCondition("tau_reached", t_end),),
     )
     traj = integrate(sys, s0, cfg)
     cfg_geo = IntegratorConfig(
-        rel_tol=1e-11, abs_tol=1e-13, max_step=0.25,
+        rel_tol=1e-11, abs_tol=1e-13, max_step=0.25, max_steps=2500,
         stop=(StopCondition("lambda_reached", t_end),),
     )
     geo = geodesic_reference(sys, s0.q, u0, cfg_geo)
@@ -275,7 +283,7 @@ def check_newtonian_limit() -> CheckResult:
     sys = _orbit_system(gm=gm, c=c)
     s0 = dynamics.state_from_velocity(sys, [0, 1, 0, 0], 0.0, [0.0, 1.0, 0.0])
     cfg = IntegratorConfig(
-        method="rk4", fixed_step=0.02,
+        method="rk4", fixed_step=0.02, max_steps=500,
         stop=(StopCondition("lambda_reached", 1.0),),
     )
     traj = integrate(sys, s0, cfg)
@@ -310,7 +318,7 @@ def check_decay_cancellation() -> CheckResult:
     # both runs start from the same four-velocity (same initial momentum too,
     # since m(0) = 1 for both mass models)
     cfg = IntegratorConfig(
-        rel_tol=3e-12, abs_tol=1e-14, max_step=0.15,
+        rel_tol=3e-12, abs_tol=1e-14, max_step=0.15, max_steps=900,
         stop=(StopCondition("tau_reached", t_end),),
     )
     tr_c = reparametrize_by_tau(integrate(sys_const, s0, cfg), num=200)
@@ -342,7 +350,7 @@ def check_proper_time() -> CheckResult:
     sys = _orbit_system(gm=0.05, mass=MassModel.exp_decay(1.0, 0.1, phi0=0.0, c=1.0))
     s0 = dynamics.state_from_velocity(sys, [0, 1, 0, 0], 0.0, [0.0, 0.2, 0.0])
     cfg = IntegratorConfig(
-        method="rk4", fixed_step=0.02,
+        method="rk4", fixed_step=0.02, max_steps=2500,
         stop=(StopCondition("lambda_reached", 5.0),),
     )
     traj = integrate(sys, s0, cfg)
@@ -361,7 +369,9 @@ def check_proper_time() -> CheckResult:
         metric=geometry.minkowski(), mass=MassModel.constant(1.0), c=1.0
     )
     s0f = dynamics.state_from_velocity(flat, [0, 0, 0, 0], 0.0, [0.6, 0.0, 0.0])
-    run = integrate(flat, s0f, IntegratorConfig(stop=(StopCondition("tau_reached", 2.0),)))
+    run = integrate(
+        flat, s0f, IntegratorConfig(max_steps=60, stop=(StopCondition("tau_reached", 2.0),)),
+    )
     gamma = 1.25
     gamma_err = abs(float(run.q[-1, 0]) / (flat.c * float(run.tau[-1])) - gamma)
     by_tau = reparametrize_by_tau(run, num=11)
@@ -386,7 +396,7 @@ def check_reduction_equivalence() -> CheckResult:
     sys = _orbit_system(gm=0.05, mass=MassModel.exp_decay(1.0, 0.1, phi0=0.0, c=1.0))
     s0 = dynamics.state_from_velocity(sys, [0, 1, 0, 0], 0.0, [0.0, 0.2, 0.0])
     cfg = IntegratorConfig(
-        rel_tol=1e-11, abs_tol=1e-13, max_step=0.15,
+        rel_tol=1e-11, abs_tol=1e-13, max_step=0.15, max_steps=600,
         stop=(StopCondition("lambda_reached", 5.0),),
     )
     by_phi = reparametrize_by_phi(integrate(sys, s0, cfg), num=41)
@@ -432,7 +442,7 @@ def check_photon_behavior() -> CheckResult:
     )
     p = dynamics.solve_p0_on_shell(sys, np.zeros(4), 0.0, np.array([1.0, 0.0, 0.0]))
     s0 = ExtendedState(q=[0, 0, 0, 0], p=p, phi=0.0)
-    cfg = IntegratorConfig(stop=(StopCondition("lambda_reached", 10.0),))
+    cfg = IntegratorConfig(max_steps=70, stop=(StopCondition("lambda_reached", 10.0),))
     traj = integrate(sys, s0, cfg)
     phi_drift = float(np.max(np.abs(traj.phi - traj.phi[0])))
     shell = float(np.max(np.abs(traj.shell)))
@@ -522,6 +532,7 @@ def _constant_mass_gas_rows() -> np.ndarray:
         "initial": {"kind": "ensemble", "n": 2000, "seed": 5,
                     "momentum": {"kind": "gaussian", "mean": [0.0, 0.0, 0.0],
                                  "sigma": [0.2, 0.2, 0.2]}},
+        "integrator": {"max_steps": 60},
         "stop": [{"kind": "lambda_reached", "value": 2.0}],
         "outputs": {"reports": 5},
     }))[2]
@@ -530,7 +541,8 @@ def _constant_mass_gas_rows() -> np.ndarray:
 def check_measure_conservation() -> CheckResult:
     cfg, span = preset_scenario("decay-gas"), 10.0
     e0, e_end, rows, _ = run_ensemble(replace(
-        cfg, stop=[{"kind": "lambda_reached", "value": span}],
+        cfg, integrator={**cfg.integrator, "max_steps": 420},
+        stop=[{"kind": "lambda_reached", "value": span}],
         outputs={**cfg.outputs, "reports": 20},
     ))
     weight_drift = float(np.max(np.abs(rows[:, 1] - rows[0, 1]))) / rows[0, 1]
@@ -563,7 +575,7 @@ def check_convergence_order() -> CheckResult:
     errs = []
     for h in hs:
         cfg = IntegratorConfig(
-            method="rk4", fixed_step=h,
+            method="rk4", fixed_step=h, max_steps=round(10 * lam_end / h),
             stop=(StopCondition("lambda_reached", lam_end),),
         )
         traj = integrate(sys, s0, cfg)

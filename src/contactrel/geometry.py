@@ -1,26 +1,26 @@
-"""Spacetime geometry: inverse-metric fields and derived curvature quantities.
+"""Spacetime geometry: diagonal inverse-metric fields and their derivatives.
 
 Conventions
 -----------
 * Signature (-,+,+,+); coordinate index 0 is the time direction, q^0 = c t.
 * The primary object is the *inverse* metric g^{mu nu}(q, phi), which is what
-  the Hamiltonian needs.  The lowered metric g_{mu nu} is obtained by matrix
-  inversion on demand.
+  the Hamiltonian needs.  Every field is diagonal with index 0 as time: the
+  signature is the sign test g^{00} < 0 < g^{ii}, and g_{mu nu} is 1/g^{aa}.
 * Evaluation is batched: ``q`` has shape (..., 4), ``phi`` is a scalar or has
   shape (...), and the metric comes back with shape (..., 4, 4).
 * Derivative tensors put the derivative index last:
   ``d_q[..., a, b, mu] = d g^{ab} / d q^mu`` and ``d_phi[..., a, b]``.
 
-Every built-in field is diagonal and carries exact derivatives: each
-constructor gives its diagonal g^{aa} and the gradient of that diagonal (the
-weak field writes it out, :func:`expression_metric` differentiates its
-entries symbolically), and ``_diagonal_metric`` builds all four callbacks of
-the field from those two.  The flow needs the metric only through the
-quadratic form g^{ab} p_a p_b, so the dynamics calls each field's
-``contract(q, p, phi)``, which returns ``g . p`` and the gradient of that
-scalar, never a rank-3 tensor.
-:func:`metric_derivatives` and :func:`christoffel` build the full tensors for
-the geodesic reference and for inspection.
+Every built-in field carries exact derivatives: each constructor gives its
+diagonal g^{aa} and the gradient of that diagonal (the weak field writes it
+out, :func:`expression_metric` differentiates its entries symbolically), and
+``_diagonal_metric`` builds all four callbacks of the field from those two.
+The flow needs the metric only through the quadratic form g^{ab} p_a p_b, so
+the dynamics calls each field's ``contract(q, p, phi)``, which returns
+``g . p`` and the gradient of that scalar, never a rank-3 tensor; the
+geodesic reference reads the diagonal and its gradient through the same call
+(``_diagonal``).  :func:`metric_derivatives` builds the full tensors; it
+remains for inspection and because the benchmark calls it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "inverse_metric",
     "lowered_metric",
     "metric_derivatives",
-    "christoffel",
     "minkowski",
     "weak_field",
     "point_mass_potential",
@@ -47,19 +46,20 @@ __all__ = [
 ]
 
 _ETA_DIAG = np.array([-1.0, 1.0, 1.0, 1.0])
-
-# Validation thresholds for inverse_metric.
-SYMMETRY_TOL = 1e-14
-CONDITION_LIMIT = 1e12
+_OFF_DIAGONAL = ~np.eye(4, dtype=bool)
+_DIAGONAL = np.arange(4)
 
 
 @dataclass(frozen=True)
 class MetricField:
-    """Inverse metric field g^{mu nu}(q, phi) with its exact derivatives.
+    """Diagonal inverse metric field g^{mu nu}(q, phi) with its exact derivatives.
 
+    Index 0 is time, and :func:`inverse_metric` refuses any other field.
     All four callbacks are required.  The built-in constructors get them from
     ``_diagonal_metric``; a hand-made field must keep them consistent, as
-    ``tests/test_contract.py`` checks for the built-in ones.
+    ``tests/test_contract.py`` checks for the built-in ones.  The flow reads
+    ``contract`` and the shell algebra ``func``; ``d_q`` and ``d_phi`` remain
+    for inspection and because the benchmark calls them.
 
     Parameters
     ----------
@@ -104,41 +104,60 @@ def _eval_raw(metric: MetricField, q: np.ndarray, phi) -> np.ndarray:
     return _finite_metric(metric.name, metric.func(q, phi))
 
 
+def _signature(name: str, diag) -> None:
+    """Raise BadSignature unless g^{00} < 0 < g^{ii} on every (..., 4) diagonal."""
+    if not (np.all(diag[..., 0] < 0.0) and np.all(diag[..., 1:] > 0.0)):
+        raise BadSignature(f"metric '{name}' does not have signature (-,+,+,+)")
+
+
 def inverse_metric(metric: MetricField, q: np.ndarray, phi) -> np.ndarray:
-    """Evaluate g^{mu nu} at (q, phi) with finiteness, symmetry and signature checks.
+    """Evaluate g^{mu nu} at (q, phi), checked to be finite, diagonal and (-,+,+,+).
 
     Accepts a single point (q shape (4,)) or a batch (q shape (..., 4)).
-    Raises NonFiniteMetric, BadSignature, or SingularMetric.
+    Raises NonFiniteMetric, or BadSignature for a nonzero off-diagonal entry
+    or a diagonal that fails the sign test.
     """
     q = np.asarray(q, dtype=float)
     g = _eval_raw(metric, q, phi)
-    scale = np.maximum(1.0, np.max(np.abs(g)))
-    asym = np.max(np.abs(g - np.swapaxes(g, -1, -2)))
-    if asym > SYMMETRY_TOL * scale:
-        raise BadSignature(
-            f"metric '{metric.name}' is not symmetric (asymmetry {asym:.3e})"
-        )
-    evals = np.linalg.eigvalsh(g)
-    if not (np.all(evals[..., 0] < 0.0) and np.all(evals[..., 1:] > 0.0)):
-        raise BadSignature(
-            f"metric '{metric.name}' does not have signature (-,+,+,+)"
-        )
+    if np.any(g[..., _OFF_DIAGONAL]):
+        raise BadSignature(f"metric '{metric.name}' is not diagonal")
+    _signature(metric.name, np.diagonal(g, axis1=-2, axis2=-1))
     return g
 
 
 def lowered_metric(metric: MetricField, q: np.ndarray, phi) -> np.ndarray:
-    """g_{mu nu} by inversion of the validated inverse metric."""
-    return _lower(metric, inverse_metric(metric, q, phi))
+    """g_{mu nu}: the reciprocals 1/g^{aa} of the validated diagonal, as (..., 4, 4).
 
-
-def _lower(metric: MetricField, g: np.ndarray) -> np.ndarray:
-    """Symmetrised inverse of an already validated inverse metric g."""
-    if np.any(np.linalg.cond(g) > CONDITION_LIMIT):
+    Raises SingularMetric where a reciprocal overflows (a subnormal entry).
+    """
+    diag = np.diagonal(inverse_metric(metric, q, phi), axis1=-2, axis2=-1)
+    with np.errstate(over="ignore"):
+        recip = 1.0 / diag
+    if not np.all(np.isfinite(recip)):
         raise SingularMetric(
             f"metric '{metric.name}' is numerically singular at the requested point"
         )
-    gl = np.linalg.inv(g)
-    return 0.5 * (gl + np.swapaxes(gl, -1, -2))
+    gl = np.zeros(diag.shape + (4,))
+    gl[..., _DIAGONAL, _DIAGONAL] = recip
+    return gl
+
+
+def _diagonal(metric: MetricField, q: np.ndarray, phi):
+    """(g^{aa} (..., 4), d g^{aa}/d q^k (..., 4, 4), d g^{aa}/d phi (..., 4)) at (q, phi).
+
+    One ``contract`` call on the four unit covectors e_a: g . e_a holds
+    g^{aa} at a, and g^{bc} (e_a)_b (e_a)_c = g^{aa}, so the gradient that
+    contract returns for e_a is the gradient of g^{aa}.  Checked for
+    finiteness only.
+    """
+    q = np.asarray(q, dtype=float)
+    rows = q.shape[:-1] + (4,)
+    g_e, d_q, d_phi = metric.contract(
+        np.broadcast_to(q[..., None, :], rows + (4,)),
+        np.broadcast_to(np.eye(4), rows + (4,)),
+        np.broadcast_to(np.asarray(phi, dtype=float)[..., None], rows),
+    )
+    return np.diagonal(g_e, axis1=-2, axis2=-1), d_q, d_phi
 
 
 def _fd4(f_m2, f_m1, f_p1, f_p2, h):
@@ -160,51 +179,14 @@ def metric_derivatives(metric: MetricField, q: np.ndarray, phi) -> tuple[np.ndar
     exactly symmetric in (a, b).
     """
     q = np.asarray(q, dtype=float)
-    dq = _d_q(metric, q, phi)
-    dphi = _finite_derivative(metric.name, metric.d_phi(q, phi))
-    return dq, 0.5 * (dphi + np.swapaxes(dphi, -1, -2))
-
-
-def _d_q(metric: MetricField, q: np.ndarray, phi) -> np.ndarray:
-    """The d_q tensor of :func:`metric_derivatives` alone."""
     dq = _finite_derivative(metric.name, metric.d_q(q, phi))
-    return 0.5 * (dq + np.swapaxes(dq, -2, -3))
+    dphi = _finite_derivative(metric.name, metric.d_phi(q, phi))
+    return 0.5 * (dq + np.swapaxes(dq, -2, -3)), 0.5 * (dphi + np.swapaxes(dphi, -1, -2))
 
 
 def _gpp(g, p):
     """g^{ab} p_a p_b over the batch."""
     return np.einsum("...ab,...a,...b->...", g, p, p)
-
-
-def christoffel(metric: MetricField, q: np.ndarray, phi) -> np.ndarray:
-    """Christoffel symbols Gamma^mu_{ab} of the lowered metric at fixed phi.
-
-    Built from inverse-metric derivatives via
-    d g_{sb}/d q^a = -g_{sm} (d g^{mn}/d q^a) g_{nb}, then
-    Gamma^mu_{ab} = 1/2 g^{mu s} (d_a g_{sb} + d_b g_{sa} - d_s g_{ab}).
-    Output is exactly symmetric in the lower pair.
-    """
-    q = np.asarray(q, dtype=float)
-    g = inverse_metric(metric, q, phi)
-    return _christoffel(g, _lower(metric, g), _d_q(metric, q, phi))
-
-
-def _christoffel(g, gl, dq):
-    """:func:`christoffel` from g^{ab}, its symmetrised inverse and the d_q tensor.
-
-    Nothing is validated here: the caller has checked the metric.
-    """
-    # L[..., s, b, a] = d g_{sb} / d q^a
-    L = -np.einsum("...sm,...mna,...nb->...sba", gl, dq, gl)
-    # C[s, a, b] = d_a g_{sb} + d_b g_{sa} - d_s g_{ab}
-    term1 = np.swapaxes(L, -1, -2)             # [s, a, b] = L[s, b, a] = d_a g_{sb}
-    term2 = L                                  # [s, a, b] = L[s, a, b] = d_b g_{sa}
-    perm = list(range(L.ndim))
-    perm[-3], perm[-2], perm[-1] = perm[-1], perm[-3], perm[-2]
-    term3 = np.transpose(L, perm)              # [s, a, b] = L[a, b, s] = d_s g_{ab}
-    C = term1 + term2 - term3
-    gamma = 0.5 * np.einsum("...ms,...sab->...mab", g, C)
-    return 0.5 * (gamma + np.swapaxes(gamma, -1, -2))
 
 
 # --- constructors -----------------------------------------------------------

@@ -46,7 +46,6 @@ from .errors import (
     MasslessProjection,
     MaxStepsExceeded,
     NotMonotone,
-    SingularMetric,
     StepSizeUnderflow,
     TransversalityFailure,
 )
@@ -492,19 +491,13 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, project=None,
     return termination, {"steps_accepted": accepted, "steps_rejected": rejected}
 
 
-def _run_recorded(rhs, y0, cfg, span, events, ncore, project=None, validate=None):
-    """_run_loop keeping every sample; returns (lams, ys, fs, termination, stats).
-
-    ``validate(y)``, if given, is called on each sample before it is kept.
-    """
+def _run_recorded(rhs, y0, cfg, span, events, ncore, project=None):
+    """_run_loop keeping every sample; returns (lams, ys, fs, termination, stats)."""
     samples = []
-
-    def sample(lam, y, f):
-        if validate is not None:
-            validate(y)
-        samples.append((lam, y, f))
-
-    termination, stats = _run_loop(rhs, y0, cfg, span, events, ncore, sample, project=project)
+    termination, stats = _run_loop(
+        rhs, y0, cfg, span, events, ncore, lambda lam, y, f: samples.append((lam, y, f)),
+        project=project,
+    )
     lams, ys, fs = (np.array(col) for col in zip(*samples))
     return lams, ys, fs, termination, stats
 
@@ -713,6 +706,25 @@ def reparametrize_by_tau(traj: Trajectory, num: int | None = None) -> Trajectory
 # --- geodesic reference ----------------------------------------------------------
 
 
+def _geodesic_field(metric, y):
+    """d(q, u)/dtau of the geodesic equation at a state y = (q, u) (8,), at phi = 0.
+
+    For a diagonal metric, with u_a = u^a / g^{aa} and D[a, k] = d g^{aa}/d q^k,
+    du^mu/dtau = -Gamma^mu_{ab} u^a u^b
+               = u_mu (D[mu] . u) - 1/2 g^{mu mu} sum_a D[a, mu] u_a^2.
+    g^{aa} is sign-tested first, so a point off (-,+,+,+) raises BadSignature
+    before any division.
+    """
+    u = y[4:8]
+    g, d_q, _ = geometry._diagonal(metric, y[0:4], 0.0)
+    geometry._signature(metric.name, g)
+    u_low = u / g
+    dy = np.empty(8)
+    dy[0:4] = u
+    dy[4:8] = u_low * (d_q @ u) - 0.5 * g * ((u_low * u_low) @ d_q)
+    return dy
+
+
 def geodesic_reference(
     sys: ContactHamiltonianSystem,
     q0,
@@ -723,13 +735,16 @@ def geodesic_reference(
 
     Independent reference for constant-mass motion in a phi-independent
     metric, parametrized by proper time; the metric is evaluated at phi = 0,
-    and the ``phi`` column is 0.  ``u0`` is the initial contravariant
+    and the ``phi`` column is 0.  The right-hand side is the closed form of
+    a diagonal metric, read off the diagonal g^{aa} and its gradient
+    (:func:`_geodesic_field`).  ``u0`` is the initial contravariant
     four-velocity, a (4,) array with g_{mu nu} u^mu u^nu = -c^2 (as
     dynamics.four_velocity returns it).  The returned trajectory stores the
     contravariant four-velocity in the ``p`` slot (see metadata["p_column"]).
     Stop conditions: lambda_reached (meaning tau) and coordinate_bound only.
-    A run that leaves the metric's domain raises BadSignature or
-    SingularMetric.
+    Raises BadSignature at the first stage, trial or accepted, whose g^{aa}
+    leave (-,+,+,+), and NonFiniteMetric / NonFiniteDerivative where the
+    metric or its gradient is not finite.
     """
     if not cfg.stop:
         raise ValueError("geodesic_reference needs at least one stop condition")
@@ -739,7 +754,7 @@ def geodesic_reference(
     q0 = np.asarray(q0, dtype=float).reshape(4)
     u = np.asarray(u0, dtype=float).reshape(4)
 
-    _, dphi_g = geometry.metric_derivatives(sys.metric, q0, 0.0)
+    _, _, dphi_g = geometry._diagonal(sys.metric, q0, 0.0)
     if np.max(np.abs(dphi_g)) > 1e-10:
         raise ValueError("geodesic reference requires a phi-independent metric")
     gl0 = geometry.lowered_metric(sys.metric, q0, 0.0)
@@ -748,36 +763,15 @@ def geodesic_reference(
         raise ValueError(f"u0 is not normalized: g u u = {norm0:.6e}, expected {-sys.c**2}")
 
     lam_end, events = _make_events(cfg, sys, massive=False)
-
-    # Stages only check finiteness; the signature and conditioning checks of
-    # geometry.christoffel run once per accepted sample (validate below).
-    def rhs(lam, y):
-        q, uvec = y[0:4], y[4:8]
-        g = geometry._eval_raw(sys.metric, q, 0.0)
-        try:
-            gl = np.linalg.inv(g)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMetric(
-                f"metric '{sys.metric.name}' is singular at a trial point"
-            ) from exc
-        gamma = geometry._christoffel(
-            g, 0.5 * (gl + gl.T), geometry._d_q(sys.metric, q, 0.0)
-        )
-        dy = np.empty(8)
-        dy[0:4] = uvec
-        dy[4:8] = -np.einsum("mab,a,b->m", gamma, uvec, uvec)
-        return dy
-
     y0 = np.concatenate([q0, u])
     lams, ys, fs, termination, stats = _run_recorded(
-        rhs, y0, cfg, lam_end, events, ncore=8,
-        validate=lambda y: geometry.lowered_metric(sys.metric, y[0:4], 0.0),
+        lambda lam, y: _geodesic_field(sys.metric, y), y0, cfg, lam_end, events, ncore=8,
     )
 
     n = len(lams)
     q_arr, u_arr = ys[:, 0:4], ys[:, 4:8]
     phi = np.zeros(n)
-    gl = np.linalg.inv(geometry._eval_raw(sys.metric, q_arr, phi))
+    gl = geometry.lowered_metric(sys.metric, q_arr, phi)
     uu = np.einsum("nab,na,nb->n", gl, u_arr, u_arr)
     shell = uu + sys.c**2
     deriv = np.zeros((n, 10))

@@ -48,7 +48,7 @@ _PUBLIC = [
     "StepSizeUnderflow", "StopCondition", "Trajectory", "TransversalityFailure",
     "UniformMomentum", "UnnormalizableSpec", "ValidationError", "__version__",
     "build_density_spec", "build_initial_state",
-    "build_integrator_config", "build_system", "christoffel", "ensemble_series",
+    "build_integrator_config", "build_system", "ensemble_series",
     "entropy", "entropy_rate", "evolution_field", "expression_metric", "four_velocity",
     "geodesic_reference", "integrate", "inverse_metric", "load_scenario",
     "lowered_metric", "mass_from_tau", "metric_derivatives", "minkowski",
@@ -61,5 +61,5 @@ _PUBLIC = [
 
 
 def test_public_surface_is_pinned():
-    assert len(_PUBLIC) == 68
+    assert len(_PUBLIC) == 67
     assert sorted(contactrel.__all__) == _PUBLIC

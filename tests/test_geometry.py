@@ -1,8 +1,9 @@
-"""Metric fields: values, derivatives, Christoffel symbols, the lowered metric."""
+"""Metric fields: values, derivatives, the lowered metric, the geodesic right-hand side."""
 
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from contactrel import (
     BadSignature,
     MetricField,
     NonFiniteMetric,
-    christoffel,
+    SingularMetric,
     expression_metric,
     geometry,
     inverse_metric,
@@ -24,6 +25,8 @@ from contactrel import (
     uniform_gradient_potential,
     weak_field,
 )
+from contactrel.checks import WAVY_DIAG
+from contactrel.integrators import _geodesic_field
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -39,7 +42,8 @@ def test_minkowski_values_and_derivatives():
     assert np.array_equal(inverse_metric(m, q, 0.7), ETA)
     dq, dphi = metric_derivatives(m, q, 0.7)
     assert np.all(dq == 0.0) and np.all(dphi == 0.0)
-    assert np.all(christoffel(m, q, 0.7) == 0.0)
+    y = np.concatenate([q, [1.25, 0.75, 0.0, 0.0]])
+    assert np.all(_geodesic_field(m, y)[4:] == 0.0)
 
 
 def test_minkowski_batched_evaluation():
@@ -137,16 +141,32 @@ def test_analytic_weak_field_derivatives_match_finite_differences():
         assert np.max(np.abs(dphi_a - dphi_f)) < 1e-10
 
 
+def _christoffel(metric, q):
+    """Gamma^mu_{ab} at (q, phi = 0) by the textbook formula, from the full tensors:
+    d_k g_{sb} = -g_{sm} (d_k g^{mn}) g_{nb}, then
+    Gamma^mu_{ab} = 1/2 g^{mu s} (d_a g_{sb} + d_b g_{sa} - d_s g_{ab})."""
+    g = inverse_metric(metric, q, 0.0)
+    gl = lowered_metric(metric, q, 0.0)
+    dq, _ = metric_derivatives(metric, q, 0.0)
+    dgl = -np.einsum("sm,mnk,nb->sbk", gl, dq, gl)  # dgl[s, b, k] = d_k g_{sb}
+    lower = np.einsum("sba->sab", dgl) + dgl - np.einsum("abs->sab", dgl)
+    return 0.5 * np.einsum("ms,sab->mab", g, lower)
+
+
 def test_christoffel_uniform_gradient_closed_form():
     # For phi_N = g_acc * x1 the exact symbol at the origin is
-    # Gamma^1_{00} = g_acc / c^2 (phi_N vanishes there).
+    # Gamma^1_{00} = g_acc / c^2 (phi_N vanishes there), and a particle at
+    # rest there accelerates by -Gamma^1_{00} in x1.
     g_acc, c = 0.05, 2.0
     pot, grad = uniform_gradient_potential([g_acc, 0.0, 0.0])
     m = weak_field(pot, grad, c=c)
-    gamma = christoffel(m, np.zeros(4), 0.0)
+    gamma = _christoffel(m, np.zeros(4))
     assert gamma[1, 0, 0] == pytest.approx(g_acc / c**2, rel=1e-12)
     assert gamma[2, 0, 0] == pytest.approx(0.0, abs=1e-14)
     assert gamma[3, 0, 0] == pytest.approx(0.0, abs=1e-14)
+    accel = _geodesic_field(m, np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]))[4:]
+    assert accel[1] == pytest.approx(-g_acc / c**2, rel=1e-12)
+    assert np.all(accel[[0, 2, 3]] == 0.0)
 
 
 def test_christoffel_symmetry_and_compatibility():
@@ -156,7 +176,7 @@ def test_christoffel_symmetry_and_compatibility():
     rng = np.random.default_rng(21)
     for _ in range(20):
         q = rng.uniform(-2, 2, size=4)
-        gamma = christoffel(m, q, 0.0)
+        gamma = _christoffel(m, q)
         assert np.max(np.abs(gamma - np.swapaxes(gamma, 1, 2))) < 1e-13
         g = inverse_metric(m, q, 0.0)
         dq, _ = metric_derivatives(m, q, 0.0)
@@ -165,22 +185,28 @@ def test_christoffel_symmetry_and_compatibility():
         assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
-def test_christoffel_validates_the_metric_once(monkeypatch):
-    calls = []
-    validate = geometry.inverse_metric
+# one field of each built-in kind; the expression is WAVY_DIAG
+_KINDS = {
+    "minkowski": minkowski(),
+    "point-mass": _point_mass_metric(),
+    "uniform-gradient": weak_field(*uniform_gradient_potential([0.05, -0.02, 0.03]), c=2.0),
+    "expression": expression_metric(WAVY_DIAG),
+}
 
-    def counted(*args):
-        calls.append(1)
-        return validate(*args)
 
-    monkeypatch.setattr(geometry, "inverse_metric", counted)
-    m = _point_mass_metric()
-    q = np.array([0.1, 1.3, -0.4, 0.8])
-    gamma = christoffel(m, q, 0.0)
-    assert len(calls) == 1
-    gl = np.linalg.inv(validate(m, q, 0.0))
-    assert np.array_equal(geometry._lower(m, validate(m, q, 0.0)), 0.5 * (gl + gl.T))
-    assert gamma.shape == (4, 4, 4)
+@pytest.mark.parametrize("kind", ["point-mass", "uniform-gradient", "expression"])
+def test_geodesic_field_is_minus_gamma_u_u(kind):
+    # the closed form of a diagonal metric against -Gamma^mu_{ab} u^a u^b
+    # built by the textbook formula, at phi = 0
+    metric = _KINDS[kind]
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        q = rng.uniform(-2, 2, size=4)
+        u = np.concatenate([rng.uniform(1.0, 2.0, size=1), rng.uniform(-1, 1, size=3)])
+        ref = -np.einsum("mab,a,b->m", _christoffel(metric, q), u, u)
+        dy = _geodesic_field(metric, np.concatenate([q, u]))
+        assert np.array_equal(dy[0:4], u)
+        assert np.max(np.abs(dy[4:] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_lowered_metric_is_inverse():
@@ -189,6 +215,25 @@ def test_lowered_metric_is_inverse():
     g = inverse_metric(m, q, 0.0)
     gl = lowered_metric(m, q, 0.0)
     assert np.max(np.abs(g @ gl - np.eye(4))) < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 10_000])
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_lowered_metric_is_the_inverse_bit_for_bit(kind, n):
+    # reciprocal lowering against numpy's inverse; inv leaves -0 in some
+    # off-diagonal entries, where the lowered metric holds +0
+    rng = np.random.default_rng(17)
+    q = rng.uniform(-2, 2, size=(n, 4))
+    phi = rng.uniform(-1, 1, size=n)
+    if n == 1:
+        q, phi = q[0], phi[0]
+    gl = lowered_metric(_KINDS[kind], q, phi)
+    ref = np.linalg.inv(inverse_metric(_KINDS[kind], q, phi))
+    assert gl.shape == ref.shape
+    assert np.array_equal(gl, ref)
+    diagonal = np.eye(4, dtype=bool)
+    assert np.array_equal(gl[..., diagonal].view(np.uint64), ref[..., diagonal].view(np.uint64))
+    assert not np.any(np.signbit(gl[..., ~diagonal]))
 
 
 def test_expression_metric_matches_hand_built():
@@ -226,10 +271,28 @@ def test_non_finite_metric_rejected():
             inverse_metric(expr, np.zeros(4), 0.0)
 
 
-def test_wrong_signature_rejected():
-    flipped = expression_metric(["1", "1", "1", "1"], name="flipped")
-    with pytest.raises(BadSignature):
-        inverse_metric(flipped, np.zeros(4), 0.0)
+def _symmetric_off_diagonal(q, phi):
+    g = np.broadcast_to(ETA, q.shape[:-1] + (4, 4)).copy()
+    g[..., 0, 1] = g[..., 1, 0] = 0.25
+    return g
+
+
+@pytest.mark.parametrize("metric, error", [
+    (expression_metric(["1", "1", "1", "1"], name="flipped"), BadSignature),
+    (dataclasses.replace(minkowski(), func=_symmetric_off_diagonal, name="mixed"), BadSignature),
+    (expression_metric(["1", "-1", "1", "1"], name="time-not-first"), BadSignature),
+    (expression_metric(["-1", "1e-320", "1", "1"], name="subnormal"), SingularMetric),
+], ids=["flipped", "symmetric-off-diagonal", "time-not-first", "subnormal"])
+def test_wrong_signature_rejected(metric, error):
+    # a subnormal g^{11} passes the sign test, but its reciprocal overflows:
+    # lowering raises SingularMetric, and no RuntimeWarning comes first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if error is BadSignature:
+            with pytest.raises(BadSignature):
+                inverse_metric(metric, np.zeros(4), 0.0)
+        with pytest.raises(error):
+            lowered_metric(metric, np.zeros(4), 0.0)
 
 
 def test_asymmetric_metric_rejected():
