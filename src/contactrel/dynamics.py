@@ -169,13 +169,13 @@ class ExtendedState:
 
 
 # --- batched internals -------------------------------------------------------
-# q: (n, 4), p: (n, 4), phi: (n,).  These skip the full signature validation
-# for speed; they only check finiteness of the metric evaluation.  Metric
-# derivatives enter only through the field's contract callback.
+# q: (n, 4), p: (n, 4), phi: (n,).  The metric enters as its diagonal g^{aa}
+# (geometry._values: checked finite and diagonal, not sign-tested) and its
+# derivatives only through the field's contract callback.
 
 
 def _h_and_shell(sys, q, p, phi):
-    g = geometry._eval_raw(sys.metric, q, phi)
+    g = geometry._values(sys.metric, q, phi)
     m = np.asarray(sys.mass.value(phi), dtype=float)
     shell = geometry._gpp(g, p) + (m * sys.c) ** 2
     return 0.5 * shell, shell
@@ -271,8 +271,7 @@ def project_to_shell(sys: ContactHamiltonianSystem, s: ExtendedState) -> Extende
     points up to round-off.
     """
     q, p, phi = _as_batch(s)
-    g = geometry._eval_raw(sys.metric, q, phi)
-    gpp = float(geometry._gpp(g, p)[0])
+    gpp = float(geometry._gpp(geometry._values(sys.metric, q, phi), p)[0])
     if not gpp < 0.0:
         raise NotTimelike(f"g p p = {gpp:.6e} is not negative; cannot rescale to shell")
     m = float(sys.mass.value(s.phi))
@@ -321,9 +320,8 @@ def four_velocity(sys: ContactHamiltonianSystem, s: ExtendedState) -> np.ndarray
     m = float(sys.mass.value(s.phi))
     if not m > 0.0:
         raise MasslessProjection("four-velocity needs m(phi) > 0")
-    q, p, phi = _as_batch(s)
-    g = geometry._eval_raw(sys.metric, q, phi)
-    return np.einsum("ab,b->a", g[0], s.p) / m
+    q, _, phi = _as_batch(s)
+    return geometry._values(sys.metric, q, phi)[0] * s.p / m
 
 
 def mass_from_tau(sys: ContactHamiltonianSystem, phi_start: float, dtau):
@@ -348,32 +346,21 @@ def mass_from_tau(sys: ContactHamiltonianSystem, phi_start: float, dtau):
 def solve_p0_on_shell(sys: ContactHamiltonianSystem, q, phi, p_spatial) -> np.ndarray:
     """Solve g^{ab} p_a p_b + m^2 c^2 = 0 for p_0 given spatial momentum.
 
-    Batched: q (..., 4), phi scalar or (...,), p_spatial (..., 3).  Picks
-    the future-directed root p_0 < 0.  Raises ShellSolveFailed when no such
-    root exists (e.g. zero spatial momentum for a photon).
+    Batched: q (..., 4), phi scalar or (...,), p_spatial (..., 3).  On the
+    sign-tested diagonal (BadSignature) the future-directed root is
+    p_0 = sqrt(-4 g^{00} c0) / (2 g^{00}) < 0, c0 = g^{ii} p_i^2 + m^2 c^2.
+    Raises ShellSolveFailed where none exists (zero momentum for a photon).
     """
     single = np.asarray(q).ndim == 1
     q = np.atleast_2d(np.asarray(q, dtype=float))
     p_spatial = np.atleast_2d(np.asarray(p_spatial, dtype=float))
     phi_arr = np.broadcast_to(np.asarray(phi, dtype=float), q.shape[:-1])
-    g = geometry._eval_raw(sys.metric, q, phi_arr)
+    g = geometry._signature(sys.metric.name, geometry._values(sys.metric, q, phi_arr))
     m = np.asarray(sys.mass.value(phi_arr), dtype=float)
-
-    a = g[..., 0, 0]
-    b = 2.0 * np.einsum("...i,...i->...", g[..., 0, 1:], p_spatial)
-    c0 = (
-        np.einsum("...ij,...i,...j->...", g[..., 1:, 1:], p_spatial, p_spatial)
-        + (m * sys.c) ** 2
-    )
-    disc = b * b - 4.0 * a * c0
-    if np.any(disc <= 0.0):
+    disc = -4.0 * g[..., 0] * (geometry._gpp(g[..., 1:], p_spatial) + (m * sys.c) ** 2)
+    if not np.all(disc > 0.0):
         raise ShellSolveFailed("no real energy root for the given spatial momentum")
-    sq = np.sqrt(disc)
-    roots = np.stack([(-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)], axis=-1)
-    neg = roots < 0.0
-    if not np.all(np.sum(neg, axis=-1) == 1):
-        raise ShellSolveFailed("energy root with p_0 < 0 is missing or ambiguous")
-    p0 = np.where(neg[..., 0], roots[..., 0], roots[..., 1])
+    p0 = np.sqrt(disc) / (2.0 * g[..., 0])
     p = np.concatenate([p0[..., None], p_spatial], axis=-1)
     return p[0] if single else p
 
@@ -390,10 +377,10 @@ def state_from_velocity(sys: ContactHamiltonianSystem, q, phi: float, v_spatial)
     q = _vec4(q, "q")
     v = np.asarray(v_spatial, dtype=float).reshape(3)
     u_tilde = np.concatenate([[sys.c], v])
-    gl = geometry.lowered_metric(sys.metric, q, phi)
-    norm2 = float(u_tilde @ gl @ u_tilde)
+    r = geometry._reciprocals(sys.metric, q, phi)
+    norm2 = float(np.dot(r * u_tilde, u_tilde))
     if not norm2 < 0.0:
         raise NotTimelike(f"(c, v) has non-timelike norm {norm2:.6e}")
     u = sys.c * u_tilde / math.sqrt(-norm2)
-    p = m * (gl @ u)
+    p = m * (r * u)
     return ExtendedState(q=q, p=p, phi=float(phi))

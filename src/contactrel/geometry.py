@@ -7,7 +7,7 @@ Conventions
   the Hamiltonian needs.  Every field is diagonal with index 0 as time: the
   signature is the sign test g^{00} < 0 < g^{ii}, and g_{mu nu} is 1/g^{aa}.
 * Evaluation is batched: ``q`` has shape (..., 4), ``phi`` is a scalar or has
-  shape (...), and the metric comes back with shape (..., 4, 4).
+  shape (...), and the metric is read as its (..., 4) diagonal g^{aa}.
 * Derivative tensors put the derivative index last:
   ``d_q[..., a, b, mu] = d g^{ab} / d q^mu`` and ``d_phi[..., a, b]``.
 
@@ -19,8 +19,10 @@ The flow needs the metric only through the quadratic form g^{ab} p_a p_b, so
 the dynamics calls each field's ``contract(q, p, phi)``, which returns
 ``g . p`` and the gradient of that scalar, never a rank-3 tensor; the
 geodesic reference reads the diagonal and its gradient through the same call
-(``_diagonal``).  :func:`metric_derivatives` builds the full tensors; it
-remains for inspection and because the benchmark calls it.
+(``_diagonal``), and the shell algebra reads the diagonal alone (``_values``).
+Only :func:`inverse_metric` and :func:`lowered_metric` build a (..., 4, 4)
+matrix, and :func:`metric_derivatives` the full tensors; the last remains for
+inspection and because the benchmark calls it.
 """
 
 from __future__ import annotations
@@ -58,14 +60,14 @@ class MetricField:
     All four callbacks are required.  The built-in constructors get them from
     ``_diagonal_metric``; a hand-made field must keep them consistent, as
     ``tests/test_contract.py`` checks for the built-in ones.  The flow reads
-    ``contract`` and the shell algebra ``func``; ``d_q`` and ``d_phi`` remain
-    for inspection and because the benchmark calls them.
+    ``contract``, the shell algebra the diagonal of ``func`` (``_values``);
+    ``d_q`` and ``d_phi`` remain for inspection and for the benchmark.
 
     Parameters
     ----------
     func : callable
-        ``func(q, phi) -> (..., 4, 4)`` inverse metric, batched as described in
-        the module docstring.
+        ``func(q, phi) -> (..., 4, 4)`` inverse metric over a (..., 4) batch of
+        q, zero off the diagonal.
     d_q : callable
         ``d_q(q, phi) -> (..., 4, 4, 4)`` with the q-derivative index last.
     d_phi : callable
@@ -99,15 +101,40 @@ def _finite_derivative(name: str, d) -> np.ndarray:
     return d
 
 
-def _eval_raw(metric: MetricField, q: np.ndarray, phi) -> np.ndarray:
-    """g^{mu nu} at (q, phi), checked for finiteness only."""
-    return _finite_metric(metric.name, metric.func(q, phi))
+def _values(metric: MetricField, q, phi) -> np.ndarray:
+    """g^{aa} at (q, phi) as (..., 4), read off ``func`` (its one reader).
+
+    Raises NonFiniteMetric, or BadSignature for a nonzero off-diagonal entry;
+    the signs are :func:`_signature`'s to test.
+    """
+    g = _finite_metric(metric.name, metric.func(np.asarray(q, dtype=float), phi))
+    if np.any(g[..., _OFF_DIAGONAL]):
+        raise BadSignature(f"metric '{metric.name}' is not diagonal")
+    return np.diagonal(g, axis1=-2, axis2=-1)
 
 
-def _signature(name: str, diag) -> None:
-    """Raise BadSignature unless g^{00} < 0 < g^{ii} on every (..., 4) diagonal."""
+def _signature(name: str, diag):
+    """The (..., 4) diagonal, once g^{00} < 0 < g^{ii} holds everywhere; else BadSignature."""
     if not (np.all(diag[..., 0] < 0.0) and np.all(diag[..., 1:] > 0.0)):
         raise BadSignature(f"metric '{name}' does not have signature (-,+,+,+)")
+    return diag
+
+
+def _reciprocals(metric: MetricField, q, phi) -> np.ndarray:
+    """g_{aa} = 1/g^{aa} of the sign-tested diagonal; SingularMetric where one overflows."""
+    with np.errstate(over="ignore"):
+        recip = 1.0 / _signature(metric.name, _values(metric, q, phi))
+    if not np.all(np.isfinite(recip)):
+        raise SingularMetric(f"metric '{metric.name}' is numerically singular at the "
+                             "requested point")
+    return recip
+
+
+def _matrix(diag) -> np.ndarray:
+    """The (..., 4, 4) matrix of a (..., 4) diagonal, +0 off the diagonal."""
+    out = np.zeros(diag.shape + (4,))
+    out[..., _DIAGONAL, _DIAGONAL] = diag
+    return out
 
 
 def inverse_metric(metric: MetricField, q: np.ndarray, phi) -> np.ndarray:
@@ -117,12 +144,7 @@ def inverse_metric(metric: MetricField, q: np.ndarray, phi) -> np.ndarray:
     Raises NonFiniteMetric, or BadSignature for a nonzero off-diagonal entry
     or a diagonal that fails the sign test.
     """
-    q = np.asarray(q, dtype=float)
-    g = _eval_raw(metric, q, phi)
-    if np.any(g[..., _OFF_DIAGONAL]):
-        raise BadSignature(f"metric '{metric.name}' is not diagonal")
-    _signature(metric.name, np.diagonal(g, axis1=-2, axis2=-1))
-    return g
+    return _matrix(_signature(metric.name, _values(metric, q, phi)))
 
 
 def lowered_metric(metric: MetricField, q: np.ndarray, phi) -> np.ndarray:
@@ -130,16 +152,7 @@ def lowered_metric(metric: MetricField, q: np.ndarray, phi) -> np.ndarray:
 
     Raises SingularMetric where a reciprocal overflows (a subnormal entry).
     """
-    diag = np.diagonal(inverse_metric(metric, q, phi), axis1=-2, axis2=-1)
-    with np.errstate(over="ignore"):
-        recip = 1.0 / diag
-    if not np.all(np.isfinite(recip)):
-        raise SingularMetric(
-            f"metric '{metric.name}' is numerically singular at the requested point"
-        )
-    gl = np.zeros(diag.shape + (4,))
-    gl[..., _DIAGONAL, _DIAGONAL] = recip
-    return gl
+    return _matrix(_reciprocals(metric, q, phi))
 
 
 def _diagonal(metric: MetricField, q: np.ndarray, phi):
@@ -185,8 +198,8 @@ def metric_derivatives(metric: MetricField, q: np.ndarray, phi) -> tuple[np.ndar
 
 
 def _gpp(g, p):
-    """g^{ab} p_a p_b over the batch."""
-    return np.einsum("...ab,...a,...b->...", g, p, p)
+    """g^{ab} p_a p_b = sum_a g^{aa} p_a^2 over the batch, from the (..., 4) diagonal."""
+    return np.einsum("...a,...a,...a->...", g, p, p)
 
 
 # --- constructors -----------------------------------------------------------

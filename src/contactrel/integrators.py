@@ -757,8 +757,7 @@ def geodesic_reference(
     _, _, dphi_g = geometry._diagonal(sys.metric, q0, 0.0)
     if np.max(np.abs(dphi_g)) > 1e-10:
         raise ValueError("geodesic reference requires a phi-independent metric")
-    gl0 = geometry.lowered_metric(sys.metric, q0, 0.0)
-    norm0 = float(u @ gl0 @ u)
+    norm0 = float(np.dot(geometry._reciprocals(sys.metric, q0, 0.0) * u, u))
     if abs(norm0 + sys.c**2) > 1e-6 * sys.c**2:
         raise ValueError(f"u0 is not normalized: g u u = {norm0:.6e}, expected {-sys.c**2}")
 
@@ -771,9 +770,7 @@ def geodesic_reference(
     n = len(lams)
     q_arr, u_arr = ys[:, 0:4], ys[:, 4:8]
     phi = np.zeros(n)
-    gl = geometry.lowered_metric(sys.metric, q_arr, phi)
-    uu = np.einsum("nab,na,nb->n", gl, u_arr, u_arr)
-    shell = uu + sys.c**2
+    shell = geometry._gpp(geometry._reciprocals(sys.metric, q_arr, phi), u_arr) + sys.c**2
     deriv = np.zeros((n, 10))
     deriv[:, 0:8] = fs
     deriv[:, 9] = 1.0  # d tau / d tau

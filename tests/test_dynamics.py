@@ -18,6 +18,7 @@ from contactrel import (
     NotTimelike,
     ShellSolveFailed,
     evolution_field,
+    expression_metric,
     four_velocity,
     lowered_metric,
     mass_from_tau,
@@ -27,6 +28,7 @@ from contactrel import (
     reduced_field_phi,
     solve_p0_on_shell,
     state_from_velocity,
+    uniform_gradient_potential,
     weak_field,
 )
 from contactrel import checks, dynamics, geometry
@@ -160,6 +162,86 @@ def test_project_to_shell_spacelike_rejected():
     s = ExtendedState(q=[0, 0, 0, 0], p=[-0.1, 1.0, 0, 0], phi=0.0)
     with pytest.raises(NotTimelike):
         project_to_shell(sys, s)
+
+
+# --- the shell algebra on the diagonal, against the (..., 4, 4) forms ---------------
+
+# one field of each built-in kind; the expression is WAVY_DIAG
+_KINDS = {
+    "minkowski": minkowski(),
+    "point-mass": weak_field(*point_mass_potential(0.3, softening=0.5)),
+    "uniform-gradient": weak_field(*uniform_gradient_potential([0.05, -0.02, 0.03]), c=2.0),
+    "expression": expression_metric(checks.WAVY_DIAG),
+}
+
+
+def _kind_system(kind):
+    c = 1.5
+    return ContactHamiltonianSystem(
+        metric=_KINDS[kind], mass=MassModel.exp_decay(1.0, 0.1, phi0=0.2, c=c), c=c
+    )
+
+
+def _draws(n, seed=29):
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(-2, 2, size=(n, 4)), rng.uniform(-1, 1, size=n),
+            rng.uniform(-0.8, 0.8, size=(n, 3)))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _p0_textbook(g, m, c, p_s):
+    """The future-directed root of g^{00} p0^2 + 2 g^{0i} p_i p0 + g^{ij} p_i p_j
+    + m^2 c^2 = 0 over a (..., 4, 4) inverse metric."""
+    a = g[..., 0, 0]
+    b = 2.0 * np.einsum("...i,...i->...", g[..., 0, 1:], p_s)
+    c0 = np.einsum("...ij,...i,...j->...", g[..., 1:, 1:], p_s, p_s) + (m * c) ** 2
+    sq = np.sqrt(b * b - 4.0 * a * c0)
+    roots = np.stack([(-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)], axis=-1)
+    assert np.all(np.sum(roots < 0.0, axis=-1) == 1)
+    return np.where(roots[..., 0] < 0.0, roots[..., 0], roots[..., 1])
+
+
+@pytest.mark.parametrize("n", [1, 10_000])
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_batched_shell_algebra_is_the_matrix_form_bit_for_bit(kind, n):
+    sys = _kind_system(kind)
+    q, phi, p_s = _draws(n)
+    g = geometry.inverse_metric(sys.metric, q, phi)
+    m = sys.mass.value(phi)
+    ref_p0 = _p0_textbook(g, m, sys.c, p_s)
+    p = solve_p0_on_shell(sys, q, phi, p_s)
+    assert _same_bits(p[:, 0], ref_p0) and _same_bits(p[:, 1:], p_s)
+    if n == 1:
+        assert _same_bits(solve_p0_on_shell(sys, q[0], phi[0], p_s[0]), p[0])
+    p_off = 1.1 * p
+    shell = np.einsum("...ab,...a,...b->...", g, p_off, p_off) + (m * sys.c) ** 2
+    h, s = dynamics._h_and_shell(sys, q, p_off, phi)
+    assert _same_bits(s, shell) and _same_bits(h, 0.5 * shell)
+
+
+@pytest.mark.parametrize("n", [1, 200])  # one call a state: 10^4 states take 4-6 s a kind
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_single_state_shell_algebra_is_the_matrix_form_bit_for_bit(kind, n):
+    sys = _kind_system(kind)
+    q, phi, p_s = _draws(n)
+    p = solve_p0_on_shell(sys, q, phi, p_s)
+    for i in range(n):
+        s = ExtendedState(q=q[i], p=p[i], phi=phi[i])
+        g = geometry.inverse_metric(sys.metric, s.q, s.phi)
+        gl = lowered_metric(sys.metric, s.q, s.phi)
+        m = float(sys.mass.value(s.phi))
+        assert _same_bits(four_velocity(sys, s), g @ s.p / m)
+        # u = A (c, v) with g_{ab} u^a u^b = -c^2, then p = m g_{ab} u^b
+        u_tilde = np.concatenate([[sys.c], 0.3 * sys.c * p_s[i]])
+        u = sys.c * u_tilde / math.sqrt(-(u_tilde @ gl @ u_tilde))
+        assert _same_bits(state_from_velocity(sys, s.q, s.phi, u_tilde[1:]).p, m * (gl @ u))
+        off = ExtendedState(q=s.q, p=1.1 * s.p, phi=s.phi)
+        beta = math.sqrt((m * sys.c) ** 2 / -float(np.einsum("ab,a,b->", g, off.p, off.p)))
+        assert _same_bits(project_to_shell(sys, off).p, beta * off.p)
 
 
 # --- flow field ----------------------------------------------------------------------

@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 
 from contactrel import (
     BadSignature,
+    ContactHamiltonianSystem,
+    MassModel,
     MetricField,
     NonFiniteMetric,
     SingularMetric,
+    dynamics,
     expression_metric,
     geometry,
     inverse_metric,
@@ -22,6 +25,7 @@ from contactrel import (
     metric_derivatives,
     minkowski,
     point_mass_potential,
+    solve_p0_on_shell,
     uniform_gradient_potential,
     weak_field,
 )
@@ -293,6 +297,17 @@ def test_wrong_signature_rejected(metric, error):
                 inverse_metric(metric, np.zeros(4), 0.0)
         with pytest.raises(error):
             lowered_metric(metric, np.zeros(4), 0.0)
+
+
+def test_shell_algebra_refuses_a_non_diagonal_field():
+    # the shell algebra reads the metric as its diagonal, so a hand-made field
+    # with an off-diagonal entry is refused, not read in part
+    mixed = dataclasses.replace(minkowski(), func=_symmetric_off_diagonal, name="mixed")
+    sys = ContactHamiltonianSystem(metric=mixed, mass=MassModel.constant(1.0))
+    with pytest.raises(BadSignature, match="not diagonal"):
+        dynamics._h_and_shell(sys, np.zeros((1, 4)), np.array([[-1.0, 0.0, 0.0, 0.0]]), np.zeros(1))
+    with pytest.raises(BadSignature, match="not diagonal"):
+        solve_p0_on_shell(sys, np.zeros(4), 0.0, [0.1, 0.0, 0.0])
 
 
 def test_asymmetric_metric_rejected():

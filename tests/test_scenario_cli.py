@@ -487,6 +487,26 @@ def test_huge_c_ensemble_ends_in_a_named_error(action, tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("initial", [
+    {"kind": "single", "p_spatial": [0.3, 0.0, 0.0]},
+    {"kind": "single", "p": [-0.8, 0.6, 0.0, 0.0]},  # on the shell of g = diag(-1, -1, 1, 1)
+    {"kind": "single", "v": [0.3, 0.0, 0.0]},
+    {**_gas_doc()["initial"], "n": 10},
+], ids=["p_spatial", "p", "v", "ensemble"])
+def test_start_off_the_signature_ends_in_a_named_error(initial, tmp_path, capsys):
+    # g^{11} < 0 at the start: whichever form gives the momentum, the start
+    # state (every sampled marker of an ensemble) is refused before any file
+    doc = _gas_doc() if initial["kind"] == "ensemble" else _minimal()
+    doc.update(metric={"kind": "expression", "diag": ["-1", "-1", "1", "1"]},
+               mass={"kind": "constant", "m0": 1.0}, initial=initial)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    command = "ensemble" if initial["kind"] == "ensemble" else "run"
+    assert main([command, str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "does not have signature (-,+,+,+)" in _one_error_line(capsys)
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("out_dir, outputs_path", [
     ("fresh/a/b", "gas"),    # --out-dir and its parents are new
     ("old", "sub/dir/gas"),  # outputs.path adds directories under an existing out dir
