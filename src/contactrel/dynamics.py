@@ -23,7 +23,10 @@ private batched functions over q (n, 4), p (n, 4), phi (n,) blocks
 (``_h_and_shell``, ``_field_arrays``, ``_dH_dphi_arrays``,
 ``_contact_residual_arrays``) compute them, and the integrators, the kinetic
 layer, the scenario builder and the verification battery call those
-directly.  evolution_field is the n = 1 case of ``_field_arrays``.
+directly.  evolution_field is the n = 1 case of ``_field_arrays``.  The field
+arithmetic itself is written once, in ``_field_rows``, over component-major
+(4, n) rows: the integrators hand it the rows of a (d, n) block and the slot
+to write, and ``_field_arrays`` hands it transposed views of (n, 4) arrays.
 """
 
 from __future__ import annotations
@@ -192,17 +195,39 @@ def _dH_dphi_arrays(sys, q, p, phi):
     return _dH_dphi_from(sys, phi, dphi_gpp)
 
 
-def _field_arrays(sys, q, p, phi):
-    """Batched evolution field: returns (dq, dp, dphi, dHdphi)."""
-    dq, dq_gpp, dphi_gpp = sys.metric.contract(q, p, phi)
+def _field_rows(sys, q, p, phi, out):
+    """The evolution field written into rows 0..8 of ``out``; returns dH/dphi.
+
+    Component-major: q and p are (4, ...) rows, row a holding component a of
+    every marker, and phi is (...); out[0:4], out[4:8] and out[8] receive dq,
+    dp and dphi.  ``contract`` is handed the (..., 4) transposes.  Besides
+    contract's outputs, nothing larger than a phi-shaped row is allocated:
+    p * dq is formed in the dp rows and -1/2 d_mu(g p p) in the dq rows
+    before each takes its value.
+    """
+    dq, dq_gpp, dphi_gpp = sys.metric.contract(q.T, p.T, phi)
     dHdphi = _dH_dphi_from(sys, phi, dphi_gpp)
-    dp = -0.5 * dq_gpp
-    dp -= p * dHdphi[..., None]
+    dq_rows, dp_rows = out[0:4], out[4:8]
     # p . dq, annihilated by eta exactly; summed as einsum sums a C-ordered
     # row of 4, so the bits do not depend on the operands' layout
-    t = p * dq
-    dphi = (t[..., 0] + t[..., 2]) + (t[..., 1] + t[..., 3])
-    return dq, dp, dphi, dHdphi
+    t = np.multiply(p, dq.T, out=dp_rows)
+    out[8] = (t[0] + t[2]) + (t[1] + t[3])
+    np.multiply(dq_gpp.T, -0.5, out=dq_rows)
+    np.multiply(p, dHdphi, out=dp_rows)
+    np.subtract(dq_rows, dp_rows, out=dp_rows)
+    dq_rows[...] = dq.T
+    return dHdphi
+
+
+def _field_arrays(sys, q, p, phi):
+    """Batched evolution field over (n, 4) q and p: returns (dq, dp, dphi, dHdphi).
+
+    :func:`_field_rows` on transposed views; dq and dp are (n, 4) views of
+    one component-major array.
+    """
+    out = np.empty((9,) + q.shape[:-1])
+    dHdphi = _field_rows(sys, q.T, p.T, phi, out)
+    return out[0:4].T, out[4:8].T, out[8], dHdphi
 
 
 def _fd_grad_H(sys, q, p, phi):

@@ -18,9 +18,16 @@ independent reference, through the same loop.
 Its steppers are an embedded Dormand-Prince 5(4) pair
 with FSAL, whose error norm is the worst marker's RMS, and a classic RK4 that
 splits a lambda span into ceil(span/fixed_step) equal steps.  A
-Dormand-Prince series of reports reads its intermediate reports off the pair's
-4th-order continuous extension (Hairer, Norsett & Wanner, Solving ODEs I,
-II.6), so its steps follow the tolerance, not the report count.  Stop
+Dormand-Prince run allocates its step's buffers once, ten arrays shaped like
+the state (:func:`_dp_step`), and the right-hand side writes each stage into
+the slot it is handed; an accepted step swaps buffers instead of allocating
+new ones.  Besides the outputs of the metric's ``contract``, no step
+allocates an array larger than one (n,) row, and the states the loop hands on
+(samples, reports) are buffers that later steps overwrite: a caller copies
+what it keeps.  A Dormand-Prince series of reports reads its intermediate
+reports off the pair's 4th-order continuous extension (Hairer, Norsett &
+Wanner, Solving ODEs I, II.6), so its steps follow the tolerance, not the
+report count.  Stop
 conditions are located on the cubic Hermite interpolant of each accepted step
 and refined by bisection, so the final sample sits on the stop surface to
 root-finding precision.
@@ -37,7 +44,7 @@ from . import geometry
 from .dynamics import (
     ContactHamiltonianSystem,
     ExtendedState,
-    _field_arrays,
+    _field_rows,
     _h_and_shell,
     project_to_shell,
 )
@@ -235,46 +242,54 @@ _DP_P = (
 )
 
 
-def _combine(coeffs, ks):
-    """sum_j coeffs[j] ks[j], accumulated in tableau order; zero terms skipped."""
-    acc = coeffs[0] * ks[0]
+def _combine(coeffs, ks, out, tmp):
+    """out = sum_j coeffs[j] ks[j], accumulated in tableau order; zero terms skipped.
+
+    ``tmp`` holds each product before it is added.  Neither ``out`` nor
+    ``tmp`` may be a ks[j] whose coefficient is nonzero.
+    """
+    np.multiply(coeffs[0], ks[0], out=out)
     for a, kj in zip(coeffs[1:], ks[1:]):
         if a != 0.0:
-            acc += a * kj
-    return acc
+            np.multiply(a, kj, out=tmp)
+            out += tmp
+    return out
 
 
-def _dp_step(rhs, lam, y, h, k1):
-    """One embedded step; returns (y5, stages, err).
+def _dp_step(rhs, lam, y, h, ks, yi, y5, ncore):
+    """One embedded step from y, written into the run's buffers; returns err.
 
-    stages lists the stage derivatives k_0..k_6, with k_6 = f(lam+h, y5)
-    (FSAL) and k_1 = None: stage 7, the error estimate and the dense output
-    all give k_1 weight 0, so it is dropped once stage 6's input is built.
-    Each stage is the array rhs returned, not a view into a stack, so a
-    caller that keeps k_6 across steps keeps no other stage alive.
+    ``ks`` holds seven buffers shaped like y: ks[0] is f(lam, y) on entry,
+    and ``rhs(lam_i, y_i, ks[i])`` writes stage i into ks[i], ks[6] being
+    f(lam + h, y5) (FSAL).  Stages 1..5 take their inputs in ``yi``, stage 6
+    the 5th-order solution, which goes into ``y5``.  k_1 has weight 0 in
+    stage 7, the error estimate and the dense output, so once stage 6's input
+    is built ks[1] is the scratch of the later sums (:func:`_dp_dense` and
+    the error norm's scale too).  Once stage 6 has been evaluated yi is
+    free, and the error estimate over the first ``ncore`` components (the
+    ones the norm covers) is written into yi[:ncore] and returned.
     """
-    k = [k1]
     for i in range(1, 7):
-        yi = _combine(_DP_A[i], k)
-        if i == 5:
-            k[1] = None
-        yi *= h
-        yi += y
-        k.append(rhs(lam + _DP_C[i] * h, yi))
-    err = _combine(_DP_E, k)
+        x = y5 if i == 6 else yi
+        _combine(_DP_A[i], ks, x, ks[1] if i == 6 else ks[i])
+        x *= h
+        x += y
+        rhs(lam + _DP_C[i] * h, x, ks[i])
+    err = _combine(_DP_E, [k[:ncore] for k in ks], yi[:ncore], ks[1][:ncore])
     err *= h
-    return yi, k, err
+    return err
 
 
-def _dp_dense(y, h, stages, theta):
-    """State at fraction theta of an accepted step from y of width h.
+def _dp_dense(y, h, ks, theta, out):
+    """State at fraction theta of an accepted step from y of width h, into ``out``.
 
     Dormand-Prince's continuous extension y + h sum_j b_j(theta) k_j, 4th
     order in h; exactly y at theta = 0 and the step's y5 to round-off at 1.
+    ks are :func:`_dp_step`'s stages, ks[1] its scratch.
     """
     powers = (theta, theta * theta, theta ** 3, theta ** 4)
     b = [sum(c * t for c, t in zip(row, powers)) for row in _DP_P]
-    out = _combine(b, stages)
+    _combine(b, ks, out, ks[1])
     out *= h
     out += y
     return out
@@ -287,18 +302,25 @@ def _rk4_step(rhs, lam, y, h, k1):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _error_norm(err, y0, y1, cfg, ncore):
+def _error_norm(err, y0, y1, cfg, ncore, sc=None):
     """Worst per-marker RMS of err over the first ncore components, scaled by tolerance.
 
     Components sit on axis 0, of a (d,) state or a (d, n) block.  The scale
     abs_tol + rel_tol max(|y0|, |y1|) and then (err / scale)^2 are built in
-    place in one array.  A marker's ncore (8 to 15) squares are summed in the
-    order np.mean takes along a contiguous run: pairwise over the first 8,
-    then the rest in sequence.  The norm is thus bit-identical to the plain
-    expression over a row-major (n, d) block.
+    place in one array, ``sc`` if it is given (shaped like y0[:ncore]);
+    max(|y0|, |y1|) is formed as max(|y0|, y1, -y1), which needs no second
+    array and equals it but for the sign of a zero, which abs_tol > 0 absorbs.
+    A marker's ncore (8 to 15) squares are summed in the order np.mean takes
+    along a contiguous run: pairwise over the first 8, then the rest in
+    sequence.  The norm is thus bit-identical to the plain expression over a
+    row-major (n, d) block.
     """
-    sc = np.abs(y0[:ncore])
-    np.maximum(sc, np.abs(y1[:ncore]), out=sc)
+    y1 = y1[:ncore]
+    sc = np.abs(y0[:ncore], out=sc)
+    np.maximum(sc, y1, out=sc)
+    np.negative(sc, out=sc)
+    np.minimum(sc, y1, out=sc)
+    np.negative(sc, out=sc)
     sc *= cfg.rel_tol
     sc += cfg.abs_tol
     np.divide(err[:ncore], sc, out=sc)
@@ -361,8 +383,11 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, project=None,
     the crossing is located on the step's cubic Hermite
     (:func:`_hermite_crossing`).
     ``sample(lam, y, f)``, if given, receives the start and every accepted
-    sample, with f = rhs(lam, y).  All markers share one step sequence and
-    the error norm is the worst marker's.  rk45 starts from
+    sample, with f = rhs(lam, y).  Under rk45, y, f and the reports are the
+    run's buffers, overwritten by the steps that follow, so ``sample`` and
+    ``on_report`` copy what they keep; ``rhs(lam, y, out=None)`` writes the
+    field into out (a new array when None).  All markers share one step
+    sequence and the error norm is the worst marker's.  rk45 starts from
     :func:`_initial_step`, for a state and a block alike (a block's seed
     follows its worst marker's norms); rk4 splits each report interval into
     ceil(|interval|/fixed_step) equal steps, or takes steps of fixed_step
@@ -372,7 +397,13 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, project=None,
     """
     lam = 0.0
     y = np.array(y0, dtype=float, order="C")
-    f = rhs(lam, y)
+    dense = cfg.method == "rk45"
+    if dense:  # the step's buffers, shaped like y, for the whole run (see _dp_step)
+        ks = [np.empty_like(y) for _ in range(7)]
+        yi, y5 = np.empty_like(y), np.empty_like(y)
+        f = rhs(lam, y, ks[0])
+    else:
+        f = rhs(lam, y)
     if sample is not None:
         sample(lam, y, f)
     labels = [label for label, _, _ in events]
@@ -383,7 +414,6 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, project=None,
     accepted = rejected = 0
     k = 1
     interval = None if span is None else span / reports
-    dense = cfg.method == "rk45"
     target = span if dense else interval
 
     if cfg.method == "rk4":
@@ -401,16 +431,14 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, project=None,
         h_try = h
         if target is not None:
             h_try = min(h_try, direction * (target - lam))
-        if cfg.method == "rk45":
+        if dense:
             h_try = min(h_try, cfg.max_step)
             # attempt until the error controller accepts
             while True:
-                y_new, stages, err = _dp_step(rhs, lam, y, direction * h_try, f)
-                norm = _error_norm(err, y, y_new, cfg, ncore)
-                err = None
+                err = _dp_step(rhs, lam, y, direction * h_try, ks, yi, y5, ncore)
+                norm = _error_norm(err, y, y5, cfg, ncore, ks[1][:ncore])
                 if norm <= 1.0:
                     break
-                y_new = stages = None  # freed before the retry builds its own
                 rejected += 1
                 h_try *= max(0.2, 0.9 * norm ** -0.2)
                 if h_try < cfg.min_step:
@@ -419,7 +447,7 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, project=None,
                     )
             factor = 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm ** -0.2))
             h = min(cfg.max_step, h_try * factor)
-            f_new = stages[6]
+            y_new, f_new = y5, ks[6]
         else:
             y_new = _rk4_step(rhs, lam, y, direction * h_try, f)
             f_new = None
@@ -455,9 +483,8 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, project=None,
             lam_end = lam_new if hit is None else hit[0]
             while k < reports and direction * k * interval <= direction * lam_end:
                 if on_report is not None:
-                    on_report(k, _dp_dense(y, hs, stages, (k * interval - lam) / hs))
+                    on_report(k, _dp_dense(y, hs, ks, (k * interval - lam) / hs, yi))
                 k += 1
-            stages = None
 
         if hit is not None:
             lam_star, t_star, label = hit
@@ -472,9 +499,11 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, project=None,
             and cfg.shell_projection > 0
             and accepted % cfg.shell_projection == 0
         ):
-            y_new = project(y_new)
-            f_new = rhs(lam_new, y_new)
+            y_new[...] = project(y_new)
+            f_new = rhs(lam_new, y_new, f_new)
 
+        if dense:  # swap y/y5 and f/ks[6]: the old state and field are free slots
+            y5, ks[0], ks[6] = y, f_new, f
         lam, y, f = lam_new, y_new, f_new
         if sample is not None:
             sample(lam, y, f)
@@ -492,11 +521,11 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, project=None,
 
 
 def _run_recorded(rhs, y0, cfg, span, events, ncore, project=None):
-    """_run_loop keeping every sample; returns (lams, ys, fs, termination, stats)."""
+    """_run_loop keeping a copy of every sample; returns (lams, ys, fs, termination, stats)."""
     samples = []
     termination, stats = _run_loop(
-        rhs, y0, cfg, span, events, ncore, lambda lam, y, f: samples.append((lam, y, f)),
-        project=project,
+        rhs, y0, cfg, span, events, ncore,
+        lambda lam, y, f: samples.append((lam, y.copy(), f.copy())), project=project,
     )
     lams, ys, fs = (np.array(col) for col in zip(*samples))
     return lams, ys, fs, termination, stats
@@ -505,29 +534,29 @@ def _run_recorded(rhs, y0, cfg, span, events, ncore, project=None):
 # --- contact-flow integration --------------------------------------------------
 
 
-def _block_field(sys, y, quadrature):
+def _block_field(sys, y, quadrature, out=None):
     """d/dlambda of a state (d,) or a block (d, n): the evolution field and its quadrature.
 
-    Components sit on axis 0, so the field reads the (4,) q and p of a state,
-    or (n, 4) views of a block's q and p rows, and rows 0..8 of the result,
-    shaped like y, hold d(q, p, phi).  ``quadrature`` names row 9:
-    "tau", the proper time of a massive single run, d tau = -d phi / (m c^2),
-    which raises TransversalityFailure once m <= 0; "ln_f", the density each
-    marker carries, d ln f = 4 dH/dphi (div X_H = -4 dH/dphi); None for a
-    (9,) massless state.
+    Components sit on axis 0, and rows 0..8 of the result, shaped like y,
+    hold d(q, p, phi), formed in place by :func:`dynamics._field_rows` in
+    ``out`` (a new array when None).  ``quadrature`` names row 9: "tau", the
+    proper time of a massive run, d tau = -d phi / (m c^2), which raises
+    TransversalityFailure once m <= 0; "ln_f", the density each marker
+    carries, d ln f = 4 dH/dphi (div X_H = -4 dH/dphi); None for a (9,)
+    massless state.
     """
-    dq, dp, dphi, dhdphi = _field_arrays(sys, y[0:4].T, y[4:8].T, y[8])
-    out = np.empty_like(y)
-    out[0:4], out[4:8], out[8] = dq.T, dp.T, dphi
+    if out is None:
+        out = np.empty_like(y)
+    dhdphi = _field_rows(sys, y[0:4], y[4:8], y[8], out)
     if quadrature == "tau":
-        m = float(sys.mass.value(y[8]))
-        if m <= 0.0:
+        m = sys.mass.value(y[8])  # a float for a state
+        if not (m > 0.0 if y.ndim == 1 else np.all(m > 0.0)):
             raise TransversalityFailure(
                 "mass reached zero during integration; add a mass_floor stop"
             )
-        out[9] = -dphi / (m * sys.c**2)
+        out[9] = -out[8] / (m * sys.c**2)
     elif quadrature == "ln_f":
-        out[9] = 4.0 * dhdphi
+        np.multiply(4.0, dhdphi, out=out[9, ...])
     return out
 
 
@@ -585,8 +614,8 @@ def integrate(sys: ContactHamiltonianSystem, s0: ExtendedState, cfg: IntegratorC
 
     quadrature = "tau" if massive else None
     lams, ys, fs, termination, stats = _run_recorded(
-        lambda lam, y: _block_field(sys, y, quadrature), y0, cfg, lam_end, events,
-        ncore=9, project=project if massive else None,
+        lambda lam, y, out=None: _block_field(sys, y, quadrature, out), y0, cfg, lam_end,
+        events, ncore=9, project=project if massive else None,
     )
 
     q_arr, p_arr, phi_arr = ys[:, 0:4], ys[:, 4:8], ys[:, 8]
@@ -706,7 +735,7 @@ def reparametrize_by_tau(traj: Trajectory, num: int | None = None) -> Trajectory
 # --- geodesic reference ----------------------------------------------------------
 
 
-def _geodesic_field(metric, y):
+def _geodesic_field(metric, y, out=None):
     """d(q, u)/dtau of the geodesic equation at a state y = (q, u) (8,), at phi = 0.
 
     For a diagonal metric, with u_a = u^a / g^{aa} and D[a, k] = d g^{aa}/d q^k,
@@ -719,7 +748,7 @@ def _geodesic_field(metric, y):
     g, d_q, _ = geometry._diagonal(metric, y[0:4], 0.0)
     geometry._signature(metric.name, g)
     u_low = u / g
-    dy = np.empty(8)
+    dy = np.empty(8) if out is None else out
     dy[0:4] = u
     dy[4:8] = u_low * (d_q @ u) - 0.5 * g * ((u_low * u_low) @ d_q)
     return dy
@@ -764,7 +793,8 @@ def geodesic_reference(
     lam_end, events = _make_events(cfg, sys, massive=False)
     y0 = np.concatenate([q0, u])
     lams, ys, fs, termination, stats = _run_recorded(
-        lambda lam, y: _geodesic_field(sys.metric, y), y0, cfg, lam_end, events, ncore=8,
+        lambda lam, y, out=None: _geodesic_field(sys.metric, y, out), y0, cfg, lam_end, events,
+        ncore=8,
     )
 
     n = len(lams)
@@ -804,8 +834,8 @@ def _advance_block(sys, y, span, reports, cfg, on_report):
     Returns the loop's step counts.  Callers pass a nonzero span.
     """
     _, stats = _run_loop(
-        lambda lam, block: _block_field(sys, block, "ln_f"), y, cfg, span, (), ncore=9,
-        reports=reports, on_report=on_report,
+        lambda lam, block, out=None: _block_field(sys, block, "ln_f", out), y, cfg, span, (),
+        ncore=9, reports=reports, on_report=on_report,
     )
     return stats
 

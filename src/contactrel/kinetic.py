@@ -290,11 +290,13 @@ def ensemble_series(
     (lambda, total weight, entropy, analytic entropy rate), and the counts
     are a dict with "steps_accepted" and "steps_rejected".  The optional
     ``on_report`` callback receives (report index, ensemble) at the initial
-    instant and after every interval, e.g. to write snapshots; a reported
-    ensemble's q and p are (n, 4) views of the block's rows, and only the
-    final one is kept.  Raises NonPositiveDensity, with the number of markers
-    and the lambda, when exp(ln f) underflows to zero for any marker, instead
-    of dropping it.
+    instant and after every interval, e.g. to write snapshots.  A reported
+    ensemble's q, p and phi are views of the stepper's buffer rows (q and p
+    (n, 4) views of (10, n) rows), which the next step or report overwrites:
+    a callback copies what it keeps, as the snapshot writer does.  Only the
+    final ensemble, which no step follows, is returned as it is.  Raises
+    NonPositiveDensity, with the number of markers and the lambda, when
+    exp(ln f) underflows to zero for any marker, instead of dropping it.
     """
     if reports < 1:
         raise ValueError("reports must be at least 1")

@@ -42,7 +42,7 @@ from contactrel import (
     uniform_gradient_potential,
     weak_field,
 )
-from contactrel import integrators
+from contactrel import dynamics, integrators
 from contactrel.checks import WAVY_DIAG
 from contactrel.integrators import (
     _dp_dense,
@@ -508,13 +508,13 @@ def test_rk4_field_evaluations_per_step(monkeypatch):
     # advance_batch reads no field value after its last step: 4 evaluations
     # per step.  integrate keeps the end derivative as its last deriv row.
     calls = []
-    field = integrators._field_arrays
+    field = integrators._field_rows
 
     def counted(*args):
         calls.append(1)
         return field(*args)
 
-    monkeypatch.setattr(integrators, "_field_arrays", counted)
+    monkeypatch.setattr(integrators, "_field_rows", counted)
     sys = _decay_sys()
     cfg = IntegratorConfig(method="rk4", fixed_step=0.25, stop=_stop("lambda_reached", 1.0))
     y0 = np.zeros((3, 10))
@@ -525,29 +525,42 @@ def test_rk4_field_evaluations_per_step(monkeypatch):
     calls.clear()
     traj = integrate(sys, _rest_state(), cfg)
     assert len(calls) == 4 * 4 + 1
-    dq, dp, dphi, _ = field(sys, traj.q[-1:], traj.p[-1:], traj.phi[-1:])
+    dq, dp, dphi, _ = dynamics._field_arrays(sys, traj.q[-1:], traj.p[-1:], traj.phi[-1:])
     assert np.array_equal(traj.deriv[-1, 0:9], np.concatenate([dq[0], dp[0], dphi]))
 
 
+def _dp(rhs, y, h):
+    """One _dp_step from y at lam = 0, in fresh buffers; returns (y5, ks, err)."""
+    ks = [np.empty_like(y) for _ in range(7)]
+    yi, y5 = np.empty_like(y), np.empty_like(y)
+    rhs(0.0, y, ks[0])
+    err = _dp_step(rhs, 0.0, y, h, ks, yi, y5, len(y))
+    return y5, ks, err
+
+
+def _dense(y, h, ks, theta):
+    return _dp_dense(y, h, ks, theta, np.empty_like(y))
+
+
+def _wavy_rhs(lam, y, out):
+    return np.subtract(np.cos(y), 0.1 * y, out=out)
+
+
 def test_dp_step_fsal_stage_owns_its_memory():
-    # The FSAL stage is carried to the next step; as a view into a (7, n, d)
-    # stage stack it would keep all seven stages alive.
-    stages = []
-
-    def rhs(lam, y):
-        out = np.cos(y) - 0.1 * y
-        stages.append(out)
-        return out
-
+    # The FSAL stage is carried to the next step as its f; the run's buffers
+    # are separate arrays, so none of them is a view into a stage stack that
+    # would keep the others alive, and no write of the step lands in another.
     y = np.linspace(0.0, 1.0, 30).reshape(3, 10)
-    y5, ks, err = _dp_step(rhs, 0.0, y, 0.1, rhs(0.0, y))
-    k_end = ks[6]
-    assert ks[1] is None  # weight 0 in stage 7, the error estimate and the dense output
-    assert k_end.base is None and k_end.shape == y.shape
-    assert k_end is stages[-1]
-    for other in (y5, err, *stages[:-1]):
-        assert not np.shares_memory(k_end, other)
-    assert np.array_equal(k_end, np.cos(y5) - 0.1 * y5)
+    ks = [np.empty_like(y) for _ in range(7)]
+    yi, y5 = np.empty_like(y), np.empty_like(y)
+    _wavy_rhs(0.0, y, ks[0])
+    err = _dp_step(_wavy_rhs, 0.0, y, 0.1, ks, yi, y5, 3)
+    buffers = [yi, y5, *ks]
+    assert all(b.base is None and b.shape == y.shape for b in buffers)
+    buffers.append(y)
+    assert np.shares_memory(err, yi) and err.shape == y.shape
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(buffers) for b in buffers[i + 1:])
+    assert np.array_equal(ks[6], np.cos(y5) - 0.1 * y5)
 
 
 def _reference_error_norm(err, y0, y1, cfg, ncore):
@@ -578,42 +591,38 @@ def test_error_norm_in_place_is_bit_identical(shape):
         assert all(np.array_equal(a, b) for a, b in zip(args, (err, y0, y1)))
 
 
-def _wavy_rhs(lam, y):
-    return np.cos(y) - 0.1 * y
-
-
 def test_dense_output_ends_on_the_step():
     y = np.random.default_rng(3).normal(size=(50, 10))
-    y5, ks, _ = _dp_step(_wavy_rhs, 0.0, y, 0.3, _wavy_rhs(0.0, y))
-    assert np.array_equal(_dp_dense(y, 0.3, ks, 0.0), y)
+    y5, ks, _ = _dp(_wavy_rhs, y, 0.3)
+    assert np.array_equal(_dense(y, 0.3, ks, 0.0), y)
     ulp = np.finfo(float).eps * np.max(np.abs(y5))
-    assert np.max(np.abs(_dp_dense(y, 0.3, ks, 1.0) - y5)) <= 4 * ulp
+    assert np.max(np.abs(_dense(y, 0.3, ks, 1.0) - y5)) <= 4 * ulp
 
 
 def test_dense_output_keeps_a_frozen_column_exact():
     # a quadrature column whose derivative is exactly 0 (a photon's ln f)
-    def rhs(lam, y):
-        out = _wavy_rhs(lam, y)
+    def rhs(lam, y, out):
+        _wavy_rhs(lam, y, out)
         out[:, 9] = 0.0
         return out
 
     y = np.random.default_rng(5).normal(size=(40, 10))
-    _, ks, _ = _dp_step(rhs, 0.0, y, 0.25, rhs(0.0, y))
+    _, ks, _ = _dp(rhs, y, 0.25)
     for theta in (0.1, 1 / 3, 0.77, 1.0):
-        assert np.array_equal(_dp_dense(y, 0.25, ks, theta)[:, 9], y[:, 9])
+        assert np.array_equal(_dense(y, 0.25, ks, theta)[:, 9], y[:, 9])
 
 
 def test_dense_output_is_fourth_order():
     # y' = -y from the exact y(0) = 1: the mid-step error of a 4th-order
     # continuous extension is O(h^5), so halving h divides it by about 2^5
-    def rhs(lam, y):
-        return -y
+    def rhs(lam, y, out):
+        return np.negative(y, out=out)
 
     errs = []
     for h in (0.4, 0.2, 0.1):
         y0 = np.ones(1)
-        _, ks, _ = _dp_step(rhs, 0.0, y0, h, rhs(0.0, y0))
-        errs.append(abs(_dp_dense(y0, h, ks, 0.5)[0] - math.exp(-0.5 * h)))
+        _, ks, _ = _dp(rhs, y0, h)
+        errs.append(abs(_dense(y0, h, ks, 0.5)[0] - math.exp(-0.5 * h)))
     assert all(a / b >= 2 ** 4.5 for a, b in zip(errs, errs[1:]))
 
 
@@ -636,7 +645,7 @@ def test_rk45_series_of_a_flat_gas_matches_the_closed_form():
     cfg = IntegratorConfig()
     seen = []
     stats = integrators._advance_block(sys, y0, span, reports, cfg,
-                                       lambda k, y: seen.append((k, y)))
+                                       lambda k, y: seen.append((k, y.copy())))
     assert [k for k, _ in seen] == list(range(1, reports + 1))
     assert stats["steps_accepted"] < reports
     worst = 0.0
@@ -670,7 +679,7 @@ def test_block_field_rows_equal_the_field_on_row_major_slices(kind, n):
     block[1:4] += 3.0  # away from the point mass
     block[4] -= 2.0
     q, p = np.ascontiguousarray(block[0:4].T), np.ascontiguousarray(block[4:8].T)
-    dq, dp, dphi, dhdphi = integrators._field_arrays(sys, q, p, block[8].copy())
+    dq, dp, dphi, dhdphi = dynamics._field_arrays(sys, q, p, block[8].copy())
     out = integrators._block_field(sys, block, "ln_f")
     assert out.shape == (10, n) and out.flags.c_contiguous
     assert np.array_equal(out[0:4], dq.T) and np.array_equal(out[4:8], dp.T)
@@ -715,7 +724,7 @@ def test_block_field_of_a_single_state_equals_the_one_row_field(kind, mass):
         y = rng.normal(size=d)
         y[1:4] += 3.0  # away from the point mass
         y[4] -= 2.0
-        dq, dp, dphi, dhdphi = integrators._field_arrays(sys, y[None, 0:4], y[None, 4:8], y[8:9])
+        dq, dp, dphi, dhdphi = dynamics._field_arrays(sys, y[None, 0:4], y[None, 4:8], y[8:9])
         ref = np.concatenate([dq[0], dp[0], dphi])
         out = integrators._block_field(sys, y, "tau" if sys.massive else None)
         assert out.shape == (d,)
@@ -724,6 +733,100 @@ def test_block_field_of_a_single_state_equals_the_one_row_field(kind, mass):
             m = float(sys.mass.value(y[8]))
             assert out[9] == -dphi[0] / (m * sys.c**2)
             assert integrators._block_field(sys, y, "ln_f")[9] == 4.0 * dhdphi[0]
+
+
+def _reference_block_field(sys, y, quadrature):
+    """The block field as the allocating form computes it, over (n, 4) views."""
+    q, p, phi = y[0:4].T, y[4:8].T, y[8]
+    dq, dq_gpp, dphi_gpp = sys.metric.contract(q, p, phi)
+    m = np.asarray(sys.mass.value(phi), dtype=float)
+    dhdphi = 0.5 * dphi_gpp + m * sys.c**2 * sys.mass.slope
+    dp = -0.5 * dq_gpp
+    dp -= p * dhdphi[..., None]
+    t = p * dq
+    dphi = (t[..., 0] + t[..., 2]) + (t[..., 1] + t[..., 3])
+    out = np.empty_like(y)
+    out[0:4], out[4:8], out[8] = dq.T, dp.T, dphi
+    out[9] = -dphi / (m * sys.c**2) if quadrature == "tau" else 4.0 * dhdphi
+    return out
+
+
+@pytest.mark.parametrize("kind", ["minkowski", "point-mass", "uniform-gradient", "wavy"])
+@pytest.mark.parametrize("n", [1, 10_000])
+@pytest.mark.parametrize("quadrature", ["tau", "ln_f"])
+def test_in_place_block_field_is_the_reference_field_bit_for_bit(kind, n, quadrature):
+    # _block_field forms dp, dphi and row 9 in the slot it is given, with the
+    # per-element operations of the allocating form; every row must match it
+    metric = {
+        "minkowski": minkowski(),
+        "point-mass": weak_field(*point_mass_potential(1.0, 0.5), c=10.0),
+        "uniform-gradient": weak_field(*uniform_gradient_potential([0.3, -0.2, 0.1]), c=3.0),
+        "wavy": expression_metric(WAVY_DIAG),
+    }[kind]
+    sys = ContactHamiltonianSystem(metric=metric, mass=MassModel.exp_decay(1.0, ALPHA, c=1.7),
+                                   c=1.7)
+    rng = np.random.default_rng(n)
+    y = rng.normal(size=(10, n))
+    y[1:4] += 3.0  # away from the point mass
+    y[4] -= 2.0
+    y[4, :2] = 0.0  # zero products, where a -0 would show
+    out = np.full_like(y, np.nan)
+    assert integrators._block_field(sys, y, quadrature, out) is out
+    ref = _reference_block_field(sys, y, quadrature)
+    assert np.all(np.isfinite(ref))
+    assert np.array_equal(np.signbit(out), np.signbit(ref)) and np.array_equal(out, ref)
+
+
+def _reference_combine(coeffs, ks):
+    """The allocating sum: a new array per term."""
+    acc = coeffs[0] * ks[0]
+    for a, kj in zip(coeffs[1:], ks[1:]):
+        if a != 0.0:
+            acc += a * kj
+    return acc
+
+
+@pytest.mark.parametrize("shape", [(10,), (10, 1), (10, 10_000)])
+def test_combine_into_a_buffer_is_the_allocating_sum_bit_for_bit(shape):
+    rng = np.random.default_rng(len(shape))
+    ks = [rng.normal(size=shape) for _ in range(7)]
+    keep = [k.copy() for k in ks]
+    out, tmp = np.empty(shape), np.empty(shape)
+    thetas = (0.0, 0.3, 1.0)
+    dense = [[sum(c * t ** (r + 1) for r, c in enumerate(row)) for row in integrators._DP_P]
+             for t in thetas]
+    for coeffs in (*integrators._DP_A[1:], integrators._DP_E, *dense):
+        assert integrators._combine(coeffs, ks, out, tmp) is out
+        assert np.array_equal(out, _reference_combine(coeffs, ks))
+    assert all(np.array_equal(a, b) for a, b in zip(ks, keep))
+
+
+def test_block_steps_allocate_no_block_sized_arrays():
+    # A (10, 10^4) block steps in buffers the run allocates once.  Steps that
+    # allocated and freed block-sized temporaries had glibc trim and re-fault
+    # the top of its heap: 6.0k minor faults for these 20 steps alone and
+    # 9.0k inside the suite, where the run's own ten buffers and its report
+    # take 2.2-3.0k (x86-64 Linux, 4 KiB pages, a second run in the process).
+    resource = pytest.importorskip("resource")
+    sys = _decay_sys()
+    n = 10_000
+    p_spatial = np.random.default_rng(3).normal(0.0, 0.2, (n, 3))
+    p = solve_p0_on_shell(sys, np.zeros((n, 4)), np.zeros(n), p_spatial)
+    e = Ensemble(sys=sys, lam=0.0, q=np.zeros((n, 4)), p=p, phi=np.zeros(n),
+                 w=np.full(n, 1.0 / n), f=np.ones(n))
+    cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, max_step=0.11)
+
+    def faults():
+        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        _, _, stats = ensemble_series(e, 2.0, 1, EntropyFunctional.shannon_boltzmann(), cfg)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0, stats
+
+    first, _ = faults()
+    if first == 0:
+        pytest.skip("this platform keeps no minor page fault count")
+    count, stats = faults()
+    assert stats["steps_accepted"] >= 20
+    assert count < 4500, f"{count} minor page faults"
 
 
 def test_a_stage_where_the_mass_reaches_zero_raises():

@@ -385,8 +385,11 @@ def test_decay_gas_series_is_one_step_sequence():
     span, reports = cfg.stop[0]["value"], cfg.outputs["reports"]
     alpha, m0 = cfg.mass["alpha"], cfg.mass["m0"]
     seen = []
-    _, rows, stats = ensemble_series(e0, span, reports, SB, icfg,
-                                     on_report=lambda k, cur: seen.append(cur))
+    # a reported ensemble views a buffer that later steps overwrite
+    _, rows, stats = ensemble_series(
+        e0, span, reports, SB, icfg,
+        on_report=lambda k, cur: seen.append(replace(cur, q=cur.q.copy(), p=cur.p.copy(),
+                                                     phi=cur.phi.copy())))
     assert stats["steps_accepted"] < reports
 
     dlam = span / reports
