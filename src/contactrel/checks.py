@@ -41,7 +41,7 @@ from .errors import NotMonotone
 from .integrators import (
     IntegratorConfig,
     StopCondition,
-    _rk4_step,
+    _run_loop,
     geodesic_reference,
     integrate,
     reparametrize_by_phi,
@@ -397,29 +397,21 @@ def check_reduction_equivalence() -> CheckResult:
     )
     by_phi = reparametrize_by_phi(integrate(sys, s0, cfg), num=41)
 
-    # independent integration of the reduced equations, phi as the parameter
+    # independent integration of the reduced equations, phi as the parameter:
+    # rk4 from grid[0], 12 equal steps to each grid value (ceil(11.5) = 12)
     grid = by_phi.lam
-    z = np.concatenate([s0.q, s0.p])
-    substeps = 12
-    worst = 0.0
+    span, reports = grid[-1] - grid[0], len(grid) - 1
+    zs = [np.concatenate([s0.q, s0.p])]
 
-    def rhs(phi, z):
-        s = ExtendedState(q=z[0:4], p=z[4:8], phi=float(phi))
-        dq, dp = dynamics.reduced_field_phi(sys, s)
-        return np.concatenate([dq, dp])
+    def rhs(dphi, z, out):
+        s = ExtendedState(q=z[0:4], p=z[4:8], phi=grid[0] + dphi)
+        out[0:4], out[4:8] = dynamics.reduced_field_phi(sys, s)
+        return out
 
-    for k in range(len(grid)):
-        if k > 0:
-            h = (grid[k] - grid[k - 1]) / substeps
-            phi = grid[k - 1]
-            for _ in range(substeps):
-                z = _rk4_step(rhs, phi, z, h, rhs(phi, z))
-                phi += h
-        diff = max(
-            float(np.max(np.abs(z[0:4] - by_phi.q[k]))),
-            float(np.max(np.abs(z[4:8] - by_phi.p[k]))),
-        )
-        worst = max(worst, diff)
+    rk4 = IntegratorConfig(method="rk4", fixed_step=abs(span / reports) / 11.5)
+    _run_loop(rhs, zs[0], rk4, span, [], 8, reports=reports,
+              on_report=lambda k, z: zs.append(z.copy()))
+    worst = float(np.max(np.abs(np.array(zs) - np.hstack([by_phi.q, by_phi.p]))))
     return CheckResult(
         name="reduction-equivalence",
         passed=worst < 1e-6,

@@ -184,6 +184,12 @@ def _h_and_shell(sys, q, p, phi):
     return 0.5 * shell, shell
 
 
+def _on_shell(sys, shell, phi) -> bool:
+    """Whether a shell residual g p p + (m c)^2 at phi is within 1e-8 max(1, |g p p|)."""
+    gpp = shell - (float(sys.mass.value(phi)) * sys.c) ** 2
+    return bool(abs(shell) <= 1e-8 * max(1.0, abs(gpp)))
+
+
 def _dH_dphi_from(sys, phi, dphi_gpp):
     """dH/dphi from d_phi(g^{ab} p_a p_b)."""
     m = np.asarray(sys.mass.value(phi), dtype=float)

@@ -17,20 +17,20 @@ state's steps.  :func:`geodesic_reference` runs its own right-hand side, an
 independent reference, through the same loop.
 Its steppers are an embedded Dormand-Prince 5(4) pair
 with FSAL, whose error norm is the worst marker's RMS, and a classic RK4 that
-splits a lambda span into ceil(span/fixed_step) equal steps.  A
-Dormand-Prince run allocates its step's buffers once, ten arrays shaped like
-the state (:func:`_dp_step`), and the right-hand side writes each stage into
-the slot it is handed; an accepted step swaps buffers instead of allocating
-new ones.  Besides the outputs of the metric's ``contract``, no step
-allocates an array larger than one (n,) row, and the states the loop hands on
-(samples, reports) are buffers that later steps overwrite: a caller copies
-what it keeps.  A Dormand-Prince series of reports reads its intermediate
-reports off the pair's 4th-order continuous extension (Hairer, Norsett &
-Wanner, Solving ODEs I, II.6), so its steps follow the tolerance, not the
-report count.  Stop
-conditions are located on the cubic Hermite interpolant of each accepted step
-and refined by bisection, so the final sample sits on the stop surface to
-root-finding precision.
+splits a lambda span into ceil(span/fixed_step) equal steps.  Every run
+allocates its step's buffers once, arrays shaped like the state: ten for
+Dormand-Prince (:func:`_dp_step`), seven for RK4 (:func:`_rk4_step`).  Every
+right-hand side writes into the slot it is handed, and an accepted step
+swaps buffers instead of allocating new ones.  Besides the outputs of the
+metric's ``contract``, no step allocates an array larger than one (n,) row,
+and the states the loop hands on (samples, reports) are buffers that later
+steps overwrite: a caller copies what it keeps.  A Dormand-Prince series of
+reports reads its intermediate reports off the pair's 4th-order continuous
+extension (Hairer, Norsett & Wanner, Solving ODEs I, II.6), so its steps
+follow the tolerance, not the report count.  Stop conditions are located on
+the cubic Hermite interpolant of each accepted step and refined by
+bisection, so the final sample sits on the stop surface to root-finding
+precision.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .dynamics import (
     ExtendedState,
     _field_rows,
     _h_and_shell,
+    _on_shell,
     project_to_shell,
 )
 from .errors import (
@@ -295,19 +296,28 @@ def _dp_dense(y, h, ks, theta, out):
     return out
 
 
-def _rk4_step(rhs, lam, y, h, k1):
-    k2 = rhs(lam + 0.5 * h, y + 0.5 * h * k1)
-    k3 = rhs(lam + 0.5 * h, y + 0.5 * h * k2)
-    k4 = rhs(lam + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(rhs, lam, y, h, ks, yi, y5):
+    """One classic RK4 step from y into ``y5``; ks[0] is f(lam, y) on entry.
+
+    Stage i is written into ks[i] from its input y + (c_i h) k_{i-1}, built
+    in ``yi``, which is then the scratch of y + (h/6)(k1 + 2 k2 + 2 k3 + k4).
+    """
+    for i, c in enumerate((0.5, 0.5, 1.0), start=1):
+        np.multiply(c * h, ks[i - 1], out=yi)
+        yi += y
+        rhs(lam + c * h, yi, ks[i])
+    _combine((1.0, 2.0, 2.0, 1.0), ks, y5, yi)
+    y5 *= h / 6.0
+    y5 += y
+    return y5
 
 
-def _error_norm(err, y0, y1, cfg, ncore, sc=None):
+def _error_norm(err, y0, y1, cfg, ncore, sc):
     """Worst per-marker RMS of err over the first ncore components, scaled by tolerance.
 
     Components sit on axis 0, of a (d,) state or a (d, n) block.  The scale
     abs_tol + rel_tol max(|y0|, |y1|) and then (err / scale)^2 are built in
-    place in one array, ``sc`` if it is given (shaped like y0[:ncore]);
+    place in ``sc``, shaped like y0[:ncore];
     max(|y0|, |y1|) is formed as max(|y0|, y1, -y1), which needs no second
     array and equals it but for the sign of a zero, which abs_tol > 0 absorbs.
     A marker's ncore (8 to 15) squares are summed in the order np.mean takes
@@ -316,7 +326,7 @@ def _error_norm(err, y0, y1, cfg, ncore, sc=None):
     row-major (n, d) block.
     """
     y1 = y1[:ncore]
-    sc = np.abs(y0[:ncore], out=sc)
+    np.abs(y0[:ncore], out=sc)
     np.maximum(sc, y1, out=sc)
     np.negative(sc, out=sc)
     np.minimum(sc, y1, out=sc)
@@ -331,22 +341,26 @@ def _error_norm(err, y0, y1, cfg, ncore, sc=None):
     return float(np.max(np.sqrt(total / ncore)))
 
 
-def _initial_step(rhs, lam0, y0, f0, cfg, ncore, lam_span):
+def _initial_step(rhs, lam0, y0, ks, yi, cfg, ncore, lam_span):
     """Step-size seed following the usual embedded-pair heuristic.
 
-    A norm that overflows is inf; a seed that is then not > 0 raises
-    StepSizeUnderflow, since the loop could not move from it.
+    ks[0] is f0 = f(lam0, y0); ks[1], ks[2] and yi are scratch.  A norm that
+    overflows is inf; a seed that is then not > 0 raises StepSizeUnderflow,
+    since the loop could not move from it.
     """
+    f0, f1, sc = ks[0], ks[1], ks[2][:ncore]
     with np.errstate(over="ignore"):
-        d0 = _error_norm(y0, y0, y0, cfg, ncore)
-        d1 = _error_norm(f0, y0, y0, cfg, ncore)
+        d0 = _error_norm(y0, y0, y0, cfg, ncore, sc)
+        d1 = _error_norm(f0, y0, y0, cfg, ncore, sc)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, lam_span) if lam_span > 0 else h0
     h = h0
     if h0 > 0.0:  # else d1 overflowed, and no step could start
-        f1 = rhs(lam0 + h0, y0 + h0 * f0)
+        np.multiply(h0, f0, out=yi)
+        yi += y0
+        rhs(lam0 + h0, yi, f1)
         with np.errstate(over="ignore"):
-            d2 = _error_norm(f1 - f0, y0, y0, cfg, ncore) / h0
+            d2 = _error_norm(np.subtract(f1, f0, out=f1), y0, y0, cfg, ncore, sc) / h0
         if max(d1, d2) <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
@@ -383,27 +397,25 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, project=None,
     the crossing is located on the step's cubic Hermite
     (:func:`_hermite_crossing`).
     ``sample(lam, y, f)``, if given, receives the start and every accepted
-    sample, with f = rhs(lam, y).  Under rk45, y, f and the reports are the
-    run's buffers, overwritten by the steps that follow, so ``sample`` and
-    ``on_report`` copy what they keep; ``rhs(lam, y, out=None)`` writes the
-    field into out (a new array when None).  All markers share one step
-    sequence and the error norm is the worst marker's.  rk45 starts from
-    :func:`_initial_step`, for a state and a block alike (a block's seed
-    follows its worst marker's norms); rk4 splits each report interval into
-    ceil(|interval|/fixed_step) equal steps, or takes steps of fixed_step
-    when span is None, and evaluates rhs at the end of the run only if a
-    sample or an event reads it.  ``project`` optionally maps y -> y after
-    every cfg.shell_projection accepted steps.  Returns (termination, stats).
+    sample, with f = rhs(lam, y); ``rhs(lam, y, out)`` writes the field into
+    out, a buffer other than y.  y, f and the reports are the run's buffers,
+    which later steps overwrite, so ``sample`` and ``on_report`` copy what
+    they keep.  All markers share one step sequence and the error norm is
+    the worst marker's.  rk45 starts from :func:`_initial_step`, for a state
+    and a block alike (a block's seed follows its worst marker's norms); rk4
+    splits each report interval into ceil(|interval|/fixed_step) equal
+    steps, or takes steps of fixed_step when span is None, and evaluates rhs
+    at the end of the run only if a sample or an event reads it.
+    ``project(y)``, if given, moves y in place after every
+    cfg.shell_projection accepted steps.  Returns (termination, stats).
     """
     lam = 0.0
     y = np.array(y0, dtype=float, order="C")
     dense = cfg.method == "rk45"
-    if dense:  # the step's buffers, shaped like y, for the whole run (see _dp_step)
-        ks = [np.empty_like(y) for _ in range(7)]
-        yi, y5 = np.empty_like(y), np.empty_like(y)
-        f = rhs(lam, y, ks[0])
-    else:
-        f = rhs(lam, y)
+    # the step's buffers, shaped like y, for the whole run (see _dp_step, _rk4_step)
+    ks = [np.empty_like(y) for _ in range(7 if dense else 4)]
+    yi, y5 = np.empty_like(y), np.empty_like(y)
+    f = rhs(lam, y, ks[0])
     if sample is not None:
         sample(lam, y, f)
     labels = [label for label, _, _ in events]
@@ -421,7 +433,7 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, project=None,
         if span is not None:
             h = abs(interval) / max(1, math.ceil(abs(interval) / h))
     else:
-        h = _initial_step(rhs, lam, y, f, cfg, ncore, -1.0 if span is None else interval)
+        h = _initial_step(rhs, lam, y, ks, yi, cfg, ncore, -1.0 if span is None else interval)
 
     while termination is None:
         if accepted >= cfg.max_steps:
@@ -447,10 +459,9 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, project=None,
                     )
             factor = 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm ** -0.2))
             h = min(cfg.max_step, h_try * factor)
-            y_new, f_new = y5, ks[6]
         else:
-            y_new = _rk4_step(rhs, lam, y, direction * h_try, f)
-            f_new = None
+            _rk4_step(rhs, lam, y, direction * h_try, ks, yi, y5)
+        y_new, f_new = y5, ks[-1]  # rk45's FSAL stage; rk4's last stage, now free
         hs = direction * h_try
         lam_new = lam + hs
         accepted += 1
@@ -458,8 +469,8 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, project=None,
             direction * lam_new >= direction * target - 1e-14 * max(1.0, abs(target))
         )
         # rk4's end-of-step field is read by the next step, an event or a sample
-        if f_new is None and (events or sample is not None or not (landed and k == reports)):
-            f_new = rhs(lam_new, y_new)
+        if not dense and (events or sample is not None or not (landed and k == reports)):
+            rhs(lam_new, y_new, f_new)
 
         # locate the earliest crossing of any event surface on this step
         hit = None
@@ -490,7 +501,7 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, project=None,
             lam_star, t_star, label = hit
             y_star = _hermite_eval(y, y_new, f, f_new, hs, t_star)
             if sample is not None:
-                sample(lam_star, y_star, rhs(lam_star, y_star))
+                sample(lam_star, y_star, rhs(lam_star, y_star, ks[1]))  # a free stage
             termination = {"reason": label, "parameter_value": float(lam_star)}
             break
 
@@ -499,11 +510,11 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, project=None,
             and cfg.shell_projection > 0
             and accepted % cfg.shell_projection == 0
         ):
-            y_new[...] = project(y_new)
-            f_new = rhs(lam_new, y_new, f_new)
+            project(y_new)
+            rhs(lam_new, y_new, f_new)
 
-        if dense:  # swap y/y5 and f/ks[6]: the old state and field are free slots
-            y5, ks[0], ks[6] = y, f_new, f
+        # swap y/y5 and f/ks[-1]: the old state and field are free slots
+        y5, ks[0], ks[-1] = y, f_new, f
         lam, y, f = lam_new, y_new, f_new
         if sample is not None:
             sample(lam, y, f)
@@ -534,19 +545,16 @@ def _run_recorded(rhs, y0, cfg, span, events, ncore, project=None):
 # --- contact-flow integration --------------------------------------------------
 
 
-def _block_field(sys, y, quadrature, out=None):
+def _block_field(sys, y, quadrature, out):
     """d/dlambda of a state (d,) or a block (d, n): the evolution field and its quadrature.
 
-    Components sit on axis 0, and rows 0..8 of the result, shaped like y,
-    hold d(q, p, phi), formed in place by :func:`dynamics._field_rows` in
-    ``out`` (a new array when None).  ``quadrature`` names row 9: "tau", the
-    proper time of a massive run, d tau = -d phi / (m c^2), which raises
-    TransversalityFailure once m <= 0; "ln_f", the density each marker
-    carries, d ln f = 4 dH/dphi (div X_H = -4 dH/dphi); None for a (9,)
-    massless state.
+    Components sit on axis 0, and rows 0..8 of ``out``, shaped like y, receive
+    d(q, p, phi), formed in place by :func:`dynamics._field_rows`.
+    ``quadrature`` names row 9: "tau", the proper time of a massive run,
+    d tau = -d phi / (m c^2), which raises TransversalityFailure once m <= 0;
+    "ln_f", the density each marker carries, d ln f = 4 dH/dphi
+    (div X_H = -4 dH/dphi); None for a (9,) massless state.
     """
-    if out is None:
-        out = np.empty_like(y)
     dhdphi = _field_rows(sys, y[0:4], y[4:8], y[8], out)
     if quadrature == "tau":
         m = sys.mass.value(y[8])  # a float for a state
@@ -602,19 +610,14 @@ def integrate(sys: ContactHamiltonianSystem, s0: ExtendedState, cfg: IntegratorC
     if lam_end is None and not events:
         raise ValueError("no usable stop condition")
 
-    dim = 10 if massive else 9
-    y0 = np.empty(dim)
-    y0[0:4], y0[4:8], y0[8] = s0.q, s0.p, s0.phi
-    if massive:
-        y0[9] = 0.0
+    y0 = np.concatenate([s0.q, s0.p, [s0.phi, 0.0] if massive else [s0.phi]])
 
     def project(y):
-        s = project_to_shell(sys, ExtendedState(q=y[0:4], p=y[4:8], phi=y[8]))
-        return np.concatenate([y[0:4], s.p, y[8:]])
+        y[4:8] = project_to_shell(sys, ExtendedState(q=y[0:4], p=y[4:8], phi=y[8])).p
 
     quadrature = "tau" if massive else None
     lams, ys, fs, termination, stats = _run_recorded(
-        lambda lam, y, out=None: _block_field(sys, y, quadrature, out), y0, cfg, lam_end,
+        lambda lam, y, out: _block_field(sys, y, quadrature, out), y0, cfg, lam_end,
         events, ncore=9, project=project if massive else None,
     )
 
@@ -626,8 +629,7 @@ def integrate(sys: ContactHamiltonianSystem, s0: ExtendedState, cfg: IntegratorC
     deriv[:, 0:9] = fs[:, 0:9]
     deriv[:, 9] = fs[:, 9] if massive else np.nan
 
-    gpp0 = shell[0] - (float(sys.mass.value(phi_arr[0])) * sys.c) ** 2
-    on_shell = abs(shell[0]) <= 1e-8 * max(1.0, abs(gpp0))
+    on_shell = _on_shell(sys, shell[0], phi_arr[0])
     if massive and on_shell and n >= 2 and not np.all(np.diff(phi_arr) < 0.0):
         raise NotMonotone("phi failed to decrease along a massive on-shell flow")
 
@@ -635,7 +637,7 @@ def integrate(sys: ContactHamiltonianSystem, s0: ExtendedState, cfg: IntegratorC
         "system": f"{sys.metric.name} / {sys.mass.kind}",
         "c": sys.c,
         "massive": massive,
-        "on_shell_start": bool(on_shell),
+        "on_shell_start": on_shell,
         "termination": termination,
         **stats,
     }
@@ -735,8 +737,8 @@ def reparametrize_by_tau(traj: Trajectory, num: int | None = None) -> Trajectory
 # --- geodesic reference ----------------------------------------------------------
 
 
-def _geodesic_field(metric, y, out=None):
-    """d(q, u)/dtau of the geodesic equation at a state y = (q, u) (8,), at phi = 0.
+def _geodesic_field(metric, y, out):
+    """d(q, u)/dtau of the geodesic equation at y = (q, u) (8,), at phi = 0, into out.
 
     For a diagonal metric, with u_a = u^a / g^{aa} and D[a, k] = d g^{aa}/d q^k,
     du^mu/dtau = -Gamma^mu_{ab} u^a u^b
@@ -748,10 +750,9 @@ def _geodesic_field(metric, y, out=None):
     g, d_q, _ = geometry._diagonal(metric, y[0:4], 0.0)
     geometry._signature(metric.name, g)
     u_low = u / g
-    dy = np.empty(8) if out is None else out
-    dy[0:4] = u
-    dy[4:8] = u_low * (d_q @ u) - 0.5 * g * ((u_low * u_low) @ d_q)
-    return dy
+    out[0:4] = u
+    out[4:8] = u_low * (d_q @ u) - 0.5 * g * ((u_low * u_low) @ d_q)
+    return out
 
 
 def geodesic_reference(
@@ -793,7 +794,7 @@ def geodesic_reference(
     lam_end, events = _make_events(cfg, sys, massive=False)
     y0 = np.concatenate([q0, u])
     lams, ys, fs, termination, stats = _run_recorded(
-        lambda lam, y, out=None: _geodesic_field(sys.metric, y, out), y0, cfg, lam_end, events,
+        lambda lam, y, out: _geodesic_field(sys.metric, y, out), y0, cfg, lam_end, events,
         ncore=8,
     )
 
@@ -825,16 +826,13 @@ def geodesic_reference(
 def _advance_block(sys, y, span, reports, cfg, on_report):
     """Advance a (10, n) block over span as ``reports`` equal intervals in one run.
 
-    Row j of y is component j (q0..q3, p0..p3, phi, ln f) of every marker.
-    on_report(k, block) receives the (10, n) block at the end of interval k
-    (k = 1..reports).  rk45 lands a step only on the span end and reads the
-    earlier reports off the dense output; rk4 lands on every interval's end.
-    h and the FSAL stage carry over from one interval to the next.  The
-    first rk45 step is :func:`_initial_step`'s, as for a single state.
-    Returns the loop's step counts.  Callers pass a nonzero span.
+    Row j of y is component j (q0..q3, p0..p3, phi, ln f) of every marker;
+    on_report(k, block) receives the block at the end of interval k, as
+    :func:`_run_loop` hands it on.  Returns the loop's step counts.  Callers
+    pass a nonzero span.
     """
     _, stats = _run_loop(
-        lambda lam, block, out=None: _block_field(sys, block, "ln_f", out), y, cfg, span, (),
+        lambda lam, block, out: _block_field(sys, block, "ln_f", out), y, cfg, span, (),
         ncore=9, reports=reports, on_report=on_report,
     )
     return stats

@@ -283,6 +283,10 @@ def _normalize(data: dict) -> ScenarioConfig:
             raise ValidationError(f"stop[{i}].kind", "tau is undefined for massless particles")
         if massless and s["kind"] == "mass_floor":
             raise ValidationError(f"stop[{i}].kind", "mass_floor never triggers for zero mass")
+    # no mass_floor fires where build_system's slope alpha / c^2 is 0 (c^2 = inf included)
+    if all(s["kind"] == "mass_floor" for s in cfg.stop) and (
+            cfg.mass["kind"] == "constant" or cfg.mass["alpha"] / (cfg.c * cfg.c) == 0.0):
+        raise ValidationError("stop", "a mass of slope 0 never reaches mass_floor; add a stop")
     if massless and cfg.integrator["shell_projection"] > 0:
         raise ValidationError("integrator.shell_projection",
                               "shell projection is undefined for massless particles")
@@ -394,10 +398,8 @@ def build_initial_state(cfg: ScenarioConfig, sys: ContactHamiltonianSystem) -> E
     state = ExtendedState(q=q0, p=np.asarray(init["p"], dtype=float), phi=phi0)
     # sign-tested, as the other two forms are
     geometry._signature(sys.metric.name, geometry._values(sys.metric, q0, phi0))
-    _, shell = dynamics._h_and_shell(sys, *dynamics._as_batch(state))
-    res = float(shell[0])
-    gpp = res - (float(sys.mass.value(phi0)) * sys.c) ** 2
-    if abs(res) > 1e-8 * max(1.0, abs(gpp)) and not init["allow_off_shell"]:
+    res = float(dynamics._h_and_shell(sys, *dynamics._as_batch(state))[1][0])
+    if not (init["allow_off_shell"] or dynamics._on_shell(sys, res, phi0)):
         raise ValidationError(
             "initial.p",
             f"state is off the mass shell (residual {res:.3e}); "

@@ -47,7 +47,7 @@ def test_minkowski_values_and_derivatives():
     dq, dphi = metric_derivatives(m, q, 0.7)
     assert np.all(dq == 0.0) and np.all(dphi == 0.0)
     y = np.concatenate([q, [1.25, 0.75, 0.0, 0.0]])
-    assert np.all(_geodesic_field(m, y)[4:] == 0.0)
+    assert np.all(_geodesic_field(m, y, np.empty(8))[4:] == 0.0)
 
 
 def test_minkowski_batched_evaluation():
@@ -168,7 +168,8 @@ def test_christoffel_uniform_gradient_closed_form():
     assert gamma[1, 0, 0] == pytest.approx(g_acc / c**2, rel=1e-12)
     assert gamma[2, 0, 0] == pytest.approx(0.0, abs=1e-14)
     assert gamma[3, 0, 0] == pytest.approx(0.0, abs=1e-14)
-    accel = _geodesic_field(m, np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]))[4:]
+    y = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+    accel = _geodesic_field(m, y, np.empty(8))[4:]
     assert accel[1] == pytest.approx(-g_acc / c**2, rel=1e-12)
     assert np.all(accel[[0, 2, 3]] == 0.0)
 
@@ -208,7 +209,7 @@ def test_geodesic_field_is_minus_gamma_u_u(kind):
         q = rng.uniform(-2, 2, size=4)
         u = np.concatenate([rng.uniform(1.0, 2.0, size=1), rng.uniform(-1, 1, size=3)])
         ref = -np.einsum("mab,a,b->m", _christoffel(metric, q), u, u)
-        dy = _geodesic_field(metric, np.concatenate([q, u]))
+        dy = _geodesic_field(metric, np.concatenate([q, u]), np.empty(8))
         assert np.array_equal(dy[0:4], u)
         assert np.max(np.abs(dy[4:] - ref)) <= 1e-13 * np.max(np.abs(ref))
 

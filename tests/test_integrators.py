@@ -50,6 +50,7 @@ from contactrel.integrators import (
     _error_norm,
     _hermite_eval,
     _hermite_slope,
+    _rk4_step,
     advance_batch,
 )
 
@@ -563,6 +564,43 @@ def test_dp_step_fsal_stage_owns_its_memory():
     assert np.array_equal(ks[6], np.cos(y5) - 0.1 * y5)
 
 
+def _reference_rk4_step(rhs, lam, y, h):
+    """The textbook RK4 step, a new array per stage input and per term."""
+    k1 = rhs(lam, y, np.empty_like(y))
+    k2 = rhs(lam + 0.5 * h, y + 0.5 * h * k1, np.empty_like(y))
+    k3 = rhs(lam + 0.5 * h, y + 0.5 * h * k2, np.empty_like(y))
+    k4 = rhs(lam + h, y + h * k3, np.empty_like(y))
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize("shape", [(9,), (10,), (10, 10_000)])
+def test_rk4_step_in_buffers_is_the_textbook_step_bit_for_bit(shape):
+    # a photon state, a massive state with its tau row and a marker block,
+    # through the block field scaled by (1 + lam), so that stage times count
+    mass = MassModel.zero() if shape == (9,) else MassModel.exp_decay(1.0, ALPHA, c=1.7)
+    sys = ContactHamiltonianSystem(metric=expression_metric(WAVY_DIAG), mass=mass, c=1.7)
+    quadrature = {(9,): None, (10,): "tau"}.get(shape, "ln_f")
+
+    def rhs(lam, y, out):
+        integrators._block_field(sys, y, quadrature, out)
+        out *= 1.0 + lam
+        return out
+
+    rng = np.random.default_rng(len(shape))
+    y = rng.normal(0.0, 0.3, size=shape)
+    y[4] -= 2.0
+    keep = y.copy()
+    for lam, h in ((0.0, 0.3), (0.7, -0.05)):
+        ks = [np.full_like(y, np.nan) for _ in range(4)]
+        yi, y5 = np.full_like(y, np.nan), np.full_like(y, np.nan)
+        rhs(lam, y, ks[0])
+        assert _rk4_step(rhs, lam, y, h, ks, yi, y5) is y5
+        ref = _reference_rk4_step(rhs, lam, y, h)
+        assert np.all(np.isfinite(ref))
+        assert np.array_equal(np.signbit(y5), np.signbit(ref)) and np.array_equal(y5, ref)
+        assert np.array_equal(y, keep)
+
+
 def _reference_error_norm(err, y0, y1, cfg, ncore):
     """The error norm written as one expression, with its temporaries."""
     sc = cfg.abs_tol + cfg.rel_tol * np.maximum(
@@ -582,11 +620,12 @@ def test_error_norm_in_place_is_bit_identical(shape):
         args = [a.copy() for a in (err, y0, y1)]
         rows = [np.ascontiguousarray(a.T) for a in (err, y0, y1)]
         for ncore in (8, 9):
-            got = _error_norm(*args, cfg, ncore)
+            got = _error_norm(*args, cfg, ncore, np.empty((ncore,) + shape[1:]))
             assert got == _reference_error_norm(*rows, cfg, ncore)
             if len(shape) == 2:  # each marker alone, so no row hides behind the max
                 for i in range(shape[1]):
-                    one = _error_norm(*(a[:, i:i + 1] for a in args), cfg, ncore)
+                    one = _error_norm(*(a[:, i:i + 1] for a in args), cfg, ncore,
+                                      np.empty((ncore, 1)))
                     assert one == _reference_error_norm(*(r[i:i + 1] for r in rows), cfg, ncore)
         assert all(np.array_equal(a, b) for a, b in zip(args, (err, y0, y1)))
 
@@ -680,7 +719,7 @@ def test_block_field_rows_equal_the_field_on_row_major_slices(kind, n):
     block[4] -= 2.0
     q, p = np.ascontiguousarray(block[0:4].T), np.ascontiguousarray(block[4:8].T)
     dq, dp, dphi, dhdphi = dynamics._field_arrays(sys, q, p, block[8].copy())
-    out = integrators._block_field(sys, block, "ln_f")
+    out = integrators._block_field(sys, block, "ln_f", np.empty_like(block))
     assert out.shape == (10, n) and out.flags.c_contiguous
     assert np.array_equal(out[0:4], dq.T) and np.array_equal(out[4:8], dp.T)
     assert np.array_equal(out[8], dphi) and np.array_equal(out[9], 4.0 * dhdphi)
@@ -726,13 +765,13 @@ def test_block_field_of_a_single_state_equals_the_one_row_field(kind, mass):
         y[4] -= 2.0
         dq, dp, dphi, dhdphi = dynamics._field_arrays(sys, y[None, 0:4], y[None, 4:8], y[8:9])
         ref = np.concatenate([dq[0], dp[0], dphi])
-        out = integrators._block_field(sys, y, "tau" if sys.massive else None)
+        out = integrators._block_field(sys, y, "tau" if sys.massive else None, np.empty(d))
         assert out.shape == (d,)
         assert np.array_equal(out[0:9], ref)
         if sys.massive:
             m = float(sys.mass.value(y[8]))
             assert out[9] == -dphi[0] / (m * sys.c**2)
-            assert integrators._block_field(sys, y, "ln_f")[9] == 4.0 * dhdphi[0]
+            assert integrators._block_field(sys, y, "ln_f", np.empty(d))[9] == 4.0 * dhdphi[0]
 
 
 def _reference_block_field(sys, y, quadrature):
@@ -802,11 +841,13 @@ def test_combine_into_a_buffer_is_the_allocating_sum_bit_for_bit(shape):
 
 
 def test_block_steps_allocate_no_block_sized_arrays():
-    # A (10, 10^4) block steps in buffers the run allocates once.  Steps that
-    # allocated and freed block-sized temporaries had glibc trim and re-fault
-    # the top of its heap: 6.0k minor faults for these 20 steps alone and
-    # 9.0k inside the suite, where the run's own ten buffers and its report
-    # take 2.2-3.0k (x86-64 Linux, 4 KiB pages, a second run in the process).
+    # A (10, 10^4) block steps in buffers the run allocates once, under rk45
+    # and rk4 alike.  Steps that allocated and freed block-sized temporaries
+    # had glibc trim and re-fault the top of its heap: for 20 steps, 6.0k
+    # minor faults under rk45 alone and 9.0k inside the suite, 21.8k under
+    # rk4, where the run's own buffers and its report take 2.2-3.0k under
+    # rk45 and 1.8k under rk4 (x86-64 Linux, 4 KiB pages, a second run of
+    # each method in the process).
     resource = pytest.importorskip("resource")
     sys = _decay_sys()
     n = 10_000
@@ -814,19 +855,20 @@ def test_block_steps_allocate_no_block_sized_arrays():
     p = solve_p0_on_shell(sys, np.zeros((n, 4)), np.zeros(n), p_spatial)
     e = Ensemble(sys=sys, lam=0.0, q=np.zeros((n, 4)), p=p, phi=np.zeros(n),
                  w=np.full(n, 1.0 / n), f=np.ones(n))
-    cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, max_step=0.11)
 
-    def faults():
+    def faults(cfg):
         f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         _, _, stats = ensemble_series(e, 2.0, 1, EntropyFunctional.shannon_boltzmann(), cfg)
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0, stats
 
-    first, _ = faults()
-    if first == 0:
-        pytest.skip("this platform keeps no minor page fault count")
-    count, stats = faults()
-    assert stats["steps_accepted"] >= 20
-    assert count < 4500, f"{count} minor page faults"
+    for cfg in (IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8, max_step=0.11),
+                IntegratorConfig(method="rk4", fixed_step=0.1)):
+        first, _ = faults(cfg)
+        if first == 0:
+            pytest.skip("this platform keeps no minor page fault count")
+        count, stats = faults(cfg)
+        assert stats["steps_accepted"] >= 20
+        assert count < 4500, f"{cfg.method}: {count} minor page faults"
 
 
 def test_a_stage_where_the_mass_reaches_zero_raises():

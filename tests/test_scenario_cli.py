@@ -389,6 +389,39 @@ def _one_error_line(capsys) -> str:
     return err[0]
 
 
+@pytest.mark.parametrize("mass, c", [
+    ({"kind": "constant", "m0": 1.0}, 1.0),
+    ({"kind": "exp_decay", "m0": 1.0, "alpha": 0.0}, 1.0),
+    ({"kind": "exp_decay", "m0": 1.0, "alpha": 0.1}, 1e200),  # alpha / c^2 = 0.1 / inf
+], ids=["constant", "alpha-0", "c-squared-inf"])
+def test_lone_mass_floor_of_a_mass_of_slope_0_is_refused(mass, c, tmp_path, capsys):
+    # such a mass never reaches a floor, so the run had no usable stop and
+    # ended in a traceback; beside another stop the floor still loads
+    doc = _minimal(mass=mass, c=c, stop=[{"kind": "mass_floor", "value": 0.5}])
+    doc["initial"]["p_spatial"] = [0.3, 0.0, 0.0]
+    with pytest.raises(ValidationError) as exc:
+        load_scenario(doc)
+    assert exc.value.field == "stop"
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert "stop: a mass of slope 0 never reaches mass_floor" in _one_error_line(capsys)
+    assert sorted(tmp_path.iterdir()) == [path]
+    doc["stop"].append({"kind": "lambda_reached", "value": 1.0})
+    assert load_scenario(doc).stop[0]["kind"] == "mass_floor"
+
+
+def test_start_whose_shell_residual_is_nan_is_off_the_shell(tmp_path, capsys):
+    # g p p of these finite momenta is -inf + inf = nan, which no tolerance
+    # accepts; the state used to pass as on the shell and fail inside the run
+    doc = _minimal(initial={"kind": "single", "p": [-1e200, 1e200, 0.0, 0.0]})
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert "off the mass shell (residual nan)" in _one_error_line(capsys)
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
 def test_negative_seed_is_refused_at_load(tmp_path, capsys):
     doc = _gas_doc()
     doc["initial"]["seed"] = -1
