@@ -173,8 +173,8 @@ class ExtendedState:
 
 # --- batched internals -------------------------------------------------------
 # q: (n, 4), p: (n, 4), phi: (n,).  The metric enters as its diagonal g^{aa}
-# (geometry._values: checked finite and diagonal, not sign-tested) and its
-# derivatives only through the field's contract callback.
+# (geometry._values: checked finite, not sign-tested) and its derivatives only
+# through geometry._contract.
 
 
 def _h_and_shell(sys, q, p, phi):
@@ -197,7 +197,7 @@ def _dH_dphi_from(sys, phi, dphi_gpp):
 
 
 def _dH_dphi_arrays(sys, q, p, phi):
-    _, _, dphi_gpp = sys.metric.contract(q, p, phi)
+    _, _, dphi_gpp = geometry._contract(sys.metric, q, p, phi)
     return _dH_dphi_from(sys, phi, dphi_gpp)
 
 
@@ -206,12 +206,12 @@ def _field_rows(sys, q, p, phi, out):
 
     Component-major: q and p are (4, ...) rows, row a holding component a of
     every marker, and phi is (...); out[0:4], out[4:8] and out[8] receive dq,
-    dp and dphi.  ``contract`` is handed the (..., 4) transposes.  Besides
-    contract's outputs, nothing larger than a phi-shaped row is allocated:
+    dp and dphi.  ``geometry._contract`` is handed the (..., 4) transposes.
+    Besides its outputs, nothing larger than a phi-shaped row is allocated:
     p * dq is formed in the dp rows and -1/2 d_mu(g p p) in the dq rows
     before each takes its value.
     """
-    dq, dq_gpp, dphi_gpp = sys.metric.contract(q.T, p.T, phi)
+    dq, dq_gpp, dphi_gpp = geometry._contract(sys.metric, q.T, p.T, phi)
     dHdphi = _dH_dphi_from(sys, phi, dphi_gpp)
     dq_rows, dp_rows = out[0:4], out[4:8]
     # p . dq, annihilated by eta exactly; summed as einsum sums a C-ordered
@@ -337,7 +337,7 @@ def reduced_field_phi(sys: ContactHamiltonianSystem, s: ExtendedState) -> tuple[
         raise TransversalityFailure(
             f"m(phi)^2 c^2 = {m2c2:.3e} < {TRANSVERSALITY_TOL}; phi is not a valid parameter"
         )
-    gp, dq_gpp, dphi_gpp = sys.metric.contract(*_as_batch(s))
+    gp, dq_gpp, dphi_gpp = geometry._contract(sys.metric, *_as_batch(s))
 
     dqdphi = -gp[0] / m2c2
     dpdphi = 0.5 * dq_gpp[0] / m2c2

@@ -14,21 +14,23 @@ Conventions
 Every built-in field carries exact derivatives: each constructor gives its
 diagonal g^{aa} and the gradient of that diagonal (the weak field writes it
 out, :func:`expression_metric` differentiates its entries symbolically), and
-``_diagonal_metric`` builds all four callbacks of the field from those two.
-The flow needs the metric only through the quadratic form g^{ab} p_a p_b, so
-the dynamics calls each field's ``contract(q, p, phi)``, which returns
-``g . p`` and the gradient of that scalar, never a rank-3 tensor; the
-geodesic reference reads the diagonal and its gradient through the same call
-(``_diagonal``), and the shell algebra reads the diagonal alone (``_values``).
-Only :func:`inverse_metric` and :func:`lowered_metric` build a (..., 4, 4)
-matrix, and :func:`metric_derivatives` the full tensors; the last remains for
-inspection and because the benchmark calls it.
+``_diagonal_metric`` builds the field's callbacks from those two.  Every model
+path reads the metric through one of them, ``diagonal(q, phi)``, which
+returns g^{aa} and its gradient checked finite.  The flow needs the metric
+only through the quadratic form g^{ab} p_a p_b, so the dynamics calls
+:func:`_contract`, which returns ``g . p`` and the gradient of that scalar,
+never a rank-3 tensor; the geodesic reference reads the diagonal and its
+gradient as they are, and the shell algebra the diagonal alone
+(:func:`_values`).  Only :func:`inverse_metric` and :func:`lowered_metric`
+build a (..., 4, 4) matrix.  The tensor form, ``func``, ``d_q``, ``d_phi``
+and :func:`metric_derivatives`, is off every model path: the reference tests
+and the benchmark read it.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,7 +50,6 @@ __all__ = [
 ]
 
 _ETA_DIAG = np.array([-1.0, 1.0, 1.0, 1.0])
-_OFF_DIAGONAL = ~np.eye(4, dtype=bool)
 _DIAGONAL = np.arange(4)
 
 
@@ -59,9 +60,10 @@ class MetricField:
     Index 0 is time, and :func:`inverse_metric` refuses any other field.
     All four callbacks are required.  The built-in constructors get them from
     ``_diagonal_metric``; a hand-made field must keep them consistent, as
-    ``tests/test_contract.py`` checks for the built-in ones.  The flow reads
-    ``contract``, the shell algebra the diagonal of ``func`` (``_values``);
-    ``d_q`` and ``d_phi`` remain for inspection and for the benchmark.
+    ``tests/test_contract.py`` checks for the built-in ones.  Every model path
+    (the flow, the shell algebra, the geodesic reference) reads ``diagonal``;
+    ``func``, ``d_q`` and ``d_phi`` are the tensor form, which only the
+    reference tests and the benchmark read.
 
     Parameters
     ----------
@@ -72,11 +74,12 @@ class MetricField:
         ``d_q(q, phi) -> (..., 4, 4, 4)`` with the q-derivative index last.
     d_phi : callable
         ``d_phi(q, phi) -> (..., 4, 4)``.
-    contract : callable
-        ``contract(q, p, phi) -> (g . p (..., 4), d_mu(g^{ab} p_a p_b) (..., 4),
-        d_phi(g^{ab} p_a p_b) (...))``, the three contractions the flow needs.
-        It raises NonFiniteMetric / NonFiniteDerivative when its own metric or
-        derivative entries are non-finite.
+    diagonal : callable
+        ``diagonal(q, phi) -> (g^{aa} (..., 4), d g^{aa} / d(x0, x1, x2, x3,
+        phi) (..., 4, 5) or None where it is identically zero)``; g^{aa} may
+        be a constant (4,) array, broadcast against q's batch.  It raises
+        NonFiniteMetric where an entry is non-finite, and then
+        NonFiniteDerivative where a derivative is.
     name : str
         Human-readable tag used in reports and serialized scenarios.
     """
@@ -84,33 +87,42 @@ class MetricField:
     func: Callable[[np.ndarray, np.ndarray], np.ndarray]
     d_q: Callable[[np.ndarray, np.ndarray], np.ndarray]
     d_phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    contract: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]]
+    diagonal: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray | None]]
     name: str = "custom"
 
 
 def _finite_metric(name: str, g):
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NonFiniteMetric(f"metric '{name}' produced non-finite entries")
     return g
 
 
 def _finite_derivative(name: str, d) -> np.ndarray:
     d = np.asarray(d, dtype=float)
-    if not np.all(np.isfinite(d)):
+    if not np.isfinite(d).all():
         raise NonFiniteDerivative(f"metric '{name}' derivatives are non-finite")
     return d
 
 
 def _values(metric: MetricField, q, phi) -> np.ndarray:
-    """g^{aa} at (q, phi) as (..., 4), read off ``func`` (its one reader).
+    """g^{aa} at (q, phi) as (..., 4); the signs are :func:`_signature`'s to test."""
+    q = np.asarray(q, dtype=float)
+    return np.broadcast_to(metric.diagonal(q, phi)[0], q.shape[:-1] + (4,))
 
-    Raises NonFiniteMetric, or BadSignature for a nonzero off-diagonal entry;
-    the signs are :func:`_signature`'s to test.
+
+def _contract(metric: MetricField, q, p, phi):
+    """(g . p (..., 4), d_mu(g^{ab} p_a p_b) (..., 4), d_phi(g^{ab} p_a p_b) (...)).
+
+    The three contractions the flow needs, from g^{ab} p_a p_b = sum_a g^{aa}
+    p_a^2.  Raises NonFiniteDerivative where a contracted derivative
+    overflows.
     """
-    g = _finite_metric(metric.name, metric.func(np.asarray(q, dtype=float), phi))
-    if np.any(g[..., _OFF_DIAGONAL]):
-        raise BadSignature(f"metric '{metric.name}' is not diagonal")
-    return np.diagonal(g, axis1=-2, axis2=-1)
+    g, gradient = metric.diagonal(q, phi)
+    g_p = g * p
+    if gradient is None:
+        return g_p, np.zeros(p.shape), np.zeros(p.shape[:-1])
+    d_gpp = _finite_derivative(metric.name, np.einsum("...ak,...a->...k", gradient, p * p))
+    return g_p, d_gpp[..., :4], d_gpp[..., 4]
 
 
 def _signature(name: str, diag):
@@ -141,8 +153,8 @@ def inverse_metric(metric: MetricField, q: np.ndarray, phi) -> np.ndarray:
     """Evaluate g^{mu nu} at (q, phi), checked to be finite, diagonal and (-,+,+,+).
 
     Accepts a single point (q shape (4,)) or a batch (q shape (..., 4)).
-    Raises NonFiniteMetric, or BadSignature for a nonzero off-diagonal entry
-    or a diagonal that fails the sign test.
+    Raises NonFiniteMetric, or BadSignature for a diagonal that fails the sign
+    test.
     """
     return _matrix(_signature(metric.name, _values(metric, q, phi)))
 
@@ -153,24 +165,6 @@ def lowered_metric(metric: MetricField, q: np.ndarray, phi) -> np.ndarray:
     Raises SingularMetric where a reciprocal overflows (a subnormal entry).
     """
     return _matrix(_reciprocals(metric, q, phi))
-
-
-def _diagonal(metric: MetricField, q: np.ndarray, phi):
-    """(g^{aa} (..., 4), d g^{aa}/d q^k (..., 4, 4), d g^{aa}/d phi (..., 4)) at (q, phi).
-
-    One ``contract`` call on the four unit covectors e_a: g . e_a holds
-    g^{aa} at a, and g^{bc} (e_a)_b (e_a)_c = g^{aa}, so the gradient that
-    contract returns for e_a is the gradient of g^{aa}.  Checked for
-    finiteness only.
-    """
-    q = np.asarray(q, dtype=float)
-    rows = q.shape[:-1] + (4,)
-    g_e, d_q, d_phi = metric.contract(
-        np.broadcast_to(q[..., None, :], rows + (4,)),
-        np.broadcast_to(np.eye(4), rows + (4,)),
-        np.broadcast_to(np.asarray(phi, dtype=float)[..., None], rows),
-    )
-    return np.diagonal(g_e, axis1=-2, axis2=-1), d_q, d_phi
 
 
 def _fd4(f_m2, f_m1, f_p1, f_p2, h):
@@ -209,48 +203,31 @@ def _diagonal_metric(name: str, diag, gradient=None) -> MetricField:
     """A diagonal inverse metric: the one builder of every built-in field.
 
     ``diag`` is ``(q, phi) -> (..., 4)``, the entries g^{aa}, or a constant
-    (4,) array.  ``gradient`` is ``(q, phi) -> (..., 4, 5)``, holding
-    d g^{aa} / d(x0, x1, x2, x3, phi), or None where it is identically zero.
-    ``contract`` uses g^{ab} p_a p_b = sum_a g^{aa} p_a^2 and checks that the
-    entries and the contracted derivatives are finite (a constant diagonal
-    once, here).
+    (4,) array, which ``diagonal`` returns as it is for numpy to broadcast.
+    ``gradient`` is ``(q, phi) -> (..., 4, 5)``, holding d g^{aa} / d(x0, x1,
+    x2, x3, phi), or None where it is identically zero.  ``diagonal`` checks
+    that the entries are finite (a constant diagonal once, here) and then
+    that the gradient is.  The tensor callbacks place the same entries and
+    gradient on the diagonal, unchecked: :func:`metric_derivatives` checks
+    the derivative tensors.
     """
-    eye = np.eye(4)
-    if callable(diag):
-        def func(q, phi):
-            return np.einsum("...a,ab->...ab", diag(q, phi), eye)
+    const = None if callable(diag) else _finite_metric(name, np.asarray(diag, dtype=float))
 
-        def values(q, phi):
-            return _finite_metric(name, diag(q, phi))
-    else:
-        const = _finite_metric(name, np.asarray(diag, dtype=float))
-        matrix = np.diag(const)
+    def entries(q, phi):  # unchecked, for the tensor form
+        return diag(q, phi) if const is None else np.broadcast_to(const, q.shape[:-1] + (4,))
 
-        def func(q, phi):
-            return np.broadcast_to(matrix, q.shape[:-1] + (4, 4))
+    def diagonal(q, phi):
+        g = const if const is not None else _finite_metric(name, diag(q, phi))
+        return g, None if gradient is None else _finite_derivative(name, gradient(q, phi))
 
-        def values(q, phi):
-            return const
+    def tensor(q, phi, slots):  # the gradient's slots on the diagonal, unchecked
+        grad = np.zeros(q.shape[:-1] + (4, 5)) if gradient is None else gradient(q, phi)
+        return np.einsum("...ak,ab->...abk", grad[..., slots], np.eye(4))
 
-    def d_q(q, phi):
-        if gradient is None:
-            return np.zeros(q.shape[:-1] + (4, 4, 4))
-        return np.einsum("...am,ab->...abm", gradient(q, phi)[..., :4], eye)
-
-    def d_phi(q, phi):
-        if gradient is None:
-            return np.zeros(q.shape[:-1] + (4, 4))
-        return np.einsum("...a,ab->...ab", gradient(q, phi)[..., 4], eye)
-
-    def contract(q, p, phi):
-        g_p = values(q, phi) * p
-        if gradient is None:
-            return g_p, np.zeros(p.shape), np.zeros(p.shape[:-1])
-        d_gpp = _finite_derivative(
-            name, np.einsum("...ak,...a->...k", gradient(q, phi), p * p))
-        return g_p, d_gpp[..., :4], d_gpp[..., 4]
-
-    return MetricField(func=func, d_q=d_q, d_phi=d_phi, contract=contract, name=name)
+    return MetricField(func=lambda q, phi: _matrix(entries(q, phi)),
+                       d_q=lambda q, phi: tensor(q, phi, slice(0, 4)),
+                       d_phi=lambda q, phi: tensor(q, phi, slice(4, 5))[..., 0],
+                       diagonal=diagonal, name=name)
 
 
 def minkowski() -> MetricField:

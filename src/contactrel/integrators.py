@@ -21,8 +21,8 @@ splits a lambda span into ceil(span/fixed_step) equal steps.  Every run
 allocates its step's buffers once, arrays shaped like the state: ten for
 Dormand-Prince (:func:`_dp_step`), seven for RK4 (:func:`_rk4_step`).  Every
 right-hand side writes into the slot it is handed, and an accepted step
-swaps buffers instead of allocating new ones.  Besides the outputs of the
-metric's ``contract``, no step allocates an array larger than one (n,) row,
+swaps buffers instead of allocating new ones.  Besides the outputs of
+``geometry._contract``, no step allocates an array larger than one (n,) row,
 and the states the loop hands on (samples, reports) are buffers that later
 steps overwrite: a caller copies what it keeps.  A Dormand-Prince series of
 reports reads its intermediate reports off the pair's 4th-order continuous
@@ -121,6 +121,8 @@ class IntegratorConfig:
             raise ValueError("rk4 requires a positive fixed_step")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if not self.min_step > 0:  # else a rejected step can shrink to 0 and retry forever
+            raise ValueError(f"min_step must be positive, got {self.min_step!r}")
         if not self.max_step > 0:
             raise ValueError(f"max_step must be positive, got {self.max_step!r}")
 
@@ -747,9 +749,10 @@ def _geodesic_field(metric, y, out):
     before any division.
     """
     u = y[4:8]
-    g, d_q, _ = geometry._diagonal(metric, y[0:4], 0.0)
+    g, grad = metric.diagonal(y[0:4], 0.0)
     geometry._signature(metric.name, g)
     u_low = u / g
+    d_q = np.zeros((4, 4)) if grad is None else grad[:, :4]
     out[0:4] = u
     out[4:8] = u_low * (d_q @ u) - 0.5 * g * ((u_low * u_low) @ d_q)
     return out
@@ -784,8 +787,8 @@ def geodesic_reference(
     q0 = np.asarray(q0, dtype=float).reshape(4)
     u = np.asarray(u0, dtype=float).reshape(4)
 
-    _, _, dphi_g = geometry._diagonal(sys.metric, q0, 0.0)
-    if np.max(np.abs(dphi_g)) > 1e-10:
+    _, grad = sys.metric.diagonal(q0, 0.0)
+    if grad is not None and np.max(np.abs(grad[:, 4])) > 1e-10:
         raise ValueError("geodesic reference requires a phi-independent metric")
     norm0 = float(np.dot(geometry._reciprocals(sys.metric, q0, 0.0) * u, u))
     if abs(norm0 + sys.c**2) > 1e-6 * sys.c**2:

@@ -232,7 +232,7 @@ _SCENARIO = {
         "rel_tol": (_POSITIVE, _DEFAULT.rel_tol),
         "abs_tol": (_POSITIVE, _DEFAULT.abs_tol),
         "fixed_step": (_nullable(_POSITIVE), _DEFAULT.fixed_step),
-        "min_step": (_number, _DEFAULT.min_step),
+        "min_step": (_POSITIVE, _DEFAULT.min_step),
         "max_step": (_nullable(_POSITIVE),  # JSON null is IntegratorConfig's math.inf
                      None if _DEFAULT.max_step == math.inf else _DEFAULT.max_step),
         "max_steps": (_integer(1), _DEFAULT.max_steps),
@@ -263,6 +263,27 @@ def _decay_start(mass: dict) -> float:
         return math.inf
 
 
+def _check_floor_reachable(cfg: ScenarioConfig) -> None:
+    """Refuse stops that are all mass floors where the run's mass reaches none.
+
+    The mass is m_start + slope (phi - phi0), slope alpha / c^2 (0 for a
+    constant mass, and where c^2 is inf).  On the shell phi falls, so floor f
+    is reached only if f > 0 and (m_start - f) slope > 0; off it phi may rise.
+    """
+    constant = cfg.mass["kind"] == "constant"
+    slope = 0.0 if constant else cfg.mass["alpha"] / (cfg.c * cfg.c)
+    m_start = cfg.mass["m0"] if constant else _decay_start(cfg.mass)
+    if cfg.kind == "single" and not cfg.initial["allow_off_shell"]:
+        floors = [s["value"] for s in cfg.stop]
+        reachable = any(f > 0.0 and (m_start - f) * slope > 0.0 for f in floors)
+    else:
+        reachable = slope != 0.0
+    if not reachable:
+        moves = "stays at" if slope == 0.0 else "falls from" if slope > 0.0 else "grows from"
+        raise ValidationError("stop", f"no mass_floor is reachable: the mass {moves} "
+                                      f"{m_start:g} as phi falls; add a stop")
+
+
 def _normalize(data: dict) -> ScenarioConfig:
     cfg = ScenarioConfig(**_fields(_SCENARIO, data, ""))
     # rules that span keys
@@ -283,10 +304,8 @@ def _normalize(data: dict) -> ScenarioConfig:
             raise ValidationError(f"stop[{i}].kind", "tau is undefined for massless particles")
         if massless and s["kind"] == "mass_floor":
             raise ValidationError(f"stop[{i}].kind", "mass_floor never triggers for zero mass")
-    # no mass_floor fires where build_system's slope alpha / c^2 is 0 (c^2 = inf included)
-    if all(s["kind"] == "mass_floor" for s in cfg.stop) and (
-            cfg.mass["kind"] == "constant" or cfg.mass["alpha"] / (cfg.c * cfg.c) == 0.0):
-        raise ValidationError("stop", "a mass of slope 0 never reaches mass_floor; add a stop")
+    if all(s["kind"] == "mass_floor" for s in cfg.stop):
+        _check_floor_reachable(cfg)
     if massless and cfg.integrator["shell_projection"] > 0:
         raise ValidationError("integrator.shell_projection",
                               "shell projection is undefined for massless particles")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import warnings
 
 import numpy as np
@@ -12,12 +11,8 @@ from hypothesis import strategies as st
 
 from contactrel import (
     BadSignature,
-    ContactHamiltonianSystem,
-    MassModel,
-    MetricField,
     NonFiniteMetric,
     SingularMetric,
-    dynamics,
     expression_metric,
     geometry,
     inverse_metric,
@@ -25,7 +20,6 @@ from contactrel import (
     metric_derivatives,
     minkowski,
     point_mass_potential,
-    solve_p0_on_shell,
     uniform_gradient_potential,
     weak_field,
 )
@@ -276,18 +270,11 @@ def test_non_finite_metric_rejected():
             inverse_metric(expr, np.zeros(4), 0.0)
 
 
-def _symmetric_off_diagonal(q, phi):
-    g = np.broadcast_to(ETA, q.shape[:-1] + (4, 4)).copy()
-    g[..., 0, 1] = g[..., 1, 0] = 0.25
-    return g
-
-
 @pytest.mark.parametrize("metric, error", [
     (expression_metric(["1", "1", "1", "1"], name="flipped"), BadSignature),
-    (dataclasses.replace(minkowski(), func=_symmetric_off_diagonal, name="mixed"), BadSignature),
     (expression_metric(["1", "-1", "1", "1"], name="time-not-first"), BadSignature),
     (expression_metric(["-1", "1e-320", "1", "1"], name="subnormal"), SingularMetric),
-], ids=["flipped", "symmetric-off-diagonal", "time-not-first", "subnormal"])
+], ids=["flipped", "time-not-first", "subnormal"])
 def test_wrong_signature_rejected(metric, error):
     # a subnormal g^{11} passes the sign test, but its reciprocal overflows:
     # lowering raises SingularMetric, and no RuntimeWarning comes first
@@ -298,28 +285,6 @@ def test_wrong_signature_rejected(metric, error):
                 inverse_metric(metric, np.zeros(4), 0.0)
         with pytest.raises(error):
             lowered_metric(metric, np.zeros(4), 0.0)
-
-
-def test_shell_algebra_refuses_a_non_diagonal_field():
-    # the shell algebra reads the metric as its diagonal, so a hand-made field
-    # with an off-diagonal entry is refused, not read in part
-    mixed = dataclasses.replace(minkowski(), func=_symmetric_off_diagonal, name="mixed")
-    sys = ContactHamiltonianSystem(metric=mixed, mass=MassModel.constant(1.0))
-    with pytest.raises(BadSignature, match="not diagonal"):
-        dynamics._h_and_shell(sys, np.zeros((1, 4)), np.array([[-1.0, 0.0, 0.0, 0.0]]), np.zeros(1))
-    with pytest.raises(BadSignature, match="not diagonal"):
-        solve_p0_on_shell(sys, np.zeros(4), 0.0, [0.1, 0.0, 0.0])
-
-
-def test_asymmetric_metric_rejected():
-    def func(q, phi):
-        g = np.broadcast_to(ETA, q.shape[:-1] + (4, 4)).copy()
-        g[..., 0, 1] = 0.25
-        return g
-
-    skew = dataclasses.replace(minkowski(), func=func, name="skew")
-    with pytest.raises(BadSignature):
-        inverse_metric(skew, np.zeros(4), 0.0)
 
 
 # --- exact expression derivatives ---------------------------------------------

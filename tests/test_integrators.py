@@ -27,6 +27,7 @@ from contactrel import (
     MasslessProjection,
     MassModel,
     MaxStepsExceeded,
+    StepSizeUnderflow,
     StopCondition,
     TransversalityFailure,
     ensemble_series,
@@ -42,7 +43,7 @@ from contactrel import (
     uniform_gradient_potential,
     weak_field,
 )
-from contactrel import dynamics, integrators
+from contactrel import checks, dynamics, geometry, integrators
 from contactrel.checks import WAVY_DIAG
 from contactrel.integrators import (
     _dp_dense,
@@ -248,6 +249,26 @@ def test_integrator_config_refuses_a_non_positive_max_step(max_step):
     # -0.5 used to end in StepSizeUnderflow("step size -inf ...") after a RuntimeWarning
     with pytest.raises(ValueError, match="max_step"):
         IntegratorConfig(max_step=max_step)
+
+
+@pytest.mark.parametrize("min_step", [0.0, -1.0, math.nan])
+def test_integrator_config_refuses_a_non_positive_min_step(min_step):
+    # with min_step 0 a run whose steps are all rejected shrank h to 0 and
+    # retried forever
+    with pytest.raises(ValueError, match="min_step"):
+        IntegratorConfig(min_step=min_step)
+
+
+def test_step_below_min_step_ends_in_step_size_underflow():
+    # a slow fall from r = 0.05 onto the unsoftened point mass: the default
+    # min_step takes 6936 steps over the span, min_step 1e-3 stops at the first
+    # step it would have to shrink below that
+    sys = checks._orbit_system(gm=1.0)
+    s0 = state_from_velocity(sys, [0.0, 0.05, 0.0, 0.0], 0.0, [0.0, 0.2, 0.0])
+    cfg = IntegratorConfig(min_step=1e-3, stop=_stop("lambda_reached", 1.0))
+    with pytest.raises(StepSizeUnderflow,
+                       match=r"^step size 2\.469e-04 fell below min_step=1\.000e-03$"):
+        integrate(sys, s0, cfg)
 
 
 def test_mass_floor_of_a_constant_mass_is_no_event():
@@ -777,7 +798,7 @@ def test_block_field_of_a_single_state_equals_the_one_row_field(kind, mass):
 def _reference_block_field(sys, y, quadrature):
     """The block field as the allocating form computes it, over (n, 4) views."""
     q, p, phi = y[0:4].T, y[4:8].T, y[8]
-    dq, dq_gpp, dphi_gpp = sys.metric.contract(q, p, phi)
+    dq, dq_gpp, dphi_gpp = geometry._contract(sys.metric, q, p, phi)
     m = np.asarray(sys.mass.value(phi), dtype=float)
     dhdphi = 0.5 * dphi_gpp + m * sys.c**2 * sys.mass.slope
     dp = -0.5 * dq_gpp

@@ -35,7 +35,7 @@ from contactrel import (
 from contactrel.checks import WAVY_DIAG
 from contactrel.cli import execute_ensemble, execute_single, main
 from contactrel.integrators import integrate, reparametrize_by_phi, reparametrize_by_tau
-from contactrel.scenario import PRESETS, run_ensemble
+from contactrel.scenario import PRESETS, run_ensemble, run_single
 
 
 def _minimal(**overrides) -> dict:
@@ -389,15 +389,22 @@ def _one_error_line(capsys) -> str:
     return err[0]
 
 
-@pytest.mark.parametrize("mass, c", [
-    ({"kind": "constant", "m0": 1.0}, 1.0),
-    ({"kind": "exp_decay", "m0": 1.0, "alpha": 0.0}, 1.0),
-    ({"kind": "exp_decay", "m0": 1.0, "alpha": 0.1}, 1e200),  # alpha / c^2 = 0.1 / inf
-], ids=["constant", "alpha-0", "c-squared-inf"])
-def test_lone_mass_floor_of_a_mass_of_slope_0_is_refused(mass, c, tmp_path, capsys):
-    # such a mass never reaches a floor, so the run had no usable stop and
-    # ended in a traceback; beside another stop the floor still loads
-    doc = _minimal(mass=mass, c=c, stop=[{"kind": "mass_floor", "value": 0.5}])
+@pytest.mark.parametrize("mass, c, floor", [
+    ({"kind": "constant", "m0": 1.0}, 1.0, 0.5),
+    ({"kind": "exp_decay", "m0": 1.0, "alpha": 0.0}, 1.0, 0.5),
+    ({"kind": "exp_decay", "m0": 1.0, "alpha": 0.1}, 1e200, 0.5),  # alpha / c^2 = 0.1 / inf
+    ({"kind": "exp_decay", "m0": 1.0, "alpha": -0.1}, 1.0, 0.5),  # grows away from the floor
+    ({"kind": "exp_decay", "m0": 1.0, "alpha": 0.1}, 1.0, 2.0),  # falls away from it
+    ({"kind": "exp_decay", "m0": 1.0, "alpha": 0.1}, 1.0, 0.0),
+    ({"kind": "exp_decay", "m0": 1.0, "alpha": 0.1}, 1.0, -1.0),
+], ids=["constant", "alpha-0", "c-squared-inf", "growing-mass-floor-below",
+        "falling-mass-floor-above", "floor-0", "floor-negative"])
+def test_lone_mass_floor_of_a_mass_of_slope_0_is_refused(mass, c, floor, tmp_path, capsys):
+    # on the shell phi falls, so the mass moves one way only; a floor behind
+    # it or at or below 0 is never reached, and such a run had no usable stop:
+    # it ended in a traceback or with the wrong advice to add a mass_floor.
+    # Beside another stop the floor still loads
+    doc = _minimal(mass=mass, c=c, stop=[{"kind": "mass_floor", "value": floor}])
     doc["initial"]["p_spatial"] = [0.3, 0.0, 0.0]
     with pytest.raises(ValidationError) as exc:
         load_scenario(doc)
@@ -405,10 +412,38 @@ def test_lone_mass_floor_of_a_mass_of_slope_0_is_refused(mass, c, tmp_path, caps
     path = tmp_path / "s.json"
     path.write_text(json.dumps(doc))
     assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
-    assert "stop: a mass of slope 0 never reaches mass_floor" in _one_error_line(capsys)
+    assert "stop: no mass_floor is reachable" in _one_error_line(capsys)
     assert sorted(tmp_path.iterdir()) == [path]
     doc["stop"].append({"kind": "lambda_reached", "value": 1.0})
     assert load_scenario(doc).stop[0]["kind"] == "mass_floor"
+
+
+@pytest.mark.parametrize("alpha, floor", [(0.1, 0.5), (-0.1, 2.0)])
+def test_lone_mass_floor_the_mass_moves_toward_ends_the_run(alpha, floor):
+    doc = _minimal(mass={"kind": "exp_decay", "m0": 1.0, "alpha": alpha},
+                   stop=[{"kind": "mass_floor", "value": floor}])
+    doc["initial"]["p_spatial"] = [0.3, 0.0, 0.0]
+    traj = run_single(load_scenario(doc))
+    assert traj.metadata["termination"]["reason"] == "mass_floor"
+    # off the shell phi may rise, so only a slope of 0 refuses a lone floor there
+    doc["mass"]["alpha"] = -alpha
+    doc["initial"] = {"kind": "single", "p": [-1.0, 0.0, 0.0, 0.0], "allow_off_shell": True}
+    assert load_scenario(doc).stop[0]["value"] == floor
+
+
+@pytest.mark.parametrize("min_step", [0, -1.0])
+def test_non_positive_min_step_is_refused(min_step, tmp_path, capsys):
+    # with min_step 0 a run whose steps are all rejected shrank h to 0 and
+    # retried forever
+    doc = _minimal(integrator={"min_step": min_step})
+    with pytest.raises(ValidationError) as exc:
+        load_scenario(doc)
+    assert exc.value.field == "integrator.min_step"
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert "integrator.min_step: must be > 0" in _one_error_line(capsys)
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 def test_start_whose_shell_residual_is_nan_is_off_the_shell(tmp_path, capsys):
