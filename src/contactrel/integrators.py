@@ -387,13 +387,15 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, project=None,
     marker of a block, and y[:ncore] are the ones the error norm covers.
 
     The run ends at lam = span (either sign; None when there is no lambda
-    stop) or when an event fires.  ``on_report(k, y)`` receives the state at
-    lam = k span / reports for k = 1..reports, in order, and the series is
-    one step sequence: the step-size proposal and the FSAL stage carry over
-    from report to report.  rk45 lands a step only on the span end and reads
-    every earlier report off the dense output (:func:`_dp_dense`) of the
-    accepted step that passes it, handing each on as soon as it is read;
-    rk4 lands a step on every report.
+    stop) or when an event fires.  ``on_report(k, lam, y)`` receives the
+    state at lam = k span / reports for k = 1..reports, in order, with the
+    lam at which y was read, and the series is one step sequence: the
+    step-size proposal and the FSAL stage carry over from report to report.
+    rk45 lands a step only on the span end and reads every earlier report
+    off the dense output (:func:`_dp_dense`) of the accepted step that
+    passes it, at k span / reports, handing each on as soon as it is read;
+    rk4 lands a step on every report.  A landed report is read at the lam
+    where its step ends.
     ``events`` is a list of (label, column, value) for a (d,) state; an
     event fires when y[column] crosses value between accepted samples, and
     the crossing is located on the step's cubic Hermite
@@ -496,7 +498,8 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, project=None,
             lam_end = lam_new if hit is None else hit[0]
             while k < reports and direction * k * interval <= direction * lam_end:
                 if on_report is not None:
-                    on_report(k, _dp_dense(y, hs, ks, (k * interval - lam) / hs, yi))
+                    at = k * interval
+                    on_report(k, at, _dp_dense(y, hs, ks, (at - lam) / hs, yi))
                 k += 1
 
         if hit is not None:
@@ -523,7 +526,7 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, project=None,
 
         if landed:
             if on_report is not None:
-                on_report(k, y)
+                on_report(k, lam, y)
             if k == reports:
                 termination = {"reason": "lambda_reached", "parameter_value": float(lam)}
             else:
@@ -830,7 +833,7 @@ def _advance_block(sys, y, span, reports, cfg, on_report):
     """Advance a (10, n) block over span as ``reports`` equal intervals in one run.
 
     Row j of y is component j (q0..q3, p0..p3, phi, ln f) of every marker;
-    on_report(k, block) receives the block at the end of interval k, as
+    on_report(k, lam, block) receives the block at the end of interval k, as
     :func:`_run_loop` hands it on.  Returns the loop's step counts.  Callers
     pass a nonzero span.
     """
@@ -860,5 +863,5 @@ def advance_batch(
     if dlam == 0.0:
         return rows.copy(), 0
     out = []
-    stats = _advance_block(sys, rows.T, dlam, 1, cfg, lambda k, block: out.append(block.T.copy()))
+    stats = _advance_block(sys, rows.T, dlam, 1, cfg, lambda k, _, block: out.append(block.T.copy()))
     return out[0], stats["steps_accepted"]

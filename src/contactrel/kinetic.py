@@ -288,7 +288,9 @@ def ensemble_series(
     ``reports``; rk4 lands a step on every report.  Returns (final ensemble,
     rows, step counts) where rows has shape (reports + 1, 4) with columns
     (lambda, total weight, entropy, analytic entropy rate), and the counts
-    are a dict with "steps_accepted" and "steps_rejected".  The optional
+    are a dict with "steps_accepted" and "steps_rejected".  Report k is
+    labelled e.lam plus the lambda at which the run read it, k dlam_total /
+    reports or, for a landed report, where its step ends.  The optional
     ``on_report`` callback receives (report index, ensemble) at the initial
     instant and after every interval, e.g. to write snapshots.  A reported
     ensemble's q, p and phi are views of the stepper's buffer rows (q and p
@@ -311,20 +313,17 @@ def ensemble_series(
             on_report(k, cur)
 
     log(0, e)
-    dlam = dlam_total / reports
     block = np.empty((10, e.n))
     block[0:4] = e.q.T
     block[4:8] = e.p.T
     block[8] = e.phi
     block[9] = np.log(e.f)
-    lam = e.lam
     end = e
 
-    def land(k: int, y: np.ndarray):
-        nonlocal lam, end
-        lam = lam + dlam  # summed: e.lam + k * dlam rounds differently in the lambda column
+    def land(k: int, lam: float, y: np.ndarray):
+        nonlocal end
         cur = Ensemble(
-            sys=e.sys, lam=lam, q=y[0:4].T, p=y[4:8].T, phi=y[8],
+            sys=e.sys, lam=e.lam + lam, q=y[0:4].T, p=y[4:8].T, phi=y[8],
             w=e.w.copy(), f=np.exp(y[9]),
         )
         log(k, cur)

@@ -373,8 +373,8 @@ def test_one_report_series_equals_advance_batch():
 def test_decay_gas_series_is_one_step_sequence():
     # The step size and the FSAL stage carry over between reports, and the
     # reports come off the dense output, so the series takes fewer steps than
-    # it has reports.  Its rows keep the landed lambda and weight columns of a
-    # per-report restarted run, and every marker follows the flat-space
+    # it has reports.  Its rows keep the weight column of a per-report
+    # restarted run, and every marker follows the flat-space
     # closed forms ln f(lam) - ln f(0) = 4 ln(1 + alpha lam) and
     # m = m0 / (1 + alpha m0 lam) within rel_tol / 2 (measured: 3.3e-11 with
     # dense reports, 2.3e-13 with a step landed on each report).
@@ -393,13 +393,13 @@ def test_decay_gas_series_is_one_step_sequence():
     assert stats["steps_accepted"] < reports
 
     dlam = span / reports
-    e, ref = e0, [(e0.lam, e0.total_weight())]
+    e, ref = e0, [e0.total_weight()]
     for _ in range(reports):
         block, _ = advance_batch(e.sys, _block(e), dlam, icfg)
         e = Ensemble(sys=e.sys, lam=e.lam + dlam, q=block[:, 0:4], p=block[:, 4:8],
                      phi=block[:, 8], w=e.w.copy(), f=np.exp(block[:, 9]))
-        ref.append((e.lam, e.total_weight()))
-    assert np.array_equal(rows[:, 0:2], np.array(ref))
+        ref.append(e.total_weight())
+    assert np.array_equal(rows[:, 1], np.array(ref))
 
     bound = 0.5 * icfg.rel_tol
     assert len(seen) == reports + 1
@@ -410,6 +410,19 @@ def test_decay_gas_series_is_one_step_sequence():
         assert np.max(np.abs(m * grow / m0 - 1.0)) <= bound
     rate = -4.0 * alpha * m0 / (1.0 + alpha * m0 * rows[:, 0])
     assert np.max(np.abs(rows[:, 3] / rate - 1.0)) <= bound
+
+
+def test_series_rows_name_the_lambda_each_report_was_read_at():
+    # rk45 reads report k off the dense output at k span / reports and the
+    # last where the run lands, on the span end; a running sum of
+    # span / reports drifts from both (to 4.999999999999998 at the end)
+    cfg = preset_scenario("decay-gas")
+    cfg = replace(cfg, initial={**cfg.initial, "n": 200})
+    e0 = sample_ensemble(build_system(cfg), build_density_spec(cfg), 200, cfg.initial["seed"])
+    span, reports = cfg.stop[0]["value"], cfg.outputs["reports"]
+    e_end, rows, _ = ensemble_series(e0, span, reports, SB, build_integrator_config(cfg))
+    assert rows[:-1, 0].tolist() == [k * (span / reports) for k in range(reports)]
+    assert rows[-1, 0] == e_end.lam == span
 
 
 def test_ensemble_series_validates_arguments():

@@ -966,20 +966,64 @@ def test_cli_reports_parse_errors_as_exit_two(tmp_path, capsys):
 
 
 def test_verify_gas_preset_reuses_battery_run(monkeypatch):
-    # --all-presets checks ensemble presets on the battery's cached runs, so
-    # a preset record must not step its gas a second time.
+    # A preset record checks the run that a battery check read through
+    # _preset_run, so it must not step its preset a second time: a gas run
+    # as entropy-decay reads it, and photon-behavior's photon-null run.
     from contactrel import checks, kinetic
 
-    checks._gas_run("photon-gas")  # the run the battery's entropy-decay caches
+    checks._preset_run.cache_clear()
+    checks._preset_run("photon-gas")
+    assert checks._check_record(False, "photon-behavior").passed
 
     def refuse(*args, **kwargs):
-        raise AssertionError("ensemble preset integrated twice")
+        raise AssertionError("preset integrated twice")
 
     monkeypatch.setattr(kinetic, "ensemble_series", refuse)
     monkeypatch.setattr(checks, "run_ensemble", refuse)
-    result = checks._check_record(False, "preset:photon-gas")
-    assert result.name == "preset:photon-gas"
-    assert result.passed, result.detail
+    monkeypatch.setattr(checks, "run_single", refuse)
+    for preset in ("photon-gas", "photon-null"):
+        result = checks._check_record(False, f"preset:{preset}")
+        assert result.name == f"preset:{preset}"
+        assert result.passed, result.detail
+
+
+def _unbudgeted(cfg):
+    """cfg with the document default of max_steps in place of verify's budget."""
+    return replace(cfg, integrator={**cfg.integrator, "max_steps": 10**6})
+
+
+def test_verify_runs_each_preset_on_its_budget(monkeypatch):
+    # verify, not the preset document (10^6 steps), sets a preset run's
+    # budget: more than the healthy run's accepted steps, and at most 11
+    # times as many, so that a broken step control fails the record soon.
+    # The configs are caught on their way in, so none is stepped.
+    from contactrel import checks
+
+    healthy = {}
+    for name in PRESETS:
+        run = checks._preset_run(name)[1]
+        stats = run.metadata if preset_scenario(name).kind == "single" else run[3]
+        healthy[name] = stats["steps_accepted"]
+    received = []
+
+    def catch(cfg, *args, **kwargs):
+        received.append(cfg)
+        raise RuntimeError("not stepped")
+
+    monkeypatch.setattr(checks, "run_single", catch)
+    monkeypatch.setattr(checks, "run_ensemble", catch)
+    checks._preset_run.cache_clear()
+    try:
+        for name in PRESETS:
+            record = checks._check_record(False, f"preset:{name}")
+            assert not record.passed and "not stepped" in record.detail
+    finally:
+        checks._preset_run.cache_clear()
+    assert [cfg.name for cfg in received] == list(PRESETS)
+    for name, cfg in zip(PRESETS, received):
+        budget = cfg.integrator["max_steps"]
+        assert healthy[name] < budget <= 11 * healthy[name], name
+        assert _unbudgeted(cfg) == preset_scenario(name)  # the one change
 
 
 def test_verify_measures_the_decay_law(monkeypatch):
@@ -1013,37 +1057,40 @@ def _verify_records(argv, capsys):
 
 def test_verify_pool_matches_in_process_and_runs_each_gas_once(tmp_path, monkeypatch, capsys):
     # The same records, byte for byte, from the worker pool and from the
-    # in-process path; each ensemble preset is integrated once per battery,
-    # its preset record reading entropy-decay's run.  The log is a file so
-    # that calls made in forked workers are counted.  With four workers a
-    # gas preset record split off entropy-decay's task would find a worker
-    # idle while entropy-decay still runs, and integrate its gas again.
+    # in-process path; each of the 7 presets is integrated once per battery,
+    # its preset record reading the run of the check that reads it.  The log
+    # is a file so that calls made in forked workers are counted.  With four
+    # workers a preset record split off its reader's task would find a
+    # worker idle while the reader still runs, and integrate its preset
+    # again.  A run is a preset's when its config is the preset document
+    # but for the step budget that verify sets.
     from contactrel import checks, output
 
     _force_pool(monkeypatch, workers=4)
     log = tmp_path / "runs.log"
-    real = checks.run_ensemble
+    docs = [preset_scenario(name) for name in PRESETS]
 
-    def counted(cfg, *args, **kwargs):
-        with open(log, "a") as fh:
-            fh.write(serialize_scenario(cfg).replace("\n", " ") + "\n")
-        return real(cfg, *args, **kwargs)
+    def counted(real):
+        def run(cfg, *args, **kwargs):
+            if _unbudgeted(cfg) in docs:
+                with open(log, "a") as fh:
+                    fh.write(f"{cfg.name}\n")
+            return real(cfg, *args, **kwargs)
+        return run
 
-    monkeypatch.setattr(checks, "run_ensemble", counted)
-    gases = [serialize_scenario(preset_scenario(name)).replace("\n", " ")
-             for name in PRESETS if preset_scenario(name).kind == "ensemble"]
+    monkeypatch.setattr(checks, "run_single", counted(checks.run_single))
+    monkeypatch.setattr(checks, "run_ensemble", counted(checks.run_ensemble))
     outs = []
     for in_process in (False, True):
         if in_process:
             monkeypatch.setattr(output, "_fork_context", lambda: None)
-        checks._gas_run.cache_clear()
+        checks._preset_run.cache_clear()
         log.write_text("")
         code, out, records = _verify_records(["verify", "--all-presets", "--json"], capsys)
         assert code == 0, out
         assert [r["name"] for r in records] == (
             [name for name, _ in checks.CHECKS] + [f"preset:{name}" for name in PRESETS])
-        runs = log.read_text().splitlines()
-        assert [runs.count(gas) for gas in gases] == [1] * len(gases)
+        assert sorted(log.read_text().splitlines()) == sorted(PRESETS)
         outs.append(out)
     assert outs[0] == outs[1]
 
