@@ -7,10 +7,10 @@ record of every bundled preset too, which applies the preset's own check
 (``scenario.PRESETS``) to its run, without output files; the CLI ``verify``
 command calls it and the acceptance test suite drives the same functions,
 so there is a single source of truth for what "working" means.  Every
-record reads a preset's run from one cached runner, ``_preset_run``, and no
-check reads another's result except through that cache, so ``run_all``
-computes the records in forked workers, one per usable CPU, and returns
-them in catalog order.
+record reads a preset's run, or its failure, from one cached runner,
+``_preset_run``, and no check reads another's result except through that
+cache, so ``run_all`` computes the records in forked workers, one per usable
+CPU, and returns them in catalog order.
 
 The contact-identity and divergence checks evaluate all random states of a
 metric as one (n, .) block through the batched field
@@ -146,15 +146,27 @@ _PRESET_RUNS = {
 
 
 @functools.lru_cache(maxsize=len(_PRESET_RUNS))
+def _preset_outcome(name: str):
+    """_preset_run's value, or the exception it raises, computed once per process."""
+    cfg = preset_scenario(name)
+    cfg = replace(cfg, integrator={**cfg.integrator, "max_steps": _PRESET_RUNS[name][0]})
+    try:
+        return cfg, run_single(cfg) if cfg.kind == "single" else run_ensemble(cfg)
+    except Exception as exc:
+        return exc
+
+
 def _preset_run(name: str):
     """(cfg, run): the preset run as ``contactrel run`` or ``ensemble`` runs it.
 
     The one change is cfg's ``max_steps``, the preset's verify budget.  run
-    is run_single's Trajectory, or run_ensemble's (e0, e_end, rows, stats).
+    is run_single's Trajectory, or run_ensemble's (e0, e_end, rows, stats);
+    a run that fails is not repeated, and each reader gets its exception.
     """
-    cfg = preset_scenario(name)
-    cfg = replace(cfg, integrator={**cfg.integrator, "max_steps": _PRESET_RUNS[name][0]})
-    return cfg, run_single(cfg) if cfg.kind == "single" else run_ensemble(cfg)
+    outcome = _preset_outcome(name)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _preset_check(name: str):
@@ -629,13 +641,13 @@ def _check_record(perturb_divergence: bool, name: str) -> CheckResult:
     try:
         if name.startswith("preset:"):  # no output file is written
             measured, tol, passed, detail = _preset_check(name.removeprefix("preset:"))
-            return CheckResult(name, passed, measured, tol, detail)
-        fn = dict(CHECKS)[name]
-        if fn is check_divergence:
-            return fn(perturb=perturb_divergence)
-        return fn()
+            r = CheckResult(name, passed, measured, tol, detail)
+        else:
+            fn = dict(CHECKS)[name]
+            r = fn(perturb=perturb_divergence) if fn is check_divergence else fn()
     except Exception as exc:
         return _failed(name, exc)
+    return replace(r, passed=bool(r.passed))  # a numpy comparison gives numpy.bool_
 
 
 def _tasks(names) -> list[tuple[str, ...]]:

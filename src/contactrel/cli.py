@@ -113,8 +113,9 @@ def execute_ensemble(cfg: ScenarioConfig, out_dir: str | None = None):
             e0, e_end, rows, stats = run_ensemble(cfg, on_report)
         wall = time.perf_counter() - t0
         files.series(rows)
-    h0, _ = _h_and_shell(e0.sys, e0.q, e0.p, e0.phi)
-    h1, shell1 = _h_and_shell(e0.sys, e_end.q, e_end.p, e_end.phi)
+        # read in the block, so that a refused end state removes the tables
+        h0, _ = _h_and_shell(e0.sys, e0.q, e0.p, e0.phi)
+        h1, shell1 = _h_and_shell(e0.sys, e_end.q, e_end.p, e_end.phi)
     report = RunReport(
         termination="lambda_reached",
         steps=stats["steps_accepted"],
@@ -155,7 +156,7 @@ def _cmd_verify(args) -> int:
         for r in results:
             record = {
                 "name": r.name,
-                "passed": bool(r.passed),
+                "passed": r.passed,
                 "measured": None if not np.isfinite(r.measured) else float(r.measured),
                 "tolerance": None if not np.isfinite(r.tolerance) else float(r.tolerance),
                 "detail": r.detail,

@@ -173,8 +173,8 @@ class ExtendedState:
 
 # --- batched internals -------------------------------------------------------
 # q: (n, 4), p: (n, 4), phi: (n,).  The metric enters as its diagonal g^{aa}
-# (geometry._values: checked finite, not sign-tested) and its derivatives only
-# through geometry._contract.
+# (geometry._values: checked finite and (-,+,+,+), else BadSignature) and its
+# derivatives only through geometry._contract, which the flow reads unsigned.
 
 
 def _h_and_shell(sys, q, p, phi):
@@ -378,7 +378,7 @@ def solve_p0_on_shell(sys: ContactHamiltonianSystem, q, phi, p_spatial) -> np.nd
     """Solve g^{ab} p_a p_b + m^2 c^2 = 0 for p_0 given spatial momentum.
 
     Batched: q (..., 4), phi scalar or (...,), p_spatial (..., 3).  On the
-    sign-tested diagonal (BadSignature) the future-directed root is
+    checked diagonal (BadSignature) the future-directed root is
     p_0 = sqrt(-4 g^{00} c0) / (2 g^{00}) < 0, c0 = g^{ii} p_i^2 + m^2 c^2.
     Raises ShellSolveFailed where none exists (zero momentum for a photon).
     """
@@ -386,7 +386,7 @@ def solve_p0_on_shell(sys: ContactHamiltonianSystem, q, phi, p_spatial) -> np.nd
     q = np.atleast_2d(np.asarray(q, dtype=float))
     p_spatial = np.atleast_2d(np.asarray(p_spatial, dtype=float))
     phi_arr = np.broadcast_to(np.asarray(phi, dtype=float), q.shape[:-1])
-    g = geometry._signature(sys.metric.name, geometry._values(sys.metric, q, phi_arr))
+    g = geometry._values(sys.metric, q, phi_arr)
     m = np.asarray(sys.mass.value(phi_arr), dtype=float)
     disc = -4.0 * g[..., 0] * (geometry._gpp(g[..., 1:], p_spatial) + (m * sys.c) ** 2)
     if not np.all(disc > 0.0):

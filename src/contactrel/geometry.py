@@ -19,12 +19,14 @@ path reads the metric through one of them, ``diagonal(q, phi)``, which
 returns g^{aa} and its gradient checked finite.  The flow needs the metric
 only through the quadratic form g^{ab} p_a p_b, so the dynamics calls
 :func:`_contract`, which returns ``g . p`` and the gradient of that scalar,
-never a rank-3 tensor; the geodesic reference reads the diagonal and its
-gradient as they are, and the shell algebra the diagonal alone
-(:func:`_values`).  Only :func:`inverse_metric` and :func:`lowered_metric`
-build a (..., 4, 4) matrix.  The tensor form, ``func``, ``d_q``, ``d_phi``
-and :func:`metric_derivatives`, is off every model path: the reference tests
-and the benchmark read it.
+never a rank-3 tensor, and tests no sign: a trial stage may leave the domain
+of a run whose accepted states stay in it.  Every other reader goes through
+the one sign test, :func:`_signed`: the geodesic reference with the gradient
+at each stage, the shell algebra, a run's recorded samples and the matrices
+with the diagonal alone (:func:`_values`).  Only :func:`inverse_metric` and
+:func:`lowered_metric` build a (..., 4, 4) matrix.  The tensor form,
+``func``, ``d_q``, ``d_phi`` and :func:`metric_derivatives`, is off every
+model path: the reference tests and the benchmark read it.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ _DIAGONAL = np.arange(4)
 class MetricField:
     """Diagonal inverse metric field g^{mu nu}(q, phi) with its exact derivatives.
 
-    Index 0 is time, and :func:`inverse_metric` refuses any other field.
+    Index 0 is time, and every reader but the flow refuses one off (-,+,+,+).
     All four callbacks are required.  The built-in constructors get them from
     ``_diagonal_metric``; a hand-made field must keep them consistent, as
     ``tests/test_contract.py`` checks for the built-in ones.  Every model path
@@ -104,10 +106,18 @@ def _finite_derivative(name: str, d) -> np.ndarray:
     return d
 
 
+def _signed(metric: MetricField, q, phi):
+    """metric.diagonal(q, phi), once g^{00} < 0 < g^{ii} holds everywhere; else BadSignature."""
+    g, gradient = metric.diagonal(q, phi)
+    if not (np.all(g[..., 0] < 0.0) and np.all(g[..., 1:] > 0.0)):
+        raise BadSignature(f"metric '{metric.name}' does not have signature (-,+,+,+)")
+    return g, gradient
+
+
 def _values(metric: MetricField, q, phi) -> np.ndarray:
-    """g^{aa} at (q, phi) as (..., 4); the signs are :func:`_signature`'s to test."""
+    """g^{aa} at (q, phi) as (..., 4), checked finite and (-,+,+,+) (:func:`_signed`)."""
     q = np.asarray(q, dtype=float)
-    return np.broadcast_to(metric.diagonal(q, phi)[0], q.shape[:-1] + (4,))
+    return np.broadcast_to(_signed(metric, q, phi)[0], q.shape[:-1] + (4,))
 
 
 def _contract(metric: MetricField, q, p, phi):
@@ -125,17 +135,10 @@ def _contract(metric: MetricField, q, p, phi):
     return g_p, d_gpp[..., :4], d_gpp[..., 4]
 
 
-def _signature(name: str, diag):
-    """The (..., 4) diagonal, once g^{00} < 0 < g^{ii} holds everywhere; else BadSignature."""
-    if not (np.all(diag[..., 0] < 0.0) and np.all(diag[..., 1:] > 0.0)):
-        raise BadSignature(f"metric '{name}' does not have signature (-,+,+,+)")
-    return diag
-
-
 def _reciprocals(metric: MetricField, q, phi) -> np.ndarray:
-    """g_{aa} = 1/g^{aa} of the sign-tested diagonal; SingularMetric where one overflows."""
+    """g_{aa} = 1/g^{aa} of the checked diagonal; SingularMetric where one overflows."""
     with np.errstate(over="ignore"):
-        recip = 1.0 / _signature(metric.name, _values(metric, q, phi))
+        recip = 1.0 / _values(metric, q, phi)
     if not np.all(np.isfinite(recip)):
         raise SingularMetric(f"metric '{metric.name}' is numerically singular at the "
                              "requested point")
@@ -153,10 +156,9 @@ def inverse_metric(metric: MetricField, q: np.ndarray, phi) -> np.ndarray:
     """Evaluate g^{mu nu} at (q, phi), checked to be finite, diagonal and (-,+,+,+).
 
     Accepts a single point (q shape (4,)) or a batch (q shape (..., 4)).
-    Raises NonFiniteMetric, or BadSignature for a diagonal that fails the sign
-    test.
+    Raises NonFiniteMetric, or BadSignature off (-,+,+,+) (:func:`_signed`).
     """
-    return _matrix(_signature(metric.name, _values(metric, q, phi)))
+    return _matrix(_values(metric, q, phi))
 
 
 def lowered_metric(metric: MetricField, q: np.ndarray, phi) -> np.ndarray:

@@ -748,12 +748,11 @@ def _geodesic_field(metric, y, out):
     For a diagonal metric, with u_a = u^a / g^{aa} and D[a, k] = d g^{aa}/d q^k,
     du^mu/dtau = -Gamma^mu_{ab} u^a u^b
                = u_mu (D[mu] . u) - 1/2 g^{mu mu} sum_a D[a, mu] u_a^2.
-    g^{aa} is sign-tested first, so a point off (-,+,+,+) raises BadSignature
-    before any division.
+    g^{aa} is read through geometry._signed, so a point off (-,+,+,+) raises
+    BadSignature before any division.
     """
     u = y[4:8]
-    g, grad = metric.diagonal(y[0:4], 0.0)
-    geometry._signature(metric.name, g)
+    g, grad = geometry._signed(metric, y[0:4], 0.0)
     u_low = u / g
     d_q = np.zeros((4, 4)) if grad is None else grad[:, :4]
     out[0:4] = u

@@ -146,33 +146,38 @@ class DensitySpec:
     phi_halfwidth: float = 0.0
 
 
-def _validate_spec(spec: DensitySpec) -> int:
-    """Check normalizability; returns the number of active dimensions."""
+def _uniform_axes(spec: DensitySpec) -> list[tuple[str, float, float]]:
+    """(label, c, h) of each uniform axis: q^0..q^3, phi, a uniform momentum's three.
+
+    An axis is uniform over c +- h; h = 0 pins it and drops it from the
+    density.  The order is the sampling order.
+    """
+    mom = spec.momentum
+    axes = [("q", c, h) for c, h in zip(spec.q_center, spec.q_halfwidth)]
+    axes.append(("phi", spec.phi_center, spec.phi_halfwidth))
+    if isinstance(mom, UniformMomentum):
+        axes += [("momentum", c, h) for c, h in zip(mom.center, mom.halfwidth)]
+    return axes
+
+
+def _validate_spec(spec: DensitySpec) -> None:
+    """Check normalizability: some axis is active, and none has a negative width."""
     active = 0
-    for h in spec.q_halfwidth:
+    for label, _, h in _uniform_axes(spec):
         if h < 0:
-            raise UnnormalizableSpec("negative q halfwidth")
+            raise UnnormalizableSpec(f"negative {label} halfwidth")
         active += h > 0
-    if spec.phi_halfwidth < 0:
-        raise UnnormalizableSpec("negative phi halfwidth")
-    active += spec.phi_halfwidth > 0
     mom = spec.momentum
     if isinstance(mom, GaussianMomentum):
         if any(s <= 0 for s in mom.sigma):
             raise UnnormalizableSpec("Gaussian momentum needs sigma > 0 in every component")
         active += 3
-    elif isinstance(mom, UniformMomentum):
-        for h in mom.halfwidth:
-            if h < 0:
-                raise UnnormalizableSpec("negative momentum halfwidth")
-            active += h > 0
-    else:
+    elif not isinstance(mom, UniformMomentum):
         raise UnnormalizableSpec(f"unknown momentum law {type(mom).__name__}")
     if active == 0:
         raise UnnormalizableSpec(
             "all dimensions are pinned; the spec defines a point mass, not a density"
         )
-    return active
 
 
 def sample_ensemble(
@@ -193,26 +198,16 @@ def sample_ensemble(
     rng = np.random.default_rng(seed)
 
     logf = np.zeros(n)
-    q = np.empty((n, 4))
-    for mu in range(4):
-        c_, h_ = spec.q_center[mu], spec.q_halfwidth[mu]
+    q, phi, p_spatial = np.empty((n, 4)), np.empty(n), np.empty((n, 3))
+    # a Gaussian momentum has no uniform axes, and zip ends at phi
+    for column, (_, c_, h_) in zip([*q.T, phi, *p_spatial.T], _uniform_axes(spec)):
         if h_ > 0:
-            q[:, mu] = rng.uniform(c_ - h_, c_ + h_, size=n)
+            column[:] = rng.uniform(c_ - h_, c_ + h_, size=n)
             logf -= math.log(2.0 * h_)
         else:
-            q[:, mu] = c_
-    if spec.phi_halfwidth > 0:
-        phi = rng.uniform(
-            spec.phi_center - spec.phi_halfwidth,
-            spec.phi_center + spec.phi_halfwidth,
-            size=n,
-        )
-        logf -= math.log(2.0 * spec.phi_halfwidth)
-    else:
-        phi = np.full(n, spec.phi_center)
+            column[:] = c_
 
     mom = spec.momentum
-    p_spatial = np.empty((n, 3))
     if isinstance(mom, GaussianMomentum):
         for i in range(3):
             mu_, s_ = mom.mean[i], mom.sigma[i]
@@ -221,14 +216,6 @@ def sample_ensemble(
                 -0.5 * ((p_spatial[:, i] - mu_) / s_) ** 2
                 - math.log(s_ * math.sqrt(2.0 * math.pi))
             )
-    else:
-        for i in range(3):
-            c_, h_ = mom.center[i], mom.halfwidth[i]
-            if h_ > 0:
-                p_spatial[:, i] = rng.uniform(c_ - h_, c_ + h_, size=n)
-                logf -= math.log(2.0 * h_)
-            else:
-                p_spatial[:, i] = c_
 
     p = solve_p0_on_shell(sys, q, phi, p_spatial)
     return Ensemble(

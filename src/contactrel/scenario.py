@@ -415,8 +415,6 @@ def build_initial_state(cfg: ScenarioConfig, sys: ContactHamiltonianSystem) -> E
     if "v" in init:
         return dynamics.state_from_velocity(sys, q0, phi0, np.asarray(init["v"]))
     state = ExtendedState(q=q0, p=np.asarray(init["p"], dtype=float), phi=phi0)
-    # sign-tested, as the other two forms are
-    geometry._signature(sys.metric.name, geometry._values(sys.metric, q0, phi0))
     res = float(dynamics._h_and_shell(sys, *dynamics._as_batch(state))[1][0])
     if not (init["allow_off_shell"] or dynamics._on_shell(sys, res, phi0)):
         raise ValidationError(

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from contactrel import (
+    BadSignature,
     ContactHamiltonianSystem,
     ExtendedState,
     MasslessProjection,
@@ -162,6 +163,17 @@ def test_project_to_shell_spacelike_rejected():
     s = ExtendedState(q=[0, 0, 0, 0], p=[-0.1, 1.0, 0, 0], phi=0.0)
     with pytest.raises(NotTimelike):
         project_to_shell(sys, s)
+
+
+@pytest.mark.parametrize("read", [four_velocity, project_to_shell])
+def test_shell_readers_refuse_a_state_off_the_signature(read):
+    # g^{11} = 1 + phi/2 < 0 at phi = -3, while g p p < 0 still holds
+    sys = ContactHamiltonianSystem(
+        metric=expression_metric(["-1", "1 + 0.5*phi", "1", "1"]),
+        mass=MassModel.constant(1.0), c=1.0,
+    )
+    with pytest.raises(BadSignature):
+        read(sys, ExtendedState(q=np.zeros(4), p=[-1.5, 0.3, 0.0, 0.0], phi=-3.0))
 
 
 # --- the shell algebra on the diagonal, against the (..., 4, 4) forms ---------------

@@ -575,6 +575,57 @@ def test_start_off_the_signature_ends_in_a_named_error(initial, tmp_path, capsys
     assert sorted(tmp_path.iterdir()) == [path]
 
 
+# g^{11} = 1 + phi/2 changes sign at phi = -2; on the shell a unit mass has
+# dphi/dlambda = -1, so a run from phi = 0 crosses it at lambda = 2
+_LEAVING_METRIC = {"kind": "expression", "diag": ["-1", "1 + 0.5*phi", "1", "1"]}
+
+
+def _leaving_run(stop) -> dict:
+    return _minimal(metric=_LEAVING_METRIC, stop=[stop],
+                    initial={"kind": "single", "p_spatial": [0.3, 0.0, 0.0]})
+
+
+@pytest.mark.parametrize("action", ["default", "error"])
+def test_run_that_leaves_the_signature_ends_in_a_named_error(action, tmp_path, capsys):
+    # the flow tests no sign, but every recorded sample is read through the
+    # checked diagonal, so the run is refused before any file is written
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_leaving_run({"kind": "lambda_reached", "value": 5.0})))
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "does not have signature (-,+,+,+)" in _one_error_line(capsys)
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+def test_run_that_stops_short_of_the_signature_change_writes_its_table(tmp_path, capsys):
+    # its accepted states stay in (-,+,+,+), but trial stages of its last
+    # steps reach past phi = -2: a sign test on the flow's field would end it
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(_leaving_run({"kind": "phi_reached", "value": -1.9})))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+    assert "termination: phi_reached" in capsys.readouterr().out
+    assert [f.name for f in (tmp_path / "out").iterdir()] == ["run_output.csv"]
+
+
+@pytest.mark.parametrize("forked", [True, False], ids=["forked", "in-process"])
+def test_gas_that_leaves_the_signature_leaves_no_table(forked, tmp_path, monkeypatch, capsys):
+    # every marker starts in (-,+,+,+) and ends past phi = -2: the end state
+    # is refused while the run's tables are still open, which removes them
+    _snapshots_here(monkeypatch, forked)
+    doc = _gas_doc()
+    doc.update(metric=_LEAVING_METRIC, mass={"kind": "constant", "m0": 1.0},
+               stop=[{"kind": "lambda_reached", "value": 5.0}])
+    doc["initial"].update(n=20, seed=1, momentum={
+        "kind": "gaussian", "mean": [0.3, 0.0, 0.0], "sigma": [0.1, 0.1, 0.1]})
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert main(["ensemble", str(path), "--out-dir", str(tmp_path / "out" / "a")]) == 2
+    assert "does not have signature (-,+,+,+)" in _one_error_line(capsys)
+    assert multiprocessing.active_children() == []
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("out_dir, outputs_path", [
     ("fresh/a/b", "gas"),    # --out-dir and its parents are new
     ("old", "sub/dir/gas"),  # outputs.path adds directories under an existing out dir
@@ -971,7 +1022,7 @@ def test_verify_gas_preset_reuses_battery_run(monkeypatch):
     # as entropy-decay reads it, and photon-behavior's photon-null run.
     from contactrel import checks, kinetic
 
-    checks._preset_run.cache_clear()
+    checks._preset_outcome.cache_clear()
     checks._preset_run("photon-gas")
     assert checks._check_record(False, "photon-behavior").passed
 
@@ -985,6 +1036,32 @@ def test_verify_gas_preset_reuses_battery_run(monkeypatch):
         result = checks._check_record(False, f"preset:{preset}")
         assert result.name == f"preset:{preset}"
         assert result.passed, result.detail
+
+
+def test_verify_integrates_a_failed_preset_once(monkeypatch):
+    # a preset run that raises is kept with its exception: the entropy-decay
+    # task integrates each gas once, and every record that reads a failed
+    # run fails with the same detail
+    from contactrel import checks
+
+    calls = []
+
+    def refuse(cfg, *args, **kwargs):
+        calls.append(cfg.name)
+        raise RuntimeError(f"{cfg.name} refused")
+
+    monkeypatch.setattr(checks, "run_ensemble", refuse)
+    names = [name for name, _ in checks.CHECKS] + [f"preset:{name}" for name in PRESETS]
+    task = next(task for task in checks._tasks(names) if task[0] == "entropy-decay")
+    checks._preset_outcome.cache_clear()
+    try:
+        records = {r.name: r for r in checks._run_task(False, task)}
+    finally:
+        checks._preset_outcome.cache_clear()
+    assert sorted(calls) == ["absorbing-gas", "decay-gas", "photon-gas"]
+    assert not any(r.passed for r in records.values())
+    assert (records["entropy-decay"].detail == records["preset:decay-gas"].detail
+            == "raised RuntimeError: decay-gas refused")
 
 
 def _unbudgeted(cfg):
@@ -1012,13 +1089,13 @@ def test_verify_runs_each_preset_on_its_budget(monkeypatch):
 
     monkeypatch.setattr(checks, "run_single", catch)
     monkeypatch.setattr(checks, "run_ensemble", catch)
-    checks._preset_run.cache_clear()
+    checks._preset_outcome.cache_clear()
     try:
         for name in PRESETS:
             record = checks._check_record(False, f"preset:{name}")
             assert not record.passed and "not stepped" in record.detail
     finally:
-        checks._preset_run.cache_clear()
+        checks._preset_outcome.cache_clear()
     assert [cfg.name for cfg in received] == list(PRESETS)
     for name, cfg in zip(PRESETS, received):
         budget = cfg.integrator["max_steps"]
@@ -1064,7 +1141,7 @@ def test_verify_pool_matches_in_process_and_runs_each_gas_once(tmp_path, monkeyp
     # worker idle while the reader still runs, and integrate its preset
     # again.  A run is a preset's when its config is the preset document
     # but for the step budget that verify sets.
-    from contactrel import checks, output
+    from contactrel import checks, cli, output
 
     _force_pool(monkeypatch, workers=4)
     log = tmp_path / "runs.log"
@@ -1080,17 +1157,26 @@ def test_verify_pool_matches_in_process_and_runs_each_gas_once(tmp_path, monkeyp
 
     monkeypatch.setattr(checks, "run_single", counted(checks.run_single))
     monkeypatch.setattr(checks, "run_ensemble", counted(checks.run_ensemble))
+    results = []
+
+    def kept(*args, real=cli.run_all):
+        results[:] = real(*args)
+        return results
+
+    monkeypatch.setattr(cli, "run_all", kept)
     outs = []
     for in_process in (False, True):
         if in_process:
             monkeypatch.setattr(output, "_fork_context", lambda: None)
-        checks._preset_run.cache_clear()
+        checks._preset_outcome.cache_clear()
         log.write_text("")
         code, out, records = _verify_records(["verify", "--all-presets", "--json"], capsys)
         assert code == 0, out
         assert [r["name"] for r in records] == (
             [name for name, _ in checks.CHECKS] + [f"preset:{name}" for name in PRESETS])
         assert sorted(log.read_text().splitlines()) == sorted(PRESETS)
+        # a Python bool, which json.dumps writes, not a numpy.bool_
+        assert [type(r.passed) for r in results] == [bool] * 19
         outs.append(out)
     assert outs[0] == outs[1]
 
