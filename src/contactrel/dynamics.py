@@ -124,7 +124,9 @@ class MassModel:
         Exactly m0 (+0.0 for a zero mass) at every finite phi when slope is 0.
         """
         phi = np.asarray(phi, dtype=float)
-        out = self.m0 + self.slope * (phi - self.phi_ref)
+        out = phi - self.phi_ref  # one array: the flow reads m at every stage
+        out *= self.slope
+        out += self.m0
         return out if phi.ndim else float(out)
 
 
@@ -173,8 +175,9 @@ class ExtendedState:
 
 # --- batched internals -------------------------------------------------------
 # q: (n, 4), p: (n, 4), phi: (n,).  The metric enters as its diagonal g^{aa}
-# (geometry._values: checked finite and (-,+,+,+), else BadSignature) and its
-# derivatives only through geometry._contract, which the flow reads unsigned.
+# (geometry._values: checked finite and (-,+,+,+), else BadSignature) and,
+# on the flow, through geometry._contract: the raw diagonal, read unsigned,
+# and the gradient of g^{ab} p_a p_b, None for a field without one.
 
 
 def _h_and_shell(sys, q, p, phi):
@@ -190,15 +193,18 @@ def _on_shell(sys, shell, phi) -> bool:
     return bool(abs(shell) <= 1e-8 * max(1.0, abs(gpp)))
 
 
-def _dH_dphi_from(sys, phi, dphi_gpp):
-    """dH/dphi from d_phi(g^{ab} p_a p_b)."""
-    m = np.asarray(sys.mass.value(phi), dtype=float)
-    return 0.5 * dphi_gpp + m * sys.c**2 * sys.mass.slope
+def _dH_dphi_from(sys, phi, d_gpp):
+    """dH/dphi from the (..., 5) gradient of g^{ab} p_a p_b (None where it is zero)."""
+    dHdphi = np.asarray(sys.mass.value(phi), dtype=float)  # m, a fresh array
+    dHdphi *= sys.c**2
+    dHdphi *= sys.mass.slope
+    if d_gpp is not None:
+        dHdphi += 0.5 * d_gpp[..., 4]
+    return dHdphi
 
 
 def _dH_dphi_arrays(sys, q, p, phi):
-    _, _, dphi_gpp = geometry._contract(sys.metric, q, p, phi)
-    return _dH_dphi_from(sys, phi, dphi_gpp)
+    return _dH_dphi_from(sys, phi, geometry._contract(sys.metric, q, p, phi)[1])
 
 
 def _field_rows(sys, q, p, phi, out):
@@ -207,21 +213,28 @@ def _field_rows(sys, q, p, phi, out):
     Component-major: q and p are (4, ...) rows, row a holding component a of
     every marker, and phi is (...); out[0:4], out[4:8] and out[8] receive dq,
     dp and dphi.  ``geometry._contract`` is handed the (..., 4) transposes.
-    Besides its outputs, nothing larger than a phi-shaped row is allocated:
-    p * dq is formed in the dp rows and -1/2 d_mu(g p p) in the dq rows
-    before each takes its value.
+    g . p is written straight into the dq rows and p . dq formed and summed
+    in the dp rows, so a field without a gradient allocates one phi-shaped
+    row, dH/dphi; a gradient field scales the contraction's own (..., 5)
+    array by -1/2 in place and subtracts p dH/dphi from it.
     """
-    dq, dq_gpp, dphi_gpp = geometry._contract(sys.metric, q.T, p.T, phi)
-    dHdphi = _dH_dphi_from(sys, phi, dphi_gpp)
+    g, d_gpp = geometry._contract(sys.metric, q.T, p.T, phi)
+    dHdphi = _dH_dphi_from(sys, phi, d_gpp)
     dq_rows, dp_rows = out[0:4], out[4:8]
-    # p . dq, annihilated by eta exactly; summed as einsum sums a C-ordered
-    # row of 4, so the bits do not depend on the operands' layout
-    t = np.multiply(p, dq.T, out=dp_rows)
-    out[8] = (t[0] + t[2]) + (t[1] + t[3])
-    np.multiply(dq_gpp.T, -0.5, out=dq_rows)
+    np.multiply(g, p.T, out=dq_rows.T)
+    # p . dq, annihilated by eta exactly: (t0 + t2) + (t1 + t3) in the rows,
+    # as einsum sums a C-ordered row of 4, so the bits do not depend on the
+    # operands' layout
+    t = np.multiply(p, dq_rows, out=dp_rows)
+    np.add(t[1], t[3], out=t[1, ...])
+    np.add(t[0], t[2], out=out[8, ...])
+    out[8] += t[1]
     np.multiply(p, dHdphi, out=dp_rows)
-    np.subtract(dq_rows, dp_rows, out=dp_rows)
-    dq_rows[...] = dq.T
+    if d_gpp is None:  # -1/2 times a zero gradient is -0.0, which keeps the sign of a zero dp
+        np.subtract(-0.0, dp_rows, out=dp_rows)
+    else:
+        d_gpp *= -0.5
+        np.subtract(d_gpp[..., :4].T, dp_rows, out=dp_rows)
     return dHdphi
 
 
@@ -337,11 +350,13 @@ def reduced_field_phi(sys: ContactHamiltonianSystem, s: ExtendedState) -> tuple[
         raise TransversalityFailure(
             f"m(phi)^2 c^2 = {m2c2:.3e} < {TRANSVERSALITY_TOL}; phi is not a valid parameter"
         )
-    gp, dq_gpp, dphi_gpp = geometry._contract(sys.metric, *_as_batch(s))
+    q, p, phi = _as_batch(s)
+    g, d_gpp = geometry._contract(sys.metric, q, p, phi)
+    d_gpp = np.zeros(5) if d_gpp is None else d_gpp[0]
 
-    dqdphi = -gp[0] / m2c2
-    dpdphi = 0.5 * dq_gpp[0] / m2c2
-    dpdphi += 0.5 * s.p * float(dphi_gpp[0]) / m2c2
+    dqdphi = -(g * p)[0] / m2c2
+    dpdphi = 0.5 * d_gpp[:4] / m2c2
+    dpdphi += 0.5 * s.p * float(d_gpp[4]) / m2c2
     dpdphi += s.p * sys.mass.slope / m
     return dqdphi, dpdphi
 

@@ -18,15 +18,17 @@ out, :func:`expression_metric` differentiates its entries symbolically), and
 path reads the metric through one of them, ``diagonal(q, phi)``, which
 returns g^{aa} and its gradient checked finite.  The flow needs the metric
 only through the quadratic form g^{ab} p_a p_b, so the dynamics calls
-:func:`_contract`, which returns ``g . p`` and the gradient of that scalar,
-never a rank-3 tensor, and tests no sign: a trial stage may leave the domain
-of a run whose accepted states stay in it.  Every other reader goes through
-the one sign test, :func:`_signed`: the geodesic reference with the gradient
-at each stage, the shell algebra, a run's recorded samples and the matrices
-with the diagonal alone (:func:`_values`).  Only :func:`inverse_metric` and
-:func:`lowered_metric` build a (..., 4, 4) matrix.  The tensor form,
-``func``, ``d_q``, ``d_phi`` and :func:`metric_derivatives`, is off every
-model path: the reference tests and the benchmark read it.
+:func:`_contract`, which returns the diagonal and the gradient of that
+scalar (None for a field without a gradient), never a rank-3 tensor, and
+tests no sign: a trial stage may leave the domain of a run whose accepted
+states stay in it.  The flow writes ``g . p`` into its own rows.  Every
+other reader goes through the one sign test, :func:`_signed`: the geodesic
+reference with the gradient at each stage, the shell algebra, a run's
+recorded samples and the matrices with the diagonal alone (:func:`_values`).
+Only :func:`inverse_metric` and :func:`lowered_metric` build a (..., 4, 4)
+matrix.  The tensor form, ``func``, ``d_q``, ``d_phi`` and
+:func:`metric_derivatives`, is off every model path: the reference tests and
+the benchmark read it.
 """
 
 from __future__ import annotations
@@ -121,18 +123,19 @@ def _values(metric: MetricField, q, phi) -> np.ndarray:
 
 
 def _contract(metric: MetricField, q, p, phi):
-    """(g . p (..., 4), d_mu(g^{ab} p_a p_b) (..., 4), d_phi(g^{ab} p_a p_b) (...)).
+    """(g^{aa}, d(g^{ab} p_a p_b)/d(x0, x1, x2, x3, phi) (..., 5), or None for it).
 
-    The three contractions the flow needs, from g^{ab} p_a p_b = sum_a g^{aa}
-    p_a^2.  Raises NonFiniteDerivative where a contracted derivative
-    overflows.
+    The diagonal as ``metric.diagonal`` gives it, a constant (4,) or (..., 4),
+    and the gradient of g^{ab} p_a p_b = sum_a g^{aa} p_a^2 contracted from
+    the diagonal's gradient; None where that gradient is identically zero, so
+    a flat field forms no array here.  The gradient is the einsum's own
+    array, which the caller may overwrite.  Raises NonFiniteDerivative where a
+    contracted derivative overflows.
     """
     g, gradient = metric.diagonal(q, phi)
-    g_p = g * p
     if gradient is None:
-        return g_p, np.zeros(p.shape), np.zeros(p.shape[:-1])
-    d_gpp = _finite_derivative(metric.name, np.einsum("...ak,...a->...k", gradient, p * p))
-    return g_p, d_gpp[..., :4], d_gpp[..., 4]
+        return g, None
+    return g, _finite_derivative(metric.name, np.einsum("...ak,...a->...k", gradient, p * p))
 
 
 def _reciprocals(metric: MetricField, q, phi) -> np.ndarray:

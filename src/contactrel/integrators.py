@@ -21,10 +21,12 @@ splits a lambda span into ceil(span/fixed_step) equal steps.  Every run
 allocates its step's buffers once, arrays shaped like the state: ten for
 Dormand-Prince (:func:`_dp_step`), seven for RK4 (:func:`_rk4_step`).  Every
 right-hand side writes into the slot it is handed, and an accepted step
-swaps buffers instead of allocating new ones.  Besides the outputs of
-``geometry._contract``, no step allocates an array larger than one (n,) row,
-and the states the loop hands on (samples, reports) are buffers that later
-steps overwrite: a caller copies what it keeps.  A Dormand-Prince series of
+swaps buffers instead of allocating new ones.  The field writes g . p into
+its slot, so besides what a metric with a gradient allocates in
+``geometry._contract`` (its diagonal, its gradient and their contraction),
+no step allocates an array larger than one (n,) row.  The states the loop
+hands on (samples, reports) are buffers that later steps overwrite: a
+caller copies what it keeps.  A Dormand-Prince series of
 reports reads its intermediate reports off the pair's 4th-order continuous
 extension (Hairer, Norsett & Wanner, Solving ODEs I, II.6), so its steps
 follow the tolerance, not the report count.  Stop conditions are located on

@@ -60,12 +60,23 @@ class EntropyFunctional:
     def shannon_boltzmann(cls) -> "EntropyFunctional":
         """sigma(f) = -f ln f, so S = -sum w_i ln f_i."""
 
+        # each formed in one array of its own, since every report reads them
+        # over all markers: -(f ln f) has the bits of (-f) ln f, and
+        # -1 - ln f those of -ln f - 1
         def sigma(f):
             f = np.asarray(f, dtype=float)
-            return np.where(f > 0.0, -f * np.log(np.where(f > 0.0, f, 1.0)), 0.0)
+            positive = f > 0.0
+            out = np.where(positive, f, 1.0)
+            np.log(out, out=out)
+            out *= f
+            np.negative(out, out=out)
+            out[~positive] = 0.0
+            return out
 
         def sigma_prime(f):
-            return -np.log(np.asarray(f, dtype=float)) - 1.0
+            f = np.asarray(f, dtype=float)
+            out = np.log(f, out=np.empty_like(f))
+            return np.subtract(-1.0, out, out=out)
 
         return cls(sigma=sigma, sigma_prime=sigma_prime, name="shannon-boltzmann")
 
@@ -242,7 +253,8 @@ def _weight_per_density(e: Ensemble) -> np.ndarray:
 
 def entropy(e: Ensemble, functional: EntropyFunctional) -> float:
     """Marker estimate S approx sum_i (w_i/f_i) sigma(f_i)."""
-    return float(np.sum(_weight_per_density(e) * functional.sigma(e.f)))
+    ratio = _weight_per_density(e)
+    return float(np.sum(np.multiply(ratio, functional.sigma(e.f), out=ratio)))
 
 
 def entropy_rate(e: Ensemble, functional: EntropyFunctional) -> float:
@@ -252,8 +264,11 @@ def entropy_rate(e: Ensemble, functional: EntropyFunctional) -> float:
     """
     ratio = _weight_per_density(e)
     dhdphi = _dH_dphi_arrays(e.sys, e.q, e.p, e.phi)
-    bracket = e.f * functional.sigma_prime(e.f) - functional.sigma(e.f)
-    return float(4.0 * np.sum(ratio * bracket * dhdphi))
+    bracket = e.f * functional.sigma_prime(e.f)
+    bracket -= functional.sigma(e.f)
+    np.multiply(ratio, bracket, out=ratio)
+    ratio *= dhdphi
+    return float(4.0 * np.sum(ratio))
 
 
 def ensemble_series(

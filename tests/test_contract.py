@@ -1,6 +1,7 @@
 """Each field's diagonal callback, and the contraction geometry._contract
 forms from it, agree with the field's derivative tensors and with a stencil
-over its metric values."""
+over its metric values; the flow's rows and its dH/dphi reader keep the bits
+of the contraction they replace."""
 
 from __future__ import annotations
 
@@ -71,7 +72,7 @@ def _states(n, seed=5):
 
 
 def _tensor_reference(metric, q, p, phi):
-    """_contract's three arrays and diagonal's two from func and metric_derivatives."""
+    """_contracted's three arrays and diagonal's two from func and metric_derivatives."""
     dq_g, dphi_g = metric_derivatives(metric, q, phi)
     g = metric.func(q, phi)
     gp = np.einsum("nab,nb->na", g, p)
@@ -124,11 +125,20 @@ def _assert_close(got, want, tol):
         assert np.max(np.abs(g - w) / np.maximum(1.0, np.abs(w))) <= tol
 
 
+def _contracted(metric, q, p, phi):
+    """g . p, d_mu(g^{ab} p_a p_b) and d_phi(g^{ab} p_a p_b) from _contract,
+    a gradient of None as zeros."""
+    g, d_gpp = _contract(metric, q, p, phi)
+    if d_gpp is None:
+        d_gpp = np.zeros(p.shape[:-1] + (5,))
+    return g * p, d_gpp[..., :4], d_gpp[..., 4]
+
+
 def _contract_and_diagonal(metric, q, p, phi):
-    """_contract's three arrays and diagonal's two, broadcast to the batch, a
+    """_contracted's three arrays and diagonal's two, broadcast to the batch, a
     gradient of None as zeros."""
     g, grad = metric.diagonal(q, phi)
-    return (*_contract(metric, q, p, phi), np.broadcast_to(g, q.shape),
+    return (*_contracted(metric, q, p, phi), np.broadcast_to(g, q.shape),
             np.zeros(q.shape + (5,)) if grad is None else grad)
 
 
@@ -162,10 +172,10 @@ def test_contract_callbacks_are_supplied_where_documented():
 
 
 def _covector_diagonal(metric, q, phi):
-    """g^{aa}, d g^{aa}/d q^k and d g^{aa}/d phi as _contract gives them for the
-    four unit covectors e_a: the reading the diagonal callback replaces."""
+    """g^{aa}, d g^{aa}/d q^k and d g^{aa}/d phi as _contracted gives them for
+    the four unit covectors e_a: the reading the diagonal callback replaces."""
     rows = q.shape[:-1] + (4,)
-    g_e, d_q, d_phi = _contract(
+    g_e, d_q, d_phi = _contracted(
         metric,
         np.broadcast_to(q[..., None, :], rows + (4,)),
         np.broadcast_to(np.eye(4), rows + (4,)),
@@ -175,7 +185,7 @@ def _covector_diagonal(metric, q, phi):
 
 
 def _covector_contract(metric, q, p, phi):
-    """The contraction formed from _covector_diagonal, in _contract's arithmetic."""
+    """The contraction formed from _covector_diagonal, in _contracted's arithmetic."""
 
     def rows(q, p, phi):
         g, d_q, d_phi = _covector_diagonal(metric, q, phi)
@@ -186,6 +196,19 @@ def _covector_contract(metric, q, p, phi):
     return _in_chunks(rows, q, p, phi)
 
 
+def _covector_field_rows(sys, q, p, phi):
+    """The (9, n) field rows and dH/dphi from _covector_contract, in the
+    arithmetic of the field that allocated its contraction: dq = g . p,
+    t = p . dq, dphi = (t0 + t2) + (t1 + t3), dp = (-1/2 d_mu(g p p)) - p dH/dphi."""
+    dq, dq_gpp, dphi_gpp = _covector_contract(sys.metric, q, p, phi)
+    m = np.asarray(sys.mass.value(phi), dtype=float)
+    dhdphi = 0.5 * dphi_gpp + m * sys.c**2 * sys.mass.slope
+    t = p * dq
+    dp = (-0.5 * dq_gpp) - p * dhdphi[:, None]
+    dphi = (t[:, 0] + t[:, 2]) + (t[:, 1] + t[:, 3])
+    return np.concatenate([dq.T, dp.T, dphi[None]]), dhdphi
+
+
 def _assert_same_bits(got, want):
     assert np.all(np.isfinite(want))
     assert np.array_equal(np.signbit(got), np.signbit(want)) and np.array_equal(got, want)
@@ -193,10 +216,13 @@ def _assert_same_bits(got, want):
 
 @pytest.mark.parametrize("n", [1, 10_000])
 @pytest.mark.parametrize("kind", list(METRICS))
-def test_field_and_geodesic_reads_are_the_covector_reads_bit_for_bit(kind, n, monkeypatch):
+def test_field_and_geodesic_reads_are_the_covector_reads_bit_for_bit(kind, n):
     # the field rows and the geodesic right-hand side read the diagonal
     # callback; they must keep the bits of reading the metric through the
-    # contraction of the four unit covectors, signs of zero included
+    # contraction of the four unit covectors, signs of zero included.  The
+    # field writes g . p into its rows and skips a zero gradient; the
+    # reference allocates every array and subtracts p dH/dphi from
+    # -1/2 * 0 = -0.0, whose sign survives where p dH/dphi is +0.0
     metric = METRICS[kind]()
     q, p, phi = _states(n, seed=n)
     q[0, 1:] = 0.0  # the centre of the point mass, where its gradient is 0 and -0
@@ -205,10 +231,7 @@ def test_field_and_geodesic_reads_are_the_covector_reads_bit_for_bit(kind, n, mo
                                    c=1.7)
     out = np.full((9, n), np.nan)
     dhdphi = dynamics._field_rows(sys, q.T, p.T, phi, out)
-    with monkeypatch.context() as patch:
-        patch.setattr("contactrel.geometry._contract", _covector_contract)
-        ref = np.full((9, n), np.nan)
-        ref_dhdphi = dynamics._field_rows(sys, q.T, p.T, phi, ref)
+    ref, ref_dhdphi = _covector_field_rows(sys, q, p, phi)
     _assert_same_bits(out, ref)
     _assert_same_bits(dhdphi, ref_dhdphi)
 
@@ -219,6 +242,21 @@ def test_field_and_geodesic_reads_are_the_covector_reads_bit_for_bit(kind, n, mo
         want = np.concatenate([y[4:8], u_low * (d_q @ y[4:8])
                                - 0.5 * g * ((u_low * u_low) @ d_q)])
         _assert_same_bits(_geodesic_field(metric, y, np.full(8, np.nan)), want)
+
+
+@pytest.mark.parametrize("n", [1, 10_000])
+@pytest.mark.parametrize("mass", ["massive", "zero"])
+@pytest.mark.parametrize("kind", list(METRICS))
+def test_dH_dphi_reader_is_the_field_bit_for_bit(kind, mass, n):
+    # the reports' entropy rate and the divergence-identity check read dH/dphi
+    # without forming g . p; it must be the field's dH/dphi
+    q, p, phi = _states(n, seed=n)
+    sys = ContactHamiltonianSystem(
+        metric=METRICS[kind](),
+        mass=MassModel.exp_decay(1.0, 0.1, c=1.7) if mass == "massive" else MassModel.zero(),
+        c=1.7)
+    _assert_same_bits(dynamics._dH_dphi_arrays(sys, q, p, phi),
+                      dynamics._field_arrays(sys, q, p, phi)[3])
 
 
 def test_wavy_metric_is_written_once():
@@ -273,7 +311,7 @@ def test_singular_expression_derivative_is_named():
 def test_abs_has_derivative_zero_at_its_kink():
     metric = expression_metric(("-(1 + abs(x1))", "1", "1", "1"))
     q, p = np.zeros((1, 4)), np.array([[-1.0, 0.3, 0.0, 0.0]])
-    _, d_q, d_phi = _contract(metric, q, p, np.zeros(1))
+    _, d_q, d_phi = _contracted(metric, q, p, np.zeros(1))
     assert np.all(d_q == 0.0) and np.all(d_phi == 0.0)
     dq_g, _ = metric_derivatives(metric, q[0], 0.0)
     assert np.all(dq_g == 0.0)

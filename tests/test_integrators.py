@@ -15,6 +15,11 @@ from __future__ import annotations
 
 import math
 import mmap
+import os
+import subprocess
+import tracemalloc
+from pathlib import Path
+from sys import executable
 
 import numpy as np
 import pytest
@@ -801,7 +806,10 @@ def test_block_field_of_a_single_state_equals_the_one_row_field(kind, mass):
 def _reference_block_field(sys, y, quadrature):
     """The block field as the allocating form computes it, over (n, 4) views."""
     q, p, phi = y[0:4].T, y[4:8].T, y[8]
-    dq, dq_gpp, dphi_gpp = geometry._contract(sys.metric, q, p, phi)
+    g, d_gpp = geometry._contract(sys.metric, q, p, phi)
+    if d_gpp is None:
+        d_gpp = np.zeros(q.shape[:-1] + (5,))
+    dq, dq_gpp, dphi_gpp = g * p, d_gpp[..., :4], d_gpp[..., 4]
     m = np.asarray(sys.mass.value(phi), dtype=float)
     dhdphi = 0.5 * dphi_gpp + m * sys.c**2 * sys.mass.slope
     dp = -0.5 * dq_gpp
@@ -864,14 +872,9 @@ def test_combine_into_a_buffer_is_the_allocating_sum_bit_for_bit(shape):
     assert all(np.array_equal(a, b) for a, b in zip(ks, keep))
 
 
-def test_block_steps_allocate_no_block_sized_arrays():
-    # A (10, 10^4) block steps in buffers the run allocates once, under rk45
-    # and rk4 alike.  Steps that allocated and freed block-sized temporaries
-    # had glibc trim and re-fault the top of its heap: for 20 steps, 6.0k
-    # minor faults under rk45 alone and 9.0k inside the suite, 21.8k under
-    # rk4, where the run's own buffers and its report take 2.2-3.0k under
-    # rk45 and 1.8k under rk4 (x86-64 Linux, 4 KiB pages, a second run of
-    # each method in the process).
+def _minor_fault_counter():
+    """This process's minor page fault count as a function; skips the test
+    where the platform keeps no such count."""
     resource = pytest.importorskip("resource")
 
     def minflt():
@@ -887,6 +890,18 @@ def test_block_steps_allocate_no_block_sized_arrays():
             fresh[i * mmap.PAGESIZE] = 1
         if minflt() == f0:
             pytest.skip("this platform keeps no minor page fault count")
+    return minflt
+
+
+def test_block_steps_allocate_no_block_sized_arrays():
+    # A (10, 10^4) block steps in buffers the run allocates once, under rk45
+    # and rk4 alike.  Steps that allocated and freed block-sized temporaries
+    # had glibc trim and re-fault the top of its heap: for 20 steps, 6.0k
+    # minor faults under rk45 alone and 9.0k inside the suite, 21.8k under
+    # rk4, where the run's own buffers and its report take 2.2-3.0k under
+    # rk45 and 1.8k under rk4 (x86-64 Linux, 4 KiB pages, a second run of
+    # each method in the process).
+    minflt = _minor_fault_counter()
     sys = _decay_sys()
     n = 10_000
     p_spatial = np.random.default_rng(3).normal(0.0, 0.2, (n, 3))
@@ -905,6 +920,50 @@ def test_block_steps_allocate_no_block_sized_arrays():
         count, stats = faults(cfg)
         assert stats["steps_accepted"] >= 20
         assert count < 4500, f"{cfg.method}: {count} minor page faults"
+
+
+@pytest.mark.parametrize("mass", [MassModel.exp_decay(1.0, ALPHA), MassModel.zero()])
+def test_flat_field_allocates_one_row(mass):
+    # A metric without a gradient writes g . p into the run's rows and forms
+    # no gradient, and dphi is summed in the rows: the one (n,) row it
+    # allocates is dH/dphi, where allocating the contraction took thirteen.
+    sys = ContactHamiltonianSystem(metric=minkowski(), mass=mass, c=1.7)
+    n = 10_000
+    y = np.random.default_rng(2).normal(size=(10, n))
+    out = np.empty_like(y)
+    dynamics._field_rows(sys, y[0:4], y[4:8], y[8], out)
+    tracemalloc.start()
+    try:
+        dynamics._field_rows(sys, y[0:4], y[4:8], y[8], out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * y[8].nbytes, f"{peak} bytes at peak"
+
+
+def test_first_decay_gas_run_of_a_process_faults_few_pages():
+    # The first decay-gas run in a fresh interpreter, where glibc's mmap and
+    # trim thresholds are still 128 KiB.  A field that allocated its (n, 4)
+    # contraction and a zero gradient on every call had each of those 320 KB
+    # arrays mapped and faulted in anew, 32k-45k minor faults; a field that
+    # writes into the run's rows, with reports that keep few rows alive,
+    # takes 2.6k-4.9k, as the heap's layout varies (x86-64 Linux, 4 KiB
+    # pages).
+    _minor_fault_counter()
+    code = (
+        "import resource\n"
+        "from contactrel import scenario\n"
+        "cfg = scenario.preset_scenario('decay-gas')\n"
+        "f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "scenario.run_ensemble(cfg)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    count = int(out.stdout)
+    assert count < 10_000, f"{count} minor page faults"
 
 
 def test_a_stage_where_the_mass_reaches_zero_raises():
