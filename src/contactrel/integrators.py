@@ -15,6 +15,15 @@ the field carries (tau or ln f) and what they keep of the accepted samples;
 they share the step policy, so a block of copies of one state takes that
 state's steps.  :func:`geodesic_reference` runs its own right-hand side, an
 independent reference, through the same loop.
+Row 9 is a quadrature: it is integrated by the same stages, and its
+derivative is formed from the other rows, but the field never reads it
+(the quadrature variables of SUNDIALS' CVODES, without a second
+integrator).  A metric without a gradient makes q cyclic as well, so the
+field reads only p and phi (rows 4..8).  A marker block's stage inputs are
+built on the rows its field reads (:func:`_rows_read`): rows 4..8 without a
+gradient, every row with one; a single state's are built whole, since its
+steps are bound by per-call overhead.  Every k_i, the accepted state, the
+error estimate and the dense output stay whole.
 Its steppers are an embedded Dormand-Prince 5(4) pair
 with FSAL, whose error norm is the worst marker's RMS, and a classic RK4 that
 splits a lambda span into ceil(span/fixed_step) equal steps.  Every run
@@ -261,25 +270,37 @@ def _combine(coeffs, ks, out, tmp):
     return out
 
 
-def _dp_step(rhs, lam, y, h, ks, yi, y5, ncore):
+def _on_rows(rows, arrays):
+    """Views of ``arrays`` on ``rows``, or the arrays themselves where rows is None (all)."""
+    return list(arrays) if rows is None else [a[rows] for a in arrays]
+
+
+def _dp_step(rhs, lam, y, h, ks, yi, y5, ncore, rows):
     """One embedded step from y, written into the run's buffers; returns err.
 
     ``ks`` holds seven buffers shaped like y: ks[0] is f(lam, y) on entry,
     and ``rhs(lam_i, y_i, ks[i])`` writes stage i into ks[i], ks[6] being
-    f(lam + h, y5) (FSAL).  Stages 1..5 take their inputs in ``yi``, stage 6
-    the 5th-order solution, which goes into ``y5``.  k_1 has weight 0 in
-    stage 7, the error estimate and the dense output, so once stage 6's input
-    is built ks[1] is the scratch of the later sums (:func:`_dp_dense` and
-    the error norm's scale too).  Once stage 6 has been evaluated yi is
-    free, and the error estimate over the first ``ncore`` components (the
-    ones the norm covers) is written into yi[:ncore] and returned.
+    f(lam + h, y5) (FSAL).  Stages 1..5 take their inputs in ``yi``, built
+    on ``rows`` only, the rows of a state that rhs reads: yi's other rows
+    keep what was last written there, which rhs never reads.  Stage 6 takes
+    the whole 5th-order solution, which goes into ``y5``, and every stage
+    k_i is whole.  k_1 has weight 0 in stage 7, the error estimate and the
+    dense output, so once stage 6's input is built ks[1] is the scratch of
+    the later sums (:func:`_dp_dense` and the error norm's scale too).  Once
+    stage 6 has been evaluated yi is free, and the error estimate over the
+    first ``ncore`` components (the ones the norm covers) is written into
+    yi[:ncore] and returned.
     """
-    for i in range(1, 7):
-        x = y5 if i == 6 else yi
-        _combine(_DP_A[i], ks, x, ks[1] if i == 6 else ks[i])
-        x *= h
-        x += y
-        rhs(lam + _DP_C[i] * h, x, ks[i])
+    *k_rows, yi_rows, y_rows = _on_rows(rows, (*ks[:6], yi, y))
+    for i in range(1, 6):
+        _combine(_DP_A[i], k_rows, yi_rows, k_rows[i])
+        yi_rows *= h
+        yi_rows += y_rows
+        rhs(lam + _DP_C[i] * h, yi, ks[i])
+    _combine(_DP_A[6], ks, y5, ks[1])
+    y5 *= h
+    y5 += y
+    rhs(lam + h, y5, ks[6])
     err = _combine(_DP_E, [k[:ncore] for k in ks], yi[:ncore], ks[1][:ncore])
     err *= h
     return err
@@ -300,15 +321,18 @@ def _dp_dense(y, h, ks, theta, out):
     return out
 
 
-def _rk4_step(rhs, lam, y, h, ks, yi, y5):
+def _rk4_step(rhs, lam, y, h, ks, yi, y5, rows):
     """One classic RK4 step from y into ``y5``; ks[0] is f(lam, y) on entry.
 
     Stage i is written into ks[i] from its input y + (c_i h) k_{i-1}, built
-    in ``yi``, which is then the scratch of y + (h/6)(k1 + 2 k2 + 2 k3 + k4).
+    in ``yi`` on ``rows`` only, the rows of a state that rhs reads (as in
+    :func:`_dp_step`); yi is then the scratch of the whole
+    y + (h/6)(k1 + 2 k2 + 2 k3 + k4).
     """
+    *k_rows, yi_rows, y_rows = _on_rows(rows, (*ks[:3], yi, y))
     for i, c in enumerate((0.5, 0.5, 1.0), start=1):
-        np.multiply(c * h, ks[i - 1], out=yi)
-        yi += y
+        np.multiply(c * h, k_rows[i - 1], out=yi_rows)
+        yi_rows += y_rows
         rhs(lam + c * h, yi, ks[i])
     _combine((1.0, 2.0, 2.0, 1.0), ks, y5, yi)
     y5 *= h / 6.0
@@ -324,10 +348,13 @@ def _error_norm(err, y0, y1, cfg, ncore, sc):
     place in ``sc``, shaped like y0[:ncore];
     max(|y0|, |y1|) is formed as max(|y0|, y1, -y1), which needs no second
     array and equals it but for the sign of a zero, which abs_tol > 0 absorbs.
-    A marker's ncore (8 to 15) squares are summed in the order np.mean takes
-    along a contiguous run: pairwise over the first 8, then the rest in
-    sequence.  The norm is thus bit-identical to the plain expression over a
-    row-major (n, d) block.
+    A marker's ncore (8 to 15) squares are summed in sc's own rows, into
+    row 0, in the order np.mean takes along a contiguous run: pairwise over
+    the first 8, then the rest in sequence.  The rows are slices (a single
+    state's rows would be numpy scalars, which take no out=).  Division by
+    ncore and the square root are monotone, so they are taken after the
+    max, of one number.  The norm is thus bit-identical to the plain
+    expression over a row-major (n, d) block.
     """
     y1 = y1[:ncore]
     np.abs(y0[:ncore], out=sc)
@@ -339,10 +366,13 @@ def _error_norm(err, y0, y1, cfg, ncore, sc):
     sc += cfg.abs_tol
     np.divide(err[:ncore], sc, out=sc)
     np.square(sc, out=sc)
-    total = ((sc[0] + sc[1]) + (sc[2] + sc[3])) + ((sc[4] + sc[5]) + (sc[6] + sc[7]))
-    for row in sc[8:]:
-        total += row
-    return float(np.max(np.sqrt(total / ncore)))
+    pairs, quads, total = sc[0:8:2], sc[0:8:4], sc[0:1]
+    np.add(pairs, sc[1:8:2], out=pairs)  # rows 0, 2, 4, 6: s0 + s1, s2 + s3, ...
+    np.add(quads, sc[2:8:4], out=quads)  # rows 0, 4: (s0 + s1) + (s2 + s3), ...
+    np.add(total, sc[4:5], out=total)
+    for a in range(8, ncore):
+        np.add(total, sc[a:a + 1], out=total)
+    return math.sqrt(float(total.max()) / ncore)
 
 
 def _initial_step(rhs, lam0, y0, ks, yi, cfg, ncore, lam_span):
@@ -382,11 +412,13 @@ def _initial_step(rhs, lam0, y0, ks, yi, cfg, ncore, lam_span):
 
 
 def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, project=None,
-              reports=1, on_report=None):
+              reports=1, on_report=None, rows=None):
     """Advance y0, a (d,) state or a (d, n) marker block, from lam = 0.
 
     Components sit on axis 0: y[j] is component j of the state, or of every
     marker of a block, and y[:ncore] are the ones the error norm covers.
+    ``rows``, a slice, are the rows of a state that rhs reads: the steppers
+    build their stage inputs on those rows only (on every row for None).
 
     The run ends at lam = span (either sign; None when there is no lambda
     stop) or when an event fires.  ``on_report(k, lam, y)`` receives the
@@ -453,7 +485,7 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, project=None,
             h_try = min(h_try, cfg.max_step)
             # attempt until the error controller accepts
             while True:
-                err = _dp_step(rhs, lam, y, direction * h_try, ks, yi, y5, ncore)
+                err = _dp_step(rhs, lam, y, direction * h_try, ks, yi, y5, ncore, rows)
                 norm = _error_norm(err, y, y5, cfg, ncore, ks[1][:ncore])
                 if norm <= 1.0:
                     break
@@ -466,7 +498,7 @@ def _run_loop(rhs, y0, cfg, span, events, ncore, sample=None, project=None,
             factor = 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm ** -0.2))
             h = min(cfg.max_step, h_try * factor)
         else:
-            _rk4_step(rhs, lam, y, direction * h_try, ks, yi, y5)
+            _rk4_step(rhs, lam, y, direction * h_try, ks, yi, y5, rows)
         y_new, f_new = y5, ks[-1]  # rk45's FSAL stage; rk4's last stage, now free
         hs = direction * h_try
         lam_new = lam + hs
@@ -550,6 +582,21 @@ def _run_recorded(rhs, y0, cfg, span, events, ncore, project=None):
 
 
 # --- contact-flow integration --------------------------------------------------
+
+
+def _rows_read(sys, block):
+    """The rows of a (10, n) marker block that its stage inputs are built on.
+
+    Read once, from the metric at the block's first marker.  The field
+    reads p and phi (rows 4..8) always, q (rows 0..3) only through the
+    metric's gradient, and never row 9, ln f, a quadrature.  Without a
+    gradient (``MetricField.diagonal`` returns None where it is identically
+    zero, and the diagonal is then constant in q) this is rows 4..8.  With
+    one it is None, every row: leaving out row 9 alone saves nothing
+    measurable next to the gradient's field.
+    """
+    _, gradient = sys.metric.diagonal(block[0:4, :1].T, block[8, :1])
+    return slice(4, 9) if gradient is None else None
 
 
 def _block_field(sys, y, quadrature, out):
@@ -835,12 +882,13 @@ def _advance_block(sys, y, span, reports, cfg, on_report):
 
     Row j of y is component j (q0..q3, p0..p3, phi, ln f) of every marker;
     on_report(k, lam, block) receives the block at the end of interval k, as
-    :func:`_run_loop` hands it on.  Returns the loop's step counts.  Callers
-    pass a nonzero span.
+    :func:`_run_loop` hands it on.  The stage inputs are built on the rows
+    :func:`_rows_read` reads off the metric.  Returns the loop's step
+    counts.  Callers pass a nonzero span.
     """
     _, stats = _run_loop(
         lambda lam, block, out: _block_field(sys, block, "ln_f", out), y, cfg, span, (),
-        ncore=9, reports=reports, on_report=on_report,
+        ncore=9, reports=reports, on_report=on_report, rows=_rows_read(sys, y),
     )
     return stats
 
