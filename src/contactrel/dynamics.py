@@ -194,26 +194,10 @@ def _on_shell(sys, shell, phi) -> bool:
 
 
 def _dH_dphi_from(sys, phi, d_gpp):
-    """dH/dphi from the (..., 5) gradient of g^{ab} p_a p_b (None where it is zero).
-
-    The mass term m(phi) c^2 m' of a mass with slope 0 is the number
-    m0 c^2 slope, a signed zero, wherever phi - phi_ref is finite, so it is
-    not formed from phi: without a gradient dH/dphi is that number as a
-    read-only phi-shaped view, which allocates no row; with one it is added
-    to 1/2 d(gpp)/dphi as before, which turns a -0.0 into +0.0.  The term is
-    formed from m(phi) where the number would differ: m0 c^2 is not finite
-    (inf * 0 is NaN), or m0 is -0.0 (m(phi)'s sign then follows phi's).
-    """
-    mass = sys.mass
-    term = mass.m0 * sys.c**2 * mass.slope
-    if mass.slope == 0.0 and math.isfinite(term) and math.copysign(1.0, mass.m0) > 0.0:
-        if d_gpp is None:
-            return np.broadcast_to(term, np.shape(phi))
-        dHdphi = np.full(np.shape(phi), term)
-    else:
-        dHdphi = np.asarray(mass.value(phi), dtype=float)  # m, a fresh array
-        dHdphi *= sys.c**2
-        dHdphi *= mass.slope
+    """dH/dphi from the (..., 5) gradient of g^{ab} p_a p_b (None where it is zero)."""
+    dHdphi = np.asarray(sys.mass.value(phi), dtype=float)  # m, a fresh array
+    dHdphi *= sys.c**2
+    dHdphi *= sys.mass.slope
     if d_gpp is not None:
         dHdphi += 0.5 * d_gpp[..., 4]
     return dHdphi
@@ -230,8 +214,8 @@ def _field_rows(sys, q, p, phi, out):
     every marker, and phi is (...); out[0:4], out[4:8] and out[8] receive dq,
     dp and dphi.  ``geometry._contract`` is handed the (..., 4) transposes.
     g . p is written straight into the dq rows and p . dq formed and summed
-    in the dp rows, so a field without a gradient allocates at most one
-    phi-shaped row, dH/dphi (none for a mass of slope 0); a gradient field scales the contraction's own (..., 5)
+    in the dp rows, so a field without a gradient allocates one phi-shaped
+    row, dH/dphi; a gradient field scales the contraction's own (..., 5)
     array by -1/2 in place and subtracts p dH/dphi from it.
     """
     g, d_gpp = geometry._contract(sys.metric, q.T, p.T, phi)

@@ -86,6 +86,13 @@ class MetricField:
         NonFiniteDerivative where a derivative is.
     name : str
         Human-readable tag used in reports and serialized scenarios.
+    constant : bool
+        Whether g^{aa} is the same at every (q, phi), so that ``diagonal``
+        returns None for the gradient of every batch.  A marker block's flow
+        then reads no q, and builds its stage inputs on p and phi only.
+        ``_diagonal_metric`` sets it for a constant (4,) diagonal built
+        without a gradient; a hand-made field, whose None may depend on the
+        batch, leaves it False.
     """
 
     func: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -93,6 +100,7 @@ class MetricField:
     d_phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
     diagonal: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray | None]]
     name: str = "custom"
+    constant: bool = False
 
 
 def _finite_metric(name: str, g):
@@ -210,11 +218,13 @@ def _diagonal_metric(name: str, diag, gradient=None) -> MetricField:
     ``diag`` is ``(q, phi) -> (..., 4)``, the entries g^{aa}, or a constant
     (4,) array, which ``diagonal`` returns as it is for numpy to broadcast.
     ``gradient`` is ``(q, phi) -> (..., 4, 5)``, holding d g^{aa} / d(x0, x1,
-    x2, x3, phi), or None where it is identically zero.  ``diagonal`` checks
-    that the entries are finite (a constant diagonal once, here) and then
-    that the gradient is.  The tensor callbacks place the same entries and
-    gradient on the diagonal, unchecked: :func:`metric_derivatives` checks
-    the derivative tensors.
+    x2, x3, phi), or None when it is zero at every (q, phi).  A constant
+    diagonal without a gradient, which ``diagonal`` returns without reading
+    q, makes the field ``constant``.  ``diagonal`` checks that the entries
+    are finite (a constant diagonal once, here) and then that the gradient
+    is.  The tensor callbacks place the same entries and gradient on the
+    diagonal, unchecked: :func:`metric_derivatives` checks the derivative
+    tensors.
     """
     const = None if callable(diag) else _finite_metric(name, np.asarray(diag, dtype=float))
 
@@ -232,7 +242,8 @@ def _diagonal_metric(name: str, diag, gradient=None) -> MetricField:
     return MetricField(func=lambda q, phi: _matrix(entries(q, phi)),
                        d_q=lambda q, phi: tensor(q, phi, slice(0, 4)),
                        d_phi=lambda q, phi: tensor(q, phi, slice(4, 5))[..., 0],
-                       diagonal=diagonal, name=name)
+                       diagonal=diagonal, name=name,
+                       constant=const is not None and gradient is None)
 
 
 def minkowski() -> MetricField:

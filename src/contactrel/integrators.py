@@ -18,12 +18,13 @@ independent reference, through the same loop.
 Row 9 is a quadrature: it is integrated by the same stages, and its
 derivative is formed from the other rows, but the field never reads it
 (the quadrature variables of SUNDIALS' CVODES, without a second
-integrator).  A metric without a gradient makes q cyclic as well, so the
-field reads only p and phi (rows 4..8).  A marker block's stage inputs are
-built on the rows its field reads (:func:`_rows_read`): rows 4..8 without a
-gradient, every row with one; a single state's are built whole, since its
-steps are bound by per-call overhead.  Every k_i, the accepted state, the
-error estimate and the dense output stay whole.
+integrator).  A ``constant`` metric, one without a gradient anywhere,
+makes q cyclic as well, so the field reads only p and phi (rows 4..8).  A
+marker block's stage inputs are built on the rows its field reads
+(:func:`_rows_read`): rows 4..8 for a constant metric, every row for any
+other; a single state's are built whole, since its steps are bound by
+per-call overhead.  Every k_i, the accepted state, the error estimate and
+the dense output stay whole.
 Its steppers are an embedded Dormand-Prince 5(4) pair
 with FSAL, whose error norm is the worst marker's RMS, and a classic RK4 that
 splits a lambda span into ceil(span/fixed_step) equal steps.  Every run
@@ -584,19 +585,17 @@ def _run_recorded(rhs, y0, cfg, span, events, ncore, project=None):
 # --- contact-flow integration --------------------------------------------------
 
 
-def _rows_read(sys, block):
+def _rows_read(sys):
     """The rows of a (10, n) marker block that its stage inputs are built on.
 
-    Read once, from the metric at the block's first marker.  The field
-    reads p and phi (rows 4..8) always, q (rows 0..3) only through the
-    metric's gradient, and never row 9, ln f, a quadrature.  Without a
-    gradient (``MetricField.diagonal`` returns None where it is identically
-    zero, and the diagonal is then constant in q) this is rows 4..8.  With
-    one it is None, every row: leaving out row 9 alone saves nothing
-    measurable next to the gradient's field.
+    The field reads p and phi (rows 4..8) always, q (rows 0..3) only
+    through the metric, and never row 9, ln f, a quadrature.  A
+    ``constant`` metric has no gradient at any (q, phi), so its field reads
+    rows 4..8 only.  Any other metric, a hand-made one whose gradient is
+    None on some batches included, takes None, every row: leaving out row 9
+    alone saves nothing measurable next to a gradient's field.
     """
-    _, gradient = sys.metric.diagonal(block[0:4, :1].T, block[8, :1])
-    return slice(4, 9) if gradient is None else None
+    return slice(4, 9) if sys.metric.constant else None
 
 
 def _block_field(sys, y, quadrature, out):
@@ -883,12 +882,12 @@ def _advance_block(sys, y, span, reports, cfg, on_report):
     Row j of y is component j (q0..q3, p0..p3, phi, ln f) of every marker;
     on_report(k, lam, block) receives the block at the end of interval k, as
     :func:`_run_loop` hands it on.  The stage inputs are built on the rows
-    :func:`_rows_read` reads off the metric.  Returns the loop's step
+    :func:`_rows_read` takes from the metric.  Returns the loop's step
     counts.  Callers pass a nonzero span.
     """
     _, stats = _run_loop(
         lambda lam, block, out: _block_field(sys, block, "ln_f", out), y, cfg, span, (),
-        ncore=9, reports=reports, on_report=on_report, rows=_rows_read(sys, y),
+        ncore=9, reports=reports, on_report=on_report, rows=_rows_read(sys),
     )
     return stats
 

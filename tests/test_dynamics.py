@@ -270,47 +270,6 @@ def test_rest_decay_field_hand_values():
     assert np.allclose(dp, [0.1, 0, 0, 0])
 
 
-def _mass_term_dH_dphi(sys, phi, d_gpp):
-    """dH/dphi with its mass term always formed from m(phi): m(phi) c^2 m'."""
-    dHdphi = np.asarray(sys.mass.value(phi), dtype=float)
-    dHdphi *= sys.c**2
-    dHdphi *= sys.mass.slope
-    if d_gpp is not None:
-        dHdphi += 0.5 * d_gpp[..., 4]
-    return dHdphi
-
-
-_ZERO_SLOPE_MASSES = {
-    "constant": (MassModel.constant(1.3), 1.7),
-    "zero": (MassModel.zero(), 1.7),
-    "zero of m0 -0.0": (MassModel(kind="zero", m0=-0.0), 1.7),
-    "affine of slope -0.0": (MassModel(kind="affine_phi", m0=1.0, slope=-0.0, phi_ref=0.5), 1.7),
-    "m0 c^2 overflows": (MassModel.constant(1e300), 1e10),
-    "affine": (MassModel.exp_decay(1.0, 0.1, phi0=0.5, c=1.7), 1.7),
-}
-
-
-@pytest.mark.parametrize("gradient", [False, True])
-@pytest.mark.parametrize("mass", list(_ZERO_SLOPE_MASSES))
-def test_dH_dphi_of_a_zero_slope_keeps_the_bits_of_m_c2_slope(mass, gradient):
-    # a zero slope skips m(phi): its signed zeros (-0.0 from a slope of -0.0,
-    # or from phi below phi_ref for m0 = -0.0), a gradient's -0.0 made +0.0
-    # by the mass term, and the NaN of inf * 0 must all stay as they were
-    model, c = _ZERO_SLOPE_MASSES[mass]
-    sys = ContactHamiltonianSystem(metric=minkowski(), mass=model, c=c)
-    phi = np.array([-2.0, -0.0, 0.0, 0.5, 3.0, -0.0])
-    d_gpp = None
-    if gradient:
-        d_gpp = np.zeros((6, 5))
-        d_gpp[:, 4] = [-0.0, 0.0, 1.5, -0.0, -2.0, 0.25]
-    with np.errstate(over="ignore", invalid="ignore"):  # m0 c^2 = inf, times 0
-        for phi_k, d_k in ((phi, d_gpp), (phi[1], None if d_gpp is None else d_gpp[1])):
-            want = _mass_term_dH_dphi(sys, phi_k, d_k)
-            assert _same_bits(dynamics._dH_dphi_from(sys, phi_k, d_k), want)
-    if mass == "m0 c^2 overflows":
-        assert np.all(np.isnan(want))
-
-
 def test_contact_identities_random_states():
     sys = _curved(MassModel.exp_decay(1.0, 0.1))
     rng = np.random.default_rng(71)
