@@ -1,26 +1,27 @@
 """Verification battery: the package's acceptance checks as callable functions.
 
-Each check measures a residual against a fixed tolerance, on a scenario it
-builds or on a preset's run, and returns a CheckResult.  ``run_all``
-executes the full battery, and with ``all_presets`` the "preset:NAME"
-record of every bundled preset too, which applies the preset's own check
-(``scenario.PRESETS``) to its run, without output files; the CLI ``verify``
-command calls it and the acceptance test suite drives the same functions,
-so there is a single source of truth for what "working" means.  Every
-record reads a preset's run, or its failure, from one cached runner,
-``_preset_run``, and no check reads another's result except through that
-cache, so ``run_all`` computes the records in forked workers, one per usable
-CPU, and returns them in catalog order.
+Each check measures a residual against a fixed tolerance and returns a
+CheckResult.  ``run_all`` executes the full battery, and with
+``all_presets`` the "preset:NAME" record of every bundled preset too, which
+applies the preset's own check (``scenario.PRESETS``) to its run, without
+output files; the CLI ``verify`` command calls it and the acceptance test
+suite drives the same functions, so there is a single source of truth for
+what "working" means.
 
-The contact-identity and divergence checks evaluate all random states of a
-metric as one (n, .) block through the batched field
-(``dynamics._contact_residual_arrays`` and ``_divergence_trace``), not one
-state at a time.
+Every contact-flow run of the battery is a scenario document, run by one
+runner, ``_run``, as ``contactrel run`` or ``ensemble`` runs it:
+``_PRESET_RUNS`` names the presets that records read, and ``_BATTERY_RUNS``
+holds the other checks' documents.  Several records read a preset run, so
+``_preset_run`` computes it once per process; no check reads another's
+result except through that cache, so ``run_all`` computes the records in
+forked workers, one per usable CPU, and returns them in catalog order.
+Only the geodesic reference, the reduced rk4 loop and the random states of
+the identity checks are built in code; the batched field evaluates a
+metric's states as one (n, .) block.
 
-Every run in the battery carries a ``max_steps`` of about ten times the
-accepted steps it takes when healthy, so a broken field ends in
-MaxStepsExceeded, a failed record, instead of stepping on toward the default
-budget of 10^6 steps; verify sets a preset's (``_PRESET_RUNS``).
+Every run carries a ``max_steps`` of about ten times the accepted steps it
+takes when healthy, so a broken field ends in MaxStepsExceeded, a failed
+record, instead of stepping on toward the default budget of 10^6 steps.
 
 ``perturb_divergence=True`` rescales the analytic divergence by 1% inside the
 divergence check; it exists so that the battery can be shown to catch a
@@ -38,16 +39,10 @@ import numpy as np
 from . import dynamics, geometry, output
 from .dynamics import ContactHamiltonianSystem, ExtendedState, MassModel
 from .errors import NotMonotone
-from .integrators import (
-    IntegratorConfig,
-    StopCondition,
-    _run_loop,
-    geodesic_reference,
-    integrate,
-    reparametrize_by_phi,
-    reparametrize_by_tau,
-)
-from .scenario import PRESETS, load_scenario, preset_scenario, run_ensemble, run_single
+from .integrators import (IntegratorConfig, StopCondition, _run_loop, geodesic_reference,
+                          reparametrize_by_phi, reparametrize_by_tau)
+from .scenario import (PRESETS, build_integrator_config, build_system, load_scenario,
+                       preset_scenario, run_ensemble, run_single)
 
 __all__ = ["CheckResult", "run_all", "CHECKS"]
 
@@ -99,35 +94,22 @@ def _random_states(rng, n):
     return q, p, phi
 
 
-def _decay_flat_system(alpha=0.1) -> ContactHamiltonianSystem:
-    return ContactHamiltonianSystem(
-        metric=geometry.minkowski(),
-        mass=MassModel.exp_decay(1.0, alpha, phi0=0.0, c=1.0),
-        c=1.0,
-    )
-
-
-def _decay_closed_form(lam, alpha=0.1):
-    """Flat space, unit mass at rest, decay rate alpha, c=1 (exact solution)."""
-    lam = np.asarray(lam, dtype=float)
-    m = 1.0 / (1.0 + alpha * lam)
-    phi = -lam / (1.0 + alpha * lam)
+def _decay_closed_form(lam, alpha):
+    """(q^0, p_0, phi, tau) at lam: flat space, unit mass at rest, decay rate alpha, c=1."""
     q0 = np.log(1.0 + alpha * lam) / alpha
-    p0 = -m
-    tau = q0.copy()
-    return q0, p0, phi, tau, m
+    return q0, -1.0 / (1.0 + alpha * lam), -lam / (1.0 + alpha * lam), q0
 
 
-def _orbit_system(gm, c=1.0, mass=None) -> ContactHamiltonianSystem:
-    pot, grad = geometry.point_mass_potential(gm)
-    return ContactHamiltonianSystem(
-        metric=geometry.weak_field(pot, grad, c=c, name=f"weak-field GM={gm}"),
-        mass=mass or MassModel.constant(1.0),
-        c=c,
-    )
+# --- the battery's runs -----------------------------------------------------------
 
 
-# --- preset runs ------------------------------------------------------------------
+def _run(doc):
+    """(cfg, run): a document's run as ``contactrel run`` or ``ensemble`` runs it.
+
+    run is run_single's Trajectory, or run_ensemble's (e0, e_end, rows, stats).
+    """
+    cfg = load_scenario(doc)
+    return cfg, run_single(cfg) if cfg.kind == "single" else run_ensemble(cfg)
 
 
 # Each preset's verify step budget, about ten times its healthy run's accepted
@@ -145,23 +127,102 @@ _PRESET_RUNS = {
 }
 
 
+def _particle(name, metric, mass, initial, integrator, stop, c=1.0) -> dict:
+    """A single-particle document that stops at ``stop``, a (kind, value)."""
+    kind, value = stop
+    return {"name": name, "metric": metric, "mass": mass, "c": c,
+            "initial": {"kind": "single", **initial}, "integrator": integrator,
+            "stop": [{"kind": kind, "value": value}]}
+
+
+def _point_mass(gm) -> dict:
+    return {"kind": "weak_field", "potential": {"kind": "point_mass", "GM": gm}}
+
+
+_FLAT, _UNIT = {"kind": "minkowski"}, {"kind": "constant", "m0": 1.0}
+_DECAY = {"kind": "exp_decay", "m0": 1.0, "alpha": 0.1}
+_ORBIT_START = {"q0": [0, 1, 0, 0], "v": [0, 0.2, 0]}  # r = 1, moving along y
+
+# The other contact-flow runs of the battery, as documents that ``contactrel
+# run`` or ``ensemble`` runs as they stand, listed under the check that reads
+# them, in the order it reads them.  Each max_steps is about ten times the
+# healthy run's accepted steps (after the #), as for the presets.  One check
+# reads each run, so unlike a preset run none is kept.
+_BATTERY_RUNS = {
+    "energy-conservation": [  # decay-flat, projected back onto the shell after every step
+        {**PRESETS["decay-flat"][1](), "name": "energy-conservation",
+         "integrator": {"max_steps": 400, "shell_projection": 1}},  # 38
+    ],
+    "geodesic-recovery": [  # about one orbital period
+        _particle("geodesic-recovery", _point_mass(0.04), _UNIT, _ORBIT_START,
+                  {"rel_tol": 1e-11, "abs_tol": 1e-13, "max_step": 0.25, "max_steps": 2500},
+                  ("tau_reached", 31.0)),  # 235
+    ],
+    "newtonian-limit": [
+        _particle("newtonian-limit", _point_mass(1.0), _UNIT, {**_ORBIT_START, "v": [0, 1.0, 0]},
+                  {"method": "rk4", "fixed_step": 0.02, "max_steps": 500},
+                  ("lambda_reached", 1.0), c=1000.0),  # 50
+    ],
+    "decay-cancellation": [  # one start, with a constant and with a decaying mass
+        _particle(f"decay-cancellation-{kind}", _point_mass(0.05), mass, _ORBIT_START,
+                  {"rel_tol": 3e-12, "abs_tol": 1e-14, "max_step": 0.15, "max_steps": budget},
+                  ("tau_reached", 5.0))
+        for kind, mass, budget in (("constant", _UNIT, 690), ("decay", _DECAY, 900))  # 69, 91
+    ],
+    "proper-time": [
+        _particle("proper-time-curved", _point_mass(0.05), _DECAY, _ORBIT_START,
+                  {"method": "rk4", "fixed_step": 0.02, "max_steps": 2500},
+                  ("lambda_reached", 5.0)),  # 250
+        # v = 0.6c in flat space, at c = 1 and at c = 3
+        *(_particle(f"proper-time-flat-c{c:g}", _FLAT, _UNIT, {"v": [0.6 * c, 0, 0]},
+                    {"max_steps": 60}, ("tau_reached", 2.0), c=c)  # 6
+          for c in (1.0, 3.0)),
+    ],
+    "reduction-equivalence": [
+        _particle("reduction-equivalence", _point_mass(0.05), _DECAY, _ORBIT_START,
+                  {"rel_tol": 1e-11, "abs_tol": 1e-13, "max_step": 0.15, "max_steps": 600},
+                  ("lambda_reached", 5.0)),  # 58
+    ],
+    "entropy-decay": [
+        {"name": "entropy-decay-constant-mass", "metric": _FLAT, "mass": _UNIT, "c": 1.0,
+         "initial": {"kind": "ensemble", "n": 2000, "seed": 5, "momentum": {
+             "kind": "gaussian", "mean": [0.0, 0.0, 0.0], "sigma": [0.2, 0.2, 0.2]}},
+         "integrator": {"max_steps": 60}, "stop": [{"kind": "lambda_reached", "value": 2.0}],
+         "outputs": {"reports": 5}},  # 6
+    ],
+    "measure-conservation": [  # decay-gas over twice its span
+        {**PRESETS["decay-gas"][1](), "name": "measure-conservation",
+         "integrator": {"max_steps": 420}, "stop": [{"kind": "lambda_reached", "value": 10.0}],
+         "outputs": {"reports": 20}},  # 42
+    ],
+    "convergence-order": [  # a unit mass at rest, by rk4 at three step sizes
+        _particle(f"convergence-order-h{h:g}", _FLAT, _DECAY, {"p": [-1, 0, 0, 0]},
+                  {"method": "rk4", "fixed_step": h, "max_steps": round(10 * 2.0 / h)},
+                  ("lambda_reached", 2.0))  # 20, 40, 80
+        for h in (0.1, 0.05, 0.025)
+    ],
+}
+
+
+def _runs(check: str):
+    """(cfg, run) of each of the check's documents, each run as it is read."""
+    return map(_run, _BATTERY_RUNS[check])
+
+
 @functools.lru_cache(maxsize=len(_PRESET_RUNS))
 def _preset_outcome(name: str):
     """_preset_run's value, or the exception it raises, computed once per process."""
     cfg = preset_scenario(name)
-    cfg = replace(cfg, integrator={**cfg.integrator, "max_steps": _PRESET_RUNS[name][0]})
     try:
-        return cfg, run_single(cfg) if cfg.kind == "single" else run_ensemble(cfg)
+        return _run(replace(cfg, integrator={**cfg.integrator, "max_steps": _PRESET_RUNS[name][0]}))
     except Exception as exc:
         return exc
 
 
 def _preset_run(name: str):
-    """(cfg, run): the preset run as ``contactrel run`` or ``ensemble`` runs it.
+    """(cfg, run): the preset's _run, with the preset's verify budget as max_steps.
 
-    The one change is cfg's ``max_steps``, the preset's verify budget.  run
-    is run_single's Trajectory, or run_ensemble's (e0, e_end, rows, stats);
-    a run that fails is not repeated, and each reader gets its exception.
+    A run that fails is not repeated, and each reader gets its exception.
     """
     outcome = _preset_outcome(name)
     if isinstance(outcome, Exception):
@@ -201,11 +262,10 @@ def check_contact_identities() -> CheckResult:
 
 
 def check_energy_conservation() -> CheckResult:
-    cfg, free = _preset_run("decay-flat")
+    _, free = _preset_run("decay-flat")
     drift = float(np.max(np.abs(free.ham - free.ham[0])))
     free_shell = float(np.max(np.abs(free.shell)))
-    # the same run, projected back onto the shell after every step
-    projected = run_single(replace(cfg, integrator={**cfg.integrator, "shell_projection": 1}))
+    (_, projected), = _runs("energy-conservation")
     shell = float(np.max(np.abs(projected.shell)))
     passed = drift < 1e-8 and free_shell < 1e-8 and shell < 1e-12
     return CheckResult(
@@ -282,20 +342,12 @@ def check_divergence(perturb: bool = False) -> CheckResult:
 
 
 def check_geodesic_recovery() -> CheckResult:
-    sys = _orbit_system(gm=0.04)
-    s0 = dynamics.state_from_velocity(sys, [0, 1, 0, 0], 0.0, [0.0, 0.2, 0.0])
-    u0 = dynamics.four_velocity(sys, s0)
-    t_end = 31.0  # about one orbital period of the r=1, v=0.2 orbit
-    cfg = IntegratorConfig(
-        rel_tol=1e-11, abs_tol=1e-13, max_step=0.25, max_steps=2500,
-        stop=(StopCondition("tau_reached", t_end),),
-    )
-    traj = integrate(sys, s0, cfg)
-    cfg_geo = IntegratorConfig(
-        rel_tol=1e-11, abs_tol=1e-13, max_step=0.25, max_steps=2500,
-        stop=(StopCondition("lambda_reached", t_end),),
-    )
-    geo = geodesic_reference(sys, s0.q, u0, cfg_geo)
+    (cfg, traj), = _runs("geodesic-recovery")
+    sys, s0 = build_system(cfg), traj.state(0)
+    # the geodesic equation over the same proper time, on the same tolerances
+    t_end = cfg.stop[0]["value"]
+    cfg_geo = replace(build_integrator_config(cfg), stop=(StopCondition("lambda_reached", t_end),))
+    geo = geodesic_reference(sys, s0.q, dynamics.four_velocity(sys, s0), cfg_geo)
 
     num = 200
     on_tau = reparametrize_by_tau(traj, num=num)
@@ -319,14 +371,8 @@ def check_geodesic_recovery() -> CheckResult:
 
 
 def check_newtonian_limit() -> CheckResult:
-    gm, c = 1.0, 1000.0
-    sys = _orbit_system(gm=gm, c=c)
-    s0 = dynamics.state_from_velocity(sys, [0, 1, 0, 0], 0.0, [0.0, 1.0, 0.0])
-    cfg = IntegratorConfig(
-        method="rk4", fixed_step=0.02, max_steps=500,
-        stop=(StopCondition("lambda_reached", 1.0),),
-    )
-    traj = integrate(sys, s0, cfg)
+    (cfg, traj), = _runs("newtonian-limit")
+    c, pot = cfg.c, cfg.metric["potential"]
     # coordinate velocity v^i = c dq^i/dlam / dq^0/dlam, exact at samples
     v = c * traj.deriv[:, 1:4] / traj.deriv[:, 0:1]
     dt_dlam = traj.deriv[:, 0] / c
@@ -334,7 +380,7 @@ def check_newtonian_limit() -> CheckResult:
     # dv/dlam by 4th-order central differences on the uniform lambda grid
     dv = geometry._fd4(v[:-4], v[1:-3], v[3:-1], v[4:], h)
     accel = dv / dt_dlam[2:-2, None]
-    _, grad = geometry.point_mass_potential(gm)
+    _, grad = geometry.point_mass_potential(pot["GM"], pot["softening"])
     target = -grad(traj.q[2:-2, 1:])
     worst = float(np.max(np.max(np.abs(accel - target), axis=1)
                          / np.max(np.abs(target), axis=1)))
@@ -343,7 +389,7 @@ def check_newtonian_limit() -> CheckResult:
         passed=worst < 1e-4,
         measured=worst,
         tolerance=1e-4,
-        detail=f"relative acceleration mismatch, v/c={1.0 / c:.0e}",
+        detail=f"relative acceleration mismatch, v/c={cfg.initial['v'][1] / c:.0e}",
     )
 
 
@@ -351,23 +397,17 @@ def check_newtonian_limit() -> CheckResult:
 
 
 def check_decay_cancellation() -> CheckResult:
-    gm, alpha, t_end = 0.05, 0.1, 5.0
-    sys_const = _orbit_system(gm=gm, mass=MassModel.constant(1.0))
-    sys_decay = _orbit_system(gm=gm, mass=MassModel.exp_decay(1.0, alpha, phi0=0.0, c=1.0))
-    s0 = dynamics.state_from_velocity(sys_const, [0, 1, 0, 0], 0.0, [0.0, 0.2, 0.0])
     # both runs start from the same four-velocity (same initial momentum too,
     # since m(0) = 1 for both mass models)
-    cfg = IntegratorConfig(
-        rel_tol=3e-12, abs_tol=1e-14, max_step=0.15, max_steps=900,
-        stop=(StopCondition("tau_reached", t_end),),
-    )
-    tr_c = reparametrize_by_tau(integrate(sys_const, s0, cfg), num=200)
-    tr_d = reparametrize_by_tau(integrate(sys_decay, s0, cfg), num=200)
+    (_, const), (cfg, decay) = _runs("decay-cancellation")
+    tr_c = reparametrize_by_tau(const, num=200)
+    tr_d = reparametrize_by_tau(decay, num=200)
     dq = float(np.max(np.abs(tr_c.q - tr_d.q)))
 
     # momentum norm of the decaying run must follow the decay law m(tau)
+    sys_decay = build_system(cfg)
     pnorm = np.sqrt(-geometry._gpp(geometry._values(sys_decay.metric, tr_d.q, tr_d.phi), tr_d.p))
-    target = dynamics.mass_from_tau(sys_decay, 0.0, tr_d.lam)
+    target = dynamics.mass_from_tau(sys_decay, cfg.initial["phi0"], tr_d.lam)
     dp = float(np.max(np.abs(pnorm - target)))
     passed = dq < 1e-8 and dp < 1e-8
     return CheckResult(
@@ -385,13 +425,8 @@ def check_decay_cancellation() -> CheckResult:
 def check_proper_time() -> CheckResult:
     # part 1: tau accumulated through the phi relation vs direct quadrature of
     # the metric line element along a curved-space decaying-mass orbit
-    sys = _orbit_system(gm=0.05, mass=MassModel.exp_decay(1.0, 0.1, phi0=0.0, c=1.0))
-    s0 = dynamics.state_from_velocity(sys, [0, 1, 0, 0], 0.0, [0.0, 0.2, 0.0])
-    cfg = IntegratorConfig(
-        method="rk4", fixed_step=0.02, max_steps=2500,
-        stop=(StopCondition("lambda_reached", 5.0),),
-    )
-    traj = integrate(sys, s0, cfg)
+    (cfg, traj), *flat = _runs("proper-time")
+    sys = build_system(cfg)
     gl = geometry._reciprocals(sys.metric, traj.q, traj.phi)
     integrand = np.sqrt(-geometry._gpp(gl, traj.deriv[:, 0:4])) / sys.c
     h = float(traj.lam[1] - traj.lam[0])
@@ -404,11 +439,8 @@ def check_proper_time() -> CheckResult:
     # part 2: flat-space v = 0.6c gives dt/dtau = gamma = 1.25, at c = 1 and
     # at c = 3, where a tau off by a power of c shows
     gamma, gamma_err, slope_err = 1.25, 0.0, 0.0
-    cfg_flat = IntegratorConfig(max_steps=60, stop=(StopCondition("tau_reached", 2.0),))
-    for c in (1.0, 3.0):
-        flat = ContactHamiltonianSystem(geometry.minkowski(), MassModel.constant(1.0), c)
-        s0f = dynamics.state_from_velocity(flat, [0, 0, 0, 0], 0.0, [0.6 * c, 0.0, 0.0])
-        run = integrate(flat, s0f, cfg_flat)
+    for cfg_flat, run in flat:
+        c = cfg_flat.c
         gamma_err = max(gamma_err, abs(float(run.q[-1, 0]) / (c * float(run.tau[-1])) - gamma))
         by_tau = reparametrize_by_tau(run, num=11)
         slope_err = max(slope_err, float(np.max(np.abs(by_tau.deriv[:, 0] / c - gamma))))
@@ -429,13 +461,9 @@ def check_proper_time() -> CheckResult:
 
 
 def check_reduction_equivalence() -> CheckResult:
-    sys = _orbit_system(gm=0.05, mass=MassModel.exp_decay(1.0, 0.1, phi0=0.0, c=1.0))
-    s0 = dynamics.state_from_velocity(sys, [0, 1, 0, 0], 0.0, [0.0, 0.2, 0.0])
-    cfg = IntegratorConfig(
-        rel_tol=1e-11, abs_tol=1e-13, max_step=0.15, max_steps=600,
-        stop=(StopCondition("lambda_reached", 5.0),),
-    )
-    by_phi = reparametrize_by_phi(integrate(sys, s0, cfg), num=41)
+    (cfg, traj), = _runs("reduction-equivalence")
+    sys, s0 = build_system(cfg), traj.state(0)
+    by_phi = reparametrize_by_phi(traj, num=41)
 
     # independent integration of the reduced equations, phi as the parameter:
     # rk4 from grid[0], 12 equal steps to each grid value (ceil(11.5) = 12)
@@ -494,12 +522,11 @@ def check_entropy_decay() -> CheckResult:
     # decay-gas falls at its rate, absorbing-gas rises, photon-gas stays frozen
     gases = ("decay-gas", "absorbing-gas", "photon-gas")
     decay_ok, absorbing_ok, photon_ok = (_preset_check(gas)[2] for gas in gases)
-    (e0, _, rows, _), (_, _, rows_abs, _), (_, _, rows_ph, _) = (
-        _preset_run(gas)[1] for gas in gases)
-    n = e0.n
-    alpha = 0.1
+    (cfg, (e0, _, rows, _)), (_, (_, _, rows_abs, _)), (_, (_, _, rows_ph, _)) = (
+        _preset_run(gas) for gas in gases)
+    n, alpha = e0.n, cfg.mass["alpha"]
     lam, weight, entropy_col, rate_col = rows.T
-    rate0_err = abs(rate_col[0] - (-0.4))
+    rate0_err = abs(rate_col[0] - (-4.0 * alpha))
 
     # empirical slope between reports vs analytic rate at the midpoint, using
     # the exact flat-space solution rate(lam) = -4 alpha / (1 + alpha lam)
@@ -514,7 +541,7 @@ def check_entropy_decay() -> CheckResult:
     # the rates: growing mass raises entropy; photons and constant mass freeze it
     absorbing_ok = bool(absorbing_ok and rows_abs[0, 3] > 0.0)
     photon_ok = bool(photon_ok and np.max(np.abs(rows_ph[:, 3])) < 1e-12)
-    rows_cm = _constant_mass_gas_rows()
+    (_, (_, _, rows_cm, _)), = _runs("entropy-decay")
     constant_ok = bool(
         np.max(np.abs(rows_cm[:, 2] - rows_cm[0, 2])) < 1e-12
         and np.max(np.abs(rows_cm[:, 3])) < 1e-12
@@ -534,31 +561,11 @@ def check_entropy_decay() -> CheckResult:
     )
 
 
-def _constant_mass_gas_rows() -> np.ndarray:
-    return run_ensemble(load_scenario({
-        "name": "constant-gas",
-        "metric": {"kind": "minkowski"},
-        "mass": {"kind": "constant", "m0": 1.0},
-        "c": 1.0,
-        "initial": {"kind": "ensemble", "n": 2000, "seed": 5,
-                    "momentum": {"kind": "gaussian", "mean": [0.0, 0.0, 0.0],
-                                 "sigma": [0.2, 0.2, 0.2]}},
-        "integrator": {"max_steps": 60},
-        "stop": [{"kind": "lambda_reached", "value": 2.0}],
-        "outputs": {"reports": 5},
-    }))[2]
-
-
 def check_measure_conservation() -> CheckResult:
-    cfg, span = preset_scenario("decay-gas"), 10.0
-    e0, e_end, rows, _ = run_ensemble(replace(
-        cfg, integrator={**cfg.integrator, "max_steps": 420},
-        stop=[{"kind": "lambda_reached", "value": span}],
-        outputs={**cfg.outputs, "reports": 20},
-    ))
+    (cfg, (e0, e_end, rows, _)), = _runs("measure-conservation")
+    span, alpha = cfg.stop[0]["value"], cfg.mass["alpha"]
     weight_drift = float(np.max(np.abs(rows[:, 1] - rows[0, 1]))) / rows[0, 1]
     # pointwise transport: f(lam)/f(0) = (1 + alpha lam)^4 for every marker
-    alpha = 0.1
     ratio = e_end.f / e0.f
     target = (1.0 + alpha * span) ** 4
     transport_err = float(np.max(np.abs(ratio - target) / target))
@@ -579,25 +586,12 @@ def check_measure_conservation() -> CheckResult:
 
 
 def check_convergence_order() -> CheckResult:
-    sys = _decay_flat_system()
-    s0 = ExtendedState(q=[0, 0, 0, 0], p=[-1, 0, 0, 0], phi=0.0)
-    lam_end = 2.0
-    hs = [0.1, 0.05, 0.025]
-    errs = []
-    for h in hs:
-        cfg = IntegratorConfig(
-            method="rk4", fixed_step=h, max_steps=round(10 * lam_end / h),
-            stop=(StopCondition("lambda_reached", lam_end),),
-        )
-        traj = integrate(sys, s0, cfg)
-        q0e, p0e, phie, taue, _ = _decay_closed_form(lam_end)
-        err = max(
-            abs(traj.q[-1, 0] - q0e),
-            abs(traj.p[-1, 0] - p0e),
-            abs(traj.phi[-1] - phie),
-            abs(traj.tau[-1] - taue),
-        )
-        errs.append(err)
+    hs, errs = [], []
+    for cfg, traj in _runs("convergence-order"):
+        hs.append(cfg.integrator["fixed_step"])
+        q0e, p0e, phie, taue = _decay_closed_form(cfg.stop[0]["value"], cfg.mass["alpha"])
+        errs.append(max(abs(traj.q[-1, 0] - q0e), abs(traj.p[-1, 0] - p0e),
+                        abs(traj.phi[-1] - phie), abs(traj.tau[-1] - taue)))
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     passed = 3.7 <= slope <= 4.3
     return CheckResult(

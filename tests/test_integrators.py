@@ -50,7 +50,7 @@ from contactrel import (
     uniform_gradient_potential,
     weak_field,
 )
-from contactrel import checks, dynamics, geometry, integrators
+from contactrel import dynamics, geometry, integrators
 from contactrel.checks import WAVY_DIAG
 from contactrel.integrators import (
     _dp_dense,
@@ -270,7 +270,8 @@ def test_step_below_min_step_ends_in_step_size_underflow():
     # a slow fall from r = 0.05 onto the unsoftened point mass: the default
     # min_step takes 6936 steps over the span, min_step 1e-3 stops at the first
     # step it would have to shrink below that
-    sys = checks._orbit_system(gm=1.0)
+    sys = ContactHamiltonianSystem(
+        metric=weak_field(*point_mass_potential(1.0), c=1.0), mass=MassModel.constant(1.0), c=1.0)
     s0 = state_from_velocity(sys, [0.0, 0.05, 0.0, 0.0], 0.0, [0.0, 0.2, 0.0])
     cfg = IntegratorConfig(min_step=1e-3, stop=_stop("lambda_reached", 1.0))
     with pytest.raises(StepSizeUnderflow,

@@ -321,8 +321,11 @@ def test_load_from_file_and_missing_file(tmp_path):
 
 
 def test_serialization_round_trips_every_preset():
-    for name in PRESETS:
-        cfg = preset_scenario(name)
+    # and every other document that verify runs
+    from contactrel import checks
+
+    docs = [doc for docs in checks._BATTERY_RUNS.values() for doc in docs]
+    for cfg in [preset_scenario(name) for name in PRESETS] + list(map(load_scenario, docs)):
         assert load_scenario(serialize_scenario(cfg)) == cfg
 
 
@@ -1101,6 +1104,129 @@ def test_verify_runs_each_preset_on_its_budget(monkeypatch):
         budget = cfg.integrator["max_steps"]
         assert healthy[name] < budget <= 11 * healthy[name], name
         assert _unbudgeted(cfg) == preset_scenario(name)  # the one change
+
+
+@pytest.fixture(scope="module")
+def battery_runs():
+    """[(doc, cfg, run)] of each check's documents in checks._BATTERY_RUNS."""
+    from contactrel import checks
+
+    return {check: [(doc, *checks._run(doc)) for doc in docs]
+            for check, docs in checks._BATTERY_RUNS.items()}
+
+
+def test_verify_runs_each_battery_document_on_its_budget(battery_runs):
+    # the battery's other runs carry their budgets in their documents, on
+    # the presets' rule: more than the healthy run's accepted steps, and at
+    # most 11 times as many
+    for runs in battery_runs.values():
+        for doc, cfg, run in runs:
+            healthy = (run.metadata if cfg.kind == "single" else run[3])["steps_accepted"]
+            assert healthy < cfg.integrator["max_steps"] <= 11 * healthy, doc["name"]
+
+
+def _orbit_system(gm, mass, c=1.0):
+    from contactrel import ContactHamiltonianSystem, point_mass_potential, weak_field
+
+    return ContactHamiltonianSystem(weak_field(*point_mass_potential(gm), c=c), mass, c)
+
+
+def _hand_built_battery_runs() -> dict:
+    """The runs of checks._BATTERY_RUNS, by check, built from a system, a start
+    and an integrator config: a Trajectory per single run, (rows, end) per gas."""
+    from contactrel import (ContactHamiltonianSystem, DensitySpec, EntropyFunctional,
+                            ExtendedState, GaussianMomentum, IntegratorConfig, MassModel,
+                            StopCondition, ensemble_series, minkowski, sample_ensemble,
+                            solve_p0_on_shell, state_from_velocity)
+
+    def single(sys, s0, stop, **cfg):
+        return integrate(sys, s0, IntegratorConfig(**cfg, stop=(StopCondition(*stop),)))
+
+    def gas(mass, n, seed, span, reports, **cfg):
+        sys = ContactHamiltonianSystem(minkowski(), mass, 1.0)
+        spec = DensitySpec(GaussianMomentum(mean=(0.0, 0.0, 0.0), sigma=(0.2, 0.2, 0.2)))
+        e_end, rows, _ = ensemble_series(
+            sample_ensemble(sys, spec, n, seed), span, reports,
+            EntropyFunctional.shannon_boltzmann(),
+            IntegratorConfig(**cfg, stop=(StopCondition("lambda_reached", span),)))
+        return rows, e_end
+
+    def orbit(sys, v=0.2):  # r = 1, moving along y
+        return state_from_velocity(sys, [0, 1, 0, 0], 0.0, [0.0, v, 0.0])
+
+    unit, decay = MassModel.constant(1.0), MassModel.exp_decay(1.0, 0.1, phi0=0.0, c=1.0)
+    flat_decay = ContactHamiltonianSystem(minkowski(), decay, 1.0)
+    at_rest = solve_p0_on_shell(flat_decay, np.zeros(4), 0.0, np.zeros(3))
+    geo, newton = _orbit_system(0.04, unit), _orbit_system(1.0, unit, 1000.0)
+    curved = _orbit_system(0.05, decay)
+    fine = dict(rel_tol=1e-11, abs_tol=1e-13)
+    return {
+        "energy-conservation": [single(flat_decay, ExtendedState(np.zeros(4), at_rest, 0.0),
+                                       ("lambda_reached", 10.0), max_steps=400,
+                                       shell_projection=1)],
+        "geodesic-recovery": [single(geo, orbit(geo), ("tau_reached", 31.0), **fine,
+                                     max_step=0.25, max_steps=2500)],
+        "newtonian-limit": [single(newton, orbit(newton, 1.0), ("lambda_reached", 1.0),
+                                   method="rk4", fixed_step=0.02, max_steps=500)],
+        # both from the constant mass's start
+        "decay-cancellation": [
+            single(_orbit_system(0.05, mass), orbit(_orbit_system(0.05, unit)),
+                   ("tau_reached", 5.0), rel_tol=3e-12, abs_tol=1e-14, max_step=0.15,
+                   max_steps=900)
+            for mass in (unit, decay)
+        ],
+        "proper-time": [
+            single(curved, orbit(curved), ("lambda_reached", 5.0), method="rk4",
+                   fixed_step=0.02, max_steps=2500),
+            *(single(flat, state_from_velocity(flat, [0, 0, 0, 0], 0.0, [0.6 * c, 0.0, 0.0]),
+                     ("tau_reached", 2.0), max_steps=60)
+              for c in (1.0, 3.0) for flat in [ContactHamiltonianSystem(minkowski(), unit, c)]),
+        ],
+        "reduction-equivalence": [single(curved, orbit(curved), ("lambda_reached", 5.0), **fine,
+                                         max_step=0.15, max_steps=600)],
+        "entropy-decay": [gas(unit, 2000, 5, 2.0, 5, max_steps=60)],
+        "measure-conservation": [gas(decay, 10000, 12345, 10.0, 20, max_steps=420)],
+        "convergence-order": [
+            single(flat_decay, ExtendedState(q=[0, 0, 0, 0], p=[-1, 0, 0, 0], phi=0.0),
+                   ("lambda_reached", 2.0), method="rk4", fixed_step=h,
+                   max_steps=round(10 * 2.0 / h))
+            for h in (0.1, 0.05, 0.025)
+        ],
+    }
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_battery_documents_run_bit_for_bit_as_the_hand_built_runs(battery_runs):
+    # every contact-flow run of the battery is a document; each runs as the
+    # system, start and integrator config that it stands for, bit for bit
+    hand_built = _hand_built_battery_runs()
+    assert hand_built.keys() == battery_runs.keys()
+    for check, runs in battery_runs.items():
+        assert len(runs) == len(hand_built[check]), check
+        for (doc, cfg, run), ref in zip(runs, hand_built[check]):
+            if cfg.kind == "single":
+                for col in ("lam", "q", "p", "phi", "ham", "tau", "shell", "deriv"):
+                    assert _same_bits(getattr(run, col), getattr(ref, col)), (doc["name"], col)
+            else:
+                rows, e_end = ref
+                assert _same_bits(run[2], rows), doc["name"]
+                for col in ("lam", "q", "p", "phi", "w", "f"):
+                    assert _same_bits(getattr(run[1], col), getattr(e_end, col)), (doc["name"], col)
+
+
+def test_a_battery_document_reproduces_its_run_from_the_cli(battery_runs, tmp_path, capsys):
+    # a failed record's run can be replayed with `contactrel run` on its
+    # document as it stands, to the same accepted steps
+    (doc, _, traj), = battery_runs["geodesic-recovery"]
+    path = tmp_path / "geodesic-recovery.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+    steps = traj.metadata["steps_accepted"]
+    assert f"steps: {steps} accepted, 0 rejected" in capsys.readouterr().out.splitlines()
 
 
 def test_verify_measures_the_decay_law(monkeypatch):
