@@ -1,11 +1,14 @@
 """Verification battery: the package's acceptance checks as callable functions.
 
-Each check measures a residual against a fixed tolerance and returns a
-CheckResult.  ``run_all`` executes the full battery, and with
-``all_presets`` the "preset:NAME" record of every bundled preset too, which
-applies the preset's own check (``scenario.PRESETS``) to its run, without
-output files; the CLI ``verify`` command calls it and the acceptance test
-suite drives the same functions, so there is a single source of truth for
+Each check measures a residual against a fixed tolerance and returns the
+tuple (measured, tolerance, passed, detail), as each preset's own check in
+``scenario.PRESETS`` does.  ``_check_record`` is the one place that calls a
+check and builds its CheckResult, under the name the catalog gives it: its
+name in CHECKS, or "preset:NAME".  ``run_all`` executes the full battery,
+and with ``all_presets`` the "preset:NAME" record of every bundled preset
+too, which applies the preset's own check to its run, without output files.
+The CLI ``verify`` command calls it and the acceptance test suite reads each
+record through ``_check_record``, so there is a single source of truth for
 what "working" means.
 
 Every contact-flow run of the battery is a scenario document, run by one
@@ -239,7 +242,7 @@ def _preset_check(name: str):
 # --- criterion 1: contact identities -------------------------------------------
 
 
-def check_contact_identities() -> CheckResult:
+def check_contact_identities():
     rng = np.random.default_rng(2024)
     mass = MassModel.exp_decay(1.0, 0.1, phi0=0.0, c=1.0)
     worst_r1 = worst_r2 = 0.0
@@ -248,36 +251,22 @@ def check_contact_identities() -> CheckResult:
         r1, r2 = dynamics._contact_residual_arrays(sys, *_random_states(rng, 1000))
         worst_r1 = max(worst_r1, float(np.max(r1)))
         worst_r2 = max(worst_r2, float(np.max(r2)))
-    passed = worst_r1 < 1e-12 and worst_r2 < 1e-8
-    return CheckResult(
-        name="contact-identities",
-        passed=passed,
-        measured=max(worst_r1, worst_r2),
-        tolerance=1e-8,
-        detail=f"r1_max={worst_r1:.3e} (tol 1e-12), r2_max={worst_r2:.3e} (tol 1e-8)",
-    )
+    return (max(worst_r1, worst_r2), 1e-8, worst_r1 < 1e-12 and worst_r2 < 1e-8,
+            f"r1_max={worst_r1:.3e} (tol 1e-12), r2_max={worst_r2:.3e} (tol 1e-8)")
 
 
 # --- criterion 2: energy conservation and shell projection ----------------------
 
 
-def check_energy_conservation() -> CheckResult:
+def check_energy_conservation():
     _, free = _preset_run("decay-flat")
     drift = float(np.max(np.abs(free.ham - free.ham[0])))
     free_shell = float(np.max(np.abs(free.shell)))
     (_, projected), = _runs("energy-conservation")
     shell = float(np.max(np.abs(projected.shell)))
-    passed = drift < 1e-8 and free_shell < 1e-8 and shell < 1e-12
-    return CheckResult(
-        name="energy-conservation",
-        passed=passed,
-        measured=max(drift, shell),
-        tolerance=1e-8,
-        detail=(
+    return (max(drift, shell), 1e-8, drift < 1e-8 and free_shell < 1e-8 and shell < 1e-12,
             f"H_drift={drift:.3e} (tol 1e-8), free_shell={free_shell:.3e} (tol 1e-8), "
-            f"projected_shell={shell:.3e} (tol 1e-12)"
-        ),
-    )
+            f"projected_shell={shell:.3e} (tol 1e-12)")
 
 
 # --- criterion 3: divergence --------------------------------------------------
@@ -307,7 +296,7 @@ def _divergence_trace(sys, y):
     return trace
 
 
-def check_divergence(perturb: bool = False) -> CheckResult:
+def check_divergence(perturb: bool = False):
     rng = np.random.default_rng(77)
     n_states = 100
     mass = MassModel.exp_decay(1.0, 0.1, phi0=0.0, c=1.0)
@@ -328,20 +317,14 @@ def check_divergence(perturb: bool = False) -> CheckResult:
             analytic *= 1.01
         mismatch = np.abs(trace - analytic) / np.maximum(1.0, np.abs(analytic))
         worst = max(worst, float(np.max(mismatch)))
-    return CheckResult(
-        name="divergence-identity",
-        passed=worst < 1e-6,
-        measured=worst,
-        tolerance=1e-6,
-        detail=f"relative trace mismatch over {n_states} random states"
-        + (" [perturbed]" if perturb else ""),
-    )
+    detail = f"relative trace mismatch over {n_states} random states"
+    return worst, 1e-6, worst < 1e-6, detail + (" [perturbed]" if perturb else "")
 
 
 # --- criterion 4: geodesic recovery ----------------------------------------------
 
 
-def check_geodesic_recovery() -> CheckResult:
+def check_geodesic_recovery():
     (cfg, traj), = _runs("geodesic-recovery")
     sys, s0 = build_system(cfg), traj.state(0)
     # the geodesic equation over the same proper time, on the same tolerances
@@ -357,20 +340,13 @@ def check_geodesic_recovery() -> CheckResult:
     g = geometry._values(sys.metric, on_tau.q, on_tau.phi)
     u_contact = g * on_tau.p / sys.mass.value(on_tau.phi)[:, None]
     du = float(np.max(np.abs(u_contact - geo_tau.p)))
-    passed = dq < 1e-6
-    return CheckResult(
-        name="geodesic-recovery",
-        passed=passed,
-        measured=dq,
-        tolerance=1e-6,
-        detail=f"sup|q| diff over one orbit; four-velocity diff {du:.3e}",
-    )
+    return dq, 1e-6, dq < 1e-6, f"sup|q| diff over one orbit; four-velocity diff {du:.3e}"
 
 
 # --- criterion 5: Newtonian limit -------------------------------------------------
 
 
-def check_newtonian_limit() -> CheckResult:
+def check_newtonian_limit():
     (cfg, traj), = _runs("newtonian-limit")
     c, pot = cfg.c, cfg.metric["potential"]
     # coordinate velocity v^i = c dq^i/dlam / dq^0/dlam, exact at samples
@@ -384,19 +360,14 @@ def check_newtonian_limit() -> CheckResult:
     target = -grad(traj.q[2:-2, 1:])
     worst = float(np.max(np.max(np.abs(accel - target), axis=1)
                          / np.max(np.abs(target), axis=1)))
-    return CheckResult(
-        name="newtonian-limit",
-        passed=worst < 1e-4,
-        measured=worst,
-        tolerance=1e-4,
-        detail=f"relative acceleration mismatch, v/c={cfg.initial['v'][1] / c:.0e}",
-    )
+    return (worst, 1e-4, worst < 1e-4,
+            f"relative acceleration mismatch, v/c={cfg.initial['v'][1] / c:.0e}")
 
 
 # --- criterion 6: decay cancellation ----------------------------------------------
 
 
-def check_decay_cancellation() -> CheckResult:
+def check_decay_cancellation():
     # both runs start from the same four-velocity (same initial momentum too,
     # since m(0) = 1 for both mass models)
     (_, const), (cfg, decay) = _runs("decay-cancellation")
@@ -409,20 +380,14 @@ def check_decay_cancellation() -> CheckResult:
     pnorm = np.sqrt(-geometry._gpp(geometry._values(sys_decay.metric, tr_d.q, tr_d.phi), tr_d.p))
     target = dynamics.mass_from_tau(sys_decay, cfg.initial["phi0"], tr_d.lam)
     dp = float(np.max(np.abs(pnorm - target)))
-    passed = dq < 1e-8 and dp < 1e-8
-    return CheckResult(
-        name="decay-cancellation",
-        passed=passed,
-        measured=max(dq, dp),
-        tolerance=1e-8,
-        detail=f"worldline diff {dq:.3e}, momentum-norm diff {dp:.3e}",
-    )
+    return (max(dq, dp), 1e-8, dq < 1e-8 and dp < 1e-8,
+            f"worldline diff {dq:.3e}, momentum-norm diff {dp:.3e}")
 
 
 # --- criterion 7: time dilation -----------------------------------------------------
 
 
-def check_proper_time() -> CheckResult:
+def check_proper_time():
     # part 1: tau accumulated through the phi relation vs direct quadrature of
     # the metric line element along a curved-space decaying-mass orbit
     (cfg, traj), *flat = _runs("proper-time")
@@ -444,23 +409,16 @@ def check_proper_time() -> CheckResult:
         gamma_err = max(gamma_err, abs(float(run.q[-1, 0]) / (c * float(run.tau[-1])) - gamma))
         by_tau = reparametrize_by_tau(run, num=11)
         slope_err = max(slope_err, float(np.max(np.abs(by_tau.deriv[:, 0] / c - gamma))))
-    passed = quad_err < 1e-6 and gamma_err < 1e-8 and slope_err < 1e-8
-    return CheckResult(
-        name="proper-time",
-        passed=passed,
-        measured=max(quad_err, gamma_err),
-        tolerance=1e-6,
-        detail=(
+    return (max(quad_err, gamma_err), 1e-6,
+            quad_err < 1e-6 and gamma_err < 1e-8 and slope_err < 1e-8,
             f"line-element quadrature {quad_err:.3e} (tol 1e-6); "
-            f"gamma endpoint {gamma_err:.3e}, grid slope {slope_err:.3e} at c = 1, 3 (tol 1e-8)"
-        ),
-    )
+            f"gamma endpoint {gamma_err:.3e}, grid slope {slope_err:.3e} at c = 1, 3 (tol 1e-8)")
 
 
 # --- criterion 8: reduction equivalence ----------------------------------------------
 
 
-def check_reduction_equivalence() -> CheckResult:
+def check_reduction_equivalence():
     (cfg, traj), = _runs("reduction-equivalence")
     sys, s0 = build_system(cfg), traj.state(0)
     by_phi = reparametrize_by_phi(traj, num=41)
@@ -480,19 +438,13 @@ def check_reduction_equivalence() -> CheckResult:
     _run_loop(rhs, zs[0], rk4, span, [], 8, reports=reports,
               on_report=lambda k, dphi, z: zs.append(z.copy()))
     worst = float(np.max(np.abs(np.array(zs) - np.hstack([by_phi.q, by_phi.p]))))
-    return CheckResult(
-        name="reduction-equivalence",
-        passed=worst < 1e-6,
-        measured=worst,
-        tolerance=1e-6,
-        detail="lambda-run resampled in phi vs direct phi-integration",
-    )
+    return worst, 1e-6, worst < 1e-6, "lambda-run resampled in phi vs direct phi-integration"
 
 
 # --- criterion 9: photon behavior ------------------------------------------------------
 
 
-def check_photon_behavior() -> CheckResult:
+def check_photon_behavior():
     # photon-null's own check holds phi frozen, the null shell and tau NaN
     null, _, null_ok, _ = _preset_check("photon-null")
     _, traj = _preset_run("photon-null")
@@ -502,22 +454,15 @@ def check_photon_behavior() -> CheckResult:
         reparametrize_by_phi(traj)
     except NotMonotone:
         raised = True
-    return CheckResult(
-        name="photon-behavior",
-        passed=null_ok and straight < 1e-9 and raised,
-        measured=max(null, straight),
-        tolerance=1e-12,
-        detail=(
+    return (max(null, straight), 1e-12, null_ok and straight < 1e-9 and raised,
             f"null_check={null_ok} (phi drift, shell {null:.3e}), ray_diff={straight:.3e}, "
-            f"phi_reparam_rejected={raised}"
-        ),
-    )
+            f"phi_reparam_rejected={raised}")
 
 
 # --- criteria 10/11: kinetic entropy and measure -----------------------------------------
 
 
-def check_entropy_decay() -> CheckResult:
+def check_entropy_decay():
     # each gas preset's own check holds its claim on the entropy column:
     # decay-gas falls at its rate, absorbing-gas rises, photon-gas stays frozen
     gases = ("decay-gas", "absorbing-gas", "photon-gas")
@@ -548,20 +493,13 @@ def check_entropy_decay() -> CheckResult:
     )
     passed = (decay_ok and rate0_err < 1e-10 and worst_rel < tol_rel
               and absorbing_ok and photon_ok and constant_ok)
-    return CheckResult(
-        name="entropy-decay",
-        passed=passed,
-        measured=worst_rel,
-        tolerance=tol_rel,
-        detail=(
+    return (worst_rel, tol_rel, passed,
             f"decay_gas_check={decay_ok}, rate(0)+0.4={rate0_err:.2e}, "
             f"absorbing_increases={absorbing_ok}, photon_frozen={photon_ok}, "
-            f"constant_mass_frozen={constant_ok}"
-        ),
-    )
+            f"constant_mass_frozen={constant_ok}")
 
 
-def check_measure_conservation() -> CheckResult:
+def check_measure_conservation():
     (cfg, (e0, e_end, rows, _)), = _runs("measure-conservation")
     span, alpha = cfg.stop[0]["value"], cfg.mass["alpha"]
     weight_drift = float(np.max(np.abs(rows[:, 1] - rows[0, 1]))) / rows[0, 1]
@@ -569,23 +507,15 @@ def check_measure_conservation() -> CheckResult:
     ratio = e_end.f / e0.f
     target = (1.0 + alpha * span) ** 4
     transport_err = float(np.max(np.abs(ratio - target) / target))
-    passed = weight_drift < 1e-8 and transport_err < 1e-6
-    return CheckResult(
-        name="measure-conservation",
-        passed=passed,
-        measured=max(weight_drift, transport_err),
-        tolerance=1e-6,
-        detail=(
+    return (max(weight_drift, transport_err), 1e-6, weight_drift < 1e-8 and transport_err < 1e-6,
             f"weight_drift={weight_drift:.3e} (tol 1e-8) over span {span}, "
-            f"f_transport={transport_err:.3e}"
-        ),
-    )
+            f"f_transport={transport_err:.3e}")
 
 
 # --- criterion 12: convergence order ------------------------------------------------------
 
 
-def check_convergence_order() -> CheckResult:
+def check_convergence_order():
     hs, errs = [], []
     for cfg, traj in _runs("convergence-order"):
         hs.append(cfg.integrator["fixed_step"])
@@ -593,14 +523,8 @@ def check_convergence_order() -> CheckResult:
         errs.append(max(abs(traj.q[-1, 0] - q0e), abs(traj.p[-1, 0] - p0e),
                         abs(traj.phi[-1] - phie), abs(traj.tau[-1] - taue)))
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
-    passed = 3.7 <= slope <= 4.3
-    return CheckResult(
-        name="convergence-order",
-        passed=passed,
-        measured=slope,
-        tolerance=4.0,
-        detail=f"log-log error slope from h={hs} (errors {[f'{e:.2e}' for e in errs]})",
-    )
+    return (slope, 4.0, 3.7 <= slope <= 4.3,
+            f"log-log error slope from h={hs} (errors {[f'{e:.2e}' for e in errs]})")
 
 
 # --- battery -------------------------------------------------------------------------------
@@ -631,17 +555,24 @@ def _failed(name: str, exc: BaseException) -> CheckResult:
 
 
 def _check_record(perturb_divergence: bool, name: str) -> CheckResult:
-    """The record ``name``: a check that CHECKS holds, or "preset:NAME"."""
+    """The record ``name``: a check that CHECKS holds, or "preset:NAME".
+
+    The one place a check is called and its record built, under its catalog
+    name; a check that raises gives the failed record of _failed.  CHECKS is
+    read at this call, and the divergence check is picked by its name, so a
+    catalog whose entries wrap their checks still takes ``perturb``.
+    """
     try:
         if name.startswith("preset:"):  # no output file is written
-            measured, tol, passed, detail = _preset_check(name.removeprefix("preset:"))
-            r = CheckResult(name, passed, measured, tol, detail)
+            out = _preset_check(name.removeprefix("preset:"))
         else:
-            fn = dict(CHECKS)[name]
-            r = fn(perturb=perturb_divergence) if fn is check_divergence else fn()
+            kwargs = {"perturb": perturb_divergence} if name == "divergence-identity" else {}
+            out = dict(CHECKS)[name](**kwargs)
+        measured, tolerance, passed, detail = out
     except Exception as exc:
         return _failed(name, exc)
-    return replace(r, passed=bool(r.passed))  # a numpy comparison gives numpy.bool_
+    # a numpy comparison gives numpy.bool_, which json.dumps refuses
+    return CheckResult(name, bool(passed), measured, tolerance, detail)
 
 
 def _tasks(names) -> list[tuple[str, ...]]:

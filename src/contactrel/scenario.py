@@ -562,10 +562,18 @@ def _preset_decay_flat() -> dict:
 def _check_decay_flat(cfg, traj):
     # phi route vs the decay law: m(phi(end)) = mass_from_tau(phi0, tau(end))
     sys = build_system(cfg)
+    tau_end = float(traj.tau[-1])
     m_end = sys.mass.value(float(traj.phi[-1]))
-    law = dynamics.mass_from_tau(sys, cfg.initial["phi0"], float(traj.tau[-1]))
-    measured = abs(m_end / law - 1.0)
-    return measured, 1e-8, measured < 1e-8, "mass decay law vs accumulated proper time"
+    law_err = abs(m_end / dynamics.mass_from_tau(sys, cfg.initial["phi0"], tau_end) - 1.0)
+    # on shell dtau/dlam = m = m0 / (1 + alpha m0 lam) from any on-shell start
+    # and at any c, so tau(lam) = log1p(alpha m0 lam) / alpha; a wrong dphi
+    # scale moves phi and tau together, which keeps the law but not this
+    alpha, lam_end = cfg.mass["alpha"], float(traj.lam[-1])
+    tau_err = abs(tau_end * alpha / math.log1p(alpha * sys.mass.m0 * lam_end) - 1.0)
+    measured = max(law_err, tau_err)
+    return (measured, 1e-8, measured < 1e-8,
+            f"mass decay law vs accumulated proper time {law_err:.2e}, "
+            f"tau vs log1p(alpha m0 lam)/alpha {tau_err:.2e}")
 
 
 def _preset_decay_gas() -> dict:

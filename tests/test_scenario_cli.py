@@ -1012,6 +1012,24 @@ def test_cli_verify_json_with_perturbation(capsys):
             assert rec["passed"] is True, name
 
 
+def test_perturbed_divergence_fails_through_a_wrapped_catalog(monkeypatch):
+    # a catalog whose entries wrap their checks, as a tracer wraps them, still
+    # hands the divergence check its perturbation
+    import functools
+
+    from contactrel import checks
+
+    def wrapped(fn):
+        @functools.wraps(fn)
+        def call(*args, **kwargs):
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(checks, "CHECKS", tuple((name, wrapped(fn)) for name, fn in checks.CHECKS))
+    record = checks._check_record(True, "divergence-identity")
+    assert not record.passed and "[perturbed]" in record.detail, record.detail
+
+
 def test_cli_reports_parse_errors_as_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
@@ -1238,7 +1256,30 @@ def test_verify_measures_the_decay_law(monkeypatch):
     monkeypatch.setattr(dynamics, "mass_from_tau", lambda *args: 1.01 * law(*args))
     record = checks._check_record(False, "preset:decay-flat")
     assert not record.passed and math.isfinite(record.measured), record.detail
-    assert not checks.check_decay_cancellation().passed
+    measured, tolerance, passed, detail = checks.check_decay_cancellation()
+    assert not passed
+
+
+def test_decay_flat_record_sees_a_wrong_dphi_scale(monkeypatch):
+    # dphi halved in the field kernel moves phi and tau together, so the mass
+    # law still holds along the run; tau against its closed form must fail it
+    from contactrel import checks, dynamics, integrators
+
+    field_rows = dynamics._field_rows
+
+    def halved(sys, q, p, phi, out):
+        dhdphi = field_rows(sys, q, p, phi, out)
+        out[8:9] *= 0.5
+        return dhdphi
+
+    monkeypatch.setattr(dynamics, "_field_rows", halved)
+    monkeypatch.setattr(integrators, "_field_rows", halved)
+    checks._preset_outcome.cache_clear()
+    try:
+        record = checks._check_record(False, "preset:decay-flat")
+    finally:
+        checks._preset_outcome.cache_clear()
+    assert not record.passed and math.isfinite(record.measured), record.detail
 
 
 # ---------------------------------------------------------------------------
@@ -1335,13 +1376,12 @@ def test_verify_check_raising_in_a_worker_fails_in_place(monkeypatch, capsys):
     import os
 
     from contactrel import checks
-    from contactrel.checks import CheckResult
 
     def boom():
         raise ValueError("broken on purpose")
 
     def fine():
-        return CheckResult("fine", True, 0.0, 1.0, detail=str(os.getpid()))
+        return 0.0, 1.0, True, str(os.getpid())
 
     _force_pool(monkeypatch)
     monkeypatch.setattr(checks, "CHECKS", (("boom", boom), ("fine", fine)))
@@ -1360,13 +1400,12 @@ def test_verify_worker_that_dies_fails_its_records_without_hanging(monkeypatch, 
     import signal
 
     from contactrel import checks
-    from contactrel.checks import CheckResult
 
     def die():
         os._exit(3)
 
     def fine():
-        return CheckResult("fine", True, 0.0, 1.0)
+        return 0.0, 1.0, True, ""
 
     def hung(signum, frame):
         raise TimeoutError("verify did not return after a worker died")
