@@ -129,10 +129,14 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk4", "rk45"):
             raise ValueError(f"unknown method: {self.method!r}")
-        if self.method == "rk4" and not (self.fixed_step and self.fixed_step > 0):
+        if self.method == "rk4" and self.fixed_step is None:
             raise ValueError("rk4 requires a positive fixed_step")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        # refused here: a NaN or inf one fails only once the run has started,
+        # in NaN states or an error that blames the field
+        for name in ("rel_tol", "abs_tol", "fixed_step"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if not self.min_step > 0:  # else a rejected step can shrink to 0 and retry forever
             raise ValueError(f"min_step must be positive, got {self.min_step!r}")
         if not self.max_step > 0:
@@ -143,23 +147,21 @@ class IntegratorConfig:
 class Trajectory:
     """Discrete samples of a flow, with enough data to resample it.
 
-    Columns (length n): ``lam`` holds the flow parameter named by
-    ``parameter`` ("lambda", "phi", or "tau"); ``q`` (n, 4), ``p`` (n, 4),
-    ``phi``, ``ham``, ``tau`` (NaN for massless runs), ``shell``.  ``deriv``
-    (n, 10) stores d[q, p, phi, tau]/d(parameter) at each sample, which makes
-    cubic Hermite interpolation between samples possible without re-deriving
-    the field.  ``metadata`` records system description, configuration, and
-    the termination reason.
+    ``lam`` (n,) holds the flow parameter named by ``parameter`` ("lambda",
+    "phi", or "tau").  ``y`` (n, 10) holds each sample once, in the rows the
+    stepper advances: [q0..q3, p0..p3, phi, tau], tau NaN for massless runs;
+    ``q``, ``p``, ``phi`` and ``tau`` are views of it.  ``deriv`` (n, 10)
+    stores d y/d(parameter) at each sample, which makes cubic Hermite
+    interpolation between samples possible without re-deriving the field.
+    ``shell`` is the residual g p p + (m c)^2, and H = shell / 2 is read off
+    it (``ham``).  ``metadata`` records system description, configuration,
+    and the termination reason.
     """
 
     lam: np.ndarray
-    q: np.ndarray
-    p: np.ndarray
-    phi: np.ndarray
-    ham: np.ndarray
-    tau: np.ndarray
-    shell: np.ndarray
+    y: np.ndarray
     deriv: np.ndarray
+    shell: np.ndarray
     parameter: str = "lambda"
     metadata: dict = field(default_factory=dict)
 
@@ -170,6 +172,12 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.lam)
+
+    q = property(lambda self: self.y[:, 0:4])
+    p = property(lambda self: self.y[:, 4:8])
+    phi = property(lambda self: self.y[:, 8])
+    tau = property(lambda self: self.y[:, 9])
+    ham = property(lambda self: 0.5 * self.shell)
 
     def state(self, i: int = -1) -> ExtendedState:
         return ExtendedState(q=self.q[i], p=self.p[i], phi=float(self.phi[i]))
@@ -651,8 +659,8 @@ def integrate(sys: ContactHamiltonianSystem, s0: ExtendedState, cfg: IntegratorC
 
     Integration runs in increasing lambda from 0 until one of cfg.stop fires.
     Massive runs accumulate proper time tau from 0 as a quadrature variable;
-    massless runs record tau = NaN.  Every accepted step is recorded, with
-    per-sample H, shell residual and field derivatives.
+    massless runs record tau = NaN.  Every accepted step is recorded as it
+    was stepped, with its field derivatives and its shell residual.
     """
     if not cfg.stop:
         raise ValueError("integrate needs at least one stop condition")
@@ -674,16 +682,14 @@ def integrate(sys: ContactHamiltonianSystem, s0: ExtendedState, cfg: IntegratorC
         events, ncore=9, project=project if massive else None,
     )
 
-    q_arr, p_arr, phi_arr = ys[:, 0:4], ys[:, 4:8], ys[:, 8]
-    ham, shell = _h_and_shell(sys, q_arr, p_arr, phi_arr)
-    n = len(lams)
-    tau = ys[:, 9].copy() if massive else np.full(n, np.nan)
-    deriv = np.empty((n, 10))
-    deriv[:, 0:9] = fs[:, 0:9]
-    deriv[:, 9] = fs[:, 9] if massive else np.nan
+    if not massive:  # no proper time: tau and its derivative are NaN
+        nan = np.full((len(lams), 1), np.nan)
+        ys, fs = np.hstack([ys, nan]), np.hstack([fs, nan])
+    phi = ys[:, 8]
+    _, shell = _h_and_shell(sys, ys[:, 0:4], ys[:, 4:8], phi)
 
-    on_shell = _on_shell(sys, shell[0], phi_arr[0])
-    if massive and on_shell and n >= 2 and not np.all(np.diff(phi_arr) < 0.0):
+    on_shell = _on_shell(sys, shell[0], phi[0])
+    if massive and on_shell and len(lams) >= 2 and not np.all(np.diff(phi) < 0.0):
         raise NotMonotone("phi failed to decrease along a massive on-shell flow")
 
     metadata = {
@@ -694,23 +700,19 @@ def integrate(sys: ContactHamiltonianSystem, s0: ExtendedState, cfg: IntegratorC
         "termination": termination,
         **stats,
     }
-    return Trajectory(
-        lam=lams, q=q_arr, p=p_arr, phi=phi_arr, ham=np.asarray(ham),
-        tau=tau, shell=np.asarray(shell), deriv=deriv,
-        parameter="lambda", metadata=metadata,
-    )
+    return Trajectory(lam=lams, y=ys, deriv=fs, shell=shell,
+                      parameter="lambda", metadata=metadata)
 
 
 # --- reparametrization ----------------------------------------------------------
 
 
 def _resample(traj: Trajectory, col: int, new_parameter: str, num: int | None):
-    """Rebuild a trajectory on a uniform grid of column ``col`` of [q,p,phi,tau]."""
+    """Rebuild a trajectory on a uniform grid of column ``col`` of its samples ``y``."""
     n = len(traj)
     if n < 3:
         raise InsufficientSamples(f"need at least 3 samples, have {n}")
-    vals = np.column_stack([traj.q, traj.p, traj.phi, traj.tau])
-    derivs = traj.deriv
+    vals, derivs, shell = traj.y, traj.deriv, traj.shell
     s = vals[:, col]
     ds = np.diff(s)
     if np.all(ds > 0):
@@ -730,8 +732,7 @@ def _resample(traj: Trajectory, col: int, new_parameter: str, num: int | None):
     out_vals = np.empty((num, 10))
     out_der = np.empty((num, 10))
     out_lam = np.empty(num)
-    out_lin = np.empty((num, 2))  # linear interp of (ham, shell)
-    lin_src = np.column_stack([traj.ham, traj.shell])
+    out_shell = np.empty(num)  # interpolated linearly
 
     # interior grid points: bisect all of them at once on their Hermite steps
     target = grid[1:-1]
@@ -748,12 +749,12 @@ def _resample(traj: Trajectory, col: int, new_parameter: str, num: int | None):
     out_der[1:-1] = dy_dlam / dy_dlam[:, col:col + 1]
     out_der[1:-1, col] = 1.0
     out_lam[1:-1] = traj.lam[i] + t * h
-    out_lin[1:-1] = (1 - tc) * lin_src[i] + tc * lin_src[i + 1]
+    out_shell[1:-1] = (1 - t) * shell[i] + t * shell[i + 1]
 
     # endpoints: the stored samples, with the lambda-derivatives rescaled to
     # the new parameter
     for k, j in ((0, 0), (num - 1, n - 1)):
-        out_vals[k], out_lam[k], out_lin[k] = vals[j], traj.lam[j], lin_src[j]
+        out_vals[k], out_lam[k], out_shell[k] = vals[j], traj.lam[j], shell[j]
         d = derivs[j] / derivs[j][col]
         d[col] = 1.0
         out_der[k] = d
@@ -761,18 +762,8 @@ def _resample(traj: Trajectory, col: int, new_parameter: str, num: int | None):
     metadata = dict(traj.metadata)
     metadata["reparametrized_from"] = traj.parameter
     metadata["lambda_of_parameter"] = out_lam
-    return Trajectory(
-        lam=grid,
-        q=out_vals[:, 0:4],
-        p=out_vals[:, 4:8],
-        phi=out_vals[:, 8],
-        ham=out_lin[:, 0],
-        tau=out_vals[:, 9],
-        shell=out_lin[:, 1],
-        deriv=out_der,
-        parameter=new_parameter,
-        metadata=metadata,
-    )
+    return Trajectory(lam=grid, y=out_vals, deriv=out_der, shell=out_shell,
+                      parameter=new_parameter, metadata=metadata)
 
 
 def reparametrize_by_phi(traj: Trajectory, num: int | None = None) -> Trajectory:
@@ -852,9 +843,10 @@ def geodesic_reference(
     )
 
     n = len(lams)
-    q_arr, u_arr = ys[:, 0:4], ys[:, 4:8]
-    phi = np.zeros(n)
-    shell = geometry._gpp(geometry._reciprocals(sys.metric, q_arr, phi), u_arr) + sys.c**2
+    y = np.zeros((n, 10))  # [q, u, phi = 0, tau = lambda]
+    y[:, 0:8], y[:, 9] = ys, lams
+    g = geometry._reciprocals(sys.metric, y[:, 0:4], y[:, 8])
+    shell = geometry._gpp(g, y[:, 4:8]) + sys.c**2
     deriv = np.zeros((n, 10))
     deriv[:, 0:8] = fs
     deriv[:, 9] = 1.0  # d tau / d tau
@@ -866,11 +858,8 @@ def geodesic_reference(
         "termination": termination,
         **stats,
     }
-    return Trajectory(
-        lam=lams, q=q_arr, p=u_arr, phi=phi,
-        ham=0.5 * shell, tau=lams.copy(), shell=shell, deriv=deriv,
-        parameter="tau", metadata=metadata,
-    )
+    return Trajectory(lam=lams, y=y, deriv=deriv, shell=shell,
+                      parameter="tau", metadata=metadata)
 
 
 # --- batched ensemble stepping -----------------------------------------------

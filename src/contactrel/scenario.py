@@ -264,7 +264,7 @@ def _decay_start(mass: dict) -> float:
 
 
 def _check_floor_reachable(cfg: ScenarioConfig) -> None:
-    """Refuse stops that are all mass floors where the run's mass reaches none.
+    """Refuse a single run's stops that are all mass floors where its mass reaches none.
 
     The mass is m_start + slope (phi - phi0), slope alpha / c^2 (0 for a
     constant mass, and where c^2 is inf).  On the shell phi falls, so floor f
@@ -273,7 +273,7 @@ def _check_floor_reachable(cfg: ScenarioConfig) -> None:
     constant = cfg.mass["kind"] == "constant"
     slope = 0.0 if constant else cfg.mass["alpha"] / (cfg.c * cfg.c)
     m_start = cfg.mass["m0"] if constant else _decay_start(cfg.mass)
-    if cfg.kind == "single" and not cfg.initial["allow_off_shell"]:
+    if not cfg.initial["allow_off_shell"]:
         floors = [s["value"] for s in cfg.stop]
         reachable = any(f > 0.0 and (m_start - f) * slope > 0.0 for f in floors)
     else:
@@ -304,6 +304,9 @@ def _normalize(data: dict) -> ScenarioConfig:
             raise ValidationError(f"stop[{i}].kind", "tau is undefined for massless particles")
         if massless and s["kind"] == "mass_floor":
             raise ValidationError(f"stop[{i}].kind", "mass_floor never triggers for zero mass")
+    # before the floor rule: no other stop could make an ensemble's floor usable
+    if cfg.kind == "ensemble" and {s["kind"] for s in cfg.stop} != {"lambda_reached"}:
+        raise ValidationError("stop", "ensemble runs support only lambda_reached stops")
     if all(s["kind"] == "mass_floor" for s in cfg.stop):
         _check_floor_reachable(cfg)
     if massless and cfg.integrator["shell_projection"] > 0:
@@ -312,12 +315,9 @@ def _normalize(data: dict) -> ScenarioConfig:
     if massless and cfg.outputs["reparametrize_tau"]:
         raise ValidationError("outputs.reparametrize_tau",
                               "tau is undefined for massless particles")
-    if cfg.kind == "ensemble":
-        kinds = {s["kind"] for s in cfg.stop}
-        if kinds != {"lambda_reached"}:
-            raise ValidationError("stop", "ensemble runs support only lambda_reached stops")
-        if cfg.outputs["reparametrize_phi"] or cfg.outputs["reparametrize_tau"]:
-            raise ValidationError("outputs", "reparametrized companions apply to single runs only")
+    if cfg.kind == "ensemble" and (cfg.outputs["reparametrize_phi"]
+                                   or cfg.outputs["reparametrize_tau"]):
+        raise ValidationError("outputs", "reparametrized companions apply to single runs only")
     return cfg
 
 

@@ -13,6 +13,7 @@ which pins down endpoints, event locations, and resampled values exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import mmap
 import os
@@ -258,6 +259,17 @@ def test_integrator_config_refuses_a_non_positive_max_step(max_step):
         IntegratorConfig(max_step=max_step)
 
 
+@pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "fixed_step"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-10])
+def test_integrator_config_refuses_a_tolerance_or_step_that_is_not_finite_and_positive(name, value):
+    # NaN passed a test of <= 0: a nan tolerance ended in a StepSizeUnderflow
+    # that blamed the field, an inf one in a RuntimeWarning, and rk4 with an
+    # inf fixed_step in NaN states and a TransversalityFailure
+    method = "rk4" if name == "fixed_step" else "rk45"
+    with pytest.raises(ValueError, match=name):
+        IntegratorConfig(**{"method": method, "fixed_step": 0.1, name: value})
+
+
 @pytest.mark.parametrize("min_step", [0.0, -1.0, math.nan])
 def test_integrator_config_refuses_a_non_positive_min_step(min_step):
     # with min_step 0 a run whose steps are all rejected shrank h to 0 and
@@ -408,8 +420,7 @@ def test_resample_matches_pointwise_bisection(num):
     for resample, col in ((reparametrize_by_tau, 9), (reparametrize_by_phi, 8)):
         out = resample(traj, num=num)
         vals, der, lam = _pointwise_resample(traj, col, num)
-        got = np.column_stack([out.q, out.p, out.phi, out.tau])[1:-1]
-        assert np.array_equal(got, vals)
+        assert np.array_equal(out.y[1:-1], vals)
         assert np.array_equal(out.deriv[1:-1], der)
         assert np.array_equal(out.metadata["lambda_of_parameter"][1:-1], lam)
 
@@ -422,6 +433,12 @@ def test_trajectory_state_accessor():
     s = traj.state(0)
     assert isinstance(s, ExtendedState)
     assert np.array_equal(s.p, [-1, 0, 0, 0])
+    # each sample is held once: q, p, phi and tau are views of y, H is shell / 2
+    assert [f.name for f in dataclasses.fields(traj)] == [
+        "lam", "y", "deriv", "shell", "parameter", "metadata"]
+    for view, rows in ((traj.q, slice(0, 4)), (traj.p, slice(4, 8)), (traj.phi, 8), (traj.tau, 9)):
+        assert np.shares_memory(view, traj.y) and np.array_equal(view, traj.y[:, rows])
+    assert traj.ham.tobytes() == (0.5 * traj.shell).tobytes()
 
 
 # --- batched stepping -------------------------------------------------------------------

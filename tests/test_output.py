@@ -462,9 +462,16 @@ def test_trajectory_table_names_its_first_column_by_the_parameter(tmp_path):
     for run, name in [(traj, "lambda"), (reparametrize_by_phi(traj), "phi"),
                       (reparametrize_by_tau(traj), "tau"), (geo, "tau")]:
         for fmt_style in ("csv", "jsonl"):
-            text = output.write_trajectory(run, tmp_path / "t.out", fmt_style).read_text()
+            text = output.write_trajectory(run, tmp_path / f"t.{fmt_style}", fmt_style).read_text()
             first = text.split(",", 1)[0]
             assert first == (name if fmt_style == "csv" else '{"' + name + '": 0')
+        # every column read back is the trajectory's, bit for bit, and H is
+        # half the shell residual: the table holds each sample once
+        table = np.loadtxt(tmp_path / "t.csv", delimiter=",", skiprows=1)
+        for got, want in zip(np.hsplit(table, [1, 5, 9, 10, 11, 12]),
+                             (run.lam, run.q, run.p, run.phi, run.ham, run.tau, run.shell)):
+            assert got.tobytes() == np.ascontiguousarray(want.reshape(len(run), -1)).tobytes()
+        assert table[:, 10].tobytes() == (0.5 * table[:, 12]).tobytes()
 
 
 def test_importing_the_cli_leaves_multiprocessing_out():

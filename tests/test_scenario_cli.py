@@ -434,6 +434,25 @@ def test_lone_mass_floor_the_mass_moves_toward_ends_the_run(alpha, floor):
     assert load_scenario(doc).stop[0]["value"] == floor
 
 
+@pytest.mark.parametrize("mass", [{"kind": "constant", "m0": 1.0}, None],
+                         ids=["constant", "decaying"])
+def test_gas_with_a_lone_mass_floor_is_told_it_takes_lambda_reached_stops(mass, tmp_path, capsys):
+    # a constant mass was told "no mass_floor is reachable ... add a stop", and
+    # an added phi_reached stop was refused too; a decaying one got this advice
+    doc = json.loads(serialize_scenario(preset_scenario("decay-gas")))
+    doc["mass"] = mass or doc["mass"]
+    doc["stop"] = [{"kind": "mass_floor", "value": 0.5}]
+    with pytest.raises(ValidationError) as exc:
+        load_scenario(doc)
+    assert (exc.value.field, exc.value.reason) == (
+        "stop", "ensemble runs support only lambda_reached stops")
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert main(["ensemble", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert "lambda_reached" in _one_error_line(capsys)
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("min_step", [0, -1.0])
 def test_non_positive_min_step_is_refused(min_step, tmp_path, capsys):
     # with min_step 0 a run whose steps are all rejected shrank h to 0 and
