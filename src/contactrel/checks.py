@@ -437,7 +437,7 @@ def check_reduction_equivalence():
     rk4 = IntegratorConfig(method="rk4", fixed_step=abs(span / reports) / 11.5)
     _run_loop(rhs, zs[0], rk4, span, [], 8, reports=reports,
               on_report=lambda k, dphi, z: zs.append(z.copy()))
-    worst = float(np.max(np.abs(np.array(zs) - np.hstack([by_phi.q, by_phi.p]))))
+    worst = float(np.max(np.abs(np.array(zs) - by_phi.y[:, 0:8])))
     return worst, 1e-6, worst < 1e-6, "lambda-run resampled in phi vs direct phi-integration"
 
 

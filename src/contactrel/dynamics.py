@@ -17,10 +17,10 @@ Along a massive flow dphi = -m c^2 dtau, so an affine m(phi) decays as
 m(tau) = m0 exp(-alpha tau); ``mass_from_tau`` is that law, and the battery's
 decay checks measure the flow against it.
 
-The public functions take one ExtendedState.  H, the shell residual, dH/dphi
-and the contact-identity residuals have no public single-state form: the
-private batched functions over q (n, 4), p (n, 4), phi (n,) blocks
-(``_h_and_shell``, ``_field_arrays``, ``_dH_dphi_arrays``,
+The public functions take one ExtendedState.  The shell residual (H is half
+of it), dH/dphi and the contact-identity residuals have no public
+single-state form: the private batched functions over q (n, 4), p (n, 4),
+phi (n,) blocks (``_shell``, ``_field_arrays``, ``_dH_dphi_arrays``,
 ``_contact_residual_arrays``) compute them, and the integrators, the kinetic
 layer, the scenario builder and the verification battery call those
 directly.  evolution_field is the n = 1 case of ``_field_arrays``.  The field
@@ -180,11 +180,11 @@ class ExtendedState:
 # and the gradient of g^{ab} p_a p_b, None for a field without one.
 
 
-def _h_and_shell(sys, q, p, phi):
+def _shell(sys, q, p, phi):
+    """The shell residual g^{ab} p_a p_b + (m c)^2 over the batch; H is half of it."""
     g = geometry._values(sys.metric, q, phi)
     m = np.asarray(sys.mass.value(phi), dtype=float)
-    shell = geometry._gpp(g, p) + (m * sys.c) ** 2
-    return 0.5 * shell, shell
+    return geometry._gpp(g, p) + (m * sys.c) ** 2
 
 
 def _on_shell(sys, shell, phi) -> bool:
@@ -266,16 +266,16 @@ def _fd_grad_H(sys, q, p, phi):
         def h_of_q(x, mu=mu):
             qs = q.copy()
             qs[:, mu] = x
-            return _h_and_shell(sys, qs, p, phi)[0]
+            return 0.5 * _shell(sys, qs, p, phi)
 
         def h_of_p(x, mu=mu):
             ps = p.copy()
             ps[:, mu] = x
-            return _h_and_shell(sys, q, ps, phi)[0]
+            return 0.5 * _shell(sys, q, ps, phi)
 
         dHdq[:, mu] = fd(h_of_q, q[:, mu])
         dHdp[:, mu] = fd(h_of_p, p[:, mu])
-    dHdphi_fd = fd(lambda x: _h_and_shell(sys, q, p, x)[0], phi)
+    dHdphi_fd = fd(lambda x: 0.5 * _shell(sys, q, p, x), phi)
     return dHdq, dHdp, dHdphi_fd
 
 

@@ -1,13 +1,14 @@
 """Time integration of contact flows, with events, resampling and references.
 
 The main entry point is :func:`integrate`, which advances an extended state
-along the evolution contact field in the flow parameter lambda.  Massive runs
-carry proper time tau as an extra quadrature variable (d tau/d lambda =
--(d phi/d lambda) / (m c^2)); tau is excluded from the adaptive error norm,
-which covers only the 9 extended coordinates.
+along the evolution contact field in the flow parameter lambda.  Every run
+carries proper time tau as an extra quadrature variable (d tau/d lambda =
+-(d phi/d lambda) / (m c^2)), NaN for a photon, which has none; tau is
+excluded from the adaptive error norm, which covers only the 9 extended
+coordinates.
 
 One right-hand side, ``_block_field``, and one stepping loop, ``_run_loop``,
-serve a single state (d,) and a marker block (d, n) alike: components sit on
+serve a single state (10,) and a marker block (10, n) alike: components sit on
 axis 0 in both, so row j of a block is component j (q0..q3, p0..p3, phi,
 ln f) of every marker, one contiguous run.  :func:`integrate` and the marker
 blocks of :func:`kinetic.ensemble_series` differ only in the quadrature row
@@ -57,8 +58,8 @@ from .dynamics import (
     ContactHamiltonianSystem,
     ExtendedState,
     _field_rows,
-    _h_and_shell,
     _on_shell,
+    _shell,
     project_to_shell,
 )
 from .errors import (
@@ -137,10 +138,12 @@ class IntegratorConfig:
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        if not self.min_step > 0:  # else a rejected step can shrink to 0 and retry forever
-            raise ValueError(f"min_step must be positive, got {self.min_step!r}")
-        if not self.max_step > 0:
-            raise ValueError(f"max_step must be positive, got {self.max_step!r}")
+        # else a rejected step can shrink to 0 and retry forever, or a run end unstarted
+        for name in ("min_step", "max_step", "max_steps"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if not self.shell_projection >= 0:
+            raise ValueError(f"shell_projection must be >= 0, got {self.shell_projection!r}")
 
 
 @dataclass
@@ -166,6 +169,10 @@ class Trajectory:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        n, shapes = len(self.lam), tuple(map(np.shape, (self.y, self.deriv, self.shell)))
+        if shapes != ((n, 10), (n, 10), (n,)):
+            raise ValueError(f"a trajectory of {n} samples takes y and deriv (n, 10) and "
+                             f"shell (n,), got {shapes[0]}, {shapes[1]} and {shapes[2]}")
         d = np.diff(self.lam)
         if len(self.lam) >= 2 and not (np.all(d > 0) or np.all(d < 0)):
             raise ValueError("trajectory samples must be strictly ordered in the flow parameter")
@@ -607,25 +614,27 @@ def _rows_read(sys):
 
 
 def _block_field(sys, y, quadrature, out):
-    """d/dlambda of a state (d,) or a block (d, n): the evolution field and its quadrature.
+    """d/dlambda of a state (10,) or a block (10, n): the evolution field and its quadrature.
 
     Components sit on axis 0, and rows 0..8 of ``out``, shaped like y, receive
     d(q, p, phi), formed in place by :func:`dynamics._field_rows`.
-    ``quadrature`` names row 9: "tau", the proper time of a massive run,
-    d tau = -d phi / (m c^2), which raises TransversalityFailure once m <= 0;
-    "ln_f", the density each marker carries, d ln f = 4 dH/dphi
-    (div X_H = -4 dH/dphi); None for a (9,) massless state.
+    ``quadrature`` names row 9: "tau", the proper time, d tau = -d phi /
+    (m c^2), which raises TransversalityFailure once m <= 0 and is NaN for a
+    photon, which has none; or "ln_f", the density each marker carries,
+    d ln f = 4 dH/dphi (div X_H = -4 dH/dphi).
     """
     dhdphi = _field_rows(sys, y[0:4], y[4:8], y[8], out)
-    if quadrature == "tau":
+    if quadrature == "ln_f":
+        np.multiply(4.0, dhdphi, out=out[9, ...])
+    elif not sys.massive:
+        out[9] = np.nan
+    else:
         m = sys.mass.value(y[8])  # a float for a state
         if not (m > 0.0 if y.ndim == 1 else np.all(m > 0.0)):
             raise TransversalityFailure(
                 "mass reached zero during integration; add a mass_floor stop"
             )
         out[9] = -out[8] / (m * sys.c**2)
-    elif quadrature == "ln_f":
-        np.multiply(4.0, dhdphi, out=out[9, ...])
     return out
 
 
@@ -658,9 +667,10 @@ def integrate(sys: ContactHamiltonianSystem, s0: ExtendedState, cfg: IntegratorC
     """Advance a state along the evolution contact field in lambda.
 
     Integration runs in increasing lambda from 0 until one of cfg.stop fires.
-    Massive runs accumulate proper time tau from 0 as a quadrature variable;
-    massless runs record tau = NaN.  Every accepted step is recorded as it
-    was stepped, with its field derivatives and its shell residual.
+    Every run steps one (10,) state whose row 9 is the proper time tau, a
+    quadrature: a massive run accumulates it from 0, and a massless one
+    steps it as NaN, its derivative too.  Every accepted step is recorded
+    as it was stepped, with its field derivatives and its shell residual.
     """
     if not cfg.stop:
         raise ValueError("integrate needs at least one stop condition")
@@ -671,22 +681,18 @@ def integrate(sys: ContactHamiltonianSystem, s0: ExtendedState, cfg: IntegratorC
     if lam_end is None and not events:
         raise ValueError("no usable stop condition")
 
-    y0 = np.concatenate([s0.q, s0.p, [s0.phi, 0.0] if massive else [s0.phi]])
+    y0 = np.concatenate([s0.q, s0.p, [s0.phi, 0.0 if massive else np.nan]])
 
     def project(y):
         y[4:8] = project_to_shell(sys, ExtendedState(q=y[0:4], p=y[4:8], phi=y[8])).p
 
-    quadrature = "tau" if massive else None
     lams, ys, fs, termination, stats = _run_recorded(
-        lambda lam, y, out: _block_field(sys, y, quadrature, out), y0, cfg, lam_end,
-        events, ncore=9, project=project if massive else None,
+        lambda lam, y, out: _block_field(sys, y, "tau", out), y0, cfg, lam_end,
+        events, ncore=9, project=project,  # which a massless run never calls
     )
 
-    if not massive:  # no proper time: tau and its derivative are NaN
-        nan = np.full((len(lams), 1), np.nan)
-        ys, fs = np.hstack([ys, nan]), np.hstack([fs, nan])
     phi = ys[:, 8]
-    _, shell = _h_and_shell(sys, ys[:, 0:4], ys[:, 4:8], phi)
+    shell = _shell(sys, ys[:, 0:4], ys[:, 4:8], phi)
 
     on_shell = _on_shell(sys, shell[0], phi[0])
     if massive and on_shell and len(lams) >= 2 and not np.all(np.diff(phi) < 0.0):

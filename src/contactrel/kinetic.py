@@ -5,7 +5,9 @@ fixed quadrature weights w_i (sum w = initial measure of the support) and
 transported density values f_i.  Along characteristics of the evolution
 contact field, d f_i/d lambda = 4 f_i dH/dphi (the flow compresses phase
 space at rate div X_H = -4 dH/dphi), so ln f_i is integrated as a quadrature
-variable next to the marker coordinates.
+variable next to the marker coordinates.  An :class:`Ensemble` holds its
+markers in the stepper's layout, the (9, n) rows [q0..q3, p0..p3, phi], and
+:func:`ensemble_series` steps them with ln f as a tenth row.
 
 Entropy functionals S[f] = integral sigma(f) are estimated by
 
@@ -85,40 +87,43 @@ class EntropyFunctional:
 class Ensemble:
     """Marker block at a common flow parameter ``lam``.
 
-    Stored struct-of-arrays: q (n, 4), p (n, 4), phi (n,), w (n,), f (n,).
-    Construction raises EmptyEnsemble for zero markers and NonPositiveDensity,
-    naming the count and ``lam``, for any density that is not > 0 (NaN
-    included); no marker is ever dropped.  Propagation builds an Ensemble at
-    every report, so a density that underflows to zero raises there.
-    Weights are never modified by propagation.
+    ``y`` (9, n) holds the markers in the rows the stepper advances,
+    [q0..q3, p0..p3, phi], row j holding component j of every marker; ``q``
+    (n, 4), ``p`` (n, 4) and ``phi`` (n,) are views of it.  ``w`` (n,) are
+    the quadrature weights and ``f`` (n,) the densities.  Construction
+    raises ValueError for a y that is not (9, n) or a w or f that is not
+    (n,), EmptyEnsemble for zero markers and NonPositiveDensity, naming the
+    count and ``lam``, for any density that is not > 0 (NaN included); no
+    marker is ever dropped.  Propagation builds an Ensemble at every report,
+    so a density that underflows to zero raises there.  Weights are never
+    modified by propagation.
     """
 
     sys: ContactHamiltonianSystem
     lam: float
-    q: np.ndarray
-    p: np.ndarray
-    phi: np.ndarray
+    y: np.ndarray
     w: np.ndarray
     f: np.ndarray
 
     def __post_init__(self):
-        self.q = np.atleast_2d(np.asarray(self.q, dtype=float))
-        self.p = np.atleast_2d(np.asarray(self.p, dtype=float))
-        self.phi = np.atleast_1d(np.asarray(self.phi, dtype=float))
-        self.w = np.atleast_1d(np.asarray(self.w, dtype=float))
-        self.f = np.atleast_1d(np.asarray(self.f, dtype=float))
-        if len(self.f) == 0:
+        self.y, self.w, self.f = (np.asarray(a, dtype=float) for a in (self.y, self.w, self.f))
+        n = self.y.shape[-1] if self.y.ndim else 0
+        if (self.y.shape, self.w.shape, self.f.shape) != ((9, n), (n,), (n,)):
+            raise ValueError(f"an ensemble takes y (9, n), w (n,) and f (n,), got y "
+                             f"{self.y.shape}, w {self.w.shape} and f {self.f.shape}")
+        if n == 0:
             raise EmptyEnsemble("ensemble has no markers")
         if not np.all(self.f > 0.0):
             bad = np.count_nonzero(~(self.f > 0.0))
             raise NonPositiveDensity(
-                f"density of {bad} of {len(self.f)} markers is not positive "
+                f"density of {bad} of {n} markers is not positive "
                 f"at lambda = {self.lam:.17g}"
             )
 
-    @property
-    def n(self) -> int:
-        return len(self.f)
+    q = property(lambda self: self.y[0:4].T)
+    p = property(lambda self: self.y[4:8].T)
+    phi = property(lambda self: self.y[8])
+    n = property(lambda self: self.y.shape[1])
 
     def total_weight(self) -> float:
         return float(np.sum(self.w))
@@ -209,30 +214,26 @@ def sample_ensemble(
     rng = np.random.default_rng(seed)
 
     logf = np.zeros(n)
-    q, phi, p_spatial = np.empty((n, 4)), np.empty(n), np.empty((n, 3))
+    y = np.empty((9, n))
     # a Gaussian momentum has no uniform axes, and zip ends at phi
-    for column, (_, c_, h_) in zip([*q.T, phi, *p_spatial.T], _uniform_axes(spec)):
+    for row, (_, c_, h_) in zip([*y[0:4], y[8], *y[5:8]], _uniform_axes(spec)):
         if h_ > 0:
-            column[:] = rng.uniform(c_ - h_, c_ + h_, size=n)
+            row[:] = rng.uniform(c_ - h_, c_ + h_, size=n)
             logf -= math.log(2.0 * h_)
         else:
-            column[:] = c_
+            row[:] = c_
 
     mom = spec.momentum
     if isinstance(mom, GaussianMomentum):
-        for i in range(3):
-            mu_, s_ = mom.mean[i], mom.sigma[i]
-            p_spatial[:, i] = rng.normal(mu_, s_, size=n)
+        for row, mu_, s_ in zip(y[5:8], mom.mean, mom.sigma):
+            row[:] = rng.normal(mu_, s_, size=n)
             logf += (
-                -0.5 * ((p_spatial[:, i] - mu_) / s_) ** 2
+                -0.5 * ((row - mu_) / s_) ** 2
                 - math.log(s_ * math.sqrt(2.0 * math.pi))
             )
 
-    p = solve_p0_on_shell(sys, q, phi, p_spatial)
-    return Ensemble(
-        sys=sys, lam=0.0, q=q, p=p, phi=phi,
-        w=np.full(n, 1.0 / n), f=np.exp(logf),
-    )
+    y[4] = solve_p0_on_shell(sys, y[0:4].T, y[8], y[5:8].T)[:, 0]
+    return Ensemble(sys=sys, lam=0.0, y=y, w=np.full(n, 1.0 / n), f=np.exp(logf))
 
 
 def _weight_per_density(e: Ensemble) -> np.ndarray:
@@ -295,12 +296,12 @@ def ensemble_series(
     reports or, for a landed report, where its step ends.  The optional
     ``on_report`` callback receives (report index, ensemble) at the initial
     instant and after every interval, e.g. to write snapshots.  A reported
-    ensemble's q, p and phi are views of the stepper's buffer rows (q and p
-    (n, 4) views of (10, n) rows), which the next step or report overwrites:
-    a callback copies what it keeps, as the snapshot writer does.  Only the
-    final ensemble, which no step follows, is returned as it is.  Raises
-    NonPositiveDensity, with the number of markers and the lambda, when
-    exp(ln f) underflows to zero for any marker, instead of dropping it.
+    ensemble's y is rows 0..8 of the stepper's (10, n) buffer, not a copy,
+    which the next step or report overwrites: a callback copies what it
+    keeps, as the snapshot writer does.  Only the final ensemble, which no
+    step follows, is returned as it is.  Raises NonPositiveDensity, with the
+    number of markers and the lambda, when exp(ln f) underflows to zero for
+    any marker, instead of dropping it.
     """
     if reports < 1:
         raise ValueError("reports must be at least 1")
@@ -315,19 +316,12 @@ def ensemble_series(
             on_report(k, cur)
 
     log(0, e)
-    block = np.empty((10, e.n))
-    block[0:4] = e.q.T
-    block[4:8] = e.p.T
-    block[8] = e.phi
-    block[9] = np.log(e.f)
+    block = np.vstack([e.y, np.log(e.f)])
     end = e
 
     def land(k: int, lam: float, y: np.ndarray):
         nonlocal end
-        cur = Ensemble(
-            sys=e.sys, lam=e.lam + lam, q=y[0:4].T, p=y[4:8].T, phi=y[8],
-            w=e.w.copy(), f=np.exp(y[9]),
-        )
+        cur = Ensemble(sys=e.sys, lam=e.lam + lam, y=y[0:9], w=e.w.copy(), f=np.exp(y[9]))
         log(k, cur)
         if k == reports:
             end = cur

@@ -165,7 +165,7 @@ def write_trajectory(traj: Trajectory, path: str | Path, fmt_style: str = "csv",
     """
     path = Path(path)
     columns = (traj.parameter,) + TRAJECTORY_COLUMNS[1:]
-    rows = np.column_stack([traj.lam, traj.q, traj.p, traj.phi, traj.ham, traj.tau, traj.shell])
+    rows = np.column_stack([traj.lam, traj.y[:, 0:9], traj.ham, traj.tau, traj.shell])
     _write_table(path, columns, rows, fmt_style, stride)
     return path
 
@@ -178,12 +178,11 @@ def write_ensemble_series(rows, path: str | Path, fmt_style: str = "csv") -> Pat
 
 
 def _snapshot_rows(ensemble) -> np.ndarray:
-    """The C-contiguous (n, 12) block of SNAPSHOT_COLUMNS, whatever the layout
-    of the ensemble's arrays (the writer process is sent its raw bytes)."""
+    """The C-contiguous (n, 12) block of SNAPSHOT_COLUMNS, the ensemble's (9, n)
+    rows copied in transposed (the writer process is sent its raw bytes)."""
     rows = np.empty((ensemble.n, len(SNAPSHOT_COLUMNS)))
     rows[:, 0] = np.arange(ensemble.n)
-    rows[:, 1:5], rows[:, 5:9], rows[:, 9] = ensemble.q, ensemble.p, ensemble.phi
-    rows[:, 10], rows[:, 11] = ensemble.w, ensemble.f
+    rows[:, 1:10], rows[:, 10], rows[:, 11] = ensemble.y.T, ensemble.w, ensemble.f
     return rows
 
 

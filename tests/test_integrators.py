@@ -37,6 +37,7 @@ from contactrel import (
     MaxStepsExceeded,
     StepSizeUnderflow,
     StopCondition,
+    Trajectory,
     TransversalityFailure,
     ensemble_series,
     expression_metric,
@@ -64,6 +65,11 @@ from contactrel.integrators import (
 )
 
 ALPHA = 0.1
+
+
+def _marker_rows(q, p):
+    """An ensemble's (9, n) rows of markers at q (n, 4), p (n, 4) and phi = 0."""
+    return np.concatenate([q.T, p.T, np.zeros((1, len(q)))])
 
 
 def _decay_sys():
@@ -259,12 +265,17 @@ def test_integrator_config_refuses_a_non_positive_max_step(max_step):
         IntegratorConfig(max_step=max_step)
 
 
-@pytest.mark.parametrize("name", ["rel_tol", "abs_tol", "fixed_step"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1e-10])
+@pytest.mark.parametrize("value, name", [
+    *((value, name) for value in (math.nan, math.inf, 0.0, -1e-10)
+      for name in ("rel_tol", "abs_tol", "fixed_step")),
+    (0, "max_steps"), (-1, "max_steps"), (-3, "shell_projection"),
+])
 def test_integrator_config_refuses_a_tolerance_or_step_that_is_not_finite_and_positive(name, value):
     # NaN passed a test of <= 0: a nan tolerance ended in a StepSizeUnderflow
     # that blamed the field, an inf one in a RuntimeWarning, and rk4 with an
-    # inf fixed_step in NaN states and a TransversalityFailure
+    # inf fixed_step in NaN states and a TransversalityFailure; max_steps 0
+    # or -1 ended in MaxStepsExceeded before the first step, and a negative
+    # shell_projection ran as 0 in silence
     method = "rk4" if name == "fixed_step" else "rk45"
     with pytest.raises(ValueError, match=name):
         IntegratorConfig(**{"method": method, "fixed_step": 0.1, name: value})
@@ -276,6 +287,47 @@ def test_integrator_config_refuses_a_non_positive_min_step(min_step):
     # retried forever
     with pytest.raises(ValueError, match="min_step"):
         IntegratorConfig(min_step=min_step)
+
+
+def test_trajectory_refuses_samples_that_do_not_match_its_lambda():
+    # 3 rows of y for 4 lambda values were accepted, and reparametrize_by_phi
+    # then reported a misleading NotMonotone
+    n = 4
+    ok = dict(lam=np.arange(float(n)), y=np.zeros((n, 10)), deriv=np.zeros((n, 10)),
+              shell=np.zeros(n))
+    assert len(Trajectory(**ok)) == n
+    for name, bad in (("y", np.zeros((3, 10))), ("y", np.zeros((10, n))),
+                      ("deriv", np.zeros((n, 9))), ("shell", np.zeros(3)),
+                      ("shell", np.zeros((n, 1)))):
+        with pytest.raises(ValueError, match=r"of 4 samples takes y and deriv \(n, 10\)"):
+            Trajectory(**{**ok, name: bad})
+
+
+def test_a_photon_run_steps_its_nan_tau_row(monkeypatch):
+    # one (10,) state for every mass: the field fills a photon's tau row with
+    # NaN, and the trajectory keeps the stepper's samples and derivatives
+    calls, recorded = set(), []
+    block_field, run_recorded = integrators._block_field, integrators._run_recorded
+
+    def field(sys_, y, quadrature, out):
+        calls.add((y.shape, quadrature))
+        return block_field(sys_, y, quadrature, out)
+
+    def record(*args, **kwargs):
+        recorded.append(run_recorded(*args, **kwargs))
+        return recorded[-1]
+
+    monkeypatch.setattr(integrators, "_block_field", field)
+    monkeypatch.setattr(integrators, "_run_recorded", record)
+    sys = ContactHamiltonianSystem(metric=expression_metric(WAVY_DIAG), mass=MassModel.zero())
+    s0 = ExtendedState(q=np.zeros(4), p=solve_p0_on_shell(sys, np.zeros(4), 0.0, [1.0, 0.0, 0.0]),
+                       phi=0.0)
+    traj = integrate(sys, s0, IntegratorConfig(stop=_stop("lambda_reached", 3.0)))
+    assert calls == {((10,), "tau")}
+    _, ys, fs, _, _ = recorded[0]
+    assert traj.y is ys and traj.deriv is fs and ys.shape == (len(traj), 10)
+    assert np.all(np.isnan(traj.tau)) and np.all(np.isnan(traj.deriv[:, 9]))
+    assert np.all(np.isfinite(traj.y[:, 0:9])) and np.all(np.isfinite(traj.deriv[:, 0:9]))
 
 
 def test_step_below_min_step_ends_in_step_size_underflow():
@@ -476,8 +528,8 @@ def test_a_block_of_copies_takes_the_single_run_step_sequence(metric, mass):
     cfg = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10, stop=_stop("lambda_reached", 5.0))
     traj = integrate(sys, ExtendedState(q=q, p=p, phi=0.0), cfg)
     n = 7
-    e = Ensemble(sys=sys, lam=0.0, q=np.tile(q, (n, 1)), p=np.tile(p, (n, 1)),
-                 phi=np.zeros(n), w=np.ones(n), f=np.ones(n))
+    e = Ensemble(sys=sys, lam=0.0, y=_marker_rows(np.tile(q, (n, 1)), np.tile(p, (n, 1))),
+                 w=np.ones(n), f=np.ones(n))
     end, _, stats = ensemble_series(e, 5.0, 1, EntropyFunctional.shannon_boltzmann(), cfg)
     assert stats["steps_accepted"] == traj.metadata["steps_accepted"]
     assert stats["steps_rejected"] == traj.metadata["steps_rejected"]
@@ -502,7 +554,7 @@ def test_dense_reports_are_handed_on_as_they_are_read(monkeypatch):
     n, reports = 100, 50
     q = np.zeros((n, 4))
     p = solve_p0_on_shell(sys, q, np.zeros(n), np.random.default_rng(5).normal(size=(n, 3)))
-    e = Ensemble(sys=sys, lam=0.0, q=q, p=p, phi=np.zeros(n), w=np.ones(n), f=np.ones(n))
+    e = Ensemble(sys=sys, lam=0.0, y=_marker_rows(q, p), w=np.ones(n), f=np.ones(n))
     seen = []
     _, _, stats = ensemble_series(e, 5.0, reports, EntropyFunctional.shannon_boltzmann(),
                                   on_report=lambda k, cur: seen.append((k, len(reads))))
@@ -619,13 +671,15 @@ def _reference_rk4_step(rhs, lam, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-@pytest.mark.parametrize("shape", [(9,), (10,), (10, 10_000)])
-def test_rk4_step_in_buffers_is_the_textbook_step_bit_for_bit(shape):
-    # a photon state, a massive state with its tau row and a marker block,
-    # through the block field scaled by (1 + lam), so that stage times count
-    mass = MassModel.zero() if shape == (9,) else MassModel.exp_decay(1.0, ALPHA, c=1.7)
+@pytest.mark.parametrize("massive, shape", [(False, (10,)), (True, (10,)), (True, (10, 10_000))],
+                         ids=["photon", "massive", "block"])
+def test_rk4_step_in_buffers_is_the_textbook_step_bit_for_bit(massive, shape):
+    # a photon state with its NaN tau row, a massive state with its tau row
+    # and a marker block, through the block field scaled by (1 + lam), so
+    # that stage times count
+    mass = MassModel.exp_decay(1.0, ALPHA, c=1.7) if massive else MassModel.zero()
     sys = ContactHamiltonianSystem(metric=expression_metric(WAVY_DIAG), mass=mass, c=1.7)
-    quadrature = {(9,): None, (10,): "tau"}.get(shape, "ln_f")
+    quadrature = "tau" if len(shape) == 1 else "ln_f"
 
     def rhs(lam, y, out):
         integrators._block_field(sys, y, quadrature, out)
@@ -644,8 +698,10 @@ def test_rk4_step_in_buffers_is_the_textbook_step_bit_for_bit(shape):
         # left in yi's row 9 is never read
         assert _rk4_step(rhs, lam, y, h, ks, yi, y5, slice(0, 9)) is y5
         ref = _reference_rk4_step(rhs, lam, y, h)
-        assert np.all(np.isfinite(ref))
-        assert np.array_equal(np.signbit(y5), np.signbit(ref)) and np.array_equal(y5, ref)
+        assert np.all(np.isfinite(ref[0:9])) and np.all(np.isfinite(ref[9]) == massive)
+        # a photon's tau row is NaN, whose sign bit says nothing
+        assert np.array_equal(np.signbit(y5[0:9]), np.signbit(ref[0:9]))
+        assert np.array_equal(y5, ref, equal_nan=True)
         assert np.array_equal(y, keep)
 
 
@@ -759,7 +815,7 @@ def _gas_bits(kind, rows_read, poison):
     q = np.zeros((n, 4))
     q[:, 1:] = rng.uniform(-1.0, 1.0, (n, 3))
     p = solve_p0_on_shell(sys, q, np.zeros(n), rng.normal(0.0, 0.2, (n, 3)))
-    e = Ensemble(sys=sys, lam=0.0, q=q, p=p, phi=np.zeros(n), w=np.full(n, 1.0 / n),
+    e = Ensemble(sys=sys, lam=0.0, y=_marker_rows(q, p), w=np.full(n, 1.0 / n),
                  f=rng.uniform(0.5, 1.5, n))
     cfg = (IntegratorConfig(method="rk4", fixed_step=0.1) if kind == "rk4"
            else IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11))
@@ -773,7 +829,7 @@ def _gas_bits(kind, rows_read, poison):
 
                 mp.setattr(integrators, name, poisoned)
         end, rows, _ = ensemble_series(e, 2.0, 8, EntropyFunctional.shannon_boltzmann(), cfg)
-    return [a.tobytes() for a in (rows, end.q, end.p, end.phi, end.f)]
+    return [a.tobytes() for a in (rows, end.y, end.f)]
 
 
 def _unbuilt_rows_unread(kind, rows_read):
@@ -870,10 +926,10 @@ POWER_DIAG = (
                                   "expression", "power"])
 @pytest.mark.parametrize("mass", ["constant", "affine", "zero"])
 def test_block_field_of_a_single_state_equals_the_one_row_field(kind, mass):
-    # A single run steps a (d,) state through _block_field, which hands the
+    # A single run steps a (10,) state through _block_field, which hands the
     # field (4,) q and p; every row must equal, to the last bit, the field
     # of the state as a one-row batch and tau' = -phi' / (m * c**2) (with
-    # c = 1.7, m * c * c would round differently)
+    # c = 1.7, m * c * c would round differently), NaN for a photon
     metric = {
         "minkowski": minkowski(),
         "point-mass": weak_field(*point_mass_potential(1.0, 0.5), c=10.0),
@@ -887,21 +943,22 @@ def test_block_field_of_a_single_state_equals_the_one_row_field(kind, mass):
         "zero": MassModel.zero(),
     }[mass]
     sys = ContactHamiltonianSystem(metric=metric, mass=mass_model, c=1.7)
-    d = 10 if sys.massive else 9
     rng = np.random.default_rng(7)
     for _ in range(300):
-        y = rng.normal(size=d)
+        y = rng.normal(size=10)
         y[1:4] += 3.0  # away from the point mass
         y[4] -= 2.0
         dq, dp, dphi, dhdphi = dynamics._field_arrays(sys, y[None, 0:4], y[None, 4:8], y[8:9])
         ref = np.concatenate([dq[0], dp[0], dphi])
-        out = integrators._block_field(sys, y, "tau" if sys.massive else None, np.empty(d))
-        assert out.shape == (d,)
+        out = integrators._block_field(sys, y, "tau", np.empty(10))
+        assert out.shape == (10,)
         assert np.array_equal(out[0:9], ref)
         if sys.massive:
             m = float(sys.mass.value(y[8]))
             assert out[9] == -dphi[0] / (m * sys.c**2)
-            assert integrators._block_field(sys, y, "ln_f", np.empty(d))[9] == 4.0 * dhdphi[0]
+        else:
+            assert np.isnan(out[9])
+        assert integrators._block_field(sys, y, "ln_f", np.empty(10))[9] == 4.0 * dhdphi[0]
 
 
 def _reference_block_field(sys, y, quadrature):
@@ -1007,7 +1064,7 @@ def test_block_steps_allocate_no_block_sized_arrays():
     n = 10_000
     p_spatial = np.random.default_rng(3).normal(0.0, 0.2, (n, 3))
     p = solve_p0_on_shell(sys, np.zeros((n, 4)), np.zeros(n), p_spatial)
-    e = Ensemble(sys=sys, lam=0.0, q=np.zeros((n, 4)), p=p, phi=np.zeros(n),
+    e = Ensemble(sys=sys, lam=0.0, y=_marker_rows(np.zeros((n, 4)), p),
                  w=np.full(n, 1.0 / n), f=np.ones(n))
 
     def faults(cfg):

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from contactrel import dynamics
+from contactrel import dynamics, kinetic
 from contactrel import (
     ContactHamiltonianSystem,
     DensitySpec,
@@ -92,7 +92,7 @@ def test_sampled_markers_sit_on_the_mass_shell():
         phi_halfwidth=0.25,
     )
     e = sample_ensemble(sys, spec, 500, seed=3)
-    h, _ = dynamics._h_and_shell(sys, e.q, e.p, e.phi)
+    h = 0.5 * dynamics._shell(sys, e.q, e.p, e.phi)
     assert np.max(np.abs(h)) < 1e-10
     # future-directed: the time covector component is negative
     assert np.all(e.p[:, 0] < 0.0)
@@ -158,18 +158,10 @@ def test_unnormalizable_specs_rejected(spec):
 def _manual_ensemble(f_values):
     sys = _flat()
     n = len(f_values)
-    q = np.zeros((n, 4))
-    p_spatial = np.tile([0.1, 0.0, 0.0], (n, 1))
-    p = np.column_stack([np.full(n, -math.sqrt(1.01)), p_spatial])
-    return Ensemble(
-        sys=sys,
-        lam=0.0,
-        q=q,
-        p=p,
-        phi=np.zeros(n),
-        w=np.full(n, 1.0 / n),
-        f=np.asarray(f_values, dtype=float),
-    )
+    y = np.zeros((9, n))
+    y[4], y[5] = -math.sqrt(1.01), 0.1  # p = (-sqrt(1.01), 0.1, 0, 0), on shell
+    return Ensemble(sys=sys, lam=0.0, y=y, w=np.full(n, 1.0 / n),
+                    f=np.asarray(f_values, dtype=float))
 
 
 def test_markers_with_nonpositive_density_are_rejected():
@@ -185,10 +177,64 @@ def test_all_markers_dropped_raises():
         _manual_ensemble([0.0, -1.0])
 
 
+def test_ensemble_refuses_rows_weights_or_densities_of_another_shape():
+    # w = [0.5] for 3 markers was broadcast to a total weight of 0.5, not
+    # 1.5, and q with 2 rows for 3 markers failed later in a bare numpy
+    # broadcast error
+    y = np.zeros((9, 3))
+    y[4] = -1.0  # at rest
+    ok = dict(sys=_flat(), lam=0.0, y=y, w=np.full(3, 0.5), f=np.ones(3))
+    assert Ensemble(**ok).total_weight() == 1.5
+    for name, bad in (("w", [0.5]), ("w", np.ones((3, 1))), ("f", np.ones(2)),
+                      ("y", y[:, :2]), ("y", y[:8]), ("y", y.T), ("y", y[4])):
+        with pytest.raises(ValueError, match=r"takes y \(9, n\), w \(n,\) and f \(n,\)"):
+            Ensemble(**{**ok, name: bad})
+
+
+def test_ensemble_q_p_and_phi_are_views_of_its_rows():
+    e = sample_ensemble(_flat(), _gaussian_spec(), 50, seed=7)
+    assert e.y.shape == (9, 50) and e.y.flags.c_contiguous
+    assert Ensemble(sys=e.sys, lam=0.0, y=e.y, w=e.w, f=e.f).y is e.y
+    for view, rows in ((e.q, e.y[0:4].T), (e.p, e.y[4:8].T), (e.phi, e.y[8])):
+        assert view.base is not None and np.shares_memory(view, e.y)
+        assert np.array_equal(view, rows)
+    assert e.q.shape == e.p.shape == (50, 4) and e.phi.shape == (50,)
+    e.y[5, 3], e.y[8, 2] = 7.0, -0.5
+    assert e.p[3, 1] == 7.0 and e.phi[2] == -0.5
+
+
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+def test_each_reported_ensemble_is_the_stepper_buffer(monkeypatch, method):
+    # rows 0..8 of the (10, n) buffer the loop hands on, not a copy: rk45's
+    # dense reads and landed steps, rk4's landed steps
+    handed = {}
+    advance = kinetic._advance_block
+
+    def spy(sys, y, span, reports, cfg, on_report):
+        def land(k, lam, block):
+            handed[k] = block
+            on_report(k, lam, block)
+
+        return advance(sys, y, span, reports, cfg, land)
+
+    monkeypatch.setattr(kinetic, "_advance_block", spy)
+    e0 = sample_ensemble(_decay_system(), _gaussian_spec(), 40, seed=11)
+    cfg = IntegratorConfig(method=method, fixed_step=0.25)
+    bases = []
+
+    def on_report(k, cur):
+        if k:
+            assert cur.y.base is handed[k] and handed[k].shape == (10, 40)
+            assert handed[k].base is None  # a buffer the run allocated
+            bases.append(cur.y.base)
+
+    ensemble_series(e0, 2.0, 8, SB, cfg, on_report)
+    assert len(bases) == 8 and len({id(b) for b in bases}) < 8  # buffers reused
+
+
 def test_empty_ensemble_raises():
     with pytest.raises(EmptyEnsemble):
-        Ensemble(sys=_flat(), lam=0.0, q=np.zeros((0, 4)), p=np.zeros((0, 4)),
-                 phi=[], w=[], f=[])
+        Ensemble(sys=_flat(), lam=0.0, y=np.zeros((9, 0)), w=[], f=[])
 
 
 def test_entropy_rejects_tampered_density():
@@ -314,10 +360,10 @@ def test_propagate_raises_when_density_underflows():
     sys = ContactHamiltonianSystem(
         metric=minkowski(), mass=MassModel.exp_decay(1.0, -0.5), c=1.0
     )
-    e = Ensemble(
-        sys=sys, lam=0.0, q=np.zeros((4, 4)), p=np.tile([-1.0, 0.0, 0.0, 0.0], (4, 1)),
-        phi=np.zeros(4), w=[0.25, 5e-324, 0.25, 5e-324], f=[1.0, 5e-324, 1.0, 5e-324],
-    )
+    y = np.zeros((9, 4))
+    y[4] = -1.0  # at rest
+    e = Ensemble(sys=sys, lam=0.0, y=y, w=[0.25, 5e-324, 0.25, 5e-324],
+                 f=[1.0, 5e-324, 1.0, 5e-324])
     assert e.n == 4
     with pytest.raises(NonPositiveDensity, match=r"2 of 4 markers .* lambda = 1$"):
         ensemble_series(e, 1.0, 1, SB)[0]
@@ -388,16 +434,15 @@ def test_decay_gas_series_is_one_step_sequence():
     # a reported ensemble views a buffer that later steps overwrite
     _, rows, stats = ensemble_series(
         e0, span, reports, SB, icfg,
-        on_report=lambda k, cur: seen.append(replace(cur, q=cur.q.copy(), p=cur.p.copy(),
-                                                     phi=cur.phi.copy())))
+        on_report=lambda k, cur: seen.append(replace(cur, y=cur.y.copy())))
     assert stats["steps_accepted"] < reports
 
     dlam = span / reports
     e, ref = e0, [e0.total_weight()]
     for _ in range(reports):
         block, _ = advance_batch(e.sys, _block(e), dlam, icfg)
-        e = Ensemble(sys=e.sys, lam=e.lam + dlam, q=block[:, 0:4], p=block[:, 4:8],
-                     phi=block[:, 8], w=e.w.copy(), f=np.exp(block[:, 9]))
+        e = Ensemble(sys=e.sys, lam=e.lam + dlam, y=block[:, 0:9].T, w=e.w.copy(),
+                     f=np.exp(block[:, 9]))
         ref.append(e.total_weight())
     assert np.array_equal(rows[:, 1], np.array(ref))
 

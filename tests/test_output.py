@@ -369,14 +369,15 @@ def test_no_snapshots_start_no_process(tmp_path, monkeypatch, parent_writes, two
 @pytest.mark.parametrize("forked", [True, False], ids=["forked", "in-process"])
 def test_snapshot_of_fortran_ordered_arrays_matches_c_ordered(
         tmp_path, monkeypatch, parent_writes, two_cpus, forked, fmt_style):
-    # the report ensembles' q and p are (n, 4) views of a component-major
-    # block; the writer process is sent the raw bytes of a C-ordered table
+    # an ensemble's y is (9, n) rows, the writer's table (n, 12) rows of
+    # markers; whatever the layout of y, the writer process is sent the raw
+    # bytes of a C-ordered table
     if not forked:
         _no_fork(monkeypatch)
     cfg = _gas(fmt_style)
     e = kinetic.sample_ensemble(build_system(cfg), build_density_spec(cfg), 300, 5)
-    f_ordered = dataclasses.replace(e, q=np.asfortranarray(e.q), p=np.asfortranarray(e.p))
-    assert f_ordered.q.flags.f_contiguous and not f_ordered.q.flags.c_contiguous
+    f_ordered = dataclasses.replace(e, y=np.asfortranarray(e.y))
+    assert f_ordered.y.flags.f_contiguous and not f_ordered.y.flags.c_contiguous
     assert output._snapshot_rows(f_ordered).flags.c_contiguous
     expected = output.write_ensemble_snapshot(e, tmp_path / "c.out", fmt_style).read_bytes()
     parent_writes.clear()
