@@ -44,8 +44,8 @@ from .dynamics import ContactHamiltonianSystem, ExtendedState, MassModel
 from .errors import NotMonotone
 from .integrators import (IntegratorConfig, StopCondition, _run_loop, geodesic_reference,
                           reparametrize_by_phi, reparametrize_by_tau)
-from .scenario import (PRESETS, build_integrator_config, build_system, load_scenario,
-                       preset_scenario, run_ensemble, run_single)
+from .scenario import (PRESETS, _flat_gas_rate, _held, _off_closed_form, build_integrator_config,
+                       build_system, load_scenario, preset_scenario, run_ensemble, run_single)
 
 __all__ = ["CheckResult", "run_all", "CHECKS"]
 
@@ -95,12 +95,6 @@ def _random_states(rng, n):
     )
     phi = rng.uniform(-1.0, 1.0, size=n)
     return q, p, phi
-
-
-def _decay_closed_form(lam, alpha):
-    """(q^0, p_0, phi, tau) at lam: flat space, unit mass at rest, decay rate alpha, c=1."""
-    q0 = np.log(1.0 + alpha * lam) / alpha
-    return q0, -1.0 / (1.0 + alpha * lam), -lam / (1.0 + alpha * lam), q0
 
 
 # --- the battery's runs -----------------------------------------------------------
@@ -235,8 +229,7 @@ def _preset_run(name: str):
 
 def _preset_check(name: str):
     """The preset's own check on its run: (measured, tolerance, passed, detail)."""
-    cfg, run = _preset_run(name)
-    return PRESETS[name][2](cfg, run if cfg.kind == "single" else run[2])
+    return PRESETS[name][2](*_preset_run(name))
 
 
 # --- criterion 1: contact identities -------------------------------------------
@@ -259,14 +252,13 @@ def check_contact_identities():
 
 
 def check_energy_conservation():
-    _, free = _preset_run("decay-flat")
+    (_, free), (_, projected) = runs = (_preset_run("decay-flat"), *_runs("energy-conservation"))
     drift = float(np.max(np.abs(free.ham - free.ham[0])))
     free_shell = float(np.max(np.abs(free.shell)))
-    (_, projected), = _runs("energy-conservation")
     shell = float(np.max(np.abs(projected.shell)))
-    return (max(drift, shell), 1e-8, drift < 1e-8 and free_shell < 1e-8 and shell < 1e-12,
+    return (max(drift, shell), 1e-8, *_held(drift < 1e-8 and free_shell < 1e-8 and shell < 1e-12,
             f"H_drift={drift:.3e} (tol 1e-8), free_shell={free_shell:.3e} (tol 1e-8), "
-            f"projected_shell={shell:.3e} (tol 1e-12)")
+            f"projected_shell={shell:.3e} (tol 1e-12)", *runs))
 
 
 # --- criterion 3: divergence --------------------------------------------------
@@ -340,7 +332,8 @@ def check_geodesic_recovery():
     g = geometry._values(sys.metric, on_tau.q, on_tau.phi)
     u_contact = g * on_tau.p / sys.mass.value(on_tau.phi)[:, None]
     du = float(np.max(np.abs(u_contact - geo_tau.p)))
-    return dq, 1e-6, dq < 1e-6, f"sup|q| diff over one orbit; four-velocity diff {du:.3e}"
+    return dq, 1e-6, *_held(dq < 1e-6, f"sup|q| diff over one orbit; four-velocity diff {du:.3e}",
+                            (cfg, traj))
 
 
 # --- criterion 5: Newtonian limit -------------------------------------------------
@@ -360,8 +353,8 @@ def check_newtonian_limit():
     target = -grad(traj.q[2:-2, 1:])
     worst = float(np.max(np.max(np.abs(accel - target), axis=1)
                          / np.max(np.abs(target), axis=1)))
-    return (worst, 1e-4, worst < 1e-4,
-            f"relative acceleration mismatch, v/c={cfg.initial['v'][1] / c:.0e}")
+    return (worst, 1e-4, *_held(worst < 1e-4, f"relative acceleration mismatch, "
+                                              f"v/c={cfg.initial['v'][1] / c:.0e}", (cfg, traj)))
 
 
 # --- criterion 6: decay cancellation ----------------------------------------------
@@ -370,7 +363,7 @@ def check_newtonian_limit():
 def check_decay_cancellation():
     # both runs start from the same four-velocity (same initial momentum too,
     # since m(0) = 1 for both mass models)
-    (_, const), (cfg, decay) = _runs("decay-cancellation")
+    (_, const), (cfg, decay) = runs = [*_runs("decay-cancellation")]
     tr_c = reparametrize_by_tau(const, num=200)
     tr_d = reparametrize_by_tau(decay, num=200)
     dq = float(np.max(np.abs(tr_c.q - tr_d.q)))
@@ -380,8 +373,8 @@ def check_decay_cancellation():
     pnorm = np.sqrt(-geometry._gpp(geometry._values(sys_decay.metric, tr_d.q, tr_d.phi), tr_d.p))
     target = dynamics.mass_from_tau(sys_decay, cfg.initial["phi0"], tr_d.lam)
     dp = float(np.max(np.abs(pnorm - target)))
-    return (max(dq, dp), 1e-8, dq < 1e-8 and dp < 1e-8,
-            f"worldline diff {dq:.3e}, momentum-norm diff {dp:.3e}")
+    return (max(dq, dp), 1e-8, *_held(dq < 1e-8 and dp < 1e-8,
+            f"worldline diff {dq:.3e}, momentum-norm diff {dp:.3e}", *runs))
 
 
 # --- criterion 7: time dilation -----------------------------------------------------
@@ -409,10 +402,11 @@ def check_proper_time():
         gamma_err = max(gamma_err, abs(float(run.q[-1, 0]) / (c * float(run.tau[-1])) - gamma))
         by_tau = reparametrize_by_tau(run, num=11)
         slope_err = max(slope_err, float(np.max(np.abs(by_tau.deriv[:, 0] / c - gamma))))
-    return (max(quad_err, gamma_err), 1e-6,
+    return (max(quad_err, gamma_err), 1e-6, *_held(
             quad_err < 1e-6 and gamma_err < 1e-8 and slope_err < 1e-8,
             f"line-element quadrature {quad_err:.3e} (tol 1e-6); "
-            f"gamma endpoint {gamma_err:.3e}, grid slope {slope_err:.3e} at c = 1, 3 (tol 1e-8)")
+            f"gamma endpoint {gamma_err:.3e}, grid slope {slope_err:.3e} at c = 1, 3 (tol 1e-8)",
+            (cfg, traj), *flat))
 
 
 # --- criterion 8: reduction equivalence ----------------------------------------------
@@ -438,93 +432,84 @@ def check_reduction_equivalence():
     _run_loop(rhs, zs[0], rk4, span, [], 8, reports=reports,
               on_report=lambda k, dphi, z: zs.append(z.copy()))
     worst = float(np.max(np.abs(np.array(zs) - by_phi.y[:, 0:8])))
-    return worst, 1e-6, worst < 1e-6, "lambda-run resampled in phi vs direct phi-integration"
+    return worst, 1e-6, *_held(worst < 1e-6, "lambda-run resampled in phi vs direct phi-integration",
+                               (cfg, traj))
 
 
 # --- criterion 9: photon behavior ------------------------------------------------------
 
 
 def check_photon_behavior():
-    # photon-null's own check holds phi frozen, the null shell and tau NaN
+    # photon-null's own check holds its closed form, the null shell and tau NaN
     null, _, null_ok, _ = _preset_check("photon-null")
     _, traj = _preset_run("photon-null")
-    straight = float(np.max(np.abs(traj.q[:, 1] - traj.lam)))
     raised = False
     try:
         reparametrize_by_phi(traj)
     except NotMonotone:
         raised = True
-    return (max(null, straight), 1e-12, null_ok and straight < 1e-9 and raised,
-            f"null_check={null_ok} (phi drift, shell {null:.3e}), ray_diff={straight:.3e}, "
-            f"phi_reparam_rejected={raised}")
+    return (null, 1e-12, null_ok and raised,
+            f"null_check={null_ok} (closed form, shell {null:.3e}), phi_reparam_rejected={raised}")
 
 
 # --- criteria 10/11: kinetic entropy and measure -----------------------------------------
 
 
 def check_entropy_decay():
-    # each gas preset's own check holds its claim on the entropy column:
-    # decay-gas falls at its rate, absorbing-gas rises, photon-gas stays frozen
+    # each gas preset's own check holds its closed form and its claim on the
+    # entropy column: decay-gas falls at its rate, absorbing-gas rises, photon-gas stays frozen
     gases = ("decay-gas", "absorbing-gas", "photon-gas")
     decay_ok, absorbing_ok, photon_ok = (_preset_check(gas)[2] for gas in gases)
-    (cfg, (e0, _, rows, _)), (_, (_, _, rows_abs, _)), (_, (_, _, rows_ph, _)) = (
-        _preset_run(gas) for gas in gases)
-    n, alpha = e0.n, cfg.mass["alpha"]
-    lam, weight, entropy_col, rate_col = rows.T
-    rate0_err = abs(rate_col[0] - (-4.0 * alpha))
+    (cfg, decay), (_, (_, _, rows_abs, _)), (_, (_, _, rows_ph, _)) = map(_preset_run, gases)
+    lam, weight, entropy_col, rate_col = decay[2].T
+    rate0_err = abs(rate_col[0] - _flat_gas_rate(cfg, decay, 0.0))
 
-    # empirical slope between reports vs analytic rate at the midpoint, using
-    # the exact flat-space solution rate(lam) = -4 alpha / (1 + alpha lam)
-    tol_rel = 0.01 + 3.0 / math.sqrt(n)
-    worst_rel = 0.0
-    for k in range(len(lam) - 1):
-        slope = (entropy_col[k + 1] - entropy_col[k]) / (lam[k + 1] - lam[k])
-        mid = 0.5 * (lam[k] + lam[k + 1])
-        analytic_mid = -4.0 * alpha / (1.0 + alpha * mid)
-        worst_rel = max(worst_rel, abs(slope - analytic_mid) / abs(analytic_mid))
+    # empirical slope between reports vs the closed-form rate at their midpoint
+    tol_rel = 0.01 + 3.0 / math.sqrt(decay[0].n)
+    analytic_mid = _flat_gas_rate(cfg, decay, 0.5 * (lam[:-1] + lam[1:]))
+    slope = np.diff(entropy_col) / np.diff(lam)
+    worst_rel = float(np.max(np.abs(slope - analytic_mid) / np.abs(analytic_mid)))
 
     # the rates: growing mass raises entropy; photons and constant mass freeze it
     absorbing_ok = bool(absorbing_ok and rows_abs[0, 3] > 0.0)
     photon_ok = bool(photon_ok and np.max(np.abs(rows_ph[:, 3])) < 1e-12)
-    (_, (_, _, rows_cm, _)), = _runs("entropy-decay")
+    constant, = _runs("entropy-decay")
+    rows_cm = constant[1][2]
     constant_ok = bool(
         np.max(np.abs(rows_cm[:, 2] - rows_cm[0, 2])) < 1e-12
         and np.max(np.abs(rows_cm[:, 3])) < 1e-12
     )
     passed = (decay_ok and rate0_err < 1e-10 and worst_rel < tol_rel
               and absorbing_ok and photon_ok and constant_ok)
-    return (worst_rel, tol_rel, passed,
-            f"decay_gas_check={decay_ok}, rate(0)+0.4={rate0_err:.2e}, "
+    return (worst_rel, tol_rel, *_held(passed,
+            f"decay_gas_check={decay_ok}, rate(0) vs closed form {rate0_err:.2e}, "
             f"absorbing_increases={absorbing_ok}, photon_frozen={photon_ok}, "
-            f"constant_mass_frozen={constant_ok}")
+            f"constant_mass_frozen={constant_ok}", constant))
 
 
 def check_measure_conservation():
-    (cfg, (e0, e_end, rows, _)), = _runs("measure-conservation")
-    span, alpha = cfg.stop[0]["value"], cfg.mass["alpha"]
+    (cfg, run), = _runs("measure-conservation")
+    rows = run[2]
     weight_drift = float(np.max(np.abs(rows[:, 1] - rows[0, 1]))) / rows[0, 1]
-    # pointwise transport: f(lam)/f(0) = (1 + alpha lam)^4 for every marker
-    ratio = e_end.f / e0.f
-    target = (1.0 + alpha * span) ** 4
-    transport_err = float(np.max(np.abs(ratio - target) / target))
-    return (max(weight_drift, transport_err), 1e-6, weight_drift < 1e-8 and transport_err < 1e-6,
-            f"weight_drift={weight_drift:.3e} (tol 1e-8) over span {span}, "
-            f"f_transport={transport_err:.3e}")
+    # pointwise transport: every marker's rows, ln f among them, on the closed form
+    off = _off_closed_form(cfg, run)
+    return (off, 1e-9, weight_drift < 1e-8 and off < 1e-9,
+            f"weight_drift={weight_drift:.3e} (tol 1e-8) over span {cfg.stop[0]['value']}, "
+            f"closed form at every marker")
 
 
 # --- criterion 12: convergence order ------------------------------------------------------
 
 
 def check_convergence_order():
-    hs, errs = [], []
-    for cfg, traj in _runs("convergence-order"):
-        hs.append(cfg.integrator["fixed_step"])
-        q0e, p0e, phie, taue = _decay_closed_form(cfg.stop[0]["value"], cfg.mass["alpha"])
-        errs.append(max(abs(traj.q[-1, 0] - q0e), abs(traj.p[-1, 0] - p0e),
-                        abs(traj.phi[-1] - phie), abs(traj.tau[-1] - taue)))
+    # the closed form is the reference: the coarsest run sits 6e-10 off it by design
+    runs = [*_runs("convergence-order")]
+    hs = [cfg.integrator["fixed_step"] for cfg, _ in runs]
+    errs = [_off_closed_form(*run) for run in runs]
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     return (slope, 4.0, 3.7 <= slope <= 4.3,
-            f"log-log error slope from h={hs} (errors {[f'{e:.2e}' for e in errs]})")
+            f"log-log slope of the distance from the closed form from h={hs} "
+            f"(distances {[f'{e:.2e}' for e in errs]})")
 
 
 # --- battery -------------------------------------------------------------------------------

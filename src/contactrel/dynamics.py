@@ -14,8 +14,8 @@ Index conventions follow geometry.py; p_0 = -E/c is negative for
 future-directed momenta in signature (-,+,+,+).
 
 Along a massive flow dphi = -m c^2 dtau, so an affine m(phi) decays as
-m(tau) = m0 exp(-alpha tau); ``mass_from_tau`` is that law, and the battery's
-decay checks measure the flow against it.
+m(tau) = m0 exp(-alpha tau), ``mass_from_tau``; beside it ``_closed_form`` is
+the flow's exact solution on the shell, which the battery holds runs to.
 
 The public functions take one ExtendedState.  The shell residual (H is half
 of it), dH/dphi and the contact-identity residuals have no public
@@ -384,6 +384,38 @@ def mass_from_tau(sys: ContactHamiltonianSystem, phi_start: float, dtau):
     if mass.slope == 0.0:
         return np.full_like(dtau, m_start, dtype=float) if np.ndim(dtau) else m_start
     return m_start * np.exp(-mass.slope * sys.c**2 * dtau)
+
+
+def _closed_form(sys, y0, lam, quadrature):
+    """The flow's exact rows at lam from on-shell start rows y0, (10,) or (10, n).
+
+    Row 9 is ``quadrature``, "tau" or "ln_f", as in integrators._block_field,
+    and a row's marker axis broadcasts against lam.  H = 0 is a first
+    integral, so under every metric dphi/dlam = -m^2 c^2, and with m affine
+    in phi, slope s, x = s c^2 m(phi0) lam gives m = m(phi0) / (1 + x),
+    phi = phi0 - (m(phi0) c)^2 lam / (1 + x) and tau = tau0 + m(phi0) L,
+    where L = log1p(x) / (s c^2 m(phi0)), or lam for s = 0, integrates
+    m / m(phi0).  A constant metric also gives p = p0 / (1 + x),
+    q = q0 + g p0 L and ln f = ln f0 + 4 log1p(x).  Every other row is NaN,
+    a photon's tau too.  An oracle for the battery, not a run path.
+    """
+    y0 = np.asarray(y0, dtype=float)
+    s, c2 = sys.mass.slope, sys.c**2
+    m0 = sys.mass.value(y0[8])
+    x = s * c2 * m0 * np.asarray(lam, dtype=float)
+    out = np.full((10,) + x.shape, np.nan)
+    out[8] = y0[8] - m0 * m0 * c2 * lam / (1.0 + x)
+    span = lam if s == 0.0 else np.log1p(x) / (s * c2 * m0)
+    if quadrature == "tau" and sys.massive:
+        out[9] = y0[9] + m0 * span
+    if sys.metric.constant:
+        g = geometry._values(sys.metric, y0[0:4].T, y0[8])
+        for a in range(4):
+            out[a] = y0[a] + g[..., a] * y0[4 + a] * span
+            out[4 + a] = y0[4 + a] / (1.0 + x)
+        if quadrature == "ln_f":
+            out[9] = y0[9] + 4.0 * np.log1p(x)
+    return out
 
 
 # --- on-shell construction helpers -------------------------------------------

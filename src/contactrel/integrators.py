@@ -139,11 +139,13 @@ class IntegratorConfig:
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         # else a rejected step can shrink to 0 and retry forever, or a run end unstarted
-        for name in ("min_step", "max_step", "max_steps"):
+        for name in ("min_step", "max_step"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        if not self.shell_projection >= 0:
-            raise ValueError(f"shell_projection must be >= 0, got {self.shell_projection!r}")
+        for name, lo in (("max_steps", 1), ("shell_projection", 0)):  # an int, not a bool
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < lo:
+                raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
 
 
 @dataclass

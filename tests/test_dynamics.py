@@ -465,3 +465,91 @@ def test_extended_state_validation():
         ExtendedState(q=[0, 0, 0], p=[-1, 0, 0, 0], phi=0.0)
     with pytest.raises(ValueError):
         ExtendedState(q=[0, 0, 0, 0], p=[-1, 0, 0, np.nan], phi=0.0)
+
+
+# --- the closed-form oracle -------------------------------------------------------
+
+
+def _decay_closed_form(lam, alpha):
+    """(q^0, p_0, phi, tau) at lam: flat space, unit mass at rest, decay rate alpha, c = 1."""
+    q0 = np.log(1.0 + alpha * lam) / alpha
+    return q0, -1.0 / (1.0 + alpha * lam), -lam / (1.0 + alpha * lam), q0
+
+
+def _on_shell_rows(sys, q, phi, p_spatial, row9):
+    """Start rows (10,) of a state on the shell, row 9 holding row9."""
+    p = solve_p0_on_shell(sys, np.asarray(q, dtype=float), phi, p_spatial)
+    return np.concatenate([q, p, [phi, row9]])
+
+
+@pytest.mark.parametrize("alpha", [0.1, -0.1, 0.35])
+def test_closed_form_is_the_decaying_rest_particle_by_hand(alpha):
+    # the hand formulas of the resting unit mass at c = 1, and its density
+    # transport factor (1 + alpha lam)^4 in ln f
+    sys = _flat(MassModel.exp_decay(1.0, alpha))
+    lam = np.linspace(0.0, 2.0, 9)
+    rest = np.array([0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    out = dynamics._closed_form(sys, rest, lam, "tau")
+    assert out.shape == (10, 9)
+    for row, ref in zip((0, 4, 8, 9), _decay_closed_form(lam, alpha)):
+        np.testing.assert_allclose(out[row], ref, rtol=1e-14, atol=1e-16)
+    assert np.all(out[[1, 2, 3, 5, 6, 7]] == 0.0)
+    ln_f = dynamics._closed_form(sys, rest, lam, "ln_f")[9]
+    np.testing.assert_allclose(np.exp(ln_f), (1.0 + alpha * lam) ** 4, rtol=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [0.3, -0.2])
+@pytest.mark.parametrize("curved", [False, True])
+def test_closed_form_keeps_the_decay_law_between_its_phi_and_tau(alpha, curved):
+    # m(phi(lam)) = mass_from_tau(phi0, tau(lam) - tau0) under every metric,
+    # from a moving start at c = 2 away from the mass's anchor, tau0 = 0.7
+    mass = MassModel.exp_decay(1.5, alpha, phi0=-0.2, c=2.0)
+    sys = _curved(mass, c=2.0) if curved else _flat(mass, c=2.0)
+    y0 = _on_shell_rows(sys, [0.0, 1.0, 0.5, 0.0], 0.4, [0.3, -0.6, 0.2], 0.7)
+    lam = np.linspace(0.0, 1.5, 7)
+    out = dynamics._closed_form(sys, y0, lam, "tau")
+    law = mass_from_tau(sys, y0[8], out[9] - y0[9])
+    np.testing.assert_allclose(sys.mass.value(out[8]), law, rtol=1e-14)
+    assert np.isnan(out[0:8]).all() if curved else np.isfinite(out[0:8]).all()
+
+
+def test_closed_form_of_a_constant_mass_and_of_a_photon():
+    lam = np.array([0.0, 0.5, 3.0])
+    # s = 0: phi falls at m^2 c^2, tau grows at m, p stays and q moves along g p
+    sys = _flat(MassModel.constant(2.0), c=1.5)
+    y0 = _on_shell_rows(sys, [0.5, 0.0, 0.0, 0.0], 0.25, [0.3, 0.0, -0.4], 1.0)
+    out = dynamics._closed_form(sys, y0, lam, "tau")
+    np.testing.assert_allclose(out[8], 0.25 - 9.0 * lam, rtol=1e-15)
+    np.testing.assert_allclose(out[9], 1.0 + 2.0 * lam, rtol=1e-15)
+    assert np.array_equal(out[4:8], np.repeat(y0[4:8, None], 3, axis=1))
+    g_p = np.array([-1.0, 1.0, 1.0, 1.0]) * y0[4:8]
+    np.testing.assert_allclose(out[0:4], y0[0:4, None] + g_p[:, None] * lam, rtol=1e-15)
+    # a photon: phi frozen, the straight ray, no proper time, ln f frozen
+    photon = _flat(MassModel.zero())
+    y0 = _on_shell_rows(photon, [0.0, 0.0, 0.0, 0.0], 0.0, [1.0, 0.0, 0.0], np.nan)
+    out = dynamics._closed_form(photon, y0, lam, "tau")
+    assert np.array_equal(out[8], np.zeros(3)) and np.isnan(out[9]).all()
+    assert np.array_equal(out[1], lam) and np.array_equal(out[0], lam)
+    assert np.array_equal(out[4:8], np.repeat(y0[4:8, None], 3, axis=1))
+    y0[9] = -2.0
+    assert np.array_equal(dynamics._closed_form(photon, y0, lam, "ln_f")[9], np.full(3, -2.0))
+
+
+@pytest.mark.parametrize("metric", ["weak-field", "wavy"])
+def test_closed_form_has_no_q_p_or_ln_f_under_a_gradient_metric(metric):
+    # a block of markers at one lambda: phi and tau hold under every metric,
+    # q, p and ln f only under a constant one
+    pot, grad = point_mass_potential(0.3, softening=0.5)
+    field = (weak_field(pot, grad) if metric == "weak-field"
+             else expression_metric(checks.WAVY_DIAG))
+    sys = ContactHamiltonianSystem(field, MassModel.exp_decay(1.0, 0.1), 1.0)
+    rng = np.random.default_rng(3)
+    q = rng.uniform(-1.0, 1.0, (5, 4))
+    phi = rng.uniform(-0.2, 0.2, 5)
+    y0 = np.vstack([q.T, solve_p0_on_shell(sys, q, phi, rng.normal(0.0, 0.3, (5, 3))).T,
+                    phi, np.zeros(5)])
+    for quadrature in ("tau", "ln_f"):
+        out = dynamics._closed_form(sys, y0, 0.8, quadrature)
+        assert out.shape == (10, 5)
+        assert np.isnan(out[0:8]).all() and np.isfinite(out[8]).all()
+        assert np.isfinite(out[9]).all() == (quadrature == "tau")

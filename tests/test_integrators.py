@@ -24,6 +24,8 @@ from sys import executable
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from contactrel import (
     ContactHamiltonianSystem,
@@ -161,6 +163,58 @@ def test_shell_projection_keeps_samples_on_shell():
     assert np.max(np.abs(traj.shell)) < 1e-13
 
 
+
+def _off(y, exact):
+    """max |y - exact| / max(1, |exact|) over the non-NaN entries of exact."""
+    held = ~np.isnan(exact)
+    return float(np.max(np.abs(y[held] - exact[held]) / np.maximum(1.0, np.abs(exact[held]))))
+
+
+@st.composite
+def _flat_starts(draw):
+    """(system, start rows (10, k) on its shell, span): k markers of one flat system.
+
+    The mass is a photon's, or m0 with slope s of either sign or 0, at c;
+    x = s c^2 m0 lam stays within +-0.5 over the span, so 1 + x keeps clear of 0.
+    """
+    c, span, phi0 = draw(st.floats(0.5, 3.0)), draw(st.floats(0.05, 2.0)), draw(st.floats(-1.0, 1.0))
+    if draw(st.booleans()):
+        mass = MassModel.zero()
+    else:
+        m0, x_end = draw(st.floats(0.2, 3.0)), draw(st.just(0.0) | st.floats(-0.5, 0.5))
+        mass = MassModel.exp_decay(m0, x_end / (m0 * span), phi0=phi0, c=c)
+    sys = ContactHamiltonianSystem(metric=minkowski(), mass=mass, c=c)
+    p_spatial = np.array(draw(st.lists(st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+                                       min_size=1, max_size=3)))
+    assume(np.all(np.linalg.norm(p_spatial, axis=1) > 0.1))  # a photon has no rest frame
+    k = len(p_spatial)
+    q = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4)))
+    y0 = np.empty((10, k))
+    y0[0:4] = q[:, None]
+    y0[4:8] = solve_p0_on_shell(sys, np.tile(q, (k, 1)), np.full(k, phi0), p_spatial).T
+    y0[8] = phi0
+    y0[9] = np.linspace(-1.0, 1.0, k)  # ln f
+    return sys, y0, span
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_flat_starts())
+def test_stepper_runs_on_the_closed_form_of_flat_systems(case):
+    # differential testing of both run paths against the exact solution,
+    # dynamics._closed_form: a run by integrate at every sample, and a block
+    # by _advance_block at its end
+    sys, y0, span = case
+    cfg = IntegratorConfig(stop=_stop("lambda_reached", span))
+    s0 = ExtendedState(q=y0[0:4, 0], p=y0[4:8, 0], phi=y0[8, 0])
+    traj = integrate(sys, s0, cfg)
+    assert traj.lam[-1] == span
+    assert _off(traj.y.T, dynamics._closed_form(sys, traj.y[0], traj.lam, "tau")) < 1e-9
+    ends = []
+    integrators._advance_block(sys, y0.copy(), span, 1, cfg,
+                               lambda k, lam, y: ends.append(y.copy()))
+    assert _off(ends[0], dynamics._closed_form(sys, y0, span, "ln_f")) < 1e-9
+
+
 # --- event location --------------------------------------------------------------
 
 
@@ -269,13 +323,16 @@ def test_integrator_config_refuses_a_non_positive_max_step(max_step):
     *((value, name) for value in (math.nan, math.inf, 0.0, -1e-10)
       for name in ("rel_tol", "abs_tol", "fixed_step")),
     (0, "max_steps"), (-1, "max_steps"), (-3, "shell_projection"),
+    (2.5, "max_steps"), (0.5, "shell_projection"), (True, "max_steps"),
 ])
 def test_integrator_config_refuses_a_tolerance_or_step_that_is_not_finite_and_positive(name, value):
     # NaN passed a test of <= 0: a nan tolerance ended in a StepSizeUnderflow
     # that blamed the field, an inf one in a RuntimeWarning, and rk4 with an
     # inf fixed_step in NaN states and a TransversalityFailure; max_steps 0
     # or -1 ended in MaxStepsExceeded before the first step, and a negative
-    # shell_projection ran as 0 in silence
+    # shell_projection ran as 0 in silence.  A count that is not an int was
+    # taken as one: shell_projection 0.5 projected after every step, and
+    # max_steps 2.5 raised "exceeded 2.5 accepted steps"
     method = "rk4" if name == "fixed_step" else "rk45"
     with pytest.raises(ValueError, match=name):
         IntegratorConfig(**{"method": method, "fixed_step": 0.1, name: value})

@@ -791,23 +791,47 @@ def _preset_run(cfg, tmp_path, n=500):
     """The run a preset's check reads; ensembles are cut to n markers."""
     if cfg.kind == "single":
         return execute_single(cfg, str(tmp_path))[0]
-    return run_ensemble(replace(cfg, initial={**cfg.initial, "n": n}))[2]
+    return run_ensemble(replace(cfg, initial={**cfg.initial, "n": n}))
 
 
 def _shift(arr, index, delta):
     arr[index] += delta
 
 
-# Each edit moves the preset's measured value just past its tolerance.
+def _off_by(arr, index, tol):
+    """Move arr[index] by 2 tol max(1, |arr[index]|): just past a closed-form hold at tol."""
+    arr[index] += 2.0 * tol * max(1.0, abs(arr[index]))
+
+
+# Each edit moves the preset's measured value just past its tolerance; an
+# ensemble's rows are run[2], its end ensemble run[1].
 _PAST_TOLERANCE = {
     "special-relativity-free": lambda t: _shift(t.q, (-1, 1), 2e-10),
     "newtonian-orbit": lambda t: _shift(t.q, (-1, 1), 2e-3),
     "photon-null": lambda t: _shift(t.phi, -1, 2e-12),
     "decay-flat": lambda t: _shift(t.tau, -1, 2e-7),  # law moves by alpha * 2e-7
-    "decay-gas": lambda r: _shift(r, (-1, 3), 2e-6 * abs(r[-1, 3])),
-    "absorbing-gas": lambda r: _shift(r, (-1, 2), r[-2, 2] - r[-1, 2]),
-    "photon-gas": lambda r: _shift(r, (-1, 2), 2e-12),
+    "decay-gas": lambda r: _shift(r[2], (-1, 3), 2e-6 * abs(r[2][-1, 3])),
+    "absorbing-gas": lambda r: _shift(r[2], (-1, 2), r[2][-2, 2] - r[2][-1, 2]),
+    "photon-gas": lambda r: _shift(r[2], (-1, 2), 2e-12),
 }
+
+# (hold, edit): the tolerance at which the preset's check holds its run to the
+# closed form, and an edit that moves one row of the run just past it.
+# special-relativity-free and photon-null hold the absolute distance.
+_OFF_CLOSED_FORM = {
+    "special-relativity-free": (1e-10, lambda t: _shift(t.tau, -1, 2e-10)),
+    "newtonian-orbit": (1e-9, lambda t: _off_by(t.tau, -1, 1e-9)),
+    "photon-null": (1e-12, lambda t: _shift(t.q, (-1, 1), 2e-12)),
+    "decay-flat": (1e-9, lambda t: _off_by(t.p, (-1, 0), 1e-9)),
+    "decay-gas": (1e-9, lambda r: _off_by(r[1].y, (8, -1), 1e-9)),
+    "absorbing-gas": (1e-9, lambda r: _off_by(r[1].y, (4, 0), 1e-9)),
+    "photon-gas": (1e-9, lambda r: _off_by(r[1].y, (1, -1), 1e-9)),
+}
+
+
+def _closed_form_in(detail):
+    """The closed-form distance a check's detail reports."""
+    return float(re.search(r"closed form (\d\.\d+e[-+]\d+)", detail).group(1))
 
 
 @pytest.mark.parametrize("name", list(PRESETS))
@@ -824,6 +848,26 @@ def test_preset_check_passes_its_run_and_fails_past_tolerance(name, tmp_path):
     assert tol_bad == tol
     assert not passed_bad
     assert measured_bad != measured
+
+    hold, edit = _OFF_CLOSED_FORM[name]
+    bad = copy.deepcopy(run)
+    edit(bad)
+    _, tol_bad, passed_bad, detail_bad = check(cfg, bad)
+    assert tol_bad == tol
+    assert not passed_bad, detail_bad
+    assert _closed_form_in(detail_bad) > hold > _closed_form_in(detail), (detail, detail_bad)
+
+
+def test_closed_form_hold_fails_a_later_run_with_a_nan_row(tmp_path):
+    # the worst distance over the runs must keep a NaN that follows a finite one
+    from contactrel import scenario
+
+    cfg = preset_scenario("decay-flat")
+    run = _preset_run(cfg, tmp_path)
+    bad = copy.deepcopy(run)
+    bad.q[-1, 1] = np.nan
+    passed, detail = scenario._held(True, "law", (cfg, run), (cfg, bad))
+    assert not passed and detail == "law, closed form nan (tol 1e-9)", detail
 
 
 @pytest.mark.parametrize("name", ["decay-flat", "decay-gas"])
@@ -1279,9 +1323,15 @@ def test_verify_measures_the_decay_law(monkeypatch):
     assert not passed
 
 
-def test_decay_flat_record_sees_a_wrong_dphi_scale(monkeypatch):
+@pytest.mark.parametrize("name", [
+    "preset:decay-flat", "preset:special-relativity-free", "preset:newtonian-orbit",
+    "preset:absorbing-gas", "newtonian-limit",
+])
+def test_decay_flat_record_sees_a_wrong_dphi_scale(monkeypatch, name):
     # dphi halved in the field kernel moves phi and tau together, so the mass
-    # law still holds along the run; tau against its closed form must fail it
+    # law still holds along the run; the run against its closed form must fail
+    # it, and each other record that holds a massive run to it: these five
+    # passed the defect when only decay-flat's tau was held
     from contactrel import checks, dynamics, integrators
 
     field_rows = dynamics._field_rows
@@ -1295,7 +1345,7 @@ def test_decay_flat_record_sees_a_wrong_dphi_scale(monkeypatch):
     monkeypatch.setattr(integrators, "_field_rows", halved)
     checks._preset_outcome.cache_clear()
     try:
-        record = checks._check_record(False, "preset:decay-flat")
+        record = checks._check_record(False, name)
     finally:
         checks._preset_outcome.cache_clear()
     assert not record.passed and math.isfinite(record.measured), record.detail
